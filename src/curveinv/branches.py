@@ -1,20 +1,24 @@
 """Delta invariants and branch counts from parametrizations.
 
 A branch parametrization generates a subalgebra of the power-series ring
-in t; the t-orders attained by that subalgebra form the value semigroup,
-computed here by exact echelon reduction of truncated monomial products
-of the image series (pivot = lowest t-order).  The gap count below the
-conductor is the one-branch delta; multibranch delta adds pairwise
-intersection multiplicities, which need a defining equation per branch.
-Milnor's formula mu = 2*delta - r + 1 is asserted against the
-independently computed mu as the end-to-end cross-check.
+in t; the t-orders attained by that subalgebra form the value semigroup.
+It is computed here by subalgebra saturation (in the style of Robbiano
+and Sweedler's subalgebra bases) modulo t^(order+1): an echelon basis
+keyed by lowest t-order starts from the series 1, and every row inserted
+is multiplied by every image series and reduced back into the basis until
+nothing new appears.  The span is then closed under multiplication by the
+images, so it is the whole truncated subalgebra, and its set of pivots is
+the set of t-orders it attains.  The gap count below the conductor is the
+one-branch delta; multibranch delta adds pairwise intersection
+multiplicities, which need a defining equation per branch.  Milnor's
+formula mu = 2*delta - r + 1 is asserted against the independently
+computed mu as the end-to-end cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import (
@@ -26,41 +30,76 @@ from .errors import (
     SchemaError,
 )
 from .plane import Branch, PlaneSingularity
-from .poly import BRANCH_PARAM_VAR, BranchParam, Poly
+from .poly import BranchParam, Poly
 
 WORKING_ORDER_CAP = 4096
 
+Series = Dict[int, Fraction]  # t-exponent -> nonzero coefficient
+
 
 def _series_orders(images: Tuple[Poly, ...], order: int) -> Set[int]:
-    """t-orders attained by the subalgebra generated by the images."""
-    live = [(i, img, img.order()) for i, img in enumerate(images) if not img.is_zero()]
-    if not live or all(o > order for _, _, o in live):
+    """t-orders attained by the subalgebra generated by the images.
+
+    Works in k[t]/(t^(order+1)) and returns the lowest t-orders of the
+    elements of the image A of the subalgebra there, i.e. the value
+    semigroup intersected with [0, order].
+
+    Saturation: the echelon basis ``rows`` (one row per pivot, the pivot
+    being the row's lowest t-order, leading coefficient 1) is fed from a
+    queue that starts with the series 1; each time a reduced element is
+    inserted as a row, its products with every image, truncated above
+    ``order``, are queued.  Each insertion takes a new pivot in
+    [0, order], so there are at most order + 1 rows and (order + 1) * e
+    products.
+
+    Proof that the pivots are the orders attained by A.  Let V be the
+    span of the rows when the queue is empty.  V is inside A: 1 is in A,
+    A is closed under products with the images, and every row is a
+    queued element minus a combination of earlier rows.  A is inside V:
+    V contains 1, and for every row r and image g the truncated product
+    r*g was queued and reduced to a combination of rows, so V is closed
+    under multiplication by each image; by induction on the degree it
+    contains every truncated monomial in the images, and those span A.
+    So V = A.  The rows have distinct pivots, so the lowest t-order of
+    any nonzero combination of them is the smallest pivot occurring in
+    it; the set of lowest orders of a vector space therefore equals the
+    pivot set of any such basis, independent of the basis or of the
+    order in which the queue is processed.  None of this uses that the
+    images are monomials.
+    """
+    gens = [
+        {m[0]: c for m, c in img.terms.items()} for img in images if not img.is_zero()
+    ]
+    if all(min(g) > order for g in gens):
         raise DegenerateBranch(
             f"all images vanish to working order {order}"
         )
-    # Enumerate monomial products x1^a1 * ... with sum(ai * ord_i) <= order.
-    exponent_ranges = [range(order // o + 1) for _, _, o in live]
-    rows: Dict[int, Dict[int, Fraction]] = {}
-    one = Poly.const((BRANCH_PARAM_VAR,), 1)
-    for exponents in iter_product(*exponent_ranges):
-        if sum(e * o for e, (_, _, o) in zip(exponents, live)) > order:
-            continue
-        prod = one
-        for e, (_, img, _) in zip(exponents, live):
-            if e:
-                prod = (prod * img ** e).truncate(order)
-        terms = {m[0]: c for m, c in prod.terms.items()}
+    rows: Dict[int, Series] = {}
+    queue: List[Series] = [{0: Fraction(1)}]
+    while queue:
+        terms = queue.pop()
         # echelon insertion with pivot = lowest order
         while terms:
             pivot = min(terms)
             existing = rows.get(pivot)
             if existing is None:
-                inv = Fraction(1) / terms[pivot]
-                rows[pivot] = {k: c * inv for k, c in terms.items()}
+                inv = 1 / terms[pivot]
+                row = {k: c * inv for k, c in terms.items()}
+                rows[pivot] = row
+                for g in gens:
+                    prod: Series = {}
+                    for k1, c1 in row.items():
+                        for k2, c2 in g.items():
+                            k = k1 + k2
+                            if k <= order:
+                                prod[k] = prod.get(k, 0) + c1 * c2
+                    prod = {k: c for k, c in prod.items() if c}
+                    if prod:
+                        queue.append(prod)
                 break
             factor = terms[pivot]
             for k, c in existing.items():
-                new = terms.get(k, Fraction(0)) - factor * c
+                new = terms.get(k, 0) - factor * c
                 if new == 0:
                     terms.pop(k, None)
                 else:
@@ -92,19 +131,20 @@ def delta_one_branch(b: BranchParam, order: int) -> int:
     return sum(1 for n in range(c) if n not in values)
 
 
+def branch_working_order(b: BranchParam) -> int:
+    """Starting truncation order for one branch: eight times its top degree."""
+    return 8 * max(img.degree() or 1 for img in b.images)
+
+
 def default_working_order(branches: Tuple[Branch, ...]) -> int:
-    top = 1
-    for br in branches:
-        for img in br.param.images:
-            top = max(top, img.degree() or 0)
-    return 8 * top
+    return max(branch_working_order(br.param) for br in branches)
 
 
-def _with_retry(func, order: int):
-    """Run func(order), doubling the order on NoConductor up to the cap."""
+def delta_with_retry(b: BranchParam, order: int) -> int:
+    """delta_one_branch, doubling the order on NoConductor up to the cap."""
     while True:
         try:
-            return func(order)
+            return delta_one_branch(b, order)
         except NoConductor:
             if order >= WORKING_ORDER_CAP:
                 raise
@@ -149,9 +189,7 @@ def delta_report(
                 f"{composed.order()} term survives)",
                 f"branches[{i}]",
             )
-    per_branch: List[int] = []
-    for br in s.branches:
-        per_branch.append(_with_retry(lambda o, b=br: delta_one_branch(b.param, o), order))
+    per_branch = [delta_with_retry(br.param, order) for br in s.branches]
     pairwise = [[0] * r for _ in range(r)]
     for i in range(r):
         for j in range(i + 1, r):

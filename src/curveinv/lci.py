@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import List, Optional, Tuple
 
+from .branches import branch_working_order
 from .errors import NonMinimalPresentation, PlanarNoObstruction
 from .poly import BranchParam, Poly
 
@@ -72,10 +73,15 @@ def embedding_dimension(p: LciPresentation) -> int:
     return len(p.variables)
 
 
-def verify_parametrization(p: LciPresentation, order: int = 64) -> bool:
-    """True when every equation vanishes on the parametrized curve."""
+def verify_parametrization(p: LciPresentation) -> bool:
+    """True when every equation vanishes on the parametrized curve.
+
+    The pullbacks are compared with zero modulo t^(N+1), N the branch's
+    starting working order, the order its delta is computed at.
+    """
     if p.parametrization is None:
         raise ValueError("no parametrization supplied")
+    order = branch_working_order(p.parametrization)
     images = p.parametrization.as_map(p.variables)
     return all(
         f.substitute(images, truncation=order).is_zero() for f in p.equations

@@ -129,16 +129,28 @@ class Poly:
         value = Fraction(value)
         return Poly(self.vars, {m: c * value for m, c in self.terms.items()})
 
-    def __pow__(self, n: int) -> "Poly":
+    def __pow__(self, n: int, truncation: Optional[int] = None) -> "Poly":
+        """self**n by square-and-multiply.
+
+        ``pow(p, n, N)`` truncates above total degree N after every
+        product; truncation is a ring homomorphism, so this equals
+        ``(p ** n).truncate(N)``.
+        """
         if n < 0:
             raise ValueError("negative exponent")
+
+        def mul(a: "Poly", b: "Poly") -> "Poly":
+            prod = a * b
+            return prod if truncation is None else prod.truncate(truncation)
+
         result = Poly.const(self.vars, 1)
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = mul(result, base)
             n >>= 1
+            if n:
+                base = mul(base, base)
         return result
 
     def truncate(self, max_degree: int) -> "Poly":
@@ -163,29 +175,36 @@ class Poly:
         images: Mapping[str, "Poly"],
         truncation: Optional[int] = None,
     ) -> "Poly":
-        """Compose with one image polynomial per ambient variable."""
+        """Compose with one image polynomial per ambient variable.
+
+        With ``truncation`` set, every power and product is truncated above
+        that total degree as it is formed; the result is the same as
+        truncating the exact composition.
+        """
         missing = [v for v in self.vars if v not in images]
         if missing:
             raise ValueError(f"no image supplied for {missing}")
-        target_vars = None
-        for img in images.values():
-            if target_vars is None:
-                target_vars = img.vars
-            elif img.vars != target_vars:
-                raise ValueError("images live in different ambient rings")
-        assert target_vars is not None
-        result = Poly.zero(target_vars)
+        ambients = {img.vars for img in images.values()}
+        if len(ambients) != 1:
+            raise ValueError(
+                "images live in different ambient rings" if ambients
+                else "no images supplied"
+            )
+        (target_vars,) = ambients
+        powers: dict = {}  # (var, e) -> images[var] ** e, truncated
+        out: dict = {}
         for m, c in self.terms.items():
             piece = Poly.const(target_vars, c)
             for var, e in zip(self.vars, m):
                 if e:
-                    piece = piece * (images[var] ** e)
+                    if (var, e) not in powers:
+                        powers[var, e] = pow(images[var], e, truncation)
+                    piece = piece * powers[var, e]
                     if truncation is not None:
                         piece = piece.truncate(truncation)
-            result = result + piece
-        if truncation is not None:
-            result = result.truncate(truncation)
-        return result
+            for tm, tc in piece.terms.items():
+                out[tm] = out.get(tm, Fraction(0)) + tc
+        return Poly(target_vars, out)
 
     # -- comparison / printing --------------------------------------------
 

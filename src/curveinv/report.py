@@ -12,8 +12,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .branches import delta_one_branch, delta_report
-from .errors import MilnorMismatch, MissingBranchData, NoConductor
+from .branches import branch_working_order, delta_report, delta_with_retry
+from .errors import MilnorMismatch, MissingBranchData
 from .lci import (
     LciPresentation,
     coker_mod_m_cross_check,
@@ -213,16 +213,8 @@ def _analyze_lci(
     delta = r = None
     provenance = None
     if pres.parametrization is not None:
-        order = 8 * max((img.degree() or 1) for img in pres.parametrization.images)
-        while True:
-            try:
-                delta = delta_one_branch(pres.parametrization, order)
-                break
-            except NoConductor:
-                order *= 2
-                if order > 4096:
-                    raise
-        r = 1
+        param = pres.parametrization
+        delta, r = delta_with_retry(param, branch_working_order(param)), 1
         provenance = "computed"
     elif pres.asserted_delta is not None:
         delta, r = pres.asserted_delta, pres.asserted_r

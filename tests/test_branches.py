@@ -1,21 +1,28 @@
 """Branch geometry: semigroups, conductors, delta, Milnor's formula."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curveinv.branches import (
     branch_semigroup,
+    branch_working_order,
     delta_one_branch,
     delta_report,
+    delta_with_retry,
     intersection_multiplicity,
 )
 from curveinv.errors import (
+    DegenerateBranch,
     MilnorMismatch,
     MissingBranchEquation,
+    NoConductor,
     NotTransverseAtOrder,
     SchemaError,
 )
 from curveinv.plane import Branch, PlaneAnalysis, PlaneSingularity
-from curveinv.poly import parse_branch, parse_poly
+from curveinv.poly import BranchParam, Poly, parse_branch, parse_poly
 
 UV = ("u", "v")
 
@@ -66,6 +73,108 @@ def test_delta_one_branch_values():
 def test_delta_stable_under_order_raise():
     b = parse_branch(["t^3", "t^5"])
     assert delta_one_branch(b, 24) == delta_one_branch(b, 28)
+
+
+def test_degenerate_branch_raises():
+    with pytest.raises(DegenerateBranch):
+        branch_semigroup(parse_branch(["t^9", "0"]), 8)
+
+
+# -- semigroup oracles --------------------------------------------------------
+
+def numerical_semigroup(gens, order):
+    """<gens> intersected with [0, order], by an integer DP."""
+    member = [True] + [False] * order
+    for n in range(1, order + 1):
+        member[n] = any(g <= n and member[n - g] for g in gens)
+    return {n for n in range(order + 1) if member[n]}
+
+
+def enumerated_orders(images, order):
+    """Brute-force reference: reduce every truncated monomial product.
+
+    Walks the exponent tuples (a_1..a_e) with sum(a_i * ord_i) <= order,
+    forms the truncated products prod(img_i ** a_i) and echelon-reduces
+    them by lowest t-order; the pivots are the attained t-orders.
+    """
+    live = [img for img in images if not img.is_zero()]
+    rows = {}
+
+    def insert(prod):
+        terms = {m[0]: c for m, c in prod.terms.items()}
+        while terms:
+            pivot = min(terms)
+            if pivot not in rows:
+                rows[pivot] = {k: c / terms[pivot] for k, c in terms.items()}
+                return
+            factor = terms[pivot]
+            for k, c in rows[pivot].items():
+                terms[k] = terms.get(k, 0) - factor * c
+                if terms[k] == 0:
+                    del terms[k]
+
+    def walk(i, prod, budget):
+        if i == len(live):
+            insert(prod)
+            return
+        while budget >= 0:
+            walk(i + 1, prod, budget)
+            budget -= live[i].order()
+            prod = (prod * live[i]).truncate(order)
+
+    walk(0, Poly.const(("t",), 1), order)
+    return set(rows)
+
+
+def monomial_branch(gens):
+    return parse_branch([f"t^{g}" for g in gens])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 15), min_size=1, max_size=5), st.integers(0, 80))
+def test_monomial_semigroup_matches_numerical_semigroup(gens, order):
+    if min(gens) > order:
+        return
+    assert branch_semigroup(monomial_branch(gens), order) == numerical_semigroup(gens, order)
+
+
+series = st.dictionaries(
+    st.integers(4, 12),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: Poly(("t",), {(k,): c for k, c in terms.items()}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(series, min_size=2, max_size=4), st.integers(1, 40))
+def test_semigroup_matches_enumerated_products(images, order):
+    b = BranchParam(tuple(images))
+    if all(img.order() > order for img in images):
+        return
+    assert branch_semigroup(b, order) == enumerated_orders(b.images, order)
+
+
+@pytest.mark.parametrize(
+    "gens, delta",
+    [((16, 24, 36, 54, 81), 90), ((32, 48, 72, 108, 162, 243), 301)],
+)
+def test_high_embedding_dimension_chains(gens, delta):
+    b = monomial_branch(gens)
+    order = branch_working_order(b)
+    assert delta_one_branch(b, order) == delta
+    gaps = set(range(order + 1)) - numerical_semigroup(gens, order)
+    assert len(gaps) == delta
+
+
+def test_one_doubling_recovers_conductor():
+    # <10, 11> has conductor 90, above the starting order 8 * 11 = 88.
+    b = monomial_branch((10, 11))
+    order = branch_working_order(b)
+    assert order == 88
+    with pytest.raises(NoConductor):
+        delta_one_branch(b, order)
+    assert delta_with_retry(b, order) == 45
 
 
 # -- intersection multiplicities -------------------------------------------

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -78,6 +79,50 @@ def test_missing_file_exit_2(capsys):
 
 def test_non_isolated_exit_3(capsys):
     assert main(["sing", "u^2"]) == 3
+
+
+# -- lci germs: parametrization check and working-order retries -------------
+
+def _lci_file(tmp_path, variables, equations, images):
+    doc = {
+        "label": "lci-model",
+        "genus": 0,
+        "singularities": [{
+            "kind": "lci", "label": "germ", "variables": variables,
+            "equations": equations, "parametrization": images,
+        }],
+    }
+    path = tmp_path / "lci.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_lci_parametrization_off_the_curve_fails(tmp_path, capsys):
+    # z^2 - y^3 pulls back to t^110 - t^108, above a fixed order of 64.
+    path = _lci_file(tmp_path, ["x", "y", "z"], ["y^2-x^3", "z^2-y^3"],
+                     ["t^24", "t^36", "t^55"])
+    assert main(["analyze", path]) == 1
+    out = capsys.readouterr().out
+    assert "[   fail] parametrization-vanishes (germ)" in out
+
+
+def test_lci_delta_after_one_doubling(tmp_path, capsys):
+    # <20, 21, 22> has conductor 200, above the starting order 8 * 22.
+    path = _lci_file(tmp_path, ["x", "y", "z"], ["x^11-y^10", "z^2-x*y"],
+                     ["t^20", "t^22", "t^21"])
+    assert main(["analyze", path, "--format", "json-like"]) == 0
+    sing = json.loads(capsys.readouterr().out)["singularities"][0]
+    assert sing["delta"]["value"] == 100
+
+
+def test_lci_without_conductor_stops_at_cap(tmp_path, capsys):
+    # Every exponent is even, so the semigroup has no conductor at any order.
+    path = _lci_file(tmp_path, ["x", "y", "z"], ["y^2-x^3", "z^2-y^3"],
+                     ["t^8", "t^12", "t^18"])
+    start = time.perf_counter()
+    assert main(["analyze", path]) == 1
+    assert time.perf_counter() - start < 1
+    assert "up to 4096" in capsys.readouterr().err
 
 
 # -- round trips and determinism -------------------------------------------

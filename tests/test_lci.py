@@ -68,6 +68,9 @@ def test_parametrization_verified():
 def test_wrong_parametrization_detected():
     bad = pres(["y^2-x^3", "z^2-y^3"], param=["t^3", "t^4", "t^5"])
     assert not verify_parametrization(bad)
+    # z^2 - y^3 pulls back to t^110 - t^108, past a fixed order of 64.
+    bad = pres(["y^2-x^3", "z^2-y^3"], param=["t^24", "t^36", "t^55"])
+    assert not verify_parametrization(bad)
 
 
 # -- complex term ranks -----------------------------------------------------
