@@ -1,18 +1,12 @@
 """Delta invariants and branch counts from parametrizations.
 
 A branch parametrization generates a subalgebra of the power-series ring
-in t; the t-orders attained by that subalgebra form the value semigroup.
-It is computed here by subalgebra saturation (in the style of Robbiano
-and Sweedler's subalgebra bases) modulo t^(order+1): an echelon basis
-keyed by lowest t-order starts from the series 1, and every row inserted
-is multiplied by every image series and reduced back into the basis until
-nothing new appears.  The span is then closed under multiplication by the
-images, so it is the whole truncated subalgebra, and its set of pivots is
-the set of t-orders it attains.  The gap count below the conductor is the
-one-branch delta; multibranch delta adds pairwise intersection
-multiplicities, which need a defining equation per branch.  Milnor's
-formula mu = 2*delta - r + 1 is asserted against the independently
-computed mu as the end-to-end cross-check.
+in t; the t-orders attained by that subalgebra form the value semigroup,
+computed here by subalgebra saturation (see ``_series_orders``).  The gap
+count below the conductor is the one-branch delta; multibranch delta adds
+pairwise intersection multiplicities, which need a defining equation per
+branch.  Milnor's formula mu = 2*delta - r + 1 is asserted against the
+independently computed mu as the end-to-end cross-check.
 """
 
 from __future__ import annotations

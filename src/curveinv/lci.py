@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from math import comb
 from typing import List, Optional, Tuple
 
-from .branches import branch_working_order
 from .errors import NonMinimalPresentation, PlanarNoObstruction
 from .poly import BranchParam, Poly
 
@@ -76,16 +75,13 @@ def embedding_dimension(p: LciPresentation) -> int:
 def verify_parametrization(p: LciPresentation) -> bool:
     """True when every equation vanishes on the parametrized curve.
 
-    The pullbacks are compared with zero modulo t^(N+1), N the branch's
-    starting working order, the order its delta is computed at.
+    The images are polynomials in t, so each pullback is compared with
+    zero exactly, with no truncation order.
     """
     if p.parametrization is None:
         raise ValueError("no parametrization supplied")
-    order = branch_working_order(p.parametrization)
     images = p.parametrization.as_map(p.variables)
-    return all(
-        f.substitute(images, truncation=order).is_zero() for f in p.equations
-    )
+    return all(f.substitute(images).is_zero() for f in p.equations)
 
 
 def complex_term_ranks(e: int, p: int) -> List[Tuple[int, int]]:

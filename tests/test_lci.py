@@ -71,6 +71,14 @@ def test_wrong_parametrization_detected():
     # z^2 - y^3 pulls back to t^110 - t^108, past a fixed order of 64.
     bad = pres(["y^2-x^3", "z^2-y^3"], param=["t^24", "t^36", "t^55"])
     assert not verify_parametrization(bad)
+    # Off the curve only at t^42, t^34, t^74: above eight times the top
+    # image degree, so any check truncated at that order would pass them.
+    for equations, param in [
+        (["y^2-x^3", "z^2-x^5-x^21"], ["t^2", "t^3", "t^5"]),
+        (["y^2-x^3", "z^2-x^4-x^17"], ["t^2", "t^3", "t^4"]),
+        (["y^2-x^3", "z^2-x^9-x^37"], ["t^2", "t^3", "t^9"]),
+    ]:
+        assert not verify_parametrization(pres(equations, param=param))
 
 
 # -- complex term ranks -----------------------------------------------------
