@@ -135,6 +135,29 @@ def test_lci_without_conductor_stops_at_cap(tmp_path, capsys):
     assert "up to 4096" in capsys.readouterr().err
 
 
+# -- singularities without delta/r data ------------------------------------
+
+MISSING_DELTA = "error: a singularity lacks delta/r data needed for global sums\n"
+
+
+@pytest.mark.parametrize(
+    "sing",
+    [
+        {"kind": "plane", "f": "u^2-v^3", "variables": ["u", "v"]},
+        {"kind": "lci", "variables": ["x", "y", "z"],
+         "equations": ["y^2-x^3", "z^2-y^3"]},
+    ],
+    ids=["plane-without-branches", "lci-without-parametrization"],
+)
+def test_analyze_without_delta_data_exit_1(sing, tmp_path, capsys):
+    path = tmp_path / "nodelta.json"
+    path.write_text(json.dumps({"genus": 0, "singularities": [sing]}))
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == MISSING_DELTA
+
+
 # -- round trips and determinism -------------------------------------------
 
 def test_schema_round_trip(tmp_path):
