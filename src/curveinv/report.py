@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .branches import branch_working_order, delta_report, delta_with_retry
-from .errors import MilnorMismatch, MissingBranchData
+from .errors import MilnorMismatch
 from .lci import (
     LciPresentation,
     coker_mod_m_cross_check,
@@ -25,6 +25,7 @@ from .plane import PlaneAnalysis, PlaneSingularity
 from .schema import CurveDocument, build_curve
 from .spectral import (
     CurveModel,
+    Dim,
     GlobalInvariants,
     HCPages,
     LciRecord,
@@ -46,7 +47,6 @@ class AnalysisOptions:
     truncation: Optional[int] = None
     tail_window: int = 4
     hc_window: Tuple[int, int] = (-2, 4)
-    stability_recheck: bool = False
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class Report:
     label: str
     options: AnalysisOptions
     model: CurveModel
-    invariants: Optional[GlobalInvariants]
+    invariants: GlobalInvariants
     verdict: VerdictReport
     e1: SSPage
     e2: SSPage
@@ -126,22 +126,6 @@ def _analyze_plane(
                     f"tail rank {tail.rank} vs tau {tau}",
                 )
             )
-    if options.stability_recheck:
-        raised = PlaneAnalysis(
-            sing, truncation=analysis.milnor.truncation_order + 2
-        )
-        same = (
-            raised.milnor_tjurina() == (mu, tau)
-            and raised.tail_map_general().matrix == tail.matrix
-        )
-        checks.append(
-            Check(
-                "stabilization",
-                label,
-                "pass" if same else "fail",
-                "colengths and tail matrix unchanged at truncation + 2",
-            )
-        )
     delta = r = None
     provenance = None
     if sing.branches:
@@ -242,14 +226,11 @@ def analyze(doc: CurveDocument, options: AnalysisOptions = AnalysisOptions()) ->
         else:
             records.append(_analyze_lci(sing, options, checks))
     model = CurveModel(genus=doc.genus, records=tuple(records), label=doc.label)
-    verdict = degeneration_verdict(model)
-    try:
-        invariants = global_invariants(model)
-    except MissingBranchData:
-        invariants = None
-    e1 = e1_page(model, tail_window=options.tail_window)
-    e2 = e2_page(model, tail_window=options.tail_window)
-    hc = hc_pages(model, window=options.hc_window, tail_window=options.tail_window)
+    invariants = global_invariants(model)
+    verdict = degeneration_verdict(model, invariants)
+    e1 = e1_page(model, invariants, verdict.verdict, tail_window=options.tail_window)
+    e2 = e2_page(model, e1, invariants)
+    hc = hc_pages(model, e1, invariants, window=options.hc_window)
     scope = doc.label or "curve"
     if verdict.ledger_consistent is None:
         checks.append(
@@ -277,7 +258,7 @@ def analyze(doc: CurveDocument, options: AnalysisOptions = AnalysisOptions()) ->
             "cyclic-homology pages carry the same verdict",
         )
     )
-    if verdict.verdict is Verdict.DEGENERATES and invariants is not None:
+    if verdict.verdict is Verdict.DEGENERATES:
         checks.extend(_betti_checks(e2, invariants, scope))
     return Report(
         label=doc.label,
@@ -298,27 +279,25 @@ def _betti_checks(e2: SSPage, gi: GlobalInvariants, scope: str) -> List[Check]:
     Degree-one entries must sum to kappa + k_v (constrained to 2g + R) or
     to the exact value; the degree-two total must be exactly 1.
     """
-    from .spectral import ExactDim, SymbolicDim, entry_add
-
     entries = e2.entry_map()
     out: List[Check] = []
-    total1 = ExactDim(0)
+    total1 = Dim(0)
     for pos in ((0, 1), (1, 0)):
         if pos in entries:
-            total1 = entry_add(total1, entries[pos])
+            total1 = total1 + entries[pos]
     b1 = gi.betti[1]
-    if isinstance(total1, ExactDim):
-        ok = total1.value == b1
-        detail = f"degree-1 total {total1.value}, b1={b1}"
+    if not total1.coeffs:
+        ok = total1.const == b1
+        detail = f"degree-1 total {total1.const}, b1={b1}"
     else:
         ok = total1.as_dict() == {"kappa": 1, "k_v": 1} and total1.const == 0
         detail = f"degree-1 total {total1.render()}, constrained to b1={b1}"
     out.append(Check("betti-degree-1", scope, "pass" if ok else "fail", detail))
-    total2 = ExactDim(0)
+    total2 = Dim(0)
     for pos in ((1, 1), (2, 0)):
         if pos in entries:
-            total2 = entry_add(total2, entries[pos])
-    ok2 = isinstance(total2, ExactDim) and total2.value == 1
+            total2 = total2 + entries[pos]
+    ok2 = total2 == Dim(1)
     out.append(
         Check(
             "betti-degree-2",
@@ -408,17 +387,16 @@ def to_structured(report: Report) -> Dict:
             },
         },
     }
-    if report.invariants is not None:
-        gi = report.invariants
-        doc["global_invariants"] = {
-            "genus": {"value": gi.genus, "provenance": "asserted-input"},
-            "delta_total": {"value": gi.delta_total, "provenance": "computed"},
-            "tau_total": {"value": gi.tau_total, "provenance": "computed"},
-            "mu_total": {"value": gi.mu_total, "provenance": "computed"},
-            "R": {"value": gi.R, "provenance": "computed"},
-            "p_a": {"value": gi.p_a, "provenance": "computed"},
-            "betti": list(gi.betti),
-        }
+    gi = report.invariants
+    doc["global_invariants"] = {
+        "genus": {"value": gi.genus, "provenance": "asserted-input"},
+        "delta_total": {"value": gi.delta_total, "provenance": "computed"},
+        "tau_total": {"value": gi.tau_total, "provenance": "computed"},
+        "mu_total": {"value": gi.mu_total, "provenance": "computed"},
+        "R": {"value": gi.R, "provenance": "computed"},
+        "p_a": {"value": gi.p_a, "provenance": "computed"},
+        "betti": list(gi.betti),
+    }
     return doc
 
 
@@ -427,14 +405,13 @@ def to_json(report: Report) -> str:
 
 
 def to_text(report: Report) -> str:
-    lines = [f"curve model: {report.label}"]
-    if report.invariants is not None:
-        gi = report.invariants
-        lines.append(
-            f"  genus {gi.genus}, delta_total {gi.delta_total}, "
-            f"tau_total {gi.tau_total}, R {gi.R}, p_a {gi.p_a}, "
-            f"betti {gi.betti}"
-        )
+    gi = report.invariants
+    lines = [
+        f"curve model: {report.label}",
+        f"  genus {gi.genus}, delta_total {gi.delta_total}, "
+        f"tau_total {gi.tau_total}, R {gi.R}, p_a {gi.p_a}, "
+        f"betti {gi.betti}",
+    ]
     lines.append(
         f"  verdict: {report.verdict.verdict.value}"
         + (f" (witness: {report.verdict.witness})" if report.verdict.witness else "")

@@ -14,6 +14,12 @@ else is exact: tail ranks are sums of local tail-map ranks computed
 upstream, and the second page is obtained by subtracting incoming and
 outgoing ranks entry-by-entry (symbolically where necessary).
 
+Every entry and rank is one type, ``Dim``: an integer constant plus
+integer coefficients over the unknowns, or the marker "provably nonzero,
+size undetermined" that a non-planar obstruction leaves on the first
+page.  Dims add and subtract; an exact dimension is never negative, and
+the marker takes part in no arithmetic.
+
 The degeneration verdict is decided by local data alone: the sequence
 degenerates at the second page exactly when every singularity is a
 quasihomogeneous plane curve singularity; a planar witness with tau < mu
@@ -25,6 +31,12 @@ complex splits by an integer m, and its piece keeps the Hodge columns
 p >= max(0, m), placing column p in filtration degree a = p - m.  Its
 second page is computed by the same rank subtraction, with arrows whose
 source column was cut contributing nothing.
+
+One pass builds everything: the caller computes ``global_invariants``
+and ``degeneration_verdict`` once, ``e1_page`` builds the first page from
+them, and ``e2_page`` and ``hc_pages`` derive their pages from that first
+page through one rank-subtraction step, which also applies the
+constraints proved under degeneration.
 """
 
 from __future__ import annotations
@@ -41,43 +53,51 @@ UNKNOWN_ORDER = ("kappa", "c", "k_v")
 
 
 @dataclass(frozen=True)
-class ExactDim:
-    """A fully determined entry dimension."""
+class Dim:
+    """An entry dimension: const + sum of coeff * unknown over UNKNOWN_ORDER.
 
-    value: int
+    ``coeffs`` holds the nonzero coefficients in UNKNOWN_ORDER; ``Dim.of``
+    builds it from keywords.  ``positive`` marks a provably nonzero entry
+    of undetermined size: it renders as ">=1" and refuses arithmetic.
+    """
+
+    const: int = 0
+    coeffs: Tuple[Tuple[str, int], ...] = ()
+    positive: bool = False
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"negative dimension {self.value}")
-
-    def render(self) -> str:
-        return str(self.value)
-
-    @property
-    def provenance(self) -> str:
-        return "computed"
-
-
-@dataclass(frozen=True)
-class SymbolicDim:
-    """Affine expression in the unknowns kappa, c, k_v."""
-
-    const: int
-    coeffs: Tuple[Tuple[str, int], ...]  # sorted by UNKNOWN_ORDER, nonzero
+        if self.const < 0 and not self.coeffs and not self.positive:
+            raise ValueError(f"negative dimension {self.const}")
 
     @classmethod
-    def make(cls, const: int, **coeffs: int) -> "SymbolicDim":
-        clean = tuple(
-            (name, coeffs[name])
-            for name in UNKNOWN_ORDER
-            if coeffs.get(name, 0) != 0
+    def of(cls, const: int, **coeffs: int) -> "Dim":
+        return cls(
+            const,
+            tuple((name, coeffs[name]) for name in UNKNOWN_ORDER if coeffs.get(name, 0)),
         )
-        return cls(const=const, coeffs=clean)
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.coeffs)
 
+    def __add__(self, other: "Dim") -> "Dim":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "Dim") -> "Dim":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Dim", sign: int) -> "Dim":
+        if self.positive or other.positive:
+            raise ValueError("cannot combine an undetermined-positive entry")
+        coeffs = dict(self.coeffs)
+        for name, coeff in other.coeffs:
+            coeffs[name] = coeffs.get(name, 0) + sign * coeff
+        return Dim.of(self.const + sign * other.const, **coeffs)
+
     def render(self) -> str:
+        if self.positive:
+            return ">=1"
+        if not self.coeffs:
+            return str(self.const)
         parts: List[str] = []
         for name, coeff in self.coeffs:
             if not parts:
@@ -86,75 +106,13 @@ class SymbolicDim:
                 lead = " - " if coeff < 0 else " + "
             mag = abs(coeff)
             parts.append(f"{lead}{'' if mag == 1 else str(mag) + '*'}{name}")
-        if self.const != 0 or not parts:
-            if not parts:
-                parts.append(str(self.const))
-            else:
-                parts.append(
-                    f" - {abs(self.const)}" if self.const < 0 else f" + {self.const}"
-                )
+        if self.const != 0:
+            parts.append(f" - {-self.const}" if self.const < 0 else f" + {self.const}")
         return "".join(parts)
 
     @property
     def provenance(self) -> str:
-        return "symbolic"
-
-
-@dataclass(frozen=True)
-class PositiveDim:
-    """A provably nonzero entry of undetermined dimension."""
-
-    reason: str = ""
-
-    def render(self) -> str:
-        return ">=1"
-
-    @property
-    def provenance(self) -> str:
-        return "computed"
-
-
-Entry = Union[ExactDim, SymbolicDim, PositiveDim]
-
-
-def entry_add(a: Entry, b: Entry) -> Entry:
-    if isinstance(a, PositiveDim) or isinstance(b, PositiveDim):
-        raise ValueError("cannot combine an undetermined-positive entry")
-    coeffs: Dict[str, int] = {}
-    const = 0
-    for x in (a, b):
-        if isinstance(x, ExactDim):
-            const += x.value
-        else:
-            const += x.const
-            for name, coeff in x.coeffs:
-                coeffs[name] = coeffs.get(name, 0) + coeff
-    return _normalize(const, coeffs)
-
-
-def entry_sub(a: Entry, b: Entry) -> Entry:
-    if isinstance(a, PositiveDim) or isinstance(b, PositiveDim):
-        raise ValueError("cannot combine an undetermined-positive entry")
-    neg = (
-        ExactDim(0)
-        if isinstance(b, ExactDim) and b.value == 0
-        else SymbolicDim.make(
-            -(b.value if isinstance(b, ExactDim) else b.const),
-            **(
-                {}
-                if isinstance(b, ExactDim)
-                else {name: -coeff for name, coeff in b.coeffs}
-            ),
-        )
-    )
-    return entry_add(a, neg)
-
-
-def _normalize(const: int, coeffs: Dict[str, int]) -> Entry:
-    clean = {k: v for k, v in coeffs.items() if v != 0}
-    if not clean:
-        return ExactDim(const)
-    return SymbolicDim.make(const, **clean)
+        return "symbolic" if self.coeffs else "computed"
 
 
 class Verdict(enum.Enum):
@@ -220,16 +178,16 @@ class VerdictReport:
 @dataclass(frozen=True)
 class SSPage:
     label: str
-    entries: Tuple[Tuple[Tuple[int, int], Entry], ...]  # ((p, q), entry) sorted
-    d1_ranks: Tuple[Tuple[Tuple[int, int], Entry], ...]
+    entries: Tuple[Tuple[Tuple[int, int], Dim], ...]  # ((p, q), entry) sorted
+    d1_ranks: Tuple[Tuple[Tuple[int, int], Dim], ...]
     verdict: Verdict
     constraints: Tuple[str, ...] = ()
     notes: Tuple[str, ...] = ()
 
-    def entry_map(self) -> Dict[Tuple[int, int], Entry]:
+    def entry_map(self) -> Dict[Tuple[int, int], Dim]:
         return dict(self.entries)
 
-    def rank_map(self) -> Dict[Tuple[int, int], Entry]:
+    def rank_map(self) -> Dict[Tuple[int, int], Dim]:
         return dict(self.d1_ranks)
 
 
@@ -242,7 +200,7 @@ class HCPages:
         return dict(self.per_m)[m]
 
 
-def _freeze(d: Dict[Tuple[int, int], Entry]):
+def _freeze(d: Dict[Tuple[int, int], Dim]):
     return tuple(sorted(d.items()))
 
 
@@ -288,7 +246,7 @@ def global_invariants(c: CurveModel) -> GlobalInvariants:
 # ---------------------------------------------------------------------------
 
 
-def degeneration_verdict(c: CurveModel) -> VerdictReport:
+def degeneration_verdict(c: CurveModel, gi: GlobalInvariants) -> VerdictReport:
     """Decide second-page degeneration from the analyzed singularities."""
     for record in c.lci_records():
         if record.report is None:
@@ -296,6 +254,7 @@ def degeneration_verdict(c: CurveModel) -> VerdictReport:
         rep = record.report
         return _with_ledger(
             c,
+            gi,
             Verdict.FAILS_VIA_NONPLANAR,
             witness=record.pres.label,
             detail=(
@@ -308,34 +267,33 @@ def degeneration_verdict(c: CurveModel) -> VerdictReport:
         if inv.tau < inv.mu:
             return _with_ledger(
                 c,
+                gi,
                 Verdict.FAILS_VIA_TAU,
                 witness=record.sing.label,
                 detail=f"tau={inv.tau} < mu={inv.mu}: not quasihomogeneous",
             )
     return _with_ledger(
         c,
+        gi,
         Verdict.DEGENERATES,
         witness="",
         detail="every singularity is a quasihomogeneous plane curve point",
     )
 
 
-def _with_ledger(c: CurveModel, verdict: Verdict, witness: str, detail: str) -> VerdictReport:
+def _with_ledger(
+    c: CurveModel, gi: GlobalInvariants, verdict: Verdict, witness: str, detail: str
+) -> VerdictReport:
     """Attach the tau_total = 2*delta - R ledger check when it applies.
 
-    The identity is meaningful only when every singularity is planar with
-    delta/r available; otherwise the check is reported as skipped.
+    The identity is meaningful only when every singularity is planar;
+    otherwise the check is reported as skipped.
     """
     tau_total = rhs = consistent = None
     if all(isinstance(r, PlaneRecord) for r in c.records):
-        try:
-            gi = global_invariants(c)
-        except MissingBranchData:
-            gi = None
-        if gi is not None:
-            tau_total = gi.tau_total
-            rhs = 2 * gi.delta_total - gi.R
-            consistent = (tau_total == rhs) == (verdict is Verdict.DEGENERATES)
+        tau_total = gi.tau_total
+        rhs = 2 * gi.delta_total - gi.R
+        consistent = (tau_total == rhs) == (verdict is Verdict.DEGENERATES)
     return VerdictReport(
         verdict=verdict,
         witness=witness,
@@ -355,18 +313,19 @@ def _tail_rank_total(c: CurveModel) -> int:
     return sum(r.tail.rank for r in c.plane_records())
 
 
-def e1_page(c: CurveModel, tail_window: int = 4) -> SSPage:
+def e1_page(
+    c: CurveModel, gi: GlobalInvariants, verdict: Verdict, tail_window: int = 4
+) -> SSPage:
     """First page: exact where determined, symbolic at the two u/v slots."""
-    verdict = degeneration_verdict(c).verdict
-    entries: Dict[Tuple[int, int], Entry] = {}
-    ranks: Dict[Tuple[int, int], Entry] = {}
+    entries: Dict[Tuple[int, int], Dim] = {}
+    ranks: Dict[Tuple[int, int], Dim] = {}
     notes: List[str] = []
     if not c.records:
         g = c.genus
-        entries[(0, 0)] = ExactDim(1)
-        entries[(1, 0)] = ExactDim(g)
-        entries[(0, 1)] = ExactDim(g)
-        entries[(1, 1)] = ExactDim(1)
+        entries[(0, 0)] = Dim(1)
+        entries[(1, 0)] = Dim(g)
+        entries[(0, 1)] = Dim(g)
+        entries[(1, 1)] = Dim(1)
         notes.append("smooth model: classical Hodge square, all maps zero")
         return SSPage(
             label=f"E1({c.label})",
@@ -375,28 +334,25 @@ def e1_page(c: CurveModel, tail_window: int = 4) -> SSPage:
             verdict=verdict,
             notes=tuple(notes),
         )
-    gi = global_invariants(c)
     g, delta, tau = gi.genus, gi.delta_total, gi.tau_total
-    entries[(0, 0)] = ExactDim(1)
-    entries[(0, 1)] = ExactDim(g + delta)
-    entries[(2, 0)] = ExactDim(tau)
-    entries[(1, 0)] = SymbolicDim.make(tau, kappa=1, c=-1)
-    entries[(1, 1)] = SymbolicDim.make(tau + 1 - g - delta, kappa=1, c=-1)
+    entries[(0, 0)] = Dim(1)
+    entries[(0, 1)] = Dim(g + delta)
+    entries[(2, 0)] = Dim(tau)
+    entries[(1, 0)] = Dim.of(tau, kappa=1, c=-1)
+    entries[(1, 1)] = Dim.of(tau + 1 - g - delta, kappa=1, c=-1)
     for p in range(1, tail_window + 1):
-        entries[(p + 1, -p)] = ExactDim(tau)
-        entries[(p + 2, -p)] = ExactDim(tau)
+        entries[(p + 1, -p)] = Dim(tau)
+        entries[(p + 2, -p)] = Dim(tau)
     tail_rank = _tail_rank_total(c)
     for p in range(1, tail_window + 1):
-        ranks[(p + 1, -p)] = ExactDim(tail_rank)
+        ranks[(p + 1, -p)] = Dim(tail_rank)
     degenerates = verdict is Verdict.DEGENERATES
     # rank of u out of (1,0): tau - c; proved full (c = 0) under degeneration
-    ranks[(1, 0)] = ExactDim(tau) if degenerates else SymbolicDim.make(tau, c=-1)
-    ranks[(0, 1)] = SymbolicDim.make(g + delta, k_v=-1)
+    ranks[(1, 0)] = Dim(tau) if degenerates else Dim.of(tau, c=-1)
+    ranks[(0, 1)] = Dim.of(g + delta, k_v=-1)
     for record in c.lci_records():
         pos = record.report.obstruction_position
-        entries[pos] = PositiveDim(
-            reason=f"non-planar obstruction, total degree {record.report.total_degree}"
-        )
+        entries[pos] = Dim(positive=True)
         notes.append(
             f"nonzero entry at {pos} from non-planar germ "
             f"{record.pres.label or '(unlabeled)'}"
@@ -413,33 +369,7 @@ def e1_page(c: CurveModel, tail_window: int = 4) -> SSPage:
     )
 
 
-def _second_page_from(
-    e1: SSPage,
-    arrows: Sequence[Tuple[Tuple[int, int], Tuple[int, int]]],
-) -> Dict[Tuple[int, int], Entry]:
-    """Generic rank subtraction: E2 = E1 - rank(out) - rank(in)."""
-    entries = e1.entry_map()
-    ranks = e1.rank_map()
-    out: Dict[Tuple[int, int], Entry] = {}
-    incoming: Dict[Tuple[int, int], Entry] = {}
-    outgoing: Dict[Tuple[int, int], Entry] = {}
-    for source, target in arrows:
-        rank = ranks.get(source, ExactDim(0))
-        outgoing[source] = rank
-        incoming[target] = rank
-    for pos, entry in entries.items():
-        if isinstance(entry, PositiveDim):
-            out[pos] = entry
-            continue
-        value = entry
-        for delta in (outgoing.get(pos), incoming.get(pos)):
-            if delta is not None:
-                value = entry_sub(value, delta)
-        out[pos] = value
-    return out
-
-
-def _hodge_arrows(entries: Dict[Tuple[int, int], Entry]):
+def _hodge_arrows(entries: Dict[Tuple[int, int], Dim]):
     arrows = [((0, 1), (1, 1)), ((1, 0), (2, 0))]
     for (p, q) in entries:
         if q <= -1 and p == -q + 1:  # tail source (p'+1, -p')
@@ -447,15 +377,38 @@ def _hodge_arrows(entries: Dict[Tuple[int, int], Entry]):
     return arrows
 
 
-def _simplify_degenerate(entry: Entry, two_g_plus_R: int) -> Entry:
-    """Apply the proved constraints under degeneration.
+def _second_page(
+    entries: Dict[Tuple[int, int], Dim],
+    ranks: Dict[Tuple[int, int], Dim],
+    arrows: Sequence[Tuple[Tuple[int, int], Tuple[int, int]]],
+    two_g_plus_R: Optional[int],
+) -> Dict[Tuple[int, int], Dim]:
+    """Rank subtraction E2 = E1 - rank(out) - rank(in), then the constraints.
 
-    Surjectivity of u gives c = 0; the first Betti identity gives
+    ``two_g_plus_R`` is given exactly when the sequence degenerates.  Then
+    surjectivity of u gives c = 0, and the first Betti identity gives
     kappa + k_v = 2g + R, applied when both unknowns carry the same
     coefficient.
     """
-    if not isinstance(entry, SymbolicDim):
-        return entry
+    incoming: Dict[Tuple[int, int], Dim] = {}
+    outgoing: Dict[Tuple[int, int], Dim] = {}
+    for source, target in arrows:
+        rank = ranks.get(source, Dim(0))
+        outgoing[source] = rank
+        incoming[target] = rank
+    out: Dict[Tuple[int, int], Dim] = {}
+    for pos, entry in entries.items():
+        if not entry.positive:
+            for rank in (outgoing.get(pos), incoming.get(pos)):
+                if rank is not None:
+                    entry = entry - rank
+            if two_g_plus_R is not None and entry.coeffs:
+                entry = _apply_degenerate_constraints(entry, two_g_plus_R)
+        out[pos] = entry
+    return out
+
+
+def _apply_degenerate_constraints(entry: Dim, two_g_plus_R: int) -> Dim:
     coeffs = entry.as_dict()
     coeffs.pop("c", None)
     ka, kv = coeffs.get("kappa", 0), coeffs.get("k_v", 0)
@@ -464,52 +417,47 @@ def _simplify_degenerate(entry: Entry, two_g_plus_R: int) -> Entry:
         const += ka * two_g_plus_R
         coeffs.pop("kappa")
         coeffs.pop("k_v")
-    return _normalize(const, coeffs)
+    return Dim.of(const, **coeffs)
 
 
-def e2_page(c: CurveModel, tail_window: int = 4) -> SSPage:
-    e1 = e1_page(c, tail_window=tail_window)
+def e2_page(c: CurveModel, e1: SSPage, gi: GlobalInvariants) -> SSPage:
+    """Second page of ``e1``, the first page of ``c``."""
     if not c.records:
         return SSPage(
             label=f"E2({c.label})",
             entries=e1.entries,
-            d1_ranks=_freeze({}),
+            d1_ranks=(),
             verdict=e1.verdict,
             notes=("smooth model: second page equals the first",),
         )
-    gi = global_invariants(c)
-    entries = _second_page_from(e1, _hodge_arrows(e1.entry_map()))
+    degenerates = e1.verdict is Verdict.DEGENERATES
+    two_g_plus_R = 2 * gi.genus + gi.R if degenerates else None
+    entry_map = e1.entry_map()
+    entries = _second_page(
+        entry_map, e1.rank_map(), _hodge_arrows(entry_map), two_g_plus_R
+    )
     constraints: Tuple[str, ...] = ()
-    notes: List[str] = []
-    if e1.verdict is Verdict.DEGENERATES:
-        two_g_plus_R = 2 * gi.genus + gi.R
-        entries = {
-            pos: _simplify_degenerate(entry, two_g_plus_R)
-            for pos, entry in entries.items()
-        }
+    if degenerates:
         constraints = (
             f"kappa + k_v = 2*g + R = {two_g_plus_R}",
             "c = 0 (the column-two map is surjective)",
             "dim coker(v) + c = 1",
         )
-        notes.append(
-            "support confined to total degrees 0..2; all tails cancel"
-        )
+        note = "support confined to total degrees 0..2; all tails cancel"
     elif e1.verdict is Verdict.FAILS_VIA_TAU:
-        tail_rank = _tail_rank_total(c)
-        notes.append(
+        note = (
             f"surviving tail entries of dimension "
-            f"{gi.tau_total - tail_rank} witness non-degeneration"
+            f"{gi.tau_total - _tail_rank_total(c)} witness non-degeneration"
         )
     else:
-        notes.append("non-planar obstruction entry survives unconditionally")
+        note = "non-planar obstruction entry survives unconditionally"
     return SSPage(
         label=f"E2({c.label})",
         entries=_freeze(entries),
-        d1_ranks=_freeze({}),
+        d1_ranks=(),
         verdict=e1.verdict,
         constraints=constraints,
-        notes=tuple(notes),
+        notes=(note,),
     )
 
 
@@ -520,49 +468,35 @@ def e2_page(c: CurveModel, tail_window: int = 4) -> SSPage:
 
 def hc_pages(
     c: CurveModel,
+    e1: SSPage,
+    gi: GlobalInvariants,
     window: Tuple[int, int] = (-2, 4),
-    tail_window: int = 4,
 ) -> HCPages:
-    """Reindexed pages of the split filtered complex, one per integer m.
+    """Reindexed second pages of the split filtered complex, one per integer m.
 
-    The piece for m keeps Hodge columns p >= max(0, m) at filtration
-    degree a = p - m.  Arrows whose source column is cut contribute no
-    incoming rank, so entries that were cancelled from the left on the
-    Hodge page can survive here; arrows leaving the displayed window to
-    the right are still subtracted, since the column family continues
-    beyond any finite display.
+    The piece for m keeps the columns p >= max(0, m) of ``e1``, the first
+    page of ``c``, at filtration degree a = p - m.  Arrows whose source
+    column is cut contribute no incoming rank, so entries that were
+    cancelled from the left on the Hodge page can survive here; arrows
+    leaving the displayed window to the right are still subtracted, since
+    the column family continues beyond any finite display.
     """
     lo, hi = window
     if lo > hi:
         raise ValueError("empty window")
-    e1 = e1_page(c, tail_window=tail_window)
     verdict = e1.verdict
-    hodge_entries = e1.entry_map()
-    hodge_ranks = e1.rank_map()
-    gi = global_invariants(c) if c.records else None
+    two_g_plus_R = 2 * gi.genus + gi.R if verdict is Verdict.DEGENERATES else None
+    entries, ranks = e1.entry_map(), e1.rank_map()
+    arrows = _hodge_arrows(entries)
     pages: List[Tuple[int, SSPage]] = []
     for m in range(lo, hi + 1):
         p_min = max(0, m)
-        kept = {pos: entry for pos, entry in hodge_entries.items() if pos[0] >= p_min}
-        arrows = [
-            (s, t) for (s, t) in _hodge_arrows(hodge_entries) if s[0] >= p_min
-        ]
-        sub_entries: Dict[Tuple[int, int], Entry] = dict(kept)
-        page_e1 = SSPage(
-            label=f"E1(F_{m}, {c.label})",
-            entries=_freeze(sub_entries),
-            d1_ranks=_freeze(
-                {pos: r for pos, r in hodge_ranks.items() if pos[0] >= p_min}
-            ),
-            verdict=verdict,
+        e2_entries = _second_page(
+            {pos: entry for pos, entry in entries.items() if pos[0] >= p_min},
+            ranks,
+            [(s, t) for (s, t) in arrows if s[0] >= p_min],
+            two_g_plus_R,
         )
-        e2_entries = _second_page_from(page_e1, arrows)
-        if verdict is Verdict.DEGENERATES and gi is not None:
-            two_g_plus_R = 2 * gi.genus + gi.R
-            e2_entries = {
-                pos: _simplify_degenerate(entry, two_g_plus_R)
-                for pos, entry in e2_entries.items()
-            }
         reindexed = {
             (p - m, q): entry for (p, q), entry in e2_entries.items()
         }
@@ -575,7 +509,7 @@ def hc_pages(
                 SSPage(
                     label=f"E2(F_{m}, {c.label})",
                     entries=_freeze(reindexed),
-                    d1_ranks=_freeze({}),
+                    d1_ranks=(),
                     verdict=verdict,
                     notes=notes,
                 ),

@@ -19,7 +19,7 @@ from curveinv.plane import PlaneAnalysis, PlaneSingularity
 from curveinv.poly import parse_poly
 from curveinv.report import AnalysisOptions, analyze, to_json
 from curveinv.schema import build_curve, load_curve, serialize_curve
-from curveinv.spectral import ExactDim, Verdict
+from curveinv.spectral import Dim, Verdict
 
 UV = ("u", "v")
 
@@ -165,7 +165,7 @@ def test_criterion_08b_hc_vanishing_for_m_at_least_3():
             nonzero = [
                 pos
                 for pos, entry in hc.page(m).entry_map().items()
-                if not (isinstance(entry, ExactDim) and entry.value == 0)
+                if entry != Dim(0)
             ]
             if nonzero:
                 failures.append((label, m, nonzero))

@@ -3,13 +3,7 @@
 import pytest
 
 from conftest import analyzed_model
-from curveinv.spectral import (
-    ExactDim,
-    SymbolicDim,
-    PositiveDim,
-    Verdict,
-    render_page,
-)
+from curveinv.spectral import Dim, Verdict, render_page
 
 
 def entries(page):
@@ -18,8 +12,32 @@ def entries(page):
 
 def exact(page, pos):
     entry = entries(page)[pos]
-    assert isinstance(entry, ExactDim), f"{pos} is {entry}"
-    return entry.value
+    assert not (entry.coeffs or entry.positive), f"{pos} is {entry}"
+    return entry.const
+
+
+# -- dimensions -------------------------------------------------------------
+
+def test_dim_arithmetic_and_rendering():
+    e = Dim.of(2, kappa=1, c=-1)
+    assert (e.render(), e.provenance) == ("kappa - c + 2", "symbolic")
+    assert Dim.of(-3, c=-2, k_v=1).render() == "-2*c + k_v - 3"
+    assert e - Dim.of(2, kappa=1) == Dim.of(0, c=-1)
+    cancelled = e - Dim.of(2, kappa=1, c=-1)
+    assert cancelled == Dim(0)
+    assert (cancelled.render(), cancelled.provenance) == ("0", "computed")
+    assert Dim(3) + Dim(4) == Dim(7)
+
+
+def test_dim_rules():
+    with pytest.raises(ValueError, match="negative dimension -1"):
+        Dim(1) - Dim(2)
+    marker = Dim(positive=True)
+    assert (marker.render(), marker.provenance) == (">=1", "computed")
+    with pytest.raises(ValueError, match="undetermined-positive"):
+        marker - Dim(0)
+    with pytest.raises(ValueError, match="undetermined-positive"):
+        Dim(1) + marker
 
 
 # -- global invariants ------------------------------------------------------
@@ -90,13 +108,13 @@ def test_e1_nodal():
         assert exact(page, (p + 1, -p)) == 1
         assert exact(page, (p + 2, -p)) == 1
     e10 = entries(page)[(1, 0)]
-    assert isinstance(e10, SymbolicDim)
+    assert e10.coeffs and not e10.positive
     assert e10.as_dict() == {"kappa": 1, "c": -1} and e10.const == 1
 
 
 def test_e1_smooth_genus_one():
     page = analyzed_model("elliptic-smooth").e1
-    assert {pos: e.value for pos, e in entries(page).items()} == {
+    assert {pos: exact(page, pos) for pos in entries(page)} == {
         (0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1,
     }
 
@@ -112,8 +130,8 @@ def test_e1_cuspidal_tails():
 
 def test_tail_uniformity():
     page = analyzed_model("e8-rational").e1
-    tails = {entries(page)[(p + 1, -p)].value for p in range(1, 5)}
-    tails |= {entries(page)[(p + 2, -p)].value for p in range(1, 5)}
+    tails = {exact(page, (p + 1, -p)) for p in range(1, 5)}
+    tails |= {exact(page, (p + 2, -p)) for p in range(1, 5)}
     assert len(tails) == 1
 
 
@@ -146,14 +164,14 @@ def test_e2_tau_failure_survivors():
 
 def test_e2_nonplanar_marker():
     page = analyzed_model("nonplanar-t469").e2
-    assert isinstance(entries(page)[(4, -1)], PositiveDim)
+    assert entries(page)[(4, -1)].positive
     page4 = analyzed_model("fourspace-ci").e2
-    assert isinstance(entries(page4)[(5, -1)], PositiveDim)
+    assert entries(page4)[(5, -1)].positive
 
 
 def test_e2_mixed_model_keeps_planar_data_and_marker():
     page = analyzed_model("mixed-node-t469").e2
-    assert isinstance(entries(page)[(4, -1)], PositiveDim)
+    assert entries(page)[(4, -1)].positive
     assert exact(page, (0, 0)) == 1
 
 
@@ -162,7 +180,7 @@ def test_e2_mixed_model_keeps_planar_data_and_marker():
 def nonzero_positions(page):
     out = {}
     for pos, entry in page.entry_map().items():
-        if isinstance(entry, ExactDim) and entry.value == 0:
+        if entry == Dim(0):
             continue
         out[pos] = entry
     return out
