@@ -451,11 +451,7 @@ def weight_feasibility(f: Poly):
 
 
 def _verify_euler(f: Poly, w1: Fraction, w2: Fraction):
-    u, v = f.vars
-    lhs = (
-        Poly.variable(f.vars, u) * f.diff(u)
-    ).scale(w1) + (Poly.variable(f.vars, v) * f.diff(v)).scale(w2)
-    if lhs != f:
+    if not euler_relation_holds(f, w1, w2):
         raise AssertionError("weight system fails the exact Euler relation")
 
 
