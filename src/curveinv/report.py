@@ -356,7 +356,8 @@ def _sing_summary(record: Union[PlaneRecord, LciRecord]) -> Dict:
 
 
 def to_structured(report: Report) -> Dict:
-    doc: Dict = {
+    gi = report.invariants
+    return {
         "label": report.label,
         "options": {
             "truncation": report.options.truncation,
@@ -386,18 +387,16 @@ def to_structured(report: Report) -> Dict:
                 for m, page in report.hc.per_m
             },
         },
+        "global_invariants": {
+            "genus": {"value": gi.genus, "provenance": "asserted-input"},
+            "delta_total": {"value": gi.delta_total, "provenance": "computed"},
+            "tau_total": {"value": gi.tau_total, "provenance": "computed"},
+            "mu_total": {"value": gi.mu_total, "provenance": "computed"},
+            "R": {"value": gi.R, "provenance": "computed"},
+            "p_a": {"value": gi.p_a, "provenance": "computed"},
+            "betti": list(gi.betti),
+        },
     }
-    gi = report.invariants
-    doc["global_invariants"] = {
-        "genus": {"value": gi.genus, "provenance": "asserted-input"},
-        "delta_total": {"value": gi.delta_total, "provenance": "computed"},
-        "tau_total": {"value": gi.tau_total, "provenance": "computed"},
-        "mu_total": {"value": gi.mu_total, "provenance": "computed"},
-        "R": {"value": gi.R, "provenance": "computed"},
-        "p_a": {"value": gi.p_a, "provenance": "computed"},
-        "betti": list(gi.betti),
-    }
-    return doc
 
 
 def to_json(report: Report) -> str:
