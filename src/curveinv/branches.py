@@ -2,11 +2,13 @@
 
 A branch parametrization generates a subalgebra of the power-series ring
 in t; the t-orders attained by that subalgebra form the value semigroup,
-computed here by subalgebra saturation (see ``_series_orders``).  The gap
-count below the conductor is the one-branch delta; multibranch delta adds
-pairwise intersection multiplicities, which need a defining equation per
-branch.  Milnor's formula mu = 2*delta - r + 1 is asserted against the
-independently computed mu as the end-to-end cross-check.
+computed here by subalgebra saturation (see ``_series_orders``) on the
+sparse echelon kernel :class:`linalg.Echelon` that also serves jet
+algebras and dense ranks.  The gap count below the conductor is the
+one-branch delta; multibranch delta adds pairwise intersection
+multiplicities, which need a defining equation per branch.  Milnor's
+formula mu = 2*delta - r + 1 is asserted against the independently
+computed mu as the end-to-end cross-check.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     NotTransverseAtOrder,
     SchemaError,
 )
+from .linalg import Echelon
 from .plane import Branch, PlaneSingularity
 from .poly import BranchParam, Poly
 
@@ -38,13 +41,12 @@ def _series_orders(images: Tuple[Poly, ...], order: int) -> Set[int]:
     elements of the image A of the subalgebra there, i.e. the value
     semigroup intersected with [0, order].
 
-    Saturation: the echelon basis ``rows`` (one row per pivot, the pivot
-    being the row's lowest t-order, leading coefficient 1) is fed from a
-    queue that starts with the series 1; each time a reduced element is
-    inserted as a row, its products with every image, truncated above
-    ``order``, are queued.  Each insertion takes a new pivot in
-    [0, order], so there are at most order + 1 rows and (order + 1) * e
-    products.
+    Saturation: series keyed by t-exponent go into a
+    :class:`linalg.Echelon`, whose pivot is the lowest t-order, from a
+    queue that starts with the series 1; each time an insertion adds a
+    row, the row's products with every image, truncated above ``order``,
+    are queued.  Each new row takes a new pivot in [0, order], so there
+    are at most order + 1 rows and (order + 1) * e products.
 
     Proof that the pivots are the orders attained by A.  Let V be the
     span of the rows when the queue is empty.  V is inside A: 1 is in A,
@@ -54,12 +56,9 @@ def _series_orders(images: Tuple[Poly, ...], order: int) -> Set[int]:
     r*g was queued and reduced to a combination of rows, so V is closed
     under multiplication by each image; by induction on the degree it
     contains every truncated monomial in the images, and those span A.
-    So V = A.  The rows have distinct pivots, so the lowest t-order of
-    any nonzero combination of them is the smallest pivot occurring in
-    it; the set of lowest orders of a vector space therefore equals the
-    pivot set of any such basis, independent of the basis or of the
-    order in which the queue is processed.  None of this uses that the
-    images are monomials.
+    So V = A, and by the echelon's pivot fact the pivot set is the set of
+    lowest orders of A, whatever the order in which the queue is
+    processed.  None of this uses that the images are monomials.
     """
     gens = [
         {m[0]: c for m, c in img.terms.items()} for img in images if not img.is_zero()
@@ -68,37 +67,23 @@ def _series_orders(images: Tuple[Poly, ...], order: int) -> Set[int]:
         raise DegenerateBranch(
             f"all images vanish to working order {order}"
         )
-    rows: Dict[int, Series] = {}
+    echelon = Echelon()
     queue: List[Series] = [{0: Fraction(1)}]
     while queue:
-        terms = queue.pop()
-        # echelon insertion with pivot = lowest order
-        while terms:
-            pivot = min(terms)
-            existing = rows.get(pivot)
-            if existing is None:
-                inv = 1 / terms[pivot]
-                row = {k: c * inv for k, c in terms.items()}
-                rows[pivot] = row
-                for g in gens:
-                    prod: Series = {}
-                    for k1, c1 in row.items():
-                        for k2, c2 in g.items():
-                            k = k1 + k2
-                            if k <= order:
-                                prod[k] = prod.get(k, 0) + c1 * c2
-                    prod = {k: c for k, c in prod.items() if c}
-                    if prod:
-                        queue.append(prod)
-                break
-            factor = terms[pivot]
-            for k, c in existing.items():
-                new = terms.get(k, 0) - factor * c
-                if new == 0:
-                    terms.pop(k, None)
-                else:
-                    terms[k] = new
-    return set(rows)
+        row = echelon.insert(queue.pop())
+        if row is None:
+            continue
+        for g in gens:
+            prod: Series = {}
+            for k1, c1 in row.items():
+                for k2, c2 in g.items():
+                    k = k1 + k2
+                    if k <= order:
+                        prod[k] = prod.get(k, 0) + c1 * c2
+            prod = {k: c for k, c in prod.items() if c}
+            if prod:
+                queue.append(prod)
+    return set(echelon.rows)
 
 
 def branch_semigroup(b: BranchParam, order: int) -> Set[int]:

@@ -1,11 +1,13 @@
 """Finite-dimensional jet-space models of local rings.
 
 A :class:`JetAlgebra` is the quotient of the power-series ring by an
-m-primary ideal, realized by exact sparse Gaussian elimination on the jet
-space of polynomials of total degree at most a truncation order T.  Rows
-span the degree-<=T slice of the ideal; the pivot of each row is its
-smallest monomial in ascending graded-lex order, so normal forms are
-unique and runs are reproducible.
+m-primary ideal, realized on the jet space of polynomials of total degree
+at most a truncation order T.  The jet monomials are listed once, in
+ascending graded-lex order, and a monomial's position in that list is its
+key, so the rows of the degree-<=T slice of the ideal live in the sparse
+echelon kernel :class:`linalg.Echelon` that also serves branch semigroups
+and dense ranks.  The pivot of each row is its smallest monomial, so
+normal forms are unique and runs are reproducible.
 
 The m-primality certificate: if every standard (non-pivot) monomial has
 total degree < T, then all monomials of some degree N <= T are reducible,
@@ -13,9 +15,9 @@ so the ideal contains m^N up to terms the truncation cannot see -- and
 since T + 1 > N those terms lie in m * m^N, which pins m^N inside the
 ideal of the complete local ring.  The computed colength is then exact.
 
-Each row remembers an expression of itself as a combination of the ideal
-generators, so ideal-membership witnesses (cofactors) fall out of the
-same reduction with no extra linear solve.
+Each row carries, as its echelon tag, an expression of itself as a
+combination of the ideal generators, so ideal-membership witnesses
+(cofactors) fall out of the same reduction with no extra linear solve.
 """
 
 from __future__ import annotations
@@ -24,64 +26,26 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotInIdeal, NotMPrimary, TruncationCapExceeded
+from .linalg import Echelon
 from .poly import Monomial, Poly, grlex_key
 
 TRUNCATION_CAP = 64
 
 
-def monomials_of_degree(nvars: int, degree: int) -> List[Monomial]:
-    """All exponent tuples of the given total degree, ascending graded-lex."""
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        mono = [0] * nvars
-        for i in combo:
-            mono[i] += 1
-        out.append(tuple(mono))
-    return sorted(out, key=grlex_key)
-
-
 def monomials_up_to(nvars: int, degree: int) -> List[Monomial]:
-    out: List[Monomial] = []
+    """All exponent tuples of total degree <= degree, ascending graded-lex."""
+    out = []
     for d in range(degree + 1):
-        out.extend(monomials_of_degree(nvars, d))
-    return out
-
-
-class _Row:
-    """A sparse jet-space row plus its expression in the ideal generators."""
-
-    __slots__ = ("terms", "cofactors")
-
-    def __init__(self, terms: Dict[Monomial, Fraction], cofactors: List[Dict[Monomial, Fraction]]):
-        self.terms = terms
-        self.cofactors = cofactors
-
-    def pivot(self) -> Monomial:
-        return min(self.terms, key=grlex_key)
-
-    def scale(self, factor: Fraction) -> None:
-        self.terms = {m: c * factor for m, c in self.terms.items()}
-        self.cofactors = [
-            {m: c * factor for m, c in cof.items()} for cof in self.cofactors
-        ]
-
-    def subtract(self, factor: Fraction, other: "_Row") -> None:
-        for m, c in other.terms.items():
-            new = self.terms.get(m, Fraction(0)) - factor * c
-            if new == 0:
-                self.terms.pop(m, None)
-            else:
-                self.terms[m] = new
-        for mine, theirs in zip(self.cofactors, other.cofactors):
-            for m, c in theirs.items():
-                new = mine.get(m, Fraction(0)) - factor * c
-                if new == 0:
-                    mine.pop(m, None)
-                else:
-                    mine[m] = new
+        for combo in combinations_with_replacement(range(nvars), d):
+            mono = [0] * nvars
+            for i in combo:
+                mono[i] += 1
+            out.append(tuple(mono))
+    return sorted(out, key=grlex_key)
 
 
 @dataclass(frozen=True)
@@ -116,60 +80,56 @@ class JetAlgebra:
         self.ambient = ambient
         self.generators = tuple(generators)
         self.truncation_order = truncation_order
-        self._rows: Dict[Monomial, _Row] = {}
+        self._monomials = monomials_up_to(len(ambient), truncation_order)
+        self._index = {m: i for i, m in enumerate(self._monomials)}
+        self._rows = Echelon()
         self._build(row_seed)
         self._certify()
 
     # -- construction ------------------------------------------------------
 
     def _build(self, row_seed: Optional[int]) -> None:
+        """Insert every multiple mult * g_j of degree <= T.
+
+        Its tag is the single key j * N + index(mult), N being the number
+        of jet monomials, so tag combinations decode into cofactors.
+        """
         T = self.truncation_order
         nvars = len(self.ambient)
-        seeds: List[_Row] = []
-        ngens = len(self.generators)
+        index, N = self._index, len(self._monomials)
+        seeds: List[Tuple[Dict[int, Fraction], Dict[int, Fraction]]] = []
         for j, g in enumerate(self.generators):
             g_order = g.order()
-            if g_order is None:
-                continue  # zero generator spans nothing
-            for mult in monomials_up_to(nvars, T - g_order):
-                terms: Dict[Monomial, Fraction] = {}
+            if g_order is None or g_order > T:
+                continue  # spans nothing in degree <= T
+            # the multipliers are the monomials of degree <= T - g_order,
+            # a prefix of the jet monomials
+            for mult in self._monomials[: comb(nvars + T - g_order, nvars)]:
+                terms: Dict[int, Fraction] = {}
                 for m, c in g.terms.items():
                     prod = tuple(a + b for a, b in zip(m, mult))
                     if sum(prod) <= T:
-                        terms[prod] = terms.get(prod, Fraction(0)) + c
-                terms = {m: c for m, c in terms.items() if c != 0}
-                if not terms:
-                    continue
-                cofactors: List[Dict[Monomial, Fraction]] = [
-                    {} for _ in range(ngens)
-                ]
-                cofactors[j][mult] = Fraction(1)
-                seeds.append(_Row(terms, cofactors))
+                        k = index[prod]
+                        terms[k] = terms.get(k, 0) + c
+                terms = {k: c for k, c in terms.items() if c != 0}
+                if terms:
+                    seeds.append((terms, {j * N + index[mult]: Fraction(1)}))
         if row_seed is not None:
             random.Random(row_seed).shuffle(seeds)
-        for row in seeds:
-            self._insert(row)
-
-    def _insert(self, row: _Row) -> None:
-        while row.terms:
-            pivot = row.pivot()
-            existing = self._rows.get(pivot)
-            if existing is None:
-                row.scale(Fraction(1) / row.terms[pivot])
-                self._rows[pivot] = row
-                return
-            row.subtract(row.terms[pivot], existing)
+        for terms, tag in seeds:
+            self._rows.insert(terms, tag)
 
     def _certify(self) -> None:
         T = self.truncation_order
-        nvars = len(self.ambient)
-        standard = [
-            m for m in monomials_up_to(nvars, T) if m not in self._rows
+        self._basis_keys = [
+            i for i in range(len(self._monomials)) if i not in self._rows.rows
         ]
-        top = max((sum(m) for m in standard), default=-1)
+        self.basis: Tuple[Monomial, ...] = tuple(
+            self._monomials[i] for i in self._basis_keys
+        )
+        top = max((sum(m) for m in self.basis), default=-1)
         if top >= T:
             raise NotMPrimary(T)
-        self.basis: Tuple[Monomial, ...] = tuple(standard)
         self.primality_bound: int = top + 1
 
     # -- queries -----------------------------------------------------------
@@ -178,63 +138,35 @@ class JetAlgebra:
         return len(self.basis)
 
     def _reduce(self, p: Poly, track: bool):
-        """Normal form of p; optionally the accumulated generator cofactors."""
-        T = self.truncation_order
-        work = dict(p.truncate(T).terms)
-        cofactors: List[Dict[Monomial, Fraction]] = [
-            {} for _ in self.generators
-        ]
-        normal: Dict[Monomial, Fraction] = {}
-        while work:
-            mono = min(work, key=grlex_key)
-            coeff = work.pop(mono)
-            row = self._rows.get(mono)
-            if row is None:
-                normal[mono] = coeff
-                continue
-            for m, c in row.terms.items():
-                if m == mono:
-                    continue
-                new = work.get(m, Fraction(0)) - coeff * c
-                if new == 0:
-                    work.pop(m, None)
-                else:
-                    work[m] = new
-            if track:
-                for mine, theirs in zip(cofactors, row.cofactors):
-                    for m, c in theirs.items():
-                        new = mine.get(m, Fraction(0)) + coeff * c
-                        if new == 0:
-                            mine.pop(m, None)
-                        else:
-                            mine[m] = new
-        return normal, cofactors
+        """Normal form of p, keyed by jet index; optionally the tag combination."""
+        if p.vars != self.ambient:
+            raise ValueError("ambient mismatch")
+        jet = p.truncate(self.truncation_order)
+        return self._rows.reduce({self._index[m]: c for m, c in jet.terms.items()}, track)
 
     def normal_form(self, p: Poly) -> List[Fraction]:
         """Coordinates of p's class over the standard-monomial basis."""
-        if p.vars != self.ambient:
-            raise ValueError("ambient mismatch")
         normal, _ = self._reduce(p, track=False)
-        return [normal.get(m, Fraction(0)) for m in self.basis]
-
-    def reduces_to_zero(self, p: Poly) -> bool:
-        return all(c == 0 for c in self.normal_form(p))
+        return [normal.get(i, Fraction(0)) for i in self._basis_keys]
 
     def membership_with_witness(self, p: Poly, order: int) -> MembershipWitness:
         """Cofactors with defect of order > ``order``; exact defect check."""
-        if p.vars != self.ambient:
-            raise ValueError("ambient mismatch")
         max_gen_degree = max(g.degree() or 0 for g in self.generators)
         if order > self.truncation_order - max_gen_degree:
             raise ValueError(
                 f"order {order} exceeds certified range "
                 f"{self.truncation_order - max_gen_degree}"
             )
-        normal, cofactors = self._reduce(p, track=True)
+        normal, combo = self._reduce(p, track=True)
         if normal:
             raise NotInIdeal(
-                f"nonzero normal form on {sorted(normal, key=grlex_key)}"
+                f"nonzero normal form on {[self._monomials[i] for i in sorted(normal)]}"
             )
+        cofactors: List[Dict[Monomial, Fraction]] = [{} for _ in self.generators]
+        N = len(self._monomials)
+        for key, c in combo.items():
+            j, i = divmod(key, N)
+            cofactors[j][self._monomials[i]] = c
         polys = tuple(Poly(self.ambient, cof) for cof in cofactors)
         defect = p
         for cof, g in zip(polys, self.generators):

@@ -125,7 +125,10 @@ def obstruction(p: LciPresentation) -> ObstructionReport:
                 )
     ranks = complex_term_ranks(e, e + 1)
     coker_dim = e - 1
-    assert ranks[-1] == (-1, coker_dim)
+    if ranks[-1] != (-1, coker_dim):
+        raise AssertionError(
+            f"top term of the complex is {ranks[-1]}, expected (-1, {coker_dim})"
+        )
     return ObstructionReport(
         e=e,
         term_ranks=tuple(ranks),

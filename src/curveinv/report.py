@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .branches import branch_working_order, delta_report, delta_with_retry
-from .errors import MilnorMismatch
 from .lci import (
     LciPresentation,
     coker_mod_m_cross_check,
@@ -129,19 +128,16 @@ def _analyze_plane(
     delta = r = None
     provenance = None
     if sing.branches:
-        try:
-            rep = delta_report(sing, mu)
-            delta, r, provenance = rep.delta, rep.r, "computed"
-            checks.append(
-                Check(
-                    "milnor-formula",
-                    label,
-                    "pass",
-                    f"mu={mu} = 2*{delta} - {r} + 1",
-                )
+        rep = delta_report(sing, mu)
+        delta, r, provenance = rep.delta, rep.r, "computed"
+        checks.append(
+            Check(
+                "milnor-formula",
+                label,
+                "pass",
+                f"mu={mu} = 2*{delta} - {r} + 1",
             )
-        except MilnorMismatch as exc:
-            checks.append(Check("milnor-formula", label, "fail", str(exc)))
+        )
     elif sing.asserted_delta is not None:
         delta, r = sing.asserted_delta, sing.asserted_r
         provenance = "asserted-input"

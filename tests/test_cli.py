@@ -158,6 +158,20 @@ def test_analyze_without_delta_data_exit_1(sing, tmp_path, capsys):
     assert captured.err == MISSING_DELTA
 
 
+def test_milnor_mismatch_reaches_the_cli(tmp_path, capsys):
+    # u*v has two branches; one branch alone gives 2*delta - r + 1 = 0.
+    doc = {"genus": 0, "singularities": [{
+        "kind": "plane", "f": "u*v", "variables": ["u", "v"],
+        "branches": [{"images": ["t", "0"], "equation": "v"}],
+    }]}
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mu=1 but 2*delta - r + 1 = 0" in captured.err
+
+
 # -- round trips and determinism -------------------------------------------
 
 def test_schema_round_trip(tmp_path):

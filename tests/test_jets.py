@@ -169,3 +169,5 @@ def test_row_seed_changes_nothing_semantically():
     J1 = build_jet_algebra(gens, truncation_order=14, row_seed=7)
     assert J0.basis == J1.basis
     assert J0.colength() == J1.colength()
+    for src in ("1", "u*v", "v^3 - 2*u*v^2 + 1/3*u^4", "u^3*v^5 + v^7 + u"):
+        assert J0.normal_form(P(src)) == J1.normal_form(P(src))

@@ -1,9 +1,15 @@
 """Non-planar complete-intersection germs and the degree -1 obstruction."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import curveinv
 from curveinv.errors import NonMinimalPresentation, PlanarNoObstruction
 from curveinv.lci import (
     LciPresentation,
@@ -140,3 +146,32 @@ def test_obstruction_requires_minimality():
     p = pres(["y-x^2", "z^2-y^3"])
     with pytest.raises(NonMinimalPresentation):
         obstruction(p)
+
+
+def test_obstruction_top_term_check_survives_optimize():
+    # Under ``python -O`` a bare assert would vanish; the check must not.
+    script = textwrap.dedent("""
+        from curveinv import lci
+        from curveinv.poly import parse_poly
+
+        lci.complex_term_ranks = lambda e, p: [(-1, 0)]
+        xyz = ("x", "y", "z")
+        p = lci.LciPresentation(
+            variables=xyz,
+            equations=tuple(parse_poly(s, xyz) for s in ("y^2-x^3", "z^2-y^3")),
+            parametrization=None,
+        )
+        try:
+            lci.obstruction(p)
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            print("returned")
+    """)
+    src = str(Path(curveinv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout == "raised: top term of the complex is (-1, 0), expected (-1, 2)\n"

@@ -1,0 +1,166 @@
+"""The sparse echelon kernel and the dense rref/rank/nullspace built on it."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from curveinv.linalg import Echelon, nullspace, rank, rref
+
+
+def gauss_jordan(rows):
+    """Reference oracle: dense Gauss-Jordan elimination, first nonzero row as pivot."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, len(m)):
+            if m[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def oracle_nullspace(rows):
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    red, pivots = gauss_jordan(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, pcol in enumerate(pivots):
+            vec[pcol] = -red[r][free]
+        basis.append(vec)
+    return basis
+
+
+def sparse(vec):
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def dense(terms, ncols):
+    return [terms.get(j, Fraction(0)) for j in range(ncols)]
+
+
+# Entries are mostly 0 and small, so rank deficiency is common.
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+
+
+@st.composite
+def matrices(draw, min_rows=0):
+    """Small rational matrices, with zero and duplicate rows mixed in."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=min_rows, max_size=5))
+    if draw(st.booleans()):
+        rows.append([Fraction(0)] * ncols)
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.integers(0, 9)) == 0:
+        rows = [[Fraction(0)] * ncols for _ in rows]
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=200)
+@given(matrices())
+def test_rref_rank_nullspace_match_gauss_jordan(case):
+    rows, _ = case
+    red, pivots = rref(rows)
+    assert (red, pivots) == gauss_jordan(rows)
+    assert all(isinstance(x, Fraction) for row in red for x in row)
+    assert rank(rows) == len(pivots)
+    assert nullspace(rows) == oracle_nullspace(rows)
+
+
+@settings(max_examples=200)
+@given(matrices())
+def test_nullspace_is_annihilated(case):
+    rows, ncols = case
+    basis = nullspace(rows)
+    if rows:
+        assert len(basis) == ncols - rank(rows)
+    for vec in basis:
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+@settings(max_examples=200)
+@given(matrices(min_rows=1), st.data())
+def test_normal_form_independent_of_insertion_order(case, data):
+    rows, ncols = case
+    shuffled = data.draw(st.permutations(rows))
+    vec = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    first, second = Echelon(), Echelon()
+    for row in rows:
+        first.insert(sparse(row))
+    for row in shuffled:
+        second.insert(sparse(row))
+    assert set(first.rows) == set(second.rows)
+    normal, combo = first.reduce(sparse(vec))
+    assert combo is None
+    assert normal == second.reduce(sparse(vec))[0]
+    assert not set(normal) & set(first.rows)
+
+
+@settings(max_examples=200)
+@given(matrices(min_rows=1), st.data())
+def test_tags_record_the_combination_of_inserted_rows(case, data):
+    rows, ncols = case
+    vec = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    echelon = Echelon()
+    for i, row in enumerate(rows):
+        new = echelon.insert(sparse(row), tag={i: Fraction(1)})
+        if new is not None:
+            # a new row is its tag's combination of the inserted rows
+            combined = [Fraction(0)] * ncols
+            for k, c in echelon.tags[min(new)].items():
+                combined = [a + c * b for a, b in zip(combined, rows[k])]
+            assert sparse(combined) == new
+    normal, combo = echelon.reduce(sparse(vec), track=True)
+    combined = [Fraction(0)] * ncols
+    for k, c in combo.items():
+        combined = [a + c * b for a, b in zip(combined, rows[k])]
+    assert [a - b for a, b in zip(vec, dense(normal, ncols))] == combined
+
+
+def test_insert_normalizes_and_rejects_dependent_rows():
+    echelon = Echelon()
+    assert echelon.insert({2: Fraction(3), 4: Fraction(6)}) == {2: 1, 4: 2}
+    assert echelon.insert({2: Fraction(-1), 4: Fraction(-2)}) is None
+    assert echelon.insert({}) is None
+    assert echelon.insert({1: Fraction(2), 2: Fraction(2)}) == {1: 1, 2: 1}
+    assert len(echelon) == 2 and set(echelon.rows) == {1, 2}
+    # 2 and 1 are pivots; 4 is not, and carries the whole normal form
+    assert echelon.reduce({1: Fraction(1)}) == ({4: Fraction(2)}, None)
+
+
+def test_zero_matrix():
+    zero = [[Fraction(0)] * 3 for _ in range(2)]
+    assert rref(zero) == (zero, [])
+    assert nullspace(zero) == [
+        [Fraction(int(i == j)) for j in range(3)] for i in range(3)
+    ]
+    assert rref([]) == ([], []) and nullspace([]) == []
