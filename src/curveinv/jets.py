@@ -13,7 +13,17 @@ The m-primality certificate: if every standard (non-pivot) monomial has
 total degree < T, then all monomials of some degree N <= T are reducible,
 so the ideal contains m^N up to terms the truncation cannot see -- and
 since T + 1 > N those terms lie in m * m^N, which pins m^N inside the
-ideal of the complete local ring.  The computed colength is then exact.
+ideal of the complete local ring.  The computed colength is then exact,
+and ``primality_bound`` is the smallest such N.  Once m^N lies in the
+ideal, the degree-<=T slice is the image of the ideal itself for every
+T >= N, so the standard basis and every normal form are the same at each
+order that certifies; a higher order only costs rows.
+
+Orders therefore start low.  :func:`default_truncation` starts at the
+Macaulay bound of the generators' orders, which certifies at once when
+their initial forms are a regular sequence; otherwise
+:func:`build_jet_algebra` doubles the order, and on this default path it
+gives up only past max(cap, 4 + 2 * max generator degree).
 
 Each row carries, as its echelon tag, an expression of itself as a
 combination of the ideal generators, so ideal-membership witnesses
@@ -150,12 +160,15 @@ class JetAlgebra:
         return [normal.get(i, Fraction(0)) for i in self._basis_keys]
 
     def membership_with_witness(self, p: Poly, order: int) -> MembershipWitness:
-        """Cofactors with defect of order > ``order``; exact defect check."""
-        max_gen_degree = max(g.degree() or 0 for g in self.generators)
-        if order > self.truncation_order - max_gen_degree:
+        """Cofactors with defect of order > ``order``; exact defect check.
+
+        A zero normal form says the jets of ``p`` and of the cofactor
+        combination agree up to degree T, so any order up to T can be
+        verified, and the defect is computed and checked exactly.
+        """
+        if order > self.truncation_order:
             raise ValueError(
-                f"order {order} exceeds certified range "
-                f"{self.truncation_order - max_gen_degree}"
+                f"order {order} exceeds certified range {self.truncation_order}"
             )
         normal, combo = self._reduce(p, track=True)
         if normal:
@@ -180,8 +193,18 @@ class JetAlgebra:
 
 
 def default_truncation(generators: Sequence[Poly]) -> int:
-    max_degree = max((g.degree() or 0) for g in generators)
-    return 4 + 2 * max_degree
+    """Macaulay start order 1 + sum(o_i - 1) over the nvars smallest orders.
+
+    If the initial forms of those generators are a regular sequence, the
+    tangent cone is a complete intersection whose top degree is
+    sum(o_i - 1), so the algebra certifies at this order at once;
+    otherwise :func:`build_jet_algebra` doubles it, up to the floor
+    max(cap, 4 + 2 * max generator degree).  Zero generators are skipped,
+    and the order is at least 1.
+    """
+    nvars = len(generators[0].vars)
+    orders = sorted(o for o in (g.order() for g in generators) if o is not None)
+    return max(1, 1 + sum(o - 1 for o in orders[:nvars]))
 
 
 def build_jet_algebra(
@@ -193,20 +216,28 @@ def build_jet_algebra(
     """Build at the requested (or default) order, doubling on failure.
 
     Doubles the truncation order each time m-primality cannot be certified,
-    up to the hard cap; past the cap the failure is reported as such so the
-    caller can distinguish runaway input from a plain bad document.
+    and gives up with :class:`TruncationCapExceeded` once an order at the
+    limit fails, so the caller can tell runaway input from a plain bad
+    document.  The limit is ``cap`` for a requested order.  On the default
+    path it is max(cap, 4 + 2 * max generator degree): the low Macaulay
+    start never gives up below the order the engine has always tried, so
+    every input that certified at that order still does.
     """
-    T = truncation_order if truncation_order is not None else default_truncation(generators)
+    if truncation_order is not None:
+        T, limit = truncation_order, cap
+    else:
+        max_degree = max((g.degree() or 0) for g in generators)
+        T, limit = default_truncation(generators), max(cap, 4 + 2 * max_degree)
     T = max(1, T)
     while True:
         try:
             return JetAlgebra(generators, T, row_seed=row_seed)
         except NotMPrimary:
-            if T >= cap:
+            if T >= limit:
                 raise TruncationCapExceeded(
                     f"no m-primality certificate up to truncation order {T}"
                 )
-            T = min(2 * T, cap)
+            T = min(2 * T, limit)
 
 
 def staircase_colength(generators: Sequence[Poly]) -> int:

@@ -96,11 +96,13 @@ class PlaneAnalysis:
             self.milnor = build_jet_algebra(
                 [self.f_u, self.f_v], truncation_order=truncation
             )
-            self.tjurina = build_jet_algebra(
-                [f, self.f_u, self.f_v], truncation_order=truncation
-            )
         except TruncationCapExceeded as exc:
             raise NonIsolated(str(exc)) from exc
+        # The Tjurina ideal contains the Jacobian ideal, so its standard
+        # monomials are among the Milnor algebra's and certify at its order.
+        self.tjurina = JetAlgebra(
+            [f, self.f_u, self.f_v], self.milnor.truncation_order
+        )
         if sing.weights is not None:
             self.effective_weights: Optional[Tuple[Fraction, Fraction]] = sing.weights
         else:
@@ -156,8 +158,8 @@ class PlaneAnalysis:
         ]
         rows = [[columns[j][i] for j in range(mu)] for i in range(mu)]
         kernel = linalg.nullspace(rows)
-        rk = linalg.rank(rows)
         kernel_dim = len(kernel)
+        rk = mu - kernel_dim  # rank-nullity; no second elimination
         cokernel_dim = mu - rk
         tau = self.tjurina.colength()
         if kernel_dim != tau or cokernel_dim != tau:
@@ -198,30 +200,34 @@ class PlaneAnalysis:
         Each kernel class m of .f on M_f is lifted to a polynomial m~, a
         witness f*m~ = alpha*f_u + beta*f_v is extracted from the jet
         reduction, and the image is the class of d_u(alpha) + d_v(beta)
-        in T_f.  Stability is enforced by recomputing every class with the
-        truncation raised by 2; the class must not move.
+        in T_f.
+
+        The witness order is T = N_M + N_T, the primality bounds of the
+        Milnor and Tjurina algebras (m^N_M lies in J = (f_u, f_v) and m^N_T
+        in the Tjurina ideal), and it is exact:
+
+        * A witness read off the jet algebra at order T has a defect
+          D = f*m~ - alpha*f_u - beta*f_v in m^(T+1).
+        * Since m^N_M is in J, m^(T+1) lies in J * m^(T+1-N_M), so
+          D = a*f_u + b*f_v with a, b in m^(T+1-N_M).  Adding (a, b) gives
+          an exact witness, and the divergence d_u(a) + d_v(b) lies in
+          m^(T-N_M) = m^N_T, inside the Tjurina ideal: it leaves the
+          class unchanged.
+        * Two exact witnesses differ by a syzygy of f_u, f_v, which form a
+          regular sequence (J is m-primary), so by h*(f_v, -f_u) for some h.  Its
+          divergence h_u*f_v - h_v*f_u lies in J, so the class does not
+          depend on the witness.
+
+        Every class is recomputed at order T + 2 and must not move.
         """
         if row_seed in self._tail_cache:
             return self._tail_cache[row_seed]
         _, _, kernel, target_basis = self.mult_by_f()
-        f = self.sing.f
         lifts = [self._kernel_lift(vec) for vec in kernel]
-        max_gen_degree = max(
-            g.degree() or 0 for g in (self.f_u, self.f_v)
-        )
-        max_target_degree = max(
-            ((f * lift).degree() or 0) for lift in lifts
-        ) if lifts else 0
-        order = self.tjurina.primality_bound + max_target_degree + 2
-        T_w = order + 2 + max_gen_degree
-        witness_algebra = JetAlgebra(
-            [self.f_u, self.f_v], max(T_w, self.milnor.truncation_order),
-            row_seed=row_seed,
-        )
+        order = max(1, self.milnor.primality_bound + self.tjurina.primality_bound)
+        witness_algebra = JetAlgebra([self.f_u, self.f_v], order, row_seed=row_seed)
         recheck_algebra = JetAlgebra(
-            [self.f_u, self.f_v],
-            witness_algebra.truncation_order + 2,
-            row_seed=row_seed,
+            [self.f_u, self.f_v], order + 2, row_seed=row_seed
         )
         columns = []
         for lift in lifts:

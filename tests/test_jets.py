@@ -9,6 +9,7 @@ from curveinv.errors import NotInIdeal, TruncationCapExceeded
 from curveinv.jets import (
     JetAlgebra,
     build_jet_algebra,
+    default_truncation,
     staircase_colength,
 )
 from curveinv.poly import Poly, parse_poly
@@ -64,6 +65,22 @@ def test_node_tjurina_ideal():
 def test_not_m_primary_hits_cap():
     with pytest.raises(TruncationCapExceeded):
         build_jet_algebra([P("u")], cap=16)
+
+
+def test_default_path_doubles_past_cap_to_degree_floor():
+    # initial forms 2(u+v), 2(u+v) are not a regular sequence: the Macaulay
+    # start 1 fails and the default path doubles past cap=8 to reach T > 8
+    J = build_jet_algebra(jacobian("(u+v)^2+v^10"), cap=8)
+    assert J.colength() == 9
+    assert J.truncation_order > 8
+
+
+def test_macaulay_start_certifies_regular_initial_forms():
+    # initial forms 3u^2, 5v^4: the start 1 + 1 + 3 certifies with no doubling
+    gens = jacobian("u^3+v^5+u^2*v^3")
+    assert default_truncation(gens) == 5
+    J = build_jet_algebra(gens)
+    assert (J.truncation_order, J.colength(), J.primality_bound) == (5, 8, 5)
 
 
 # -- stabilization ----------------------------------------------------------

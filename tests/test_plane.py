@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from curveinv.errors import MissingWeights, NonIsolated
+from curveinv.jets import JetAlgebra
 from curveinv.plane import PlaneAnalysis, PlaneSingularity
-from curveinv.poly import parse_poly
+from curveinv.poly import Poly, parse_poly
 
 UV = ("u", "v")
 
@@ -149,3 +151,73 @@ def test_tail_matrix_stable_under_truncation_raise():
         truncation=a.milnor.truncation_order + 2,
     )
     assert raised.tail_map_general().matrix == a.tail_map_general().matrix
+
+
+# -- witness order oracle ---------------------------------------------------
+
+def degree_order_tail_matrix(a):
+    """Tail matrix with the witness order taken from polynomial degrees.
+
+    The verified order is N_T + max deg(f * lift) + 2, and the witness
+    algebra is built at that order + 2 + the top generator degree, but not
+    below the Milnor algebra's degree-based start 4 + 2 * that degree: far
+    above the N_M + N_T that ``tail_map_general`` uses.
+    """
+    f = a.sing.f
+    u, v = f.vars
+    _, _, kernel, target_basis = a.mult_by_f()
+    lifts = [
+        Poly(f.vars, {m: c for m, c in zip(a.milnor.basis, vec) if c != 0})
+        for vec in kernel
+    ]
+    gen_degree = max(g.degree() or 0 for g in (a.f_u, a.f_v))
+    order = a.tjurina.primality_bound + max(
+        ((f * lift).degree() or 0 for lift in lifts), default=0
+    ) + 2
+    witness_algebra = JetAlgebra(
+        [a.f_u, a.f_v], max(order + 2 + gen_degree, 4 + 2 * gen_degree)
+    )
+    columns = []
+    for lift in lifts:
+        alpha, beta = witness_algebra.membership_with_witness(f * lift, order).cofactors
+        columns.append(a.tjurina.normal_form(alpha.diff(u) + beta.diff(v)))
+    return tuple(
+        tuple(col[i] for col in columns) for i in range(len(target_basis))
+    )
+
+
+coefficients = st.builds(
+    lambda sign, num, den: Fraction(sign * num, den),
+    st.sampled_from((-1, 1)), st.integers(1, 5), st.integers(1, 6),
+)
+
+
+@st.composite
+def germs(draw):
+    """Brieskorn-Pham c1*u^a + c2*v^b, alone or plus terms above its Newton
+    boundary (semi-quasihomogeneous, often with tau < mu), or
+    (u+v)^2 + c*v^k, whose Jacobian's initial forms are not coprime."""
+    family = draw(st.sampled_from(("bp", "above", "tangent")))
+    if family == "tangent":
+        k = draw(st.integers(2, 9))
+        return Poly(UV, {(2, 0): 1, (1, 1): 2, (0, 2): 1}) + Poly(
+            UV, {(0, k): draw(coefficients)}
+        )
+    a, b = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    terms = {(a, 0): draw(coefficients), (0, b): draw(coefficients)}
+    above = [
+        (i, j) for i in range(a + 1) for j in range(b + 1)
+        if i * b + j * a > a * b and i + j <= max(a, b) + 1
+    ]
+    if family == "above":
+        extra = st.lists(st.sampled_from(above), min_size=1, max_size=2, unique=True)
+        for mono in draw(extra):
+            terms[mono] = draw(coefficients)
+    return Poly(UV, terms)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(germs())
+def test_tail_map_matches_degree_order_oracle(f):
+    a = PlaneAnalysis(PlaneSingularity(f))
+    assert a.tail_map_general().matrix == degree_order_tail_matrix(a)
