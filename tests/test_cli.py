@@ -172,6 +172,36 @@ def test_milnor_mismatch_reaches_the_cli(tmp_path, capsys):
     assert "mu=1 but 2*delta - r + 1 = 0" in captured.err
 
 
+# -- asserted delta/r --------------------------------------------------------
+
+def _write_doc(tmp_path, sing):
+    path = tmp_path / "asserted.json"
+    path.write_text(json.dumps({"genus": 1, "singularities": [sing]}))
+    return str(path)
+
+
+def test_lci_asserted_delta_r_is_tagged(tmp_path, capsys):
+    sing = {"kind": "lci", "variables": ["x", "y", "z"],
+            "equations": ["y^2-x^3", "z^2-y^3"],
+            "asserted": {"delta": 7, "r": 1, "note": "from t^4, t^6, t^9"}}
+    assert main(["analyze", _write_doc(tmp_path, sing), "--format", "json-like"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    summary = doc["singularities"][0]
+    assert summary["delta"] == {"value": 7, "provenance": "asserted-input"}
+    assert summary["r"] == {"value": 1, "provenance": "asserted-input"}
+    assert doc["global_invariants"]["delta_total"]["value"] == 7
+    assert doc["global_invariants"]["p_a"]["value"] == 8
+
+
+def test_asserted_note_must_be_a_string(tmp_path, capsys):
+    sing = {"kind": "plane", "f": "u^2-v^3", "variables": ["u", "v"],
+            "asserted": {"delta": 1, "r": 1, "note": 3}}
+    assert main(["analyze", _write_doc(tmp_path, sing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "$.singularities[0].asserted.note" in captured.err
+
+
 # -- round trips and determinism -------------------------------------------
 
 def test_schema_round_trip(tmp_path):
