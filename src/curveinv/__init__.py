@@ -26,6 +26,7 @@ from .plane import (
 )
 from .poly import (
     BranchParam,
+    DeltaR,
     Poly,
     parse_branch,
     parse_poly,
@@ -54,6 +55,7 @@ __all__ = [
     "CurveDocument",
     "CurveInvError",
     "CurveModel",
+    "DeltaR",
     "DeltaReport",
     "GlobalInvariants",
     "HCPages",

@@ -2,7 +2,7 @@
 
 A branch parametrization generates a subalgebra of the power-series ring
 in t; the t-orders attained by that subalgebra form the value semigroup,
-computed here by subalgebra saturation (see ``_series_orders``) on the
+computed here by subalgebra saturation (see ``branch_semigroup``) on the
 sparse echelon kernel :class:`linalg.Echelon` that also serves jet
 algebras and dense ranks.  The gap count below the conductor is the
 one-branch delta; multibranch delta adds pairwise intersection
@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
 )
 from .linalg import Echelon
-from .plane import Branch, PlaneSingularity
+from .plane import PlaneSingularity
 from .poly import BranchParam, Poly
 
 WORKING_ORDER_CAP = 4096
@@ -34,12 +34,11 @@ WORKING_ORDER_CAP = 4096
 Series = Dict[int, Fraction]  # t-exponent -> nonzero coefficient
 
 
-def _series_orders(images: Tuple[Poly, ...], order: int) -> Set[int]:
-    """t-orders attained by the subalgebra generated by the images.
+def branch_semigroup(b: BranchParam, order: int) -> Set[int]:
+    """Value semigroup of the branch, intersected with [0, order].
 
-    Works in k[t]/(t^(order+1)) and returns the lowest t-orders of the
-    elements of the image A of the subalgebra there, i.e. the value
-    semigroup intersected with [0, order].
+    These are the lowest t-orders of the elements of A, the image in
+    k[t]/(t^(order+1)) of the subalgebra generated by the images.
 
     Saturation: series keyed by t-exponent go into a
     :class:`linalg.Echelon`, whose pivot is the lowest t-order, from a
@@ -61,7 +60,7 @@ def _series_orders(images: Tuple[Poly, ...], order: int) -> Set[int]:
     processed.  None of this uses that the images are monomials.
     """
     gens = [
-        {m[0]: c for m, c in img.terms.items()} for img in images if not img.is_zero()
+        {m[0]: c for m, c in img.terms.items()} for img in b.images if not img.is_zero()
     ]
     if all(min(g) > order for g in gens):
         raise DegenerateBranch(
@@ -84,11 +83,6 @@ def _series_orders(images: Tuple[Poly, ...], order: int) -> Set[int]:
             if prod:
                 queue.append(prod)
     return set(echelon.rows)
-
-
-def branch_semigroup(b: BranchParam, order: int) -> Set[int]:
-    """Value semigroup of the branch, intersected with [0, order]."""
-    return _series_orders(b.images, order)
 
 
 def _conductor(values: Set[int], order: int) -> int:
@@ -115,10 +109,6 @@ def branch_working_order(b: BranchParam) -> int:
     return 8 * max(img.degree() or 1 for img in b.images)
 
 
-def default_working_order(branches: Tuple[Branch, ...]) -> int:
-    return max(branch_working_order(br.param) for br in branches)
-
-
 def delta_with_retry(b: BranchParam, order: int) -> int:
     """delta_one_branch, doubling the order on NoConductor up to the cap."""
     while True:
@@ -141,6 +131,15 @@ def intersection_multiplicity(f_other: Poly, b: BranchParam, order: int) -> int:
     return o
 
 
+def check_milnor_formula(mu: int, delta: int, r: int) -> None:
+    """Raise MilnorMismatch unless mu = 2*delta - r + 1."""
+    if mu != 2 * delta - r + 1:
+        raise MilnorMismatch(
+            f"mu={mu} but 2*delta - r + 1 = {2 * delta - r + 1} "
+            f"(delta={delta}, r={r})"
+        )
+
+
 @dataclass(frozen=True)
 class DeltaReport:
     delta: int
@@ -158,7 +157,10 @@ def delta_report(
     """Assemble delta and r from branch data and check Milnor's formula."""
     if not s.branches:
         raise SchemaError("no branch data supplied", "branches")
-    order = working_order if working_order is not None else default_working_order(s.branches)
+    if working_order is not None:
+        order = working_order
+    else:
+        order = max(branch_working_order(br.param) for br in s.branches)
     r = len(s.branches)
     for i, br in enumerate(s.branches):
         composed = s.f.substitute(br.param.as_map(s.f.vars), truncation=order)
@@ -183,11 +185,7 @@ def delta_report(
     delta = sum(per_branch) + sum(
         pairwise[i][j] for i in range(r) for j in range(i + 1, r)
     )
-    if mu != 2 * delta - r + 1:
-        raise MilnorMismatch(
-            f"mu={mu} but 2*delta - r + 1 = {2 * delta - r + 1} "
-            f"(delta={delta}, r={r})"
-        )
+    check_milnor_formula(mu, delta, r)
     return DeltaReport(
         delta=delta,
         r=r,

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 invariant-check failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -57,6 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = AnalysisOptions()
+
     def common(p):
         p.add_argument(
             "--truncation", type=int, default=None,
@@ -67,12 +70,14 @@ def _build_parser() -> argparse.ArgumentParser:
             help="report format",
         )
         p.add_argument(
-            "--hc-window", type=_parse_window, default=(-2, 4), metavar="a,b",
-            help="range of the cyclic splitting integer m (default -2,4)",
+            "--hc-window", type=_parse_window, default=defaults.hc_window,
+            metavar="a,b",
+            help="range of the cyclic splitting integer m (default %d,%d)"
+            % defaults.hc_window,
         )
         p.add_argument(
-            "--tail-window", type=int, default=4, metavar="p",
-            help="largest tail index p rendered (default 4)",
+            "--tail-window", type=int, default=defaults.tail_window, metavar="p",
+            help="largest tail index p rendered (default %(default)s)",
         )
 
     p_analyze = sub.add_parser("analyze", help="analyze a curve document")
@@ -125,8 +130,6 @@ def _cmd_sing(args) -> int:
     tail = analysis.tail_map_general()
     weights = analysis.effective_weights
     if args.format == "json-like":
-        import json
-
         print(
             json.dumps(
                 {

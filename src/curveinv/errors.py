@@ -90,7 +90,3 @@ class PlanarNoObstruction(CurveInvError):
 
 class MissingBranchData(CurveInvError):
     """Global delta/r sums need branch data that was not supplied."""
-
-
-class UnanalyzedSingularity(CurveInvError):
-    """Verdict requested before every singularity was analyzed."""

@@ -18,7 +18,7 @@ from math import comb
 from typing import List, Optional, Tuple
 
 from .errors import NonMinimalPresentation, PlanarNoObstruction
-from .poly import BranchParam, Poly
+from .poly import BranchParam, DeltaR, Poly
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,7 @@ class LciPresentation:
     equations: Tuple[Poly, ...]
     parametrization: Optional[BranchParam] = None
     label: str = ""
-    asserted_delta: Optional[int] = None
-    asserted_r: Optional[int] = None
-    asserted_note: str = ""
+    asserted: Optional[DeltaR] = None
 
     def __post_init__(self):
         e = len(self.variables)

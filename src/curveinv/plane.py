@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import linalg
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
     WitnessOrderInsufficient,
 )
 from .jets import JetAlgebra, build_jet_algebra
-from .poly import BranchParam, Poly, euler_relation_holds, weight_feasibility
+from .poly import BranchParam, DeltaR, Poly, euler_relation_holds, weight_feasibility
 
 
 @dataclass(frozen=True)
@@ -36,15 +36,13 @@ class Branch:
 
 @dataclass(frozen=True)
 class PlaneSingularity:
-    """Defining equation plus optional weight and branch data."""
+    """Defining equation plus optional weight, branch and asserted delta/r data."""
 
     f: Poly
     label: str = ""
     weights: Optional[Tuple[Fraction, Fraction]] = None
     branches: Tuple[Branch, ...] = ()
-    asserted_delta: Optional[int] = None
-    asserted_r: Optional[int] = None
-    asserted_note: str = ""
+    asserted: Optional[DeltaR] = None
 
     def __post_init__(self):
         if len(self.f.vars) != 2:
@@ -65,9 +63,6 @@ class LocalInvariants:
     tau: int
     qh_by_saito: bool
     wh_in_coords: bool
-    delta: Optional[int] = None
-    r: Optional[int] = None
-    delta_provenance: Optional[str] = None  # "computed" | "asserted-input"
 
 
 @dataclass(frozen=True)
@@ -100,8 +95,11 @@ class PlaneAnalysis:
             raise NonIsolated(str(exc)) from exc
         # The Tjurina ideal contains the Jacobian ideal, so its standard
         # monomials are among the Milnor algebra's and certify at its order.
+        # The Jacobian generators go first: the basis and normal forms do
+        # not depend on insertion order (see linalg.Echelon), and when the
+        # initial forms are not a regular sequence this order is far cheaper.
         self.tjurina = JetAlgebra(
-            [f, self.f_u, self.f_v], self.milnor.truncation_order
+            [self.f_u, self.f_v, f], self.milnor.truncation_order
         )
         if sing.weights is not None:
             self.effective_weights: Optional[Tuple[Fraction, Fraction]] = sing.weights
@@ -126,21 +124,13 @@ class PlaneAnalysis:
     def wh_in_coords(self) -> bool:
         return self.effective_weights is not None
 
-    def local_invariants(
-        self,
-        delta: Optional[int] = None,
-        r: Optional[int] = None,
-        delta_provenance: Optional[str] = None,
-    ) -> LocalInvariants:
+    def local_invariants(self) -> LocalInvariants:
         mu, tau = self.milnor_tjurina()
         return LocalInvariants(
             mu=mu,
             tau=tau,
             qh_by_saito=self.saito_test(),
             wh_in_coords=self.wh_in_coords(),
-            delta=delta,
-            r=r,
-            delta_provenance=delta_provenance,
         )
 
     # -- multiplication by f on the Milnor algebra -------------------------
@@ -177,12 +167,6 @@ class PlaneAnalysis:
         return result
 
     # -- tail differential -------------------------------------------------
-
-    def _kernel_lift(self, vec: Sequence[Fraction]) -> Poly:
-        terms = {
-            mono: c for mono, c in zip(self.milnor.basis, vec) if c != 0
-        }
-        return Poly(self.sing.f.vars, terms)
 
     def _tail_image(
         self, lift: Poly, witness_algebra: JetAlgebra, order: int
@@ -223,7 +207,8 @@ class PlaneAnalysis:
         if row_seed in self._tail_cache:
             return self._tail_cache[row_seed]
         _, _, kernel, target_basis = self.mult_by_f()
-        lifts = [self._kernel_lift(vec) for vec in kernel]
+        basis = self.milnor.basis
+        lifts = [Poly(self.sing.f.vars, dict(zip(basis, vec))) for vec in kernel]
         order = max(1, self.milnor.primality_bound + self.tjurina.primality_bound)
         witness_algebra = JetAlgebra([self.f_u, self.f_v], order, row_seed=row_seed)
         recheck_algebra = JetAlgebra(
@@ -291,11 +276,3 @@ class PlaneAnalysis:
             matrix=tuple(matrix),
             rank=linalg.rank([list(row) for row in matrix]) if matrix else 0,
         )
-
-    def d10_local_rank(self) -> int:
-        """Rank of the local piece of the first-page horizontal map.
-
-        This is the same chain-level differential as the tail map, so the
-        rank coincides by construction.
-        """
-        return self.tail_map_general().rank

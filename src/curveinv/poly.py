@@ -7,8 +7,8 @@ degree, and ``order`` reports the minimal total degree of a term.
 
 The module also houses the expression parser (recursive descent over the
 fixed input grammar), canonical printing in descending graded-lex order,
-branch parametrizations, and exact weight-system feasibility for two
-variables.
+branch parametrizations and the delta/r record of a singularity, and
+exact weight-system feasibility for two variables.
 """
 
 from __future__ import annotations
@@ -406,6 +406,19 @@ def parse_branch(images: Iterable[str]) -> BranchParam:
     return BranchParam(tuple(parse_poly(s, (BRANCH_PARAM_VAR,)) for s in images))
 
 
+@dataclass(frozen=True)
+class DeltaR:
+    """delta and branch count r of one singularity, tagged with their source.
+
+    ``provenance`` is "computed" (from branches or a parametrization) or
+    "asserted-input" (supplied by the curve document).
+    """
+
+    delta: int
+    r: int
+    provenance: str
+
+
 # ---------------------------------------------------------------------------
 # Weight feasibility (two variables)
 # ---------------------------------------------------------------------------
@@ -445,14 +458,10 @@ def weight_feasibility(f: Poly):
                 return None
             if any(a * w1 + b * w2 != 1 for a, b in rows):
                 return None
-            _verify_euler(f, w1, w2)
+            if not euler_relation_holds(f, w1, w2):
+                raise AssertionError("weight system fails the exact Euler relation")
             return (w1, w2)
     return None  # all rows proportional but distinct: inconsistent
-
-
-def _verify_euler(f: Poly, w1: Fraction, w2: Fraction):
-    if not euler_relation_holds(f, w1, w2):
-        raise AssertionError("weight system fails the exact Euler relation")
 
 
 def euler_relation_holds(f: Poly, w1: Scalar, w2: Scalar) -> bool:

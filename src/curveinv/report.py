@@ -12,7 +12,12 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .branches import branch_working_order, delta_report, delta_with_retry
+from .branches import (
+    branch_working_order,
+    check_milnor_formula,
+    delta_report,
+    delta_with_retry,
+)
 from .lci import (
     LciPresentation,
     coker_mod_m_cross_check,
@@ -21,6 +26,7 @@ from .lci import (
     verify_parametrization,
 )
 from .plane import PlaneAnalysis, PlaneSingularity
+from .poly import DeltaR
 from .schema import CurveDocument, build_curve
 from .spectral import (
     CurveModel,
@@ -125,39 +131,34 @@ def _analyze_plane(
                     f"tail rank {tail.rank} vs tau {tau}",
                 )
             )
-    delta = r = None
-    provenance = None
+    delta_r = sing.asserted
     if sing.branches:
         rep = delta_report(sing, mu)
-        delta, r, provenance = rep.delta, rep.r, "computed"
+        delta_r = DeltaR(rep.delta, rep.r, "computed")
         checks.append(
             Check(
                 "milnor-formula",
                 label,
                 "pass",
-                f"mu={mu} = 2*{delta} - {r} + 1",
+                f"mu={mu} = 2*{rep.delta} - {rep.r} + 1",
             )
         )
-    elif sing.asserted_delta is not None:
-        delta, r = sing.asserted_delta, sing.asserted_r
-        provenance = "asserted-input"
-        consistent = mu == 2 * delta - r + 1
+    elif delta_r is not None:
+        check_milnor_formula(mu, delta_r.delta, delta_r.r)
         checks.append(
             Check(
                 "milnor-formula",
                 label,
-                "skipped" if consistent else "fail",
-                (
-                    f"delta/r asserted, not computed; asserted values "
-                    f"{'satisfy' if consistent else 'CONTRADICT'} "
-                    f"mu = 2*delta - r + 1"
-                ),
+                "skipped",
+                "delta/r asserted, not computed; asserted values satisfy "
+                "mu = 2*delta - r + 1",
             )
         )
     return PlaneRecord(
         sing=sing,
-        invariants=analysis.local_invariants(delta, r, provenance),
+        invariants=analysis.local_invariants(),
         tail=tail,
+        delta_r=delta_r,
     )
 
 
@@ -190,22 +191,12 @@ def _analyze_lci(
             f"mod-m cokernel dimension {cross}, expected {e - 1}",
         )
     )
-    delta = r = None
-    provenance = None
+    delta_r = pres.asserted
     if pres.parametrization is not None:
         param = pres.parametrization
-        delta, r = delta_with_retry(param, branch_working_order(param)), 1
-        provenance = "computed"
-    elif pres.asserted_delta is not None:
-        delta, r = pres.asserted_delta, pres.asserted_r
-        provenance = "asserted-input"
-    return LciRecord(
-        pres=pres,
-        report=report,
-        delta=delta,
-        r=r,
-        delta_provenance=provenance,
-    )
+        delta = delta_with_retry(param, branch_working_order(param))
+        delta_r = DeltaR(delta, 1, "computed")
+    return LciRecord(pres=pres, report=report, delta_r=delta_r)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +304,7 @@ def _betti_checks(e2: SSPage, gi: GlobalInvariants, scope: str) -> List[Check]:
 def _sing_summary(record: Union[PlaneRecord, LciRecord]) -> Dict:
     if isinstance(record, PlaneRecord):
         inv = record.invariants
-        return {
+        summary = {
             "kind": "plane",
             "label": record.sing.label,
             "equation": str(record.sing.f),
@@ -321,34 +312,26 @@ def _sing_summary(record: Union[PlaneRecord, LciRecord]) -> Dict:
             "tau": {"value": inv.tau, "provenance": "computed"},
             "qh_by_saito": inv.qh_by_saito,
             "wh_in_coords": inv.wh_in_coords,
-            "delta": None if inv.delta is None else {
-                "value": inv.delta,
-                "provenance": inv.delta_provenance,
-            },
-            "r": None if inv.r is None else {
-                "value": inv.r,
-                "provenance": inv.delta_provenance,
-            },
             "tail_rank": {"value": record.tail.rank, "provenance": "computed"},
         }
-    rep = record.report
-    return {
-        "kind": "lci",
-        "label": record.pres.label,
-        "equations": [str(f) for f in record.pres.equations],
-        "embedding_dimension": rep.e,
-        "obstruction_position": list(rep.obstruction_position),
-        "total_degree": rep.total_degree,
-        "coker_mod_m_dim": rep.coker_mod_m_dim,
-        "delta": None if record.delta is None else {
-            "value": record.delta,
-            "provenance": record.delta_provenance,
-        },
-        "r": None if record.r is None else {
-            "value": record.r,
-            "provenance": record.delta_provenance,
-        },
-    }
+    else:
+        rep = record.report
+        summary = {
+            "kind": "lci",
+            "label": record.pres.label,
+            "equations": [str(f) for f in record.pres.equations],
+            "embedding_dimension": rep.e,
+            "obstruction_position": list(rep.obstruction_position),
+            "total_degree": rep.total_degree,
+            "coker_mod_m_dim": rep.coker_mod_m_dim,
+        }
+    dr = record.delta_r
+    for key in ("delta", "r"):
+        summary[key] = None if dr is None else {
+            "value": getattr(dr, key),
+            "provenance": dr.provenance,
+        }
+    return summary
 
 
 def to_structured(report: Report) -> Dict:
@@ -470,8 +453,7 @@ def run_corpus(options: AnalysisOptions = AnalysisOptions()):
     for doc in corpus.curve_models():
         report = analyze(build_curve(doc), options)
         plane = report.model.plane_records()
-        mu = sum(r.invariants.mu for r in plane)
-        tau = sum(r.invariants.tau for r in plane)
+        mu, tau = report.invariants.mu_total, report.invariants.tau_total
         qh = all(r.invariants.qh_by_saito for r in plane) and not report.model.lci_records()
         statuses = [c.status for c in report.checks]
         summary = f"{statuses.count('pass')} pass"

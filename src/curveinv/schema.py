@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from .errors import ParseError, SchemaError
 from .lci import LciPresentation
 from .plane import Branch, PlaneSingularity
-from .poly import BRANCH_PARAM_VAR, parse_branch, parse_poly
+from .poly import BRANCH_PARAM_VAR, BranchParam, DeltaR, parse_poly
 
 Sing = Union[PlaneSingularity, LciPresentation]
 
@@ -67,17 +67,28 @@ def _parse_expr(source: Any, variables, path: str):
         raise SchemaError(f"bad expression {source!r}: {exc}", path)
 
 
-def _asserted(doc: Dict[str, Any], path: str) -> Tuple[Optional[int], Optional[int], str]:
+def _param(images: List[Any], path: str) -> BranchParam:
+    polys = tuple(
+        _parse_expr(img, (BRANCH_PARAM_VAR,), f"{path}[{j}]")
+        for j, img in enumerate(images)
+    )
+    try:
+        return BranchParam(polys)
+    except ValueError as exc:
+        raise SchemaError(str(exc), path)
+
+
+def _asserted(doc: Dict[str, Any], path: str) -> Optional[DeltaR]:
     block = _get(doc, "asserted", dict, path)
     if block is None:
-        return None, None, ""
+        return None
     delta = _natural(block, "delta", f"{path}.asserted")
     r = _natural(block, "r", f"{path}.asserted")
     _require(r >= 1, "asserted r must be at least 1", f"{path}.asserted.r")
-    note = _get(block, "note", str, f"{path}.asserted", default="")
+    _get(block, "note", str, f"{path}.asserted")
     extra = set(block) - {"delta", "r", "note"}
     _require(not extra, f"unknown fields {sorted(extra)}", f"{path}.asserted")
-    return delta, r, note
+    return DeltaR(delta, r, "asserted-input")
 
 
 def _build_plane(doc: Dict[str, Any], path: str) -> PlaneSingularity:
@@ -102,19 +113,14 @@ def _build_plane(doc: Dict[str, Any], path: str) -> PlaneSingularity:
         _require(isinstance(bdoc, dict), "branch must be an object", bpath)
         images = _get(bdoc, "images", list, bpath, required=True)
         _require(len(images) == 2, "branch needs two images", f"{bpath}.images")
-        for j, img in enumerate(images):
-            _parse_expr(img, (BRANCH_PARAM_VAR,), f"{bpath}.images[{j}]")
-        try:
-            param = parse_branch(images)
-        except ValueError as exc:
-            raise SchemaError(str(exc), f"{bpath}.images")
+        param = _param(images, f"{bpath}.images")
         equation = None
         if "equation" in bdoc:
             equation = _parse_expr(bdoc["equation"], variables, f"{bpath}.equation")
         extra = set(bdoc) - {"images", "equation"}
         _require(not extra, f"unknown fields {sorted(extra)}", bpath)
         branches.append(Branch(param=param, equation=equation))
-    delta, r, note = _asserted(doc, path)
+    asserted = _asserted(doc, path)
     extra = set(doc) - {"kind", "f", "variables", "weights", "branches", "asserted", "label"}
     _require(not extra, f"unknown fields {sorted(extra)}", path)
     try:
@@ -123,9 +129,7 @@ def _build_plane(doc: Dict[str, Any], path: str) -> PlaneSingularity:
             label=_get(doc, "label", str, path, default=""),
             weights=weights,
             branches=tuple(branches),
-            asserted_delta=delta,
-            asserted_r=r,
-            asserted_note=note,
+            asserted=asserted,
         )
     except ValueError as exc:
         raise SchemaError(str(exc), path)
@@ -146,18 +150,13 @@ def _build_lci(doc: Dict[str, Any], path: str) -> LciPresentation:
     parametrization = None
     raw_param = _get(doc, "parametrization", list, path)
     if raw_param is not None:
-        for j, img in enumerate(raw_param):
-            _parse_expr(img, (BRANCH_PARAM_VAR,), f"{path}.parametrization[{j}]")
         _require(
             len(raw_param) == len(variables),
             "one image per variable required",
             f"{path}.parametrization",
         )
-        try:
-            parametrization = parse_branch(raw_param)
-        except ValueError as exc:
-            raise SchemaError(str(exc), f"{path}.parametrization")
-    delta, r, note = _asserted(doc, path)
+        parametrization = _param(raw_param, f"{path}.parametrization")
+    asserted = _asserted(doc, path)
     extra = set(doc) - {
         "kind", "variables", "equations", "parametrization", "asserted", "label"
     }
@@ -168,9 +167,7 @@ def _build_lci(doc: Dict[str, Any], path: str) -> LciPresentation:
             equations=equations,
             parametrization=parametrization,
             label=_get(doc, "label", str, path, default=""),
-            asserted_delta=delta,
-            asserted_r=r,
-            asserted_note=note,
+            asserted=asserted,
         )
     except ValueError as exc:
         raise SchemaError(str(exc), path)

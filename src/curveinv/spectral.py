@@ -45,9 +45,10 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import MissingBranchData, UnanalyzedSingularity
+from .errors import MissingBranchData
 from .lci import LciPresentation, ObstructionReport
 from .plane import LocalInvariants, PlaneSingularity, TailMap
+from .poly import DeltaR
 
 UNKNOWN_ORDER = ("kappa", "c", "k_v")
 
@@ -127,15 +128,14 @@ class PlaneRecord:
     sing: PlaneSingularity
     invariants: LocalInvariants
     tail: TailMap
+    delta_r: Optional[DeltaR]
 
 
 @dataclass(frozen=True)
 class LciRecord:
     pres: LciPresentation
     report: ObstructionReport
-    delta: Optional[int] = None
-    r: Optional[int] = None
-    delta_provenance: Optional[str] = None
+    delta_r: Optional[DeltaR]
 
 
 SingRecord = Union[PlaneRecord, LciRecord]
@@ -209,25 +209,16 @@ def _freeze(d: Dict[Tuple[int, int], Dim]):
 # ---------------------------------------------------------------------------
 
 
-def _record_delta_r(record: SingRecord) -> Tuple[int, int]:
-    if isinstance(record, PlaneRecord):
-        delta, r = record.invariants.delta, record.invariants.r
-    else:
-        delta, r = record.delta, record.r
-    if delta is None or r is None:
-        raise MissingBranchData(
-            "a singularity lacks delta/r data needed for global sums"
-        )
-    return delta, r
-
-
 def global_invariants(c: CurveModel) -> GlobalInvariants:
     delta_total = 0
     R = 0
     for record in c.records:
-        delta, r = _record_delta_r(record)
-        delta_total += delta
-        R += r - 1
+        if record.delta_r is None:
+            raise MissingBranchData(
+                "a singularity lacks delta/r data needed for global sums"
+            )
+        delta_total += record.delta_r.delta
+        R += record.delta_r.r - 1
     tau_total = sum(r.invariants.tau for r in c.plane_records())
     mu_total = sum(r.invariants.mu for r in c.plane_records())
     return GlobalInvariants(
@@ -249,8 +240,6 @@ def global_invariants(c: CurveModel) -> GlobalInvariants:
 def degeneration_verdict(c: CurveModel, gi: GlobalInvariants) -> VerdictReport:
     """Decide second-page degeneration from the analyzed singularities."""
     for record in c.lci_records():
-        if record.report is None:
-            raise UnanalyzedSingularity("lci record without obstruction report")
         rep = record.report
         return _with_ledger(
             c,
@@ -314,7 +303,7 @@ def _tail_rank_total(c: CurveModel) -> int:
 
 
 def e1_page(
-    c: CurveModel, gi: GlobalInvariants, verdict: Verdict, tail_window: int = 4
+    c: CurveModel, gi: GlobalInvariants, verdict: Verdict, tail_window: int
 ) -> SSPage:
     """First page: exact where determined, symbolic at the two u/v slots."""
     entries: Dict[Tuple[int, int], Dim] = {}
@@ -470,7 +459,7 @@ def hc_pages(
     c: CurveModel,
     e1: SSPage,
     gi: GlobalInvariants,
-    window: Tuple[int, int] = (-2, 4),
+    window: Tuple[int, int],
 ) -> HCPages:
     """Reindexed second pages of the split filtered complex, one per integer m.
 

@@ -11,10 +11,9 @@ import time
 
 import pytest
 
-from conftest import analyzed_model
+from conftest import analyzed_model, staircase_colength
 from curveinv import corpus
 from curveinv.branches import delta_report
-from curveinv.jets import build_jet_algebra, staircase_colength
 from curveinv.plane import PlaneAnalysis, PlaneSingularity
 from curveinv.poly import parse_poly
 from curveinv.report import AnalysisOptions, analyze, to_json

@@ -158,18 +158,30 @@ def test_analyze_without_delta_data_exit_1(sing, tmp_path, capsys):
     assert captured.err == MISSING_DELTA
 
 
-def test_milnor_mismatch_reaches_the_cli(tmp_path, capsys):
-    # u*v has two branches; one branch alone gives 2*delta - r + 1 = 0.
-    doc = {"genus": 0, "singularities": [{
-        "kind": "plane", "f": "u*v", "variables": ["u", "v"],
-        "branches": [{"images": ["t", "0"], "equation": "v"}],
-    }]}
+@pytest.mark.parametrize(
+    "sing,message",
+    [
+        # u*v has two branches; one branch alone gives 2*delta - r + 1 = 0.
+        ({"kind": "plane", "f": "u*v", "variables": ["u", "v"],
+          "branches": [{"images": ["t", "0"], "equation": "v"}]},
+         "mu=1 but 2*delta - r + 1 = 0"),
+        # The cusp has mu = 2, delta = 1, r = 1.
+        ({"kind": "plane", "f": "u^2-v^3", "variables": ["u", "v"],
+          "asserted": {"delta": 2, "r": 1}},
+         "mu=2 but 2*delta - r + 1 = 4 (delta=2, r=1)"),
+        ({"kind": "plane", "f": "u^2-v^3", "variables": ["u", "v"],
+          "asserted": {"delta": 0, "r": 1}},
+         "mu=2 but 2*delta - r + 1 = 0 (delta=0, r=1)"),
+    ],
+    ids=["branches", "asserted-too-large", "asserted-too-small"],
+)
+def test_milnor_mismatch_reaches_the_cli(sing, message, tmp_path, capsys):
     path = tmp_path / "mismatch.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({"genus": 0, "singularities": [sing]}))
     assert main(["analyze", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "mu=1 but 2*delta - r + 1 = 0" in captured.err
+    assert message in captured.err
 
 
 # -- asserted delta/r --------------------------------------------------------

@@ -5,13 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import staircase_colength
 from curveinv.errors import NotInIdeal, TruncationCapExceeded
-from curveinv.jets import (
-    JetAlgebra,
-    build_jet_algebra,
-    default_truncation,
-    staircase_colength,
-)
+from curveinv.jets import JetAlgebra, build_jet_algebra, default_truncation
 from curveinv.poly import Poly, parse_poly
 
 UV = ("u", "v")

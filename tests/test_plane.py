@@ -129,7 +129,6 @@ def test_witness_independence(src):
 def test_qh_full_rank(src, expected_mu):
     a = analysis(src)
     assert a.tail_map_general().rank == expected_mu
-    assert a.d10_local_rank() == expected_mu
 
 
 def test_non_qh_local_rank_recorded():
