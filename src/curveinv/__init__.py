@@ -1,7 +1,6 @@
 """Exact invariants of curve singularities and degeneration verdicts."""
 
 from .branches import (
-    DeltaReport,
     branch_semigroup,
     delta_one_branch,
     delta_report,
@@ -56,7 +55,6 @@ __all__ = [
     "CurveInvError",
     "CurveModel",
     "DeltaR",
-    "DeltaReport",
     "GlobalInvariants",
     "HCPages",
     "JetAlgebra",

@@ -8,14 +8,15 @@ algebras and dense ranks.  The gap count below the conductor is the
 one-branch delta; multibranch delta adds pairwise intersection
 multiplicities, which need a defining equation per branch.  Milnor's
 formula mu = 2*delta - r + 1 is asserted against the independently
-computed mu as the end-to-end cross-check.
+computed mu as the end-to-end cross-check.  Branch images are polynomials
+in t, so equations are pulled back along branches exactly; the semigroup
+is the only computation with a working order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from .errors import (
     DegenerateBranch,
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .linalg import Echelon
 from .plane import PlaneSingularity
-from .poly import BranchParam, Poly
+from .poly import BranchParam, DeltaR, Poly
 
 WORKING_ORDER_CAP = 4096
 
@@ -109,8 +110,13 @@ def branch_working_order(b: BranchParam) -> int:
     return 8 * max(img.degree() or 1 for img in b.images)
 
 
-def delta_with_retry(b: BranchParam, order: int) -> int:
-    """delta_one_branch, doubling the order on NoConductor up to the cap."""
+def delta_with_retry(b: BranchParam) -> int:
+    """delta_one_branch from branch_working_order, doubling on NoConductor.
+
+    The order decides only whether the conductor is found, not its value:
+    a run of s_min values makes every larger integer a value.
+    """
+    order = branch_working_order(b)
     while True:
         try:
             return delta_one_branch(b, order)
@@ -120,13 +126,12 @@ def delta_with_retry(b: BranchParam, order: int) -> int:
             order = min(2 * order, WORKING_ORDER_CAP)
 
 
-def intersection_multiplicity(f_other: Poly, b: BranchParam, order: int) -> int:
-    """t-order of the other equation pulled back along the branch."""
-    composed = f_other.substitute(b.as_map(f_other.vars), truncation=order)
-    o = composed.order()
+def intersection_multiplicity(f_other: Poly, b: BranchParam) -> int:
+    """t-order of the other equation pulled back exactly along the branch."""
+    o = f_other.substitute(b.as_map(f_other.vars)).order()
     if o is None:
         raise NotTransverseAtOrder(
-            f"substitution vanishes to working order {order}"
+            "the branch lies on the other equation: its pullback is zero"
         )
     return o
 
@@ -140,56 +145,27 @@ def check_milnor_formula(mu: int, delta: int, r: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DeltaReport:
-    delta: int
-    r: int
-    per_branch_delta: Tuple[int, ...]
-    pairwise_intersections: Tuple[Tuple[int, ...], ...]
-    working_order: int
-
-
-def delta_report(
-    s: PlaneSingularity,
-    mu: int,
-    working_order: Optional[int] = None,
-) -> DeltaReport:
-    """Assemble delta and r from branch data and check Milnor's formula."""
+def delta_report(s: PlaneSingularity, mu: int) -> DeltaR:
+    """delta and r from branch data, checked against mu by Milnor's formula."""
     if not s.branches:
         raise SchemaError("no branch data supplied", "branches")
-    if working_order is not None:
-        order = working_order
-    else:
-        order = max(branch_working_order(br.param) for br in s.branches)
-    r = len(s.branches)
     for i, br in enumerate(s.branches):
-        composed = s.f.substitute(br.param.as_map(s.f.vars), truncation=order)
+        composed = s.f.substitute(br.param.as_map(s.f.vars))
         if not composed.is_zero():
             raise SchemaError(
                 f"branch does not annihilate the equation (order "
                 f"{composed.order()} term survives)",
                 f"branches[{i}]",
             )
-    per_branch = [delta_with_retry(br.param, order) for br in s.branches]
-    pairwise = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            eq = s.branches[i].equation
-            if eq is None:
+    delta = sum(delta_with_retry(br.param) for br in s.branches)
+    for i, br in enumerate(s.branches):
+        for other in s.branches[i + 1 :]:
+            if br.equation is None:
                 raise MissingBranchEquation(
                     f"branch {i} has no equation; needed for pairwise "
                     "intersection numbers"
                 )
-            m = intersection_multiplicity(eq, s.branches[j].param, order)
-            pairwise[i][j] = pairwise[j][i] = m
-    delta = sum(per_branch) + sum(
-        pairwise[i][j] for i in range(r) for j in range(i + 1, r)
-    )
+            delta += intersection_multiplicity(br.equation, other.param)
+    r = len(s.branches)
     check_milnor_formula(mu, delta, r)
-    return DeltaReport(
-        delta=delta,
-        r=r,
-        per_branch_delta=tuple(per_branch),
-        pairwise_intersections=tuple(tuple(row) for row in pairwise),
-        working_order=order,
-    )
+    return DeltaR(delta, r, "computed")

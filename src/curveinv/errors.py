@@ -69,11 +69,11 @@ class NoConductor(CurveInvError):
 
 
 class NotTransverseAtOrder(CurveInvError):
-    """Substituted equation vanishes identically to the working order."""
+    """The branch lies on the other equation: its exact pullback is zero."""
 
 
 class MilnorMismatch(CurveInvError):
-    """mu != 2*delta - r + 1: bad branch input or insufficient order."""
+    """mu != 2*delta - r + 1: branch data or asserted values contradict mu."""
 
 
 class MissingBranchEquation(CurveInvError):

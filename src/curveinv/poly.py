@@ -129,28 +129,18 @@ class Poly:
         value = Fraction(value)
         return Poly(self.vars, {m: c * value for m, c in self.terms.items()})
 
-    def __pow__(self, n: int, truncation: Optional[int] = None) -> "Poly":
-        """self**n by square-and-multiply.
-
-        ``pow(p, n, N)`` truncates above total degree N after every
-        product; truncation is a ring homomorphism, so this equals
-        ``(p ** n).truncate(N)``.
-        """
+    def __pow__(self, n: int) -> "Poly":
+        """self**n by square-and-multiply, exactly."""
         if n < 0:
             raise ValueError("negative exponent")
-
-        def mul(a: "Poly", b: "Poly") -> "Poly":
-            prod = a * b
-            return prod if truncation is None else prod.truncate(truncation)
-
         result = Poly.const(self.vars, 1)
         base = self
         while n:
             if n & 1:
-                result = mul(result, base)
+                result = result * base
             n >>= 1
             if n:
-                base = mul(base, base)
+                base = base * base
         return result
 
     def truncate(self, max_degree: int) -> "Poly":
@@ -170,16 +160,11 @@ class Poly:
             out[dm] = out.get(dm, Fraction(0)) + c * m[i]
         return Poly(self.vars, out)
 
-    def substitute(
-        self,
-        images: Mapping[str, "Poly"],
-        truncation: Optional[int] = None,
-    ) -> "Poly":
-        """Compose with one image polynomial per ambient variable.
+    def substitute(self, images: Mapping[str, "Poly"]) -> "Poly":
+        """Compose with one image polynomial per ambient variable, exactly.
 
-        With ``truncation`` set, every power and product is truncated above
-        that total degree as it is formed; the result is the same as
-        truncating the exact composition.
+        The composition is formed whole, never truncated; each power of an
+        image is computed once per call.
         """
         missing = [v for v in self.vars if v not in images]
         if missing:
@@ -191,17 +176,15 @@ class Poly:
                 else "no images supplied"
             )
         (target_vars,) = ambients
-        powers: dict = {}  # (var, e) -> images[var] ** e, truncated
+        powers: dict = {}  # (var, e) -> images[var] ** e
         out: dict = {}
         for m, c in self.terms.items():
             piece = Poly.const(target_vars, c)
             for var, e in zip(self.vars, m):
                 if e:
                     if (var, e) not in powers:
-                        powers[var, e] = pow(images[var], e, truncation)
+                        powers[var, e] = images[var] ** e
                     piece = piece * powers[var, e]
-                    if truncation is not None:
-                        piece = piece.truncate(truncation)
             for tm, tc in piece.terms.items():
                 out[tm] = out.get(tm, Fraction(0)) + tc
         return Poly(target_vars, out)

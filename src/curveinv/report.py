@@ -12,12 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .branches import (
-    branch_working_order,
-    check_milnor_formula,
-    delta_report,
-    delta_with_retry,
-)
+from .branches import check_milnor_formula, delta_report, delta_with_retry
 from .lci import (
     LciPresentation,
     coker_mod_m_cross_check,
@@ -83,6 +78,20 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
+def _check_asserted(
+    asserted: Optional[DeltaR], computed: DeltaR, label: str, checks: List[Check]
+) -> None:
+    """Compare asserted delta/r, when given, with the computed record."""
+    if asserted is None:
+        return
+    agree = (asserted.delta, asserted.r) == (computed.delta, computed.r)
+    checks.append(
+        Check("asserted-delta-r", label, "pass" if agree else "fail",
+              f"asserted delta={asserted.delta}, r={asserted.r}; "
+              f"computed delta={computed.delta}, r={computed.r}")
+    )
+
+
 def _analyze_plane(
     sing: PlaneSingularity, options: AnalysisOptions, checks: List[Check]
 ) -> PlaneRecord:
@@ -133,16 +142,16 @@ def _analyze_plane(
             )
     delta_r = sing.asserted
     if sing.branches:
-        rep = delta_report(sing, mu)
-        delta_r = DeltaR(rep.delta, rep.r, "computed")
+        delta_r = delta_report(sing, mu)
         checks.append(
             Check(
                 "milnor-formula",
                 label,
                 "pass",
-                f"mu={mu} = 2*{rep.delta} - {rep.r} + 1",
+                f"mu={mu} = 2*{delta_r.delta} - {delta_r.r} + 1",
             )
         )
+        _check_asserted(sing.asserted, delta_r, label, checks)
     elif delta_r is not None:
         check_milnor_formula(mu, delta_r.delta, delta_r.r)
         checks.append(
@@ -193,9 +202,8 @@ def _analyze_lci(
     )
     delta_r = pres.asserted
     if pres.parametrization is not None:
-        param = pres.parametrization
-        delta = delta_with_retry(param, branch_working_order(param))
-        delta_r = DeltaR(delta, 1, "computed")
+        delta_r = DeltaR(delta_with_retry(pres.parametrization), 1, "computed")
+        _check_asserted(pres.asserted, delta_r, label, checks)
     return LciRecord(pres=pres, report=report, delta_r=delta_r)
 
 

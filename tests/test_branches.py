@@ -22,7 +22,7 @@ from curveinv.errors import (
     SchemaError,
 )
 from curveinv.plane import Branch, PlaneAnalysis, PlaneSingularity
-from curveinv.poly import BranchParam, Poly, parse_branch, parse_poly
+from curveinv.poly import BranchParam, DeltaR, Poly, parse_branch, parse_poly
 
 UV = ("u", "v")
 
@@ -174,19 +174,19 @@ def test_one_doubling_recovers_conductor():
     assert order == 88
     with pytest.raises(NoConductor):
         delta_one_branch(b, order)
-    assert delta_with_retry(b, order) == 45
+    assert delta_with_retry(b) == 45
 
 
 # -- intersection multiplicities -------------------------------------------
 
 def test_intersection_examples():
-    assert intersection_multiplicity(P("v"), parse_branch(["t", "t^2"]), 8) == 2
-    assert intersection_multiplicity(P("u-v"), parse_branch(["t", "t^3"]), 8) == 1
+    assert intersection_multiplicity(P("v"), parse_branch(["t", "t^2"])) == 2
+    assert intersection_multiplicity(P("u-v"), parse_branch(["t", "t^3"])) == 1
 
 
 def test_intersection_error_when_branch_lies_on_curve():
     with pytest.raises(NotTransverseAtOrder):
-        intersection_multiplicity(P("u"), parse_branch(["0", "t"]), 8)
+        intersection_multiplicity(P("u"), parse_branch(["0", "t"]))
 
 
 # -- delta reports ----------------------------------------------------------
@@ -200,8 +200,9 @@ def _report(src, branch_specs):
 def test_node_report():
     rep = _report("u*v", [(["t", "0"], "v"), (["0", "t"], "u")])
     assert (rep.delta, rep.r) == (1, 2)
-    assert rep.per_branch_delta == (0, 0)
-    assert rep.pairwise_intersections[0][1] == 1
+    assert delta_with_retry(parse_branch(["t", "0"])) == 0
+    assert delta_with_retry(parse_branch(["0", "t"])) == 0
+    assert intersection_multiplicity(P("v"), parse_branch(["0", "t"])) == 1
 
 
 def test_cusp_report():
@@ -215,7 +216,7 @@ def test_tacnode_report():
         [(["t^2", "t"], "u-v^2"), (["-1*t^2", "t"], "u+v^2")],
     )
     assert (rep.delta, rep.r) == (2, 2)
-    assert rep.pairwise_intersections[0][1] == 2
+    assert intersection_multiplicity(P("u-v^2"), parse_branch(["-1*t^2", "t"])) == 2
 
 
 def test_e8_report():
@@ -237,10 +238,51 @@ def test_milnor_formula_on_all_reports():
         assert mu == 2 * rep.delta - rep.r + 1
 
 
+smooth_branches = st.lists(
+    st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 4)),
+    min_size=2,
+    max_size=3,
+    unique=True,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(smooth_branches)
+def test_milnor_formula_on_generated_smooth_branches(curves):
+    """f = prod(u - c_i*v^k_i), one smooth branch (c_i*t^k_i, t) per factor."""
+    u, v = Poly.variable(UV, "u"), Poly.variable(UV, "v")
+    equations = [u - (v ** k).scale(c) for c, k in curves]
+    f = equations[0]
+    for eq in equations[1:]:
+        f = f * eq
+    branches = tuple(
+        Branch(parse_branch([f"{c}*t^{k}", "t"]), eq)
+        for (c, k), eq in zip(curves, equations)
+    )
+    s = PlaneSingularity(f, branches=branches)
+    # Smooth branches have delta 0.  c_i*t^k_i - c_j*t^k_j keeps its
+    # lower power when k_i != k_j, and (c_i - c_j)*t^k, nonzero since the
+    # pairs differ, when k_i = k_j: the contact order is min(k_i, k_j).
+    delta = sum(
+        min(ki, kj)
+        for i, (_, ki) in enumerate(curves)
+        for _, kj in curves[i + 1 :]
+    )
+    mu, _ = PlaneAnalysis(s).milnor_tjurina()
+    assert delta_report(s, mu) == DeltaR(delta, len(curves), "computed")
+
+
 def test_wrong_branch_rejected():
-    s = sing("u^2-v^3", [(["t^2", "t^3"], None)])  # images swapped
-    with pytest.raises(SchemaError):
-        delta_report(s, 2)
+    cases = [
+        ("u^2-v^3", [(["t^2", "t^3"], None)], 2),  # images swapped
+        # (0, t) pulls back to t^20 and (t^3, t^2) to t^26: both above
+        # eight times the branch's top degree.
+        ("u*v+v^20", [(["t", "0"], "v"), (["0", "t"], "u")], 1),
+        ("u^2-v^3+v^13", [(["t^3", "t^2"], None)], 2),
+    ]
+    for src, specs, mu in cases:
+        with pytest.raises(SchemaError):
+            delta_report(sing(src, specs), mu)
 
 
 def test_bad_mu_raises_mismatch():

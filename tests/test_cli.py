@@ -135,6 +135,19 @@ def test_lci_without_conductor_stops_at_cap(tmp_path, capsys):
     assert "up to 4096" in capsys.readouterr().err
 
 
+def test_off_curve_branch_exit_2(tmp_path, capsys):
+    # u pulls back to t^20 along (0, t), above eight times its degree.
+    sing = {"kind": "plane", "f": "u*v+v^20", "variables": ["u", "v"],
+            "branches": [{"images": ["t", "0"], "equation": "v"},
+                         {"images": ["0", "t"], "equation": "u"}]}
+    path = tmp_path / "offcurve.json"
+    path.write_text(json.dumps({"genus": 0, "singularities": [sing]}))
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "branches[1]" in captured.err
+
+
 # -- singularities without delta/r data ------------------------------------
 
 MISSING_DELTA = "error: a singularity lacks delta/r data needed for global sums\n"
@@ -212,6 +225,38 @@ def test_asserted_note_must_be_a_string(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "$.singularities[0].asserted.note" in captured.err
+
+
+CUSP_WITH_BRANCH = {"kind": "plane", "f": "u^2-v^3", "variables": ["u", "v"],
+                    "branches": [{"images": ["t^3", "t^2"]}]}
+LCI_WITH_PARAMETRIZATION = {"kind": "lci", "variables": ["x", "y", "z"],
+                            "equations": ["y^2-x^3", "z^2-y^3"],
+                            "parametrization": ["t^4", "t^6", "t^9"]}
+
+
+@pytest.mark.parametrize(
+    "sing,asserted,status,code",
+    [
+        (CUSP_WITH_BRANCH, (1, 1), "pass", 0),
+        (CUSP_WITH_BRANCH, (5, 1), "fail", 1),
+        (LCI_WITH_PARAMETRIZATION, (6, 1), "pass", 0),
+        (LCI_WITH_PARAMETRIZATION, (7, 1), "fail", 1),
+    ],
+    ids=["plane-agree", "plane-disagree", "lci-agree", "lci-disagree"],
+)
+def test_asserted_delta_r_checked_against_computed(
+    sing, asserted, status, code, tmp_path, capsys
+):
+    delta, r = asserted
+    sing = dict(sing, asserted={"delta": delta, "r": r})
+    assert main(["analyze", _write_doc(tmp_path, sing)]) == code
+    computed = "delta=1, r=1" if sing["kind"] == "plane" else "delta=6, r=1"
+    line = next(
+        line for line in capsys.readouterr().out.splitlines()
+        if "asserted-delta-r" in line
+    )
+    assert line.startswith(f"  [{status:>7}] asserted-delta-r")
+    assert line.endswith(f"asserted delta={delta}, r={r}; computed {computed}")
 
 
 # -- round trips and determinism -------------------------------------------

@@ -220,3 +220,20 @@ def germs(draw):
 def test_tail_map_matches_degree_order_oracle(f):
     a = PlaneAnalysis(PlaneSingularity(f))
     assert a.tail_map_general().matrix == degree_order_tail_matrix(a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(2, 5),
+    st.integers(1, 3),
+    st.integers(-3, 3).filter(bool),
+)
+def test_mu_tau_invariant_under_u_plus_c_v_k(a, b, k, c):
+    """tau <= mu on u^a + v^b, and u -> u + c*v^k changes neither."""
+    u, v = Poly.variable(UV, "u"), Poly.variable(UV, "v")
+    f = u ** a + v ** b
+    moved = f.substitute({"u": u + (v ** k).scale(c), "v": v})
+    mu, tau = PlaneAnalysis(PlaneSingularity(f)).milnor_tjurina()
+    assert tau <= mu == (a - 1) * (b - 1)
+    assert PlaneAnalysis(PlaneSingularity(moved)).milnor_tjurina() == (mu, tau)

@@ -123,17 +123,6 @@ def test_substitute_is_ring_homomorphism(p, q):
     assert lhs == p.substitute(images) * q.substitute(images)
 
 
-@given(polys, st.integers(0, 12))
-def test_truncated_substitute_equals_truncated_composition(p, order):
-    images = parse_branch(["t^2+3*t^3", "1/2*t-t^4"]).as_map(UV)
-    assert p.substitute(images, truncation=order) == p.substitute(images).truncate(order)
-
-
-@given(polys, st.integers(0, 6), st.integers(0, 12))
-def test_power_truncates_like_exact_power(p, n, order):
-    assert pow(p, n, order) == (p ** n).truncate(order)
-
-
 def test_substitute_without_images_rejected():
     with pytest.raises(ValueError):
         Poly((), {(): 3}).substitute({})
