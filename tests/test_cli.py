@@ -135,8 +135,10 @@ def test_lci_without_conductor_stops_at_cap(tmp_path, capsys):
     assert "up to 4096" in capsys.readouterr().err
 
 
+# -- plane branch data -------------------------------------------------------
+
 def test_off_curve_branch_exit_2(tmp_path, capsys):
-    # u pulls back to t^20 along (0, t), above eight times its degree.
+    # u*v + v^20 pulls back to t^20 along (0, t), above eight times its degree.
     sing = {"kind": "plane", "f": "u*v+v^20", "variables": ["u", "v"],
             "branches": [{"images": ["t", "0"], "equation": "v"},
                          {"images": ["0", "t"], "equation": "u"}]}
