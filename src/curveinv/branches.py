@@ -16,6 +16,7 @@ is the only computation with a working order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Set
 
 from .errors import (
@@ -126,6 +127,20 @@ def delta_with_retry(b: BranchParam) -> int:
             order = min(2 * order, WORKING_ORDER_CAP)
 
 
+def check_primitive(b: BranchParam, path: str) -> None:
+    """SchemaError at ``path`` if every image t-exponent shares a factor d > 1.
+
+    Then every image is a polynomial in t^d, so the parametrization factors
+    through t -> t^d and covers its branch d times; its semigroup values
+    are all multiples of d and have no conductor.  The test is sufficient,
+    not necessary: a parametrization through some other series in t has
+    exponents with gcd 1 and still doubles to the cap.
+    """
+    d = gcd(*(m[0] for img in b.images for m in img.terms))
+    if d > 1:
+        raise SchemaError(f"parametrization factors through t^{d}", path)
+
+
 def intersection_multiplicity(f_other: Poly, b: BranchParam) -> int:
     """t-order of the other equation pulled back exactly along the branch."""
     o = f_other.substitute(b.as_map(f_other.vars)).order()
@@ -157,15 +172,22 @@ def delta_report(s: PlaneSingularity, mu: int) -> DeltaR:
                 f"{composed.order()} term survives)",
                 f"branches[{i}]",
             )
+        check_primitive(br.param, f"branches[{i}]")
     delta = sum(delta_with_retry(br.param) for br in s.branches)
     for i, br in enumerate(s.branches):
-        for other in s.branches[i + 1 :]:
+        for j in range(i + 1, len(s.branches)):
             if br.equation is None:
                 raise MissingBranchEquation(
                     f"branch {i} has no equation; needed for pairwise "
                     "intersection numbers"
                 )
-            delta += intersection_multiplicity(br.equation, other.param)
+            try:
+                delta += intersection_multiplicity(br.equation, s.branches[j].param)
+            except NotTransverseAtOrder as exc:
+                raise SchemaError(
+                    f"repeats branches[{i}]: its equation pulls back to zero",
+                    f"branches[{j}]",
+                ) from exc
     r = len(s.branches)
     check_milnor_formula(mu, delta, r)
     return DeltaR(delta, r, "computed")

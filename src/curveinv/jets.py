@@ -2,12 +2,14 @@
 
 A :class:`JetAlgebra` is the quotient of the power-series ring by an
 m-primary ideal, realized on the jet space of polynomials of total degree
-at most a truncation order T.  The jet monomials are listed once, in
-ascending graded-lex order, and a monomial's position in that list is its
-key, so the rows of the degree-<=T slice of the ideal live in the sparse
-echelon kernel :class:`linalg.Echelon` that also serves branch semigroups
-and dense ranks.  The pivot of each row is its smallest monomial, so
-normal forms are unique and runs are reproducible.
+at most a truncation order T.  The jet monomials are listed once per
+number of variables, in ascending graded-lex order, and a monomial's
+position in that list is its key at every order: graded-lex compares total
+degree first, so the monomials of degree <= T are a prefix of the list.
+The rows of the degree-<=T slice of the ideal live in the sparse echelon
+kernel :class:`linalg.Echelon` that also serves branch semigroups and
+dense ranks.  The pivot of each row is its smallest monomial, so normal
+forms are unique and runs are reproducible.
 
 The m-primality certificate: if every standard (non-pivot) monomial has
 total degree < T, then all monomials of some degree N <= T are reducible,
@@ -25,9 +27,38 @@ their initial forms are a regular sequence; otherwise
 :func:`build_jet_algebra` doubles the order, and on this default path it
 gives up only past max(cap, 4 + 2 * max generator degree).
 
-Each row carries, as its echelon tag, an expression of itself as a
-combination of the ideal generators, so ideal-membership witnesses
-(cofactors) fall out of the same reduction with no extra linear solve.
+An algebra can be derived from a ``base`` algebra, with no new
+elimination of the base's generators.  Let V_T be the span of the
+degree-<=T truncations of the multiples mult * g, and pi_T the truncation
+to degree <= T.
+
+* Projection: for T <= T', pi_T(V_T') = V_T.  A multiple of degree
+  > T - ord(g) truncates to zero, and every other one truncates to its own
+  degree-<=T generator.  A row of an echelon basis of V_T' whose pivot has
+  degree > T has every key of degree > T (keys ascend with degree), so it
+  truncates to zero; a row whose pivot has degree <= T keeps that pivot.
+  So the rows with pivot degree <= T, cut at degree T, are an echelon
+  basis of V_T with the same pivots, and by the echelon's two facts the
+  basis, ``primality_bound`` and every normal form equal those of a fresh
+  build at T.
+* Extension: the ideal of ``generators`` contains base's (a prefix of
+  them), so V_T is base's rows plus the multiples of the extra
+  generators; inserting only those gives an echelon basis of V_T, and
+  again everything equals a fresh build.  The Tjurina algebra extends the
+  Milnor algebra by the multiples of f.
+
+Ideal-membership witnesses (cofactors) fall out of the same reduction
+with no extra linear solve: in a tagged algebra each row carries, as its
+echelon tag, an expression of itself as a combination of the multiples
+mult * g_j.  Algebras are tagged by default, but ``plane`` tags only the
+algebra the tail map reads witnesses from: the Milnor algebra, its
+doubling attempts and the Tjurina algebra are untagged, and a derived
+algebra inherits its base's tagging.  A projected row
+keeps its tag uncut: every multiple in the tag of a row starts (has its
+lowest degree) at or below the row's pivot degree, by induction over
+insertions -- an inserted multiple starts at or below its lowest key, and
+it is reduced only by rows whose pivots lie below its final pivot.  So a
+row with pivot degree <= T uses only multiples a fresh build at T inserts.
 """
 
 from __future__ import annotations
@@ -46,16 +77,30 @@ from .poly import Monomial, Poly, grlex_key
 TRUNCATION_CAP = 64
 
 
-def monomials_up_to(nvars: int, degree: int) -> List[Monomial]:
-    """All exponent tuples of total degree <= degree, ascending graded-lex."""
-    out = []
-    for d in range(degree + 1):
+_JET_MONOMIALS: Dict[int, Tuple[List[Monomial], Dict[Monomial, int]]] = {}
+
+
+def _jet_monomials(nvars: int, degree: int) -> Tuple[List[Monomial], Dict[Monomial, int]]:
+    """The shared ascending graded-lex monomial list of ``nvars`` variables
+    and its index, grown on demand to cover total degree <= ``degree``.
+
+    Graded-lex order compares total degree first, so at any larger degree
+    the monomials of degree <= T are the first comb(nvars + T, nvars)
+    entries, with the same keys: every jet algebra in ``nvars`` variables
+    reads the one list.
+    """
+    monos, index = _JET_MONOMIALS.setdefault(nvars, ([], {}))
+    for d in range(sum(monos[-1]) + 1 if monos else 0, degree + 1):
+        block = []
         for combo in combinations_with_replacement(range(nvars), d):
             mono = [0] * nvars
             for i in combo:
                 mono[i] += 1
-            out.append(tuple(mono))
-    return sorted(out, key=grlex_key)
+            block.append(tuple(mono))
+        for mono in sorted(block, key=grlex_key):
+            index[mono] = len(monos)
+            monos.append(mono)
+    return monos, index
 
 
 @dataclass(frozen=True)
@@ -71,13 +116,22 @@ class MembershipWitness:
 
 
 class JetAlgebra:
-    """Quotient of the power-series ring by an m-primary ideal at order T."""
+    """Quotient of the power-series ring by an m-primary ideal at order T.
+
+    With ``base``, an algebra whose generators are a prefix of
+    ``generators`` and whose order is at least T, the rows are derived
+    from base's by projection and extension (see the module docstring)
+    instead of a fresh elimination.  ``tagged`` says whether rows carry
+    cofactor tags; it defaults to base's tagging, or to True.
+    """
 
     def __init__(
         self,
         generators: Sequence[Poly],
         truncation_order: int,
         row_seed: Optional[int] = None,
+        tagged: Optional[bool] = None,
+        base: Optional["JetAlgebra"] = None,
     ):
         if not generators:
             raise ValueError("empty generator list")
@@ -90,31 +144,72 @@ class JetAlgebra:
         self.ambient = ambient
         self.generators = tuple(generators)
         self.truncation_order = truncation_order
-        self._monomials = monomials_up_to(len(ambient), truncation_order)
-        self._index = {m: i for i, m in enumerate(self._monomials)}
+        nvars = len(ambient)
+        self._monomials, self._index = _jet_monomials(nvars, truncation_order)
+        self._size = comb(nvars + truncation_order, nvars)  # keys below it
         self._rows = Echelon()
-        self._build(row_seed)
+        first = 0
+        if base is not None:
+            first = len(base.generators)
+            if self.generators[:first] != base.generators:
+                raise AssertionError("base generators are not a prefix")
+            if base.truncation_order < truncation_order:
+                raise AssertionError(
+                    f"base order {base.truncation_order} is below {truncation_order}"
+                )
+            if tagged and not base.tagged:
+                raise AssertionError("an untagged base gives no tags")
+            self.tagged = base.tagged if tagged is None else tagged
+            self._project(base)
+        else:
+            self.tagged = True if tagged is None else tagged
+        self._build(first, row_seed)
         self._certify()
 
     # -- construction ------------------------------------------------------
 
-    def _build(self, row_seed: Optional[int]) -> None:
-        """Insert every multiple mult * g_j of degree <= T.
+    def _project(self, base: "JetAlgebra") -> None:
+        """Keep base's rows whose pivot has degree <= T, cut at degree T.
 
-        Its tag is the single key j * N + index(mult), N being the number
-        of jet monomials, so tag combinations decode into cofactors.
+        A row kept whole is shared, not copied: an echelon never changes a
+        row once stored.  Tags need no cut (see the module docstring); they
+        are only re-keyed when the generator count grows.
+        """
+        n, rows, tags = self._size, self._rows.rows, self._rows.tags
+        whole = base._size == n
+        G, G_base = len(self.generators), len(base.generators)
+        for pivot, row in base._rows.rows.items():
+            if pivot >= n:
+                continue
+            rows[pivot] = row if whole else {k: c for k, c in row.items() if k < n}
+            if self.tagged:
+                tag = base._rows.tags[pivot]
+                if G != G_base:
+                    tag = {
+                        key // G_base * G + key % G_base: c for key, c in tag.items()
+                    }
+                tags[pivot] = tag
+
+    def _build(self, first: int, row_seed: Optional[int]) -> None:
+        """Insert every multiple mult * g_j of degree <= T, for j >= first.
+
+        If tagged, its tag is the single key index(mult) * G + j, G being
+        the number of generators, so tag combinations decode into
+        cofactors at any order.
         """
         T = self.truncation_order
         nvars = len(self.ambient)
-        index, N = self._index, len(self._monomials)
-        seeds: List[Tuple[Dict[int, Fraction], Dict[int, Fraction]]] = []
-        for j, g in enumerate(self.generators):
+        index, monos, G = self._index, self._monomials, len(self.generators)
+        seeds: List[Tuple[Dict[int, Fraction], Optional[Dict[int, Fraction]]]] = []
+        for j in range(first, G):
+            g = self.generators[j]
             g_order = g.order()
             if g_order is None or g_order > T:
                 continue  # spans nothing in degree <= T
             # the multipliers are the monomials of degree <= T - g_order,
             # a prefix of the jet monomials
-            for mult in self._monomials[: comb(nvars + T - g_order, nvars)]:
+            for i in range(comb(nvars + T - g_order, nvars)):
+                mult = monos[i]
                 terms: Dict[int, Fraction] = {}
                 for m, c in g.terms.items():
                     prod = tuple(a + b for a, b in zip(m, mult))
@@ -123,7 +218,8 @@ class JetAlgebra:
                         terms[k] = terms.get(k, 0) + c
                 terms = {k: c for k, c in terms.items() if c != 0}
                 if terms:
-                    seeds.append((terms, {j * N + index[mult]: Fraction(1)}))
+                    tag = {i * G + j: Fraction(1)} if self.tagged else None
+                    seeds.append((terms, tag))
         if row_seed is not None:
             random.Random(row_seed).shuffle(seeds)
         for terms, tag in seeds:
@@ -131,9 +227,7 @@ class JetAlgebra:
 
     def _certify(self) -> None:
         T = self.truncation_order
-        self._basis_keys = [
-            i for i in range(len(self._monomials)) if i not in self._rows.rows
-        ]
+        self._basis_keys = [i for i in range(self._size) if i not in self._rows.rows]
         self.basis: Tuple[Monomial, ...] = tuple(
             self._monomials[i] for i in self._basis_keys
         )
@@ -166,6 +260,8 @@ class JetAlgebra:
         combination agree up to degree T, so any order up to T can be
         verified, and the defect is computed and checked exactly.
         """
+        if not self.tagged:
+            raise AssertionError("an untagged jet algebra gives no witnesses")
         if order > self.truncation_order:
             raise ValueError(
                 f"order {order} exceeds certified range {self.truncation_order}"
@@ -175,10 +271,10 @@ class JetAlgebra:
             raise NotInIdeal(
                 f"nonzero normal form on {[self._monomials[i] for i in sorted(normal)]}"
             )
+        G = len(self.generators)
         cofactors: List[Dict[Monomial, Fraction]] = [{} for _ in self.generators]
-        N = len(self._monomials)
         for key, c in combo.items():
-            j, i = divmod(key, N)
+            i, j = divmod(key, G)
             cofactors[j][self._monomials[i]] = c
         polys = tuple(Poly(self.ambient, cof) for cof in cofactors)
         defect = p
@@ -212,6 +308,7 @@ def build_jet_algebra(
     truncation_order: Optional[int] = None,
     row_seed: Optional[int] = None,
     cap: int = TRUNCATION_CAP,
+    tagged: bool = True,
 ) -> JetAlgebra:
     """Build at the requested (or default) order, doubling on failure.
 
@@ -231,7 +328,7 @@ def build_jet_algebra(
     T = max(1, T)
     while True:
         try:
-            return JetAlgebra(generators, T, row_seed=row_seed)
+            return JetAlgebra(generators, T, row_seed=row_seed, tagged=tagged)
         except NotMPrimary:
             if T >= limit:
                 raise TruncationCapExceeded(

@@ -89,17 +89,15 @@ class PlaneAnalysis:
             raise NonIsolated("zero Jacobian ideal")
         try:
             self.milnor = build_jet_algebra(
-                [self.f_u, self.f_v], truncation_order=truncation
+                [self.f_u, self.f_v], truncation_order=truncation, tagged=False
             )
         except TruncationCapExceeded as exc:
             raise NonIsolated(str(exc)) from exc
         # The Tjurina ideal contains the Jacobian ideal, so its standard
-        # monomials are among the Milnor algebra's and certify at its order.
-        # The Jacobian generators go first: the basis and normal forms do
-        # not depend on insertion order (see linalg.Echelon), and when the
-        # initial forms are not a regular sequence this order is far cheaper.
+        # monomials are among the Milnor algebra's and certify at its order;
+        # it extends the Milnor rows by the multiples of f alone.
         self.tjurina = JetAlgebra(
-            [self.f_u, self.f_v, f], self.milnor.truncation_order
+            [self.f_u, self.f_v, f], self.milnor.truncation_order, base=self.milnor
         )
         if sing.weights is not None:
             self.effective_weights: Optional[Tuple[Fraction, Fraction]] = sing.weights
@@ -202,7 +200,10 @@ class PlaneAnalysis:
           divergence h_u*f_v - h_v*f_u lies in J, so the class does not
           depend on the witness.
 
-        Every class is recomputed at order T + 2 and must not move.
+        Every class is recomputed at order T + 2 and must not move.  The
+        order-(T + 2) algebra is the one elimination, with cofactor tags;
+        the order-T witness algebra is its projection (see ``jets``), so the
+        two witnesses are still taken at different truncations.
         """
         if row_seed in self._tail_cache:
             return self._tail_cache[row_seed]
@@ -210,9 +211,11 @@ class PlaneAnalysis:
         basis = self.milnor.basis
         lifts = [Poly(self.sing.f.vars, dict(zip(basis, vec))) for vec in kernel]
         order = max(1, self.milnor.primality_bound + self.tjurina.primality_bound)
-        witness_algebra = JetAlgebra([self.f_u, self.f_v], order, row_seed=row_seed)
         recheck_algebra = JetAlgebra(
             [self.f_u, self.f_v], order + 2, row_seed=row_seed
+        )
+        witness_algebra = JetAlgebra(
+            [self.f_u, self.f_v], order, base=recheck_algebra
         )
         columns = []
         for lift in lifts:

@@ -150,6 +150,31 @@ def test_off_curve_branch_exit_2(tmp_path, capsys):
     assert "branches[1]" in captured.err
 
 
+@pytest.mark.parametrize(
+    "sing, path, message",
+    [
+        ({"kind": "plane", "f": "u*v", "variables": ["u", "v"],
+          "branches": [{"images": ["t", "0"], "equation": "v"},
+                       {"images": ["t", "0"], "equation": "v"}]},
+         "branches[1]", "repeats branches[0]"),
+        ({"kind": "plane", "f": "u^2-v^3", "variables": ["u", "v"],
+          "branches": [{"images": ["t^6", "t^4"]}]},
+         "branches[0]", "factors through t^2"),
+    ],
+    ids=["repeated", "non-primitive"],
+)
+def test_repeated_or_non_primitive_branch_exit_2(sing, path, message, tmp_path, capsys):
+    doc = tmp_path / "badbranch.json"
+    doc.write_text(json.dumps({"genus": 0, "singularities": [sing]}))
+    start = time.perf_counter()
+    assert main(["analyze", str(doc)]) == 2
+    # The non-primitive branch used to double its working order to 4096.
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert path in captured.err and message in captured.err
+
+
 # -- singularities without delta/r data ------------------------------------
 
 MISSING_DELTA = "error: a singularity lacks delta/r data needed for global sums\n"

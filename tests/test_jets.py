@@ -184,3 +184,27 @@ def test_row_seed_changes_nothing_semantically():
     assert J0.colength() == J1.colength()
     for src in ("1", "u*v", "v^3 - 2*u*v^2 + 1/3*u^4", "u^3*v^5 + v^7 + u"):
         assert J0.normal_form(P(src)) == J1.normal_form(P(src))
+
+
+# -- misuse is an internal failure, not bad input ----------------------------
+
+def test_untagged_algebra_gives_no_witness():
+    J = build_jet_algebra(jacobian("u^2+v^3"), truncation_order=8, tagged=False)
+    with pytest.raises(AssertionError, match="untagged"):
+        J.membership_with_witness(P("u"), 4)
+
+
+@pytest.mark.parametrize(
+    "generators, order, tagged, message",
+    [
+        (jacobian("u^2+v^3")[::-1], 6, None, "not a prefix"),
+        (jacobian("u^2+v^3")[:1], 6, None, "not a prefix"),
+        (jacobian("u^2+v^3"), 9, None, "below 9"),
+        (jacobian("u^2+v^3"), 6, True, "untagged base"),
+    ],
+    ids=["reordered", "shorter", "order-above-base", "tags-from-untagged"],
+)
+def test_base_misuse_fails_loudly(generators, order, tagged, message):
+    base = JetAlgebra(jacobian("u^2+v^3"), 8, tagged=False)
+    with pytest.raises(AssertionError, match=message):
+        JetAlgebra(generators, order, tagged=tagged, base=base)

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from curveinv.errors import MissingWeights, NonIsolated
-from curveinv.jets import JetAlgebra
+from curveinv.errors import MissingWeights, NonIsolated, NotMPrimary
+from curveinv.jets import JetAlgebra, build_jet_algebra
 from curveinv.plane import PlaneAnalysis, PlaneSingularity
 from curveinv.poly import Poly, parse_poly
 
@@ -192,13 +192,14 @@ coefficients = st.builds(
 
 
 @st.composite
-def germs(draw):
+def germs(draw, max_k=9):
     """Brieskorn-Pham c1*u^a + c2*v^b, alone or plus terms above its Newton
     boundary (semi-quasihomogeneous, often with tau < mu), or
-    (u+v)^2 + c*v^k, whose Jacobian's initial forms are not coprime."""
+    (u+v)^2 + c*v^k, k <= max_k, whose Jacobian's initial forms are not
+    coprime."""
     family = draw(st.sampled_from(("bp", "above", "tangent")))
     if family == "tangent":
-        k = draw(st.integers(2, 9))
+        k = draw(st.integers(2, max_k))
         return Poly(UV, {(2, 0): 1, (1, 1): 2, (0, 2): 1}) + Poly(
             UV, {(0, k): draw(coefficients)}
         )
@@ -237,3 +238,80 @@ def test_mu_tau_invariant_under_u_plus_c_v_k(a, b, k, c):
     mu, tau = PlaneAnalysis(PlaneSingularity(f)).milnor_tjurina()
     assert tau <= mu == (a - 1) * (b - 1)
     assert PlaneAnalysis(PlaneSingularity(moved)).milnor_tjurina() == (mu, tau)
+
+
+# -- jet algebras derived by projection and extension -----------------------
+
+jet_polys = st.dictionaries(
+    st.tuples(st.integers(0, 30), st.integers(0, 30)), coefficients, max_size=6
+).map(lambda terms: Poly(UV, terms))
+
+
+def build_or_none(*args, **kwargs):
+    """The algebra, or None where it does not certify m-primality."""
+    try:
+        return JetAlgebra(*args, **kwargs)
+    except NotMPrimary:
+        return None
+
+
+def assert_same_algebra(derived, fresh, polys):
+    assert (derived is None) == (fresh is None)
+    if fresh is None:
+        return
+    assert derived.basis == fresh.basis
+    assert sorted(derived._rows.rows) == sorted(fresh._rows.rows)  # the pivots
+    assert derived.primality_bound == fresh.primality_bound
+    for p in polys:
+        assert derived.normal_form(p) == fresh.normal_form(p)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    germs(max_k=12),
+    st.integers(-2, 2),
+    st.integers(0, 3),
+    st.booleans(),
+    st.lists(jet_polys, max_size=4),
+)
+def test_derived_algebras_equal_fresh_builds(f, shift, d, tagged, polys):
+    """A projection from order T + d, with or without the multiples of f
+    added, has the basis, primality bound and normal forms of a fresh
+    build at T, including not certifying where the fresh build does not
+    (T runs around the certified Milnor order T_c)."""
+    jac = [f.diff("u"), f.diff("v")]
+    T = max(1, build_jet_algebra(jac, tagged=False).truncation_order + shift)
+    base = build_or_none(jac, T + d, tagged=tagged)
+    if base is None:  # certified at T, the ideal would certify at T + d too
+        assert build_or_none(jac, T) is None
+        return
+    projected = build_or_none(jac, T, base=base)
+    assert_same_algebra(projected, build_or_none(jac, T), polys)
+    assert projected is None or projected.tagged == tagged
+    tjurina = build_or_none(jac + [f], T, base=base)
+    assert_same_algebra(tjurina, build_or_none(jac + [f], T), polys)
+    if tagged and tjurina is not None:  # the base's tags, re-keyed
+        for p in polys:
+            target = f * p + jac[1] * p * p
+            tjurina.membership_with_witness(target, T)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(germs(max_k=12))
+def test_projected_witnesses_pass_the_exact_defect_check(f):
+    """Witnesses from the order-T_w projection of the tagged order-(T_w + 2)
+    algebra satisfy f*lift = alpha*f_u + beta*f_v up to terms of degree
+    > T_w, and their cofactors use only the multiples a fresh build at T_w
+    inserts."""
+    a = PlaneAnalysis(PlaneSingularity(f))
+    order = max(1, a.milnor.primality_bound + a.tjurina.primality_bound)
+    jac = [a.f_u, a.f_v]
+    witness_algebra = JetAlgebra(jac, order, base=JetAlgebra(jac, order + 2))
+    _, _, kernel, _ = a.mult_by_f()
+    for vec in kernel:
+        target = f * Poly(UV, dict(zip(a.milnor.basis, vec)))
+        cofactors = witness_algebra.membership_with_witness(target, order).cofactors
+        defect = target - cofactors[0] * a.f_u - cofactors[1] * a.f_v
+        assert defect.is_zero() or defect.order() > order
+        for cof, g in zip(cofactors, jac):
+            assert cof.is_zero() or cof.degree() <= order - g.order()
