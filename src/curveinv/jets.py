@@ -53,12 +53,12 @@ echelon tag, an expression of itself as a combination of the multiples
 mult * g_j.  Algebras are tagged by default, but ``plane`` tags only the
 algebra the tail map reads witnesses from: the Milnor algebra, its
 doubling attempts and the Tjurina algebra are untagged, and a derived
-algebra inherits its base's tagging.  A projected row
-keeps its tag uncut: every multiple in the tag of a row starts (has its
-lowest degree) at or below the row's pivot degree, by induction over
-insertions -- an inserted multiple starts at or below its lowest key, and
-it is reduced only by rows whose pivots lie below its final pivot.  So a
-row with pivot degree <= T uses only multiples a fresh build at T inserts.
+algebra inherits its base's tagging.  A projected row keeps its tag
+uncut: every multiple in the tag of a row starts (has its lowest degree)
+at or below the row's pivot degree, by induction over insertions -- an
+inserted multiple starts at or below its lowest key, and it is reduced
+only by rows whose pivots lie below its final pivot.  So a row with pivot
+degree <= T uses only multiples a fresh build at T inserts.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ def _jet_monomials(nvars: int, degree: int) -> Tuple[List[Monomial], Dict[Monomi
     Graded-lex order compares total degree first, so at any larger degree
     the monomials of degree <= T are the first comb(nvars + T, nvars)
     entries, with the same keys: every jet algebra in ``nvars`` variables
-    reads the one list.
+    reads the one list.  The list only grows and its content depends on
+    ``nvars`` alone, so sharing it changes no result.
     """
     monos, index = _JET_MONOMIALS.setdefault(nvars, ([], {}))
     for d in range(sum(monos[-1]) + 1 if monos else 0, degree + 1):
