@@ -7,7 +7,7 @@ from .branches import (
     intersection_multiplicity,
 )
 from .errors import CurveInvError
-from .jets import JetAlgebra, MembershipWitness, build_jet_algebra
+from .jets import JetAlgebra, build_jet_algebra
 from .lci import (
     LciPresentation,
     ObstructionReport,
@@ -60,7 +60,6 @@ __all__ = [
     "JetAlgebra",
     "LciPresentation",
     "LocalInvariants",
-    "MembershipWitness",
     "ObstructionReport",
     "PlaneAnalysis",
     "PlaneSingularity",

@@ -19,7 +19,6 @@ from typing import List, Optional
 from .errors import (
     CurveInvError,
     NonIsolated,
-    NotMPrimary,
     ParseError,
     SchemaError,
     TruncationCapExceeded,
@@ -60,29 +59,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     defaults = AnalysisOptions()
 
-    def common(p):
+    def truncation(p):
         p.add_argument(
             "--truncation", type=int, default=None,
             help="jet truncation order override",
         )
+
+    def report_format(p):
         p.add_argument(
             "--format", choices=("text", "json-like"), default="text",
             help="report format",
         )
-        p.add_argument(
-            "--hc-window", type=_parse_window, default=defaults.hc_window,
-            metavar="a,b",
-            help="range of the cyclic splitting integer m (default %d,%d)"
-            % defaults.hc_window,
-        )
-        p.add_argument(
-            "--tail-window", type=int, default=defaults.tail_window, metavar="p",
-            help="largest tail index p rendered (default %(default)s)",
-        )
 
     p_analyze = sub.add_parser("analyze", help="analyze a curve document")
     p_analyze.add_argument("file", help="path to a curve JSON document")
-    common(p_analyze)
+    truncation(p_analyze)
+    report_format(p_analyze)
+    p_analyze.add_argument(
+        "--hc-window", type=_parse_window, default=defaults.hc_window,
+        metavar="a,b",
+        help="range of the cyclic splitting integer m (default %d,%d)"
+        % defaults.hc_window,
+    )
+    p_analyze.add_argument(
+        "--tail-window", type=int, default=defaults.tail_window, metavar="p",
+        help="largest tail index p rendered (default %(default)s)",
+    )
 
     p_sing = sub.add_parser("sing", help="quick analysis of one plane equation")
     p_sing.add_argument("expr", help="defining equation, e.g. 'u^2+v^3'")
@@ -90,28 +92,31 @@ def _build_parser() -> argparse.ArgumentParser:
         "--vars", default="u,v", metavar="u,v",
         help="comma-separated variable names (default u,v)",
     )
-    common(p_sing)
+    truncation(p_sing)
+    report_format(p_sing)
 
     p_corpus = sub.add_parser("corpus", help="run the builtin corpus")
-    common(p_corpus)
+    truncation(p_corpus)
     return parser
 
 
-def _options(args) -> AnalysisOptions:
+def _truncation(args) -> Optional[int]:
     if args.truncation is not None and args.truncation < 1:
         raise SchemaError("truncation must be at least 1", "--truncation")
-    if args.tail_window < 1:
-        raise SchemaError("tail window must be at least 1", "--tail-window")
-    return AnalysisOptions(
-        truncation=args.truncation,
-        tail_window=args.tail_window,
-        hc_window=tuple(args.hc_window),
-    )
+    return args.truncation
 
 
 def _cmd_analyze(args) -> int:
     doc = load_curve(args.file)
-    report = analyze(doc, _options(args))
+    truncation = _truncation(args)
+    if args.tail_window < 1:
+        raise SchemaError("tail window must be at least 1", "--tail-window")
+    options = AnalysisOptions(
+        truncation=truncation,
+        tail_window=args.tail_window,
+        hc_window=tuple(args.hc_window),
+    )
+    report = analyze(doc, options)
     if args.format == "json-like":
         print(to_json(report))
     else:
@@ -120,12 +125,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sing(args) -> int:
+    truncation = _truncation(args)
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if len(variables) != 2:
         raise SchemaError("exactly two variables required", "--vars")
     f = parse_poly(args.expr, variables)
     sing = PlaneSingularity(f, label=args.expr)
-    analysis = PlaneAnalysis(sing, truncation=args.truncation)
+    analysis = PlaneAnalysis(sing, truncation=truncation)
     mu, tau = analysis.milnor_tjurina()
     tail = analysis.tail_map_general()
     weights = analysis.effective_weights
@@ -159,7 +165,7 @@ def _cmd_sing(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    text, ok = run_corpus(_options(args))
+    text, ok = run_corpus(AnalysisOptions(truncation=_truncation(args)))
     print(text)
     return EXIT_OK if ok else EXIT_CHECK_FAILURE
 
@@ -174,7 +180,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (TruncationCapExceeded, NonIsolated, NotMPrimary) as exc:
+    except (TruncationCapExceeded, NonIsolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION_CAP
     except (ParseError, SchemaError) as exc:

@@ -25,7 +25,7 @@ Orders therefore start low.  :func:`default_truncation` starts at the
 Macaulay bound of the generators' orders, which certifies at once when
 their initial forms are a regular sequence; otherwise
 :func:`build_jet_algebra` doubles the order, and on this default path it
-gives up only past max(cap, 4 + 2 * max generator degree).
+gives up only past max(TRUNCATION_CAP, 4 + 2 * max generator degree).
 
 An algebra can be derived from a ``base`` algebra, with no new
 elimination of the base's generators.  Let V_T be the span of the
@@ -50,10 +50,11 @@ to degree <= T.
 Ideal-membership witnesses (cofactors) fall out of the same reduction
 with no extra linear solve: in a tagged algebra each row carries, as its
 echelon tag, an expression of itself as a combination of the multiples
-mult * g_j.  Algebras are tagged by default, but ``plane`` tags only the
-algebra the tail map reads witnesses from: the Milnor algebra, its
-doubling attempts and the Tjurina algebra are untagged, and a derived
-algebra inherits its base's tagging.  A projected row keeps its tag
+mult * g_j.  A :class:`JetAlgebra` is tagged by default, but
+:func:`build_jet_algebra` always builds untagged: the Milnor algebra, its
+doubling attempts and the Tjurina algebra derived from it carry no tags,
+and ``plane`` tags only the algebra the tail map reads witnesses from.  A
+derived algebra inherits its base's tagging.  A projected row keeps its tag
 uncut: every multiple in the tag of a row starts (has its lowest degree)
 at or below the row's pivot degree, by induction over insertions -- an
 inserted multiple starts at or below its lowest key, and it is reduced
@@ -64,7 +65,6 @@ degree <= T uses only multiples a fresh build at T inserts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -102,18 +102,6 @@ def _jet_monomials(nvars: int, degree: int) -> Tuple[List[Monomial], Dict[Monomi
             index[mono] = len(monos)
             monos.append(mono)
     return monos, index
-
-
-@dataclass(frozen=True)
-class MembershipWitness:
-    """Cofactors expressing a target in the ideal up to high-order terms.
-
-    The defect ``target - sum(cofactor_i * generator_i)`` has every term of
-    total degree strictly greater than ``order_verified``.
-    """
-
-    cofactors: Tuple[Poly, ...]
-    order_verified: int
 
 
 class JetAlgebra:
@@ -254,8 +242,9 @@ class JetAlgebra:
         normal, _ = self._reduce(p, track=False)
         return [normal.get(i, Fraction(0)) for i in self._basis_keys]
 
-    def membership_with_witness(self, p: Poly, order: int) -> MembershipWitness:
-        """Cofactors with defect of order > ``order``; exact defect check.
+    def membership_with_witness(self, p: Poly, order: int) -> Tuple[Poly, ...]:
+        """Cofactors c_i, one per generator g_i, with p - sum(c_i * g_i) of
+        order > ``order``; the defect is checked exactly.
 
         A zero normal form says the jets of ``p`` and of the cofactor
         combination agree up to degree T, so any order up to T can be
@@ -286,7 +275,7 @@ class JetAlgebra:
             raise NotInIdeal(
                 f"witness defect has order {defect_order} <= {order}"
             )
-        return MembershipWitness(cofactors=polys, order_verified=order)
+        return polys
 
 
 def default_truncation(generators: Sequence[Poly]) -> int:
@@ -296,8 +285,8 @@ def default_truncation(generators: Sequence[Poly]) -> int:
     tangent cone is a complete intersection whose top degree is
     sum(o_i - 1), so the algebra certifies at this order at once;
     otherwise :func:`build_jet_algebra` doubles it, up to the floor
-    max(cap, 4 + 2 * max generator degree).  Zero generators are skipped,
-    and the order is at least 1.
+    max(TRUNCATION_CAP, 4 + 2 * max generator degree).  Zero generators are
+    skipped, and the order is at least 1.
     """
     nvars = len(generators[0].vars)
     orders = sorted(o for o in (g.order() for g in generators) if o is not None)
@@ -305,31 +294,30 @@ def default_truncation(generators: Sequence[Poly]) -> int:
 
 
 def build_jet_algebra(
-    generators: Sequence[Poly],
-    truncation_order: Optional[int] = None,
-    row_seed: Optional[int] = None,
-    cap: int = TRUNCATION_CAP,
-    tagged: bool = True,
+    generators: Sequence[Poly], truncation_order: Optional[int] = None
 ) -> JetAlgebra:
-    """Build at the requested (or default) order, doubling on failure.
+    """Untagged algebra at the requested (or default) order, doubling on failure.
 
     Doubles the truncation order each time m-primality cannot be certified,
     and gives up with :class:`TruncationCapExceeded` once an order at the
     limit fails, so the caller can tell runaway input from a plain bad
-    document.  The limit is ``cap`` for a requested order.  On the default
-    path it is max(cap, 4 + 2 * max generator degree): the low Macaulay
+    document.  The limit is the constant ``TRUNCATION_CAP``, read at each
+    call, for a requested order.  On the default path it is
+    max(TRUNCATION_CAP, 4 + 2 * max generator degree): the low Macaulay
     start never gives up below the order the engine has always tried, so
-    every input that certified at that order still does.
+    every input that certified at that order still does.  A requested
+    order below 1 raises the ``ValueError`` of :class:`JetAlgebra`.  Rows
+    are inserted in generator order, with no cofactor tags.
     """
     if truncation_order is not None:
-        T, limit = truncation_order, cap
+        T, limit = truncation_order, TRUNCATION_CAP
     else:
         max_degree = max((g.degree() or 0) for g in generators)
-        T, limit = default_truncation(generators), max(cap, 4 + 2 * max_degree)
-    T = max(1, T)
+        T = default_truncation(generators)
+        limit = max(TRUNCATION_CAP, 4 + 2 * max_degree)
     while True:
         try:
-            return JetAlgebra(generators, T, row_seed=row_seed, tagged=tagged)
+            return JetAlgebra(generators, T, tagged=False)
         except NotMPrimary:
             if T >= limit:
                 raise TruncationCapExceeded(

@@ -1,11 +1,10 @@
 """Local analysis of isolated plane curve singularities.
 
 For an equation f in two variables this module computes the Milnor and
-Tjurina numbers as jet-space colengths, the kernel and cokernel of
-multiplication by f on the Milnor algebra, and the tail differential in
-two independent ways: a general cofactor-witness algorithm valid for any
-isolated f, and a diagonal scalar formula valid under a verified weight
-system.  The two must agree entry-by-entry whenever both apply, which is
+Tjurina numbers as jet-space colengths, the kernel of multiplication by
+f on the Milnor algebra, and the tail differential in two independent
+ways: a general cofactor-witness algorithm valid for any isolated f, and
+a diagonal scalar formula valid under a verified weight system.  The two must agree entry-by-entry whenever both apply, which is
 the main internal cross-check.
 """
 
@@ -80,7 +79,6 @@ class PlaneAnalysis:
 
     def __init__(self, sing: PlaneSingularity, truncation: Optional[int] = None):
         self.sing = sing
-        self.truncation = truncation
         f = sing.f
         u, v = f.vars
         self.f_u = f.diff(u)
@@ -89,7 +87,7 @@ class PlaneAnalysis:
             raise NonIsolated("zero Jacobian ideal")
         try:
             self.milnor = build_jet_algebra(
-                [self.f_u, self.f_v], truncation_order=truncation, tagged=False
+                [self.f_u, self.f_v], truncation_order=truncation
             )
         except TruncationCapExceeded as exc:
             raise NonIsolated(str(exc)) from exc
@@ -133,8 +131,13 @@ class PlaneAnalysis:
 
     # -- multiplication by f on the Milnor algebra -------------------------
 
-    def mult_by_f(self):
-        """Kernel and cokernel data of .f on M_f; both have dimension tau."""
+    def mult_by_f(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """Kernel of .f on M_f, as vectors over the M_f basis.
+
+        The kernel must have dimension tau.  The cokernel of an
+        endomorphism of the finite-dimensional M_f has the kernel's
+        dimension (rank-nullity), so it needs no second elimination.
+        """
         if self._mult_cache is not None:
             return self._mult_cache
         basis = self.milnor.basis
@@ -145,24 +148,14 @@ class PlaneAnalysis:
             for mono in basis
         ]
         rows = [[columns[j][i] for j in range(mu)] for i in range(mu)]
-        kernel = linalg.nullspace(rows)
-        kernel_dim = len(kernel)
-        rk = mu - kernel_dim  # rank-nullity; no second elimination
-        cokernel_dim = mu - rk
+        kernel = tuple(tuple(vec) for vec in linalg.nullspace(rows))
         tau = self.tjurina.colength()
-        if kernel_dim != tau or cokernel_dim != tau:
+        if len(kernel) != tau:
             raise AssertionError(
-                f"ker/coker of .f have dims {kernel_dim}/{cokernel_dim}, "
-                f"expected tau={tau}"
+                f"kernel of .f has dimension {len(kernel)}, expected tau={tau}"
             )
-        result = (
-            kernel_dim,
-            cokernel_dim,
-            tuple(tuple(vec) for vec in kernel),
-            self.tjurina.basis,
-        )
-        self._mult_cache = result
-        return result
+        self._mult_cache = kernel
+        return kernel
 
     # -- tail differential -------------------------------------------------
 
@@ -172,8 +165,7 @@ class PlaneAnalysis:
         """Class in T_f of the divergence of a cofactor witness for f*lift."""
         f = self.sing.f
         u, v = f.vars
-        witness = witness_algebra.membership_with_witness(f * lift, order)
-        alpha, beta = witness.cofactors
+        alpha, beta = witness_algebra.membership_with_witness(f * lift, order)
         return self.tjurina.normal_form(alpha.diff(u) + beta.diff(v))
 
     def tail_map_general(self, row_seed: Optional[int] = None) -> TailMap:
@@ -207,7 +199,7 @@ class PlaneAnalysis:
         """
         if row_seed in self._tail_cache:
             return self._tail_cache[row_seed]
-        _, _, kernel, target_basis = self.mult_by_f()
+        kernel = self.mult_by_f()
         basis = self.milnor.basis
         lifts = [Poly(self.sing.f.vars, dict(zip(basis, vec))) for vec in kernel]
         order = max(1, self.milnor.primality_bound + self.tjurina.primality_bound)
@@ -226,10 +218,10 @@ class PlaneAnalysis:
                     f"tail class moved under truncation raise at order {order}"
                 )
             columns.append(image)
-        tau = len(target_basis)
+        target_basis = self.tjurina.basis
         matrix = tuple(
             tuple(columns[j][i] for j in range(len(columns)))
-            for i in range(tau)
+            for i in range(len(target_basis))
         )
         result = TailMap(
             source_basis=kernel,
@@ -253,29 +245,20 @@ class PlaneAnalysis:
                 "no weight system verified for this equation"
             )
         w1, w2 = self.effective_weights
-        _, _, kernel, target_basis = self.mult_by_f()
-        mu = self.milnor.colength()
-        tau = len(target_basis)
-        if tau != mu or self.milnor.basis != target_basis:
+        kernel = self.mult_by_f()
+        basis = self.milnor.basis
+        if basis != self.tjurina.basis:
             raise AssertionError(
                 "weighted case must share the M_f and T_f standard bases"
             )
-        matrix = []
-        for i, target_mono in enumerate(target_basis):
-            row = []
-            for vec in kernel:
-                entry = Fraction(0)
-                for mono, c in zip(self.milnor.basis, vec):
-                    if c == 0:
-                        continue
-                    lam = mono[0] * w1 + mono[1] * w2
-                    if mono == target_mono:
-                        entry += c * (lam + w1 + w2)
-                row.append(entry)
-            matrix.append(tuple(row))
+        scalars = [mono[0] * w1 + mono[1] * w2 + w1 + w2 for mono in basis]
+        matrix = tuple(
+            tuple(vec[i] * scalar for vec in kernel)
+            for i, scalar in enumerate(scalars)
+        )
         return TailMap(
             source_basis=kernel,
-            target_basis=target_basis,
-            matrix=tuple(matrix),
+            target_basis=basis,
+            matrix=matrix,
             rank=linalg.rank([list(row) for row in matrix]) if matrix else 0,
         )

@@ -12,7 +12,12 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .branches import check_milnor_formula, delta_report, delta_with_retry
+from .branches import (
+    check_milnor_formula,
+    check_primitive,
+    delta_report,
+    delta_with_retry,
+)
 from .lci import (
     LciPresentation,
     coker_mod_m_cross_check,
@@ -202,6 +207,7 @@ def _analyze_lci(
     )
     delta_r = pres.asserted
     if pres.parametrization is not None:
+        check_primitive(pres.parametrization, "parametrization")
         delta_r = DeltaR(delta_with_retry(pres.parametrization), 1, "computed")
         _check_asserted(pres.asserted, delta_r, label, checks)
     return LciRecord(pres=pres, report=report, delta_r=delta_r)

@@ -177,6 +177,12 @@ def test_one_doubling_recovers_conductor():
     assert delta_with_retry(b) == 45
 
 
+def test_no_conductor_stops_at_working_order_cap():
+    # Every exponent is even, so the semigroup has no conductor at any order.
+    with pytest.raises(NoConductor, match="up to 4096"):
+        delta_with_retry(monomial_branch((8, 12, 18)))
+
+
 # -- intersection multiplicities -------------------------------------------
 
 def test_intersection_examples():

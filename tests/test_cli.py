@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from curveinv import corpus
+from curveinv import corpus, plane
 from curveinv.cli import main
+from curveinv.errors import NotMPrimary
 from curveinv.report import AnalysisOptions, analyze, to_json
 from curveinv.schema import build_curve, load_curve, serialize_curve
 
@@ -81,6 +82,51 @@ def test_non_isolated_exit_3(capsys):
     assert main(["sing", "u^2"]) == 3
 
 
+def test_not_m_primary_is_an_internal_failure(monkeypatch, capsys):
+    # Every algebra built past the Milnor one is at a certified order, so
+    # NotMPrimary there breaks an invariant: exit 1, not the cap's exit 3.
+    def uncertified(generators, truncation_order, **kwargs):
+        raise NotMPrimary(truncation_order)
+
+    monkeypatch.setattr(plane, "JetAlgebra", uncertified)
+    assert main(["sing", "u^2+v^3"]) == 1
+    assert "not certified m-primary" in capsys.readouterr().err
+
+
+# -- option validation -------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["analyze", "sing", "corpus"])
+@pytest.mark.parametrize("value", ["0", "-7"])
+def test_truncation_below_one_exit_2(command, value, nodal_file, capsys):
+    target = {"analyze": [nodal_file], "sing": ["u^2+v^3"], "corpus": []}[command]
+    assert main([command] + target + ["--truncation", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --truncation: truncation must be at least 1\n"
+
+
+def test_tail_window_below_one_exit_2(nodal_file, capsys):
+    assert main(["analyze", nodal_file, "--tail-window", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --tail-window: tail window must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sing", "u^2+v^3", "--tail-window", "2"],
+     ["sing", "u^2+v^3", "--hc-window=0,2"],
+     ["corpus", "--format", "json-like"],
+     ["corpus", "--tail-window", "1"]],
+    ids=["sing-tail-window", "sing-hc-window", "corpus-format", "corpus-tail-window"],
+)
+def test_option_a_subcommand_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # -- lci germs: parametrization check and working-order retries -------------
 
 def _lci_file(tmp_path, variables, equations, images):
@@ -124,15 +170,16 @@ def test_lci_delta_after_one_doubling(tmp_path, capsys):
     assert sing["delta"]["value"] == 100
 
 
-def test_lci_without_conductor_stops_at_cap(tmp_path, capsys):
+def test_lci_parametrization_through_t_power_exit_2(tmp_path, capsys):
     # Every exponent is even, so the semigroup has no conductor at any order.
     path = _lci_file(tmp_path, ["x", "y", "z"], ["y^2-x^3", "z^2-y^3"],
                      ["t^8", "t^12", "t^18"])
-    start = time.perf_counter()
-    assert main(["analyze", path]) == 1
-    # Only catches a hang: the whole doubling chain takes well under 1 s.
-    assert time.perf_counter() - start < 10
-    assert "up to 4096" in capsys.readouterr().err
+    assert main(["analyze", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: parametrization: parametrization factors through t^2\n"
+    )
 
 
 # -- plane branch data -------------------------------------------------------

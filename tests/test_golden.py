@@ -17,10 +17,15 @@ from curveinv.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 WINDOW = ["--tail-window", "6", "--hc-window=-3,6"]
 FORMATS = {"txt": ["--format", "text"], "json": ["--format", "json-like"]}
+SING = {"e8": "u^3+v^5", "nonqh-quintic": "u^5+v^5+u^3*v^3",
+        "tangent-a8": "(u+v)^2+v^9"}
 
 
 def _cases():
-    """(golden file name, corpus label or None, CLI arguments after the file)."""
+    """(golden file name, corpus label or None, CLI arguments after the file).
+
+    With no label the arguments are the whole command line.
+    """
     cases = [("corpus.txt", None, ["corpus"])]
     for doc in corpus.curve_models():
         for ext, fmt in FORMATS.items():
@@ -28,6 +33,9 @@ def _cases():
     for label in ("nonqh-quintic-model", "mixed-node-t469"):
         for ext, fmt in FORMATS.items():
             cases.append((f"window-{label}.{ext}", label, WINDOW + fmt))
+    for name, expr in SING.items():
+        for ext, fmt in FORMATS.items():
+            cases.append((f"sing-{name}.{ext}", None, ["sing", expr] + fmt))
     return cases
 
 

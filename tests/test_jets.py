@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import staircase_colength
+from curveinv import jets
 from curveinv.errors import NotInIdeal, TruncationCapExceeded
 from curveinv.jets import JetAlgebra, build_jet_algebra, default_truncation
 from curveinv.poly import Poly, parse_poly
@@ -58,15 +59,17 @@ def test_node_tjurina_ideal():
     assert J.colength() == 1
 
 
-def test_not_m_primary_hits_cap():
+def test_not_m_primary_hits_cap(monkeypatch):
+    monkeypatch.setattr(jets, "TRUNCATION_CAP", 16)
     with pytest.raises(TruncationCapExceeded):
-        build_jet_algebra([P("u")], cap=16)
+        build_jet_algebra([P("u")])
 
 
-def test_default_path_doubles_past_cap_to_degree_floor():
+def test_default_path_doubles_past_cap_to_degree_floor(monkeypatch):
     # initial forms 2(u+v), 2(u+v) are not a regular sequence: the Macaulay
-    # start 1 fails and the default path doubles past cap=8 to reach T > 8
-    J = build_jet_algebra(jacobian("(u+v)^2+v^10"), cap=8)
+    # start 1 fails and the default path doubles past a cap of 8 to reach T > 8
+    monkeypatch.setattr(jets, "TRUNCATION_CAP", 8)
+    J = build_jet_algebra(jacobian("(u+v)^2+v^10"))
     assert J.colength() == 9
     assert J.truncation_order > 8
 
@@ -143,43 +146,42 @@ def test_monomial_ideal_matches_staircase_count(a, b, extra):
 # -- membership witnesses ---------------------------------------------------
 
 def test_witness_node():
-    J = build_jet_algebra([P("v"), P("u")], truncation_order=8)
-    w = J.membership_with_witness(P("u*v"), 4)
-    assert w.cofactors[0] * P("v") + w.cofactors[1] * P("u") == P("u*v")
-    assert w.order_verified == 4
+    J = JetAlgebra([P("v"), P("u")], 8)
+    alpha, beta = J.membership_with_witness(P("u*v"), 4)
+    assert alpha * P("v") + beta * P("u") == P("u*v")
 
 
 def test_witness_cusp_euler():
-    J = build_jet_algebra([P("2*u"), P("3*v^2")], truncation_order=10)
-    w = J.membership_with_witness(P("u^2+v^3"), 6)
-    assert w.cofactors == (P("1/2*u"), P("1/3*v"))
+    J = JetAlgebra([P("2*u"), P("3*v^2")], 10)
+    cofactors = J.membership_with_witness(P("u^2+v^3"), 6)
+    assert cofactors == (P("1/2*u"), P("1/3*v"))
 
 
 def test_witness_e8_high_order():
     f = P("u^3+v^5")
-    J = build_jet_algebra(jacobian("u^3+v^5"), truncation_order=18)
+    J = JetAlgebra(jacobian("u^3+v^5"), 18)
     target = f * P("v^3")
-    w = J.membership_with_witness(target, 12)
-    defect = target - w.cofactors[0] * f.diff("u") - w.cofactors[1] * f.diff("v")
+    alpha, beta = J.membership_with_witness(target, 12)
+    defect = target - alpha * f.diff("u") - beta * f.diff("v")
     assert defect.is_zero() or defect.order() > 12
 
 
 def test_witness_rejects_non_member():
-    J = build_jet_algebra(jacobian("u^2+v^3"), truncation_order=8)
+    J = JetAlgebra(jacobian("u^2+v^3"), 8)
     with pytest.raises(NotInIdeal):
         J.membership_with_witness(P("v"), 4)
 
 
 def test_witness_order_out_of_certified_range():
-    J = build_jet_algebra(jacobian("u^2+v^3"), truncation_order=8)
+    J = JetAlgebra(jacobian("u^2+v^3"), 8)
     with pytest.raises(ValueError):
         J.membership_with_witness(P("u"), 100)
 
 
 def test_row_seed_changes_nothing_semantically():
     gens = jacobian("u^3+v^5")
-    J0 = build_jet_algebra(gens, truncation_order=14)
-    J1 = build_jet_algebra(gens, truncation_order=14, row_seed=7)
+    J0 = JetAlgebra(gens, 14)
+    J1 = JetAlgebra(gens, 14, row_seed=7)
     assert J0.basis == J1.basis
     assert J0.colength() == J1.colength()
     for src in ("1", "u*v", "v^3 - 2*u*v^2 + 1/3*u^4", "u^3*v^5 + v^7 + u"):
@@ -189,9 +191,15 @@ def test_row_seed_changes_nothing_semantically():
 # -- misuse is an internal failure, not bad input ----------------------------
 
 def test_untagged_algebra_gives_no_witness():
-    J = build_jet_algebra(jacobian("u^2+v^3"), truncation_order=8, tagged=False)
+    J = build_jet_algebra(jacobian("u^2+v^3"), truncation_order=8)
     with pytest.raises(AssertionError, match="untagged"):
         J.membership_with_witness(P("u"), 4)
+
+
+@pytest.mark.parametrize("order", [0, -7])
+def test_requested_order_below_one_rejected(order):
+    with pytest.raises(ValueError, match="at least 1"):
+        build_jet_algebra(jacobian("u^2+v^3"), truncation_order=order)
 
 
 @pytest.mark.parametrize(
