@@ -6,7 +6,7 @@ Subcommands:
   corpus           run the builtin corpus and print the summary table
 
 Exit codes: 0 success, 1 invariant-check failure, 2 input error,
-3 truncation cap exceeded.
+3 truncation cap exceeded (see ``errors``).
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .errors import (
-    CurveInvError,
-    NonIsolated,
-    ParseError,
-    SchemaError,
-    TruncationCapExceeded,
-)
+from .errors import CurveInvError, ParseError, SchemaError, TruncationCapExceeded
 from .plane import PlaneAnalysis, PlaneSingularity
 from .poly import parse_poly
 from .report import AnalysisOptions, analyze, run_corpus, to_json, to_text
@@ -62,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def truncation(p):
         p.add_argument(
             "--truncation", type=int, default=None,
-            help="jet truncation order override",
+            help="order where the jet doubling chain starts; it never "
+            "changes a reported number",
         )
 
     def report_format(p):
@@ -129,8 +124,13 @@ def _cmd_sing(args) -> int:
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if len(variables) != 2:
         raise SchemaError("exactly two variables required", "--vars")
+    if variables[0] == variables[1]:
+        raise SchemaError(f"repeated variable name {variables[0]!r}", "--vars")
     f = parse_poly(args.expr, variables)
-    sing = PlaneSingularity(f, label=args.expr)
+    try:
+        sing = PlaneSingularity(f, label=args.expr)
+    except ValueError as exc:
+        raise SchemaError(str(exc), "expr")
     analysis = PlaneAnalysis(sing, truncation=truncation)
     mu, tau = analysis.milnor_tjurina()
     tail = analysis.tail_map_general()
@@ -180,18 +180,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (TruncationCapExceeded, NonIsolated) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION_CAP
-    except (ParseError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except CurveInvError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, TruncationCapExceeded):
+            return EXIT_TRUNCATION_CAP
+        if isinstance(exc, (ParseError, SchemaError)):
+            return EXIT_INPUT_ERROR
         return EXIT_CHECK_FAILURE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

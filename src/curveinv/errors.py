@@ -1,8 +1,11 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: input problems (parse/schema) exit 2,
-truncation-cap and non-isolated failures exit 3, failed invariant checks
-exit 1.
+The CLI picks its exit code from the exception type alone:
+:class:`ParseError` and :class:`SchemaError` (bad input) exit 2,
+:class:`TruncationCapExceeded` (no m-primality certificate up to the
+doubling chain's limit, as for a non-isolated germ) exits 3, and every
+other :class:`CurveInvError` (a failed invariant check) exits 1.  Any other
+exception is an internal failure and is not caught.
 """
 
 
@@ -42,10 +45,6 @@ class NotMPrimary(CurveInvError):
 
 class TruncationCapExceeded(CurveInvError):
     """Doubling the jet truncation hit the hard cap without a certificate."""
-
-
-class NonIsolated(CurveInvError):
-    """Jacobian-type ideal failed m-primality at the truncation cap."""
 
 
 class NotInIdeal(CurveInvError):

@@ -21,11 +21,13 @@ ideal, the degree-<=T slice is the image of the ideal itself for every
 T >= N, so the standard basis and every normal form are the same at each
 order that certifies; a higher order only costs rows.
 
-Orders therefore start low.  :func:`default_truncation` starts at the
-Macaulay bound of the generators' orders, which certifies at once when
-their initial forms are a regular sequence; otherwise
-:func:`build_jet_algebra` doubles the order, and on this default path it
-gives up only past max(TRUNCATION_CAP, 4 + 2 * max generator degree).
+Orders therefore start low.  :func:`build_jet_algebra` runs one doubling
+chain: it starts at a requested order or, by default, at the Macaulay
+bound of :func:`default_truncation`, which certifies at once when the
+generators' initial forms are a regular sequence; it doubles the order on
+each failure and gives up only past max(start, TRUNCATION_CAP,
+4 + 2 * max generator degree).  Where the chain starts changes how many
+orders it tries, never a result.
 
 An algebra can be derived from a ``base`` algebra, with no new
 elimination of the base's generators.  Let V_T be the span of the
@@ -284,8 +286,7 @@ def default_truncation(generators: Sequence[Poly]) -> int:
     If the initial forms of those generators are a regular sequence, the
     tangent cone is a complete intersection whose top degree is
     sum(o_i - 1), so the algebra certifies at this order at once;
-    otherwise :func:`build_jet_algebra` doubles it, up to the floor
-    max(TRUNCATION_CAP, 4 + 2 * max generator degree).  Zero generators are
+    otherwise :func:`build_jet_algebra` doubles it.  Zero generators are
     skipped, and the order is at least 1.
     """
     nvars = len(generators[0].vars)
@@ -296,25 +297,25 @@ def default_truncation(generators: Sequence[Poly]) -> int:
 def build_jet_algebra(
     generators: Sequence[Poly], truncation_order: Optional[int] = None
 ) -> JetAlgebra:
-    """Untagged algebra at the requested (or default) order, doubling on failure.
+    """Untagged algebra from one doubling chain of truncation orders.
 
-    Doubles the truncation order each time m-primality cannot be certified,
-    and gives up with :class:`TruncationCapExceeded` once an order at the
-    limit fails, so the caller can tell runaway input from a plain bad
-    document.  The limit is the constant ``TRUNCATION_CAP``, read at each
-    call, for a requested order.  On the default path it is
-    max(TRUNCATION_CAP, 4 + 2 * max generator degree): the low Macaulay
-    start never gives up below the order the engine has always tried, so
-    every input that certified at that order still does.  A requested
-    order below 1 raises the ``ValueError`` of :class:`JetAlgebra`.  Rows
-    are inserted in generator order, with no cofactor tags.
+    The chain starts at ``truncation_order``, or at
+    :func:`default_truncation` when it is None, and doubles the order each
+    time m-primality cannot be certified.  It gives up with
+    :class:`TruncationCapExceeded` once an order at the limit
+    max(start, TRUNCATION_CAP, 4 + 2 * max generator degree) fails, so the
+    caller can tell runaway input from a plain bad document.
+    ``TRUNCATION_CAP`` is read at each call.  However low the start, the
+    chain reaches max(TRUNCATION_CAP, 4 + 2 * max generator degree); a
+    start above that still gets its one attempt.  Every certified order
+    gives the same basis and normal forms (see the module docstring), so
+    the start changes no result.  A start below 1 raises the ``ValueError``
+    of :class:`JetAlgebra`.  Rows are inserted in generator order, with no
+    cofactor tags.
     """
-    if truncation_order is not None:
-        T, limit = truncation_order, TRUNCATION_CAP
-    else:
-        max_degree = max((g.degree() or 0) for g in generators)
-        T = default_truncation(generators)
-        limit = max(TRUNCATION_CAP, 4 + 2 * max_degree)
+    T = default_truncation(generators) if truncation_order is None else truncation_order
+    max_degree = max((g.degree() or 0) for g in generators)
+    limit = max(T, TRUNCATION_CAP, 4 + 2 * max_degree)
     while True:
         try:
             return JetAlgebra(generators, T, tagged=False)
@@ -324,4 +325,3 @@ def build_jet_algebra(
                     f"no m-primality certificate up to truncation order {T}"
                 )
             T = min(2 * T, limit)
-

@@ -15,12 +15,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import linalg
-from .errors import (
-    MissingWeights,
-    NonIsolated,
-    TruncationCapExceeded,
-    WitnessOrderInsufficient,
-)
+from .errors import MissingWeights, WitnessOrderInsufficient
 from .jets import JetAlgebra, build_jet_algebra
 from .poly import BranchParam, DeltaR, Poly, euler_relation_holds, weight_feasibility
 
@@ -83,14 +78,9 @@ class PlaneAnalysis:
         u, v = f.vars
         self.f_u = f.diff(u)
         self.f_v = f.diff(v)
-        if self.f_u.is_zero() and self.f_v.is_zero():
-            raise NonIsolated("zero Jacobian ideal")
-        try:
-            self.milnor = build_jet_algebra(
-                [self.f_u, self.f_v], truncation_order=truncation
-            )
-        except TruncationCapExceeded as exc:
-            raise NonIsolated(str(exc)) from exc
+        self.milnor = build_jet_algebra(
+            [self.f_u, self.f_v], truncation_order=truncation
+        )
         # The Tjurina ideal contains the Jacobian ideal, so its standard
         # monomials are among the Milnor algebra's and certify at its order;
         # it extends the Milnor rows by the multiples of f alone.
@@ -102,7 +92,6 @@ class PlaneAnalysis:
         else:
             self.effective_weights = weight_feasibility(f)
         self._mult_cache = None
-        self._tail_cache: dict = {}
 
     # -- basic invariants --------------------------------------------------
 
@@ -197,8 +186,6 @@ class PlaneAnalysis:
         the order-T witness algebra is its projection (see ``jets``), so the
         two witnesses are still taken at different truncations.
         """
-        if row_seed in self._tail_cache:
-            return self._tail_cache[row_seed]
         kernel = self.mult_by_f()
         basis = self.milnor.basis
         lifts = [Poly(self.sing.f.vars, dict(zip(basis, vec))) for vec in kernel]
@@ -223,14 +210,12 @@ class PlaneAnalysis:
             tuple(columns[j][i] for j in range(len(columns)))
             for i in range(len(target_basis))
         )
-        result = TailMap(
+        return TailMap(
             source_basis=kernel,
             target_basis=target_basis,
             matrix=matrix,
             rank=linalg.rank([list(row) for row in matrix]) if matrix else 0,
         )
-        self._tail_cache[row_seed] = result
-        return result
 
     def tail_map_wh_scalar(self) -> TailMap:
         """Tail differential under a weight system: diagonal scalars.

@@ -94,9 +94,6 @@ class Poly:
     def linear_part(self) -> "Poly":
         return Poly(self.vars, {m: c for m, c in self.terms.items() if sum(m) == 1})
 
-    def support(self):
-        return sorted(self.terms, key=grlex_key)
-
     def _check(self, other: "Poly"):
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
@@ -254,6 +251,10 @@ def _tokenize(source: str):
             bad_at = len(source) - len(stripped)
             raise ParseError(f"unexpected character {stripped[0]!r}", bad_at)
         if m.group(1) is not None:
+            try:
+                int(m.group(1))
+            except ValueError:  # past int's digit limit
+                raise ParseError("integer literal too long", m.start(1))
             tokens.append(("INT", m.group(1), m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("NAME", m.group(2), m.start(2)))

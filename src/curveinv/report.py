@@ -21,7 +21,6 @@ from .branches import (
 from .lci import (
     LciPresentation,
     coker_mod_m_cross_check,
-    embedding_dimension,
     obstruction,
     verify_parametrization,
 )
@@ -180,7 +179,8 @@ def _analyze_lci(
     pres: LciPresentation, options: AnalysisOptions, checks: List[Check]
 ) -> LciRecord:
     label = pres.label or ",".join(str(f) for f in pres.equations)
-    e = embedding_dimension(pres)
+    report = obstruction(pres)
+    e = report.e
     checks.append(
         Check("minimal-presentation", label, "pass",
               f"all {e - 1} equations have zero linear part")
@@ -195,7 +195,6 @@ def _analyze_lci(
                 "all equations vanish on the parametrized curve",
             )
         )
-    report = obstruction(pres)
     cross = coker_mod_m_cross_check(pres)
     checks.append(
         Check(

@@ -98,6 +98,7 @@ def _build_plane(doc: Dict[str, Any], path: str) -> PlaneSingularity:
         "plane singularity needs exactly two variable names",
         f"{path}.variables",
     )
+    _require(variables[0] != variables[1], "repeated variable name", f"{path}.variables")
     f = _parse_expr(_get(doc, "f", str, path, required=True), variables, f"{path}.f")
     weights = None
     raw_weights = _get(doc, "weights", list, path)
@@ -141,6 +142,9 @@ def _build_lci(doc: Dict[str, Any], path: str) -> LciPresentation:
         len(variables) >= 2 and all(isinstance(v, str) for v in variables),
         "lci singularity needs at least two variable names",
         f"{path}.variables",
+    )
+    _require(
+        len(set(variables)) == len(variables), "repeated variable name", f"{path}.variables"
     )
     raw_equations = _get(doc, "equations", list, path, required=True)
     equations = tuple(
@@ -205,11 +209,11 @@ def load_curve(path: str) -> CurveDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read file: {exc}", "$")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise SchemaError(f"not valid JSON: {exc}", "$")
     return build_curve(doc)
 

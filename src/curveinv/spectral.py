@@ -120,7 +120,6 @@ class Verdict(enum.Enum):
     DEGENERATES = "Degenerates"
     FAILS_VIA_TAU = "FailsViaTau"
     FAILS_VIA_NONPLANAR = "FailsViaNonPlanar"
-    UNDETERMINED = "Undetermined"
 
 
 @dataclass(frozen=True)

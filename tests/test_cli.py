@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from curveinv import corpus, plane
+from curveinv import cli, corpus, plane
 from curveinv.cli import main
 from curveinv.errors import NotMPrimary
 from curveinv.report import AnalysisOptions, analyze, to_json
@@ -79,7 +79,100 @@ def test_missing_file_exit_2(capsys):
 
 
 def test_non_isolated_exit_3(capsys):
-    assert main(["sing", "u^2"]) == 3
+    # The doubling chain gives up at max(start, 64, 4 + 2 * max degree).
+    for start, order in ((None, 64), ("3", 64), ("100", 100)):
+        argv = ["sing", "u^2"] + ([] if start is None else ["--truncation", start])
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: no m-primality certificate up to truncation order {order}\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "expr,start",
+    [("u^2+v^80", "1"), ("u^2+v^80", "70"), ("(u+v)^2+v^9", "1")],
+)
+@pytest.mark.parametrize("fmt", ["text", "json-like"])
+def test_truncation_only_starts_the_doubling_chain(expr, start, fmt, capsys):
+    # u^2+v^80 certifies only above order 78, past the old requested-order cap.
+    assert main(["sing", expr, "--format", fmt]) == 0
+    default = capsys.readouterr().out
+    assert main(["sing", expr, "--format", fmt, "--truncation", start]) == 0
+    assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("expr", ["1", "0"])
+def test_constant_sing_equation_exit_2(expr, capsys):
+    assert main(["sing", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: expr: ")
+
+
+def test_value_error_in_a_handler_is_not_an_input_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal invariant broken")
+
+    monkeypatch.setattr(cli, "PlaneAnalysis", broken)
+    with pytest.raises(ValueError, match="internal invariant broken"):
+        main(["sing", "u^2+v^3"])
+
+
+def test_repeated_sing_variable_exit_2(capsys):
+    # u,u used to read 'u' as u*u' and exit 3 with a cap message.
+    assert main(["sing", "u", "--vars", "u,u"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --vars: repeated variable name 'u'\n"
+
+
+@pytest.mark.parametrize(
+    "sing",
+    [
+        {"kind": "plane", "f": "u^2-v^3", "variables": ["u", "u"],
+         "asserted": {"delta": 1, "r": 1}},
+        # used to print a full report with e=3
+        {"kind": "lci", "variables": ["x", "y", "y"],
+         "equations": ["y^2-x^3", "y^2-x^5"], "asserted": {"delta": 3, "r": 1}},
+    ],
+    ids=["plane", "lci"],
+)
+def test_repeated_document_variable_exit_2(sing, tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"genus": 0, "singularities": [sing]}))
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: $.singularities[0].variables: repeated variable name\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command,content,message",
+    [
+        ("analyze", b"\xff\xfe{}", "error: $: cannot read file: "),
+        ("analyze", b'{"genus": ' + b"1" * 5000 + b"}", "error: $: not valid JSON: "),
+        ("sing", "u^2+v^3+" + "1" * 5000 + "*u^5",
+         "error: integer literal too long (at position 8)"),
+    ],
+    ids=["not-utf8", "json-integer-too-long", "literal-too-long"],
+)
+def test_input_that_python_rejects_with_value_error_exit_2(
+    command, content, message, tmp_path, capsys
+):
+    if command == "analyze":
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        argv = ["analyze", str(path)]
+    else:
+        argv = ["sing", content]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
 
 
 def test_not_m_primary_is_an_internal_failure(monkeypatch, capsys):

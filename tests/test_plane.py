@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from curveinv.errors import MissingWeights, NonIsolated, NotMPrimary
+from curveinv.errors import MissingWeights, NotMPrimary, TruncationCapExceeded
 from curveinv.jets import JetAlgebra, build_jet_algebra
 from curveinv.plane import PlaneAnalysis, PlaneSingularity
 from curveinv.poly import Poly, parse_poly
@@ -43,7 +43,7 @@ def test_non_qh_quintic_strict_inequality():
 
 
 def test_non_isolated_rejected():
-    with pytest.raises(NonIsolated):
+    with pytest.raises(TruncationCapExceeded):
         analysis("u^2")  # Jacobian (2u, 0) is not m-primary
 
 
