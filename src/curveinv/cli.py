@@ -5,6 +5,9 @@ Subcommands:
   sing <expr>      quick local analysis of one plane equation
   corpus           run the builtin corpus and print the summary table
 
+No option sets a jet truncation order: the engine picks it (see
+``jets``), and no reported number depends on it.
+
 Exit codes: 0 success, 1 invariant-check failure, 2 input error,
 3 truncation cap exceeded (see ``errors``).
 """
@@ -53,13 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     defaults = AnalysisOptions()
 
-    def truncation(p):
-        p.add_argument(
-            "--truncation", type=int, default=None,
-            help="order where the jet doubling chain starts; it never "
-            "changes a reported number",
-        )
-
     def report_format(p):
         p.add_argument(
             "--format", choices=("text", "json-like"), default="text",
@@ -68,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="analyze a curve document")
     p_analyze.add_argument("file", help="path to a curve JSON document")
-    truncation(p_analyze)
     report_format(p_analyze)
     p_analyze.add_argument(
         "--hc-window", type=_parse_window, default=defaults.hc_window,
@@ -87,27 +82,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--vars", default="u,v", metavar="u,v",
         help="comma-separated variable names (default u,v)",
     )
-    truncation(p_sing)
     report_format(p_sing)
 
-    p_corpus = sub.add_parser("corpus", help="run the builtin corpus")
-    truncation(p_corpus)
+    sub.add_parser("corpus", help="run the builtin corpus")
     return parser
-
-
-def _truncation(args) -> Optional[int]:
-    if args.truncation is not None and args.truncation < 1:
-        raise SchemaError("truncation must be at least 1", "--truncation")
-    return args.truncation
 
 
 def _cmd_analyze(args) -> int:
     doc = load_curve(args.file)
-    truncation = _truncation(args)
     if args.tail_window < 1:
         raise SchemaError("tail window must be at least 1", "--tail-window")
     options = AnalysisOptions(
-        truncation=truncation,
         tail_window=args.tail_window,
         hc_window=tuple(args.hc_window),
     )
@@ -120,7 +105,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sing(args) -> int:
-    truncation = _truncation(args)
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if len(variables) != 2:
         raise SchemaError("exactly two variables required", "--vars")
@@ -131,7 +115,7 @@ def _cmd_sing(args) -> int:
         sing = PlaneSingularity(f, label=args.expr)
     except ValueError as exc:
         raise SchemaError(str(exc), "expr")
-    analysis = PlaneAnalysis(sing, truncation=truncation)
+    analysis = PlaneAnalysis(sing)
     mu, tau = analysis.milnor_tjurina()
     tail = analysis.tail_map_general()
     weights = analysis.effective_weights
@@ -165,7 +149,7 @@ def _cmd_sing(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    text, ok = run_corpus(AnalysisOptions(truncation=_truncation(args)))
+    text, ok = run_corpus()
     print(text)
     return EXIT_OK if ok else EXIT_CHECK_FAILURE
 

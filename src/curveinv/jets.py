@@ -21,13 +21,13 @@ ideal, the degree-<=T slice is the image of the ideal itself for every
 T >= N, so the standard basis and every normal form are the same at each
 order that certifies; a higher order only costs rows.
 
-Orders therefore start low.  :func:`build_jet_algebra` runs one doubling
-chain: it starts at a requested order or, by default, at the Macaulay
-bound of :func:`default_truncation`, which certifies at once when the
-generators' initial forms are a regular sequence; it doubles the order on
-each failure and gives up only past max(start, TRUNCATION_CAP,
-4 + 2 * max generator degree).  Where the chain starts changes how many
-orders it tries, never a result.
+Orders therefore start low, and the engine alone picks them.
+:func:`build_jet_algebra` runs one doubling chain: it starts at the
+Macaulay bound of :func:`default_truncation`, which certifies at once when
+the generators' initial forms are a regular sequence; it doubles the order
+on each failure and gives up only past max(start, TRUNCATION_CAP,
+4 + 2 * max generator degree).  The order it stops at changes how many
+rows it pays for, never a result.
 
 An algebra can be derived from a ``base`` algebra, with no new
 elimination of the base's generators.  Let V_T be the span of the
@@ -294,26 +294,24 @@ def default_truncation(generators: Sequence[Poly]) -> int:
     return max(1, 1 + sum(o - 1 for o in orders[:nvars]))
 
 
-def build_jet_algebra(
-    generators: Sequence[Poly], truncation_order: Optional[int] = None
-) -> JetAlgebra:
+def build_jet_algebra(generators: Sequence[Poly]) -> JetAlgebra:
     """Untagged algebra from one doubling chain of truncation orders.
 
-    The chain starts at ``truncation_order``, or at
-    :func:`default_truncation` when it is None, and doubles the order each
-    time m-primality cannot be certified.  It gives up with
+    The chain starts at :func:`default_truncation` and doubles the order
+    each time m-primality cannot be certified.  It gives up with
     :class:`TruncationCapExceeded` once an order at the limit
     max(start, TRUNCATION_CAP, 4 + 2 * max generator degree) fails, so the
     caller can tell runaway input from a plain bad document.
-    ``TRUNCATION_CAP`` is read at each call.  However low the start, the
-    chain reaches max(TRUNCATION_CAP, 4 + 2 * max generator degree); a
-    start above that still gets its one attempt.  Every certified order
-    gives the same basis and normal forms (see the module docstring), so
-    the start changes no result.  A start below 1 raises the ``ValueError``
-    of :class:`JetAlgebra`.  Rows are inserted in generator order, with no
-    cofactor tags.
+    ``TRUNCATION_CAP`` is read at each call.  In two variables the start
+    is at most 2 * max degree - 1, so the limit is max(TRUNCATION_CAP,
+    4 + 2 * max degree); with more variables a start above that still gets
+    its one attempt.  Every certified order gives the same basis and
+    normal forms (see the module docstring), so no caller picks the
+    start; one that needs a fixed order builds :class:`JetAlgebra`
+    directly.  Rows are inserted in generator order, with no cofactor
+    tags.
     """
-    T = default_truncation(generators) if truncation_order is None else truncation_order
+    T = default_truncation(generators)
     max_degree = max((g.degree() or 0) for g in generators)
     limit = max(T, TRUNCATION_CAP, 4 + 2 * max_degree)
     while True:

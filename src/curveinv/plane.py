@@ -72,15 +72,13 @@ class TailMap:
 class PlaneAnalysis:
     """Caches the jet algebras of one singularity and derives its invariants."""
 
-    def __init__(self, sing: PlaneSingularity, truncation: Optional[int] = None):
+    def __init__(self, sing: PlaneSingularity):
         self.sing = sing
         f = sing.f
         u, v = f.vars
         self.f_u = f.diff(u)
         self.f_v = f.diff(v)
-        self.milnor = build_jet_algebra(
-            [self.f_u, self.f_v], truncation_order=truncation
-        )
+        self.milnor = build_jet_algebra([self.f_u, self.f_v])
         # The Tjurina ideal contains the Jacobian ideal, so its standard
         # monomials are among the Milnor algebra's and certify at its order;
         # it extends the Milnor rows by the multiples of f alone.

@@ -238,6 +238,10 @@ class Poly:
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^/()]))")
 
+# The parser recurses four frames per parenthesis level; this keeps it well
+# inside Python's recursion limit.
+MAX_NESTING = 100
+
 
 def _tokenize(source: str):
     tokens = []
@@ -271,6 +275,7 @@ class _Parser:
         self.vars = tuple(variables)
         self.tokens = _tokenize(source)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -337,8 +342,14 @@ class _Parser:
                 raise UndeclaredVariable(f"undeclared variable {val!r}", pos)
             return Poly.variable(self.vars, val)
         if kind == "OP" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos
+                )
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
 
@@ -349,6 +360,7 @@ def parse_poly(source: str, variables: Sequence[str]) -> Poly:
     Grammar: sums of products of rationals, variables, and parenthesized
     subexpressions with natural-number exponents; no implicit
     multiplication; a single unary minus is allowed at the head of a term.
+    Parentheses nest at most ``MAX_NESTING`` deep.
     """
     return _Parser(source, variables).parse()
 

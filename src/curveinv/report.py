@@ -48,7 +48,6 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    truncation: Optional[int] = None
     tail_window: int = 4
     hc_window: Tuple[int, int] = (-2, 4)
 
@@ -100,7 +99,7 @@ def _analyze_plane(
     sing: PlaneSingularity, options: AnalysisOptions, checks: List[Check]
 ) -> PlaneRecord:
     label = sing.label or str(sing.f)
-    analysis = PlaneAnalysis(sing, truncation=options.truncation)
+    analysis = PlaneAnalysis(sing)
     mu, tau = analysis.milnor_tjurina()
     checks.append(
         Check("tau-le-mu", label, "pass" if tau <= mu else "fail",
@@ -352,7 +351,8 @@ def to_structured(report: Report) -> Dict:
     return {
         "label": report.label,
         "options": {
-            "truncation": report.options.truncation,
+            # Constant: tests/golden/ and perfbench/references.json pin this key.
+            "truncation": None,
             "tail_window": report.options.tail_window,
             "hc_window": list(report.options.hc_window),
         },
@@ -440,7 +440,7 @@ def to_text(report: Report) -> str:
 # ---------------------------------------------------------------------------
 
 
-def run_corpus(options: AnalysisOptions = AnalysisOptions()):
+def run_corpus():
     """Analyze the builtin zoo and curve models; return (text, all_ok)."""
     from . import corpus
 
@@ -451,7 +451,7 @@ def run_corpus(options: AnalysisOptions = AnalysisOptions()):
         sing = build_curve(
             {"genus": 0, "label": doc["label"], "singularities": [doc]}
         ).singularities[0]
-        analysis = PlaneAnalysis(sing, truncation=options.truncation)
+        analysis = PlaneAnalysis(sing)
         mu, tau = analysis.milnor_tjurina()
         lines.append(
             f"  {doc['label']:<16} {mu:>4} {tau:>4} "
@@ -464,7 +464,7 @@ def run_corpus(options: AnalysisOptions = AnalysisOptions()):
         f"{'verdict':<20} checks"
     )
     for doc in corpus.curve_models():
-        report = analyze(build_curve(doc), options)
+        report = analyze(build_curve(doc))
         plane = report.model.plane_records()
         mu, tau = report.invariants.mu_total, report.invariants.tau_total
         qh = all(r.invariants.qh_by_saito for r in plane) and not report.model.lci_records()

@@ -213,7 +213,8 @@ def load_curve(path: str) -> CurveDocument:
         raise SchemaError(f"cannot read file: {exc}", "$")
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+    # JSONDecodeError, an integer past int's digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}", "$")
     return build_curve(doc)
 

@@ -12,8 +12,9 @@ import time
 import pytest
 
 from conftest import analyzed_model, staircase_colength
-from curveinv import corpus
+from curveinv import corpus, plane
 from curveinv.branches import delta_report
+from curveinv.jets import JetAlgebra
 from curveinv.plane import PlaneAnalysis, PlaneSingularity
 from curveinv.poly import parse_poly
 from curveinv.report import AnalysisOptions, analyze, to_json
@@ -173,12 +174,15 @@ def test_criterion_08b_hc_vanishing_for_m_at_least_3():
     assert ok
 
 
-def test_criterion_09_stabilization():
+def test_criterion_09_stabilization(monkeypatch):
     for label, analysis in _zoo_analyses():
-        sing = analysis.sing
-        raised = PlaneAnalysis(
-            sing, truncation=analysis.milnor.truncation_order + 2
+        order = analysis.milnor.truncation_order + 2
+        monkeypatch.setattr(
+            plane, "build_jet_algebra",
+            lambda generators: JetAlgebra(generators, order, tagged=False),
         )
+        raised = PlaneAnalysis(analysis.sing)
+        assert raised.milnor.truncation_order == order, label
         assert raised.milnor_tjurina() == analysis.milnor_tjurina(), label
         assert raised.tail_map_general().matrix == analysis.tail_map_general().matrix, label
     _report(

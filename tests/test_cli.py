@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from curveinv import cli, corpus, plane
+from curveinv import cli, corpus, jets, plane
 from curveinv.cli import main
 from curveinv.errors import NotMPrimary
 from curveinv.report import AnalysisOptions, analyze, to_json
@@ -36,7 +36,7 @@ def test_analyze_json_like(nodal_file, capsys):
 
 def test_analyze_options(nodal_file, capsys):
     code = main(
-        ["analyze", nodal_file, "--truncation", "12",
+        ["analyze", nodal_file,
          "--hc-window", "0,2", "--tail-window", "2", "--format", "json-like"]
     )
     assert code == 0
@@ -79,10 +79,10 @@ def test_missing_file_exit_2(capsys):
 
 
 def test_non_isolated_exit_3(capsys):
-    # The doubling chain gives up at max(start, 64, 4 + 2 * max degree).
-    for start, order in ((None, 64), ("3", 64), ("100", 100)):
-        argv = ["sing", "u^2"] + ([] if start is None else ["--truncation", start])
-        assert main(argv) == 3
+    # The doubling chain gives up at max(64, 4 + 2 * max degree); the
+    # Jacobian of u^2*v^40 has degree 41.
+    for expr, order in (("u^2", 64), ("u^2*v^40", 86)):
+        assert main(["sing", expr]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
@@ -92,14 +92,18 @@ def test_non_isolated_exit_3(capsys):
 
 @pytest.mark.parametrize(
     "expr,start",
-    [("u^2+v^80", "1"), ("u^2+v^80", "70"), ("(u+v)^2+v^9", "1")],
+    [("u^2+v^80", 1), ("u^2+v^80", 70), ("(u+v)^2+v^9", 1)],
 )
 @pytest.mark.parametrize("fmt", ["text", "json-like"])
-def test_truncation_only_starts_the_doubling_chain(expr, start, fmt, capsys):
-    # u^2+v^80 certifies only above order 78, past the old requested-order cap.
+def test_truncation_only_starts_the_doubling_chain(
+    expr, start, fmt, monkeypatch, capsys
+):
+    # Where the chain starts changes which orders it tries, never a report.
+    # u^2+v^80 certifies only above order 78.
     assert main(["sing", expr, "--format", fmt]) == 0
     default = capsys.readouterr().out
-    assert main(["sing", expr, "--format", fmt, "--truncation", start]) == 0
+    monkeypatch.setattr(jets, "default_truncation", lambda generators: start)
+    assert main(["sing", expr, "--format", fmt]) == 0
     assert capsys.readouterr().out == default
 
 
@@ -150,6 +154,10 @@ def test_repeated_document_variable_exit_2(sing, tmp_path, capsys):
     )
 
 
+# Python's recursion limit is 1000 frames; the parser takes four per level.
+DEEP_EXPR = "(" * 3000 + "u" + ")" * 3000 + "^2+v^3"
+
+
 @pytest.mark.parametrize(
     "command,content,message",
     [
@@ -157,10 +165,16 @@ def test_repeated_document_variable_exit_2(sing, tmp_path, capsys):
         ("analyze", b'{"genus": ' + b"1" * 5000 + b"}", "error: $: not valid JSON: "),
         ("sing", "u^2+v^3+" + "1" * 5000 + "*u^5",
          "error: integer literal too long (at position 8)"),
+        ("analyze", b"[" * 100000, "error: $: not valid JSON: "),
+        ("sing", DEEP_EXPR, "error: parentheses nested deeper than 100 (at position 100)"),
+        ("analyze", json.dumps({"genus": 0, "singularities": [
+            {"kind": "plane", "f": DEEP_EXPR, "variables": ["u", "v"]}]}).encode(),
+         "error: $.singularities[0].f: bad expression "),
     ],
-    ids=["not-utf8", "json-integer-too-long", "literal-too-long"],
+    ids=["not-utf8", "json-integer-too-long", "literal-too-long", "json-too-deep",
+         "parentheses-too-deep", "document-parentheses-too-deep"],
 )
-def test_input_that_python_rejects_with_value_error_exit_2(
+def test_input_that_python_rejects_exit_2(
     command, content, message, tmp_path, capsys
 ):
     if command == "analyze":
@@ -188,16 +202,6 @@ def test_not_m_primary_is_an_internal_failure(monkeypatch, capsys):
 
 # -- option validation -------------------------------------------------------
 
-@pytest.mark.parametrize("command", ["analyze", "sing", "corpus"])
-@pytest.mark.parametrize("value", ["0", "-7"])
-def test_truncation_below_one_exit_2(command, value, nodal_file, capsys):
-    target = {"analyze": [nodal_file], "sing": ["u^2+v^3"], "corpus": []}[command]
-    assert main([command] + target + ["--truncation", value]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --truncation: truncation must be at least 1\n"
-
-
 def test_tail_window_below_one_exit_2(nodal_file, capsys):
     assert main(["analyze", nodal_file, "--tail-window", "0"]) == 2
     captured = capsys.readouterr()
@@ -210,14 +214,20 @@ def test_tail_window_below_one_exit_2(nodal_file, capsys):
     [["sing", "u^2+v^3", "--tail-window", "2"],
      ["sing", "u^2+v^3", "--hc-window=0,2"],
      ["corpus", "--format", "json-like"],
-     ["corpus", "--tail-window", "1"]],
-    ids=["sing-tail-window", "sing-hc-window", "corpus-format", "corpus-tail-window"],
+     ["corpus", "--tail-window", "1"],
+     ["analyze", "curve.json", "--truncation", "5"],
+     ["sing", "u^2+v^3", "--truncation", "5"],
+     ["corpus", "--truncation", "5"]],
+    ids=["sing-tail-window", "sing-hc-window", "corpus-format", "corpus-tail-window",
+         "analyze-truncation", "sing-truncation", "corpus-truncation"],
 )
 def test_option_a_subcommand_does_not_read_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
 
 
 # -- lci germs: parametrization check and working-order retries -------------

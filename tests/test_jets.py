@@ -26,19 +26,19 @@ def jacobian(src):
 # -- colength ---------------------------------------------------------------
 
 def test_maximal_ideal():
-    J = build_jet_algebra([P("u"), P("v")], truncation_order=3)
+    J = JetAlgebra([P("u"), P("v")], 3, tagged=False)
     assert J.basis == ((0, 0),)
     assert J.colength() == 1
 
 
 def test_monomial_staircase():
-    J = build_jet_algebra([P("u^2"), P("v^3")], truncation_order=6)
+    J = JetAlgebra([P("u^2"), P("v^3")], 6, tagged=False)
     assert J.colength() == 6
     assert set(J.basis) == {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)}
 
 
 def test_cusp_jacobian():
-    J = build_jet_algebra(jacobian("u^2+v^3"), truncation_order=6)
+    J = JetAlgebra(jacobian("u^2+v^3"), 6, tagged=False)
     assert J.colength() == 2
     assert set(J.basis) == {(0, 0), (0, 1)}
 
@@ -50,7 +50,7 @@ def test_a_series_colength(n):
 
 
 def test_e7_colength():
-    assert build_jet_algebra(jacobian("u^3+u*v^3"), truncation_order=10).colength() == 7
+    assert JetAlgebra(jacobian("u^3+u*v^3"), 10, tagged=False).colength() == 7
 
 
 def test_node_tjurina_ideal():
@@ -96,7 +96,7 @@ def test_colength_stable_under_truncation_raise(src):
 # -- normal form ------------------------------------------------------------
 
 def test_normal_form_examples():
-    J = build_jet_algebra(jacobian("u^2+v^3"), truncation_order=8)
+    J = JetAlgebra(jacobian("u^2+v^3"), 8, tagged=False)
     # u^2*v^5 is divisible by u, hence in (2u, 3v^2); only v survives
     coords = J.normal_form(P("v + u^2*v^5"))
     assert coords == [Fraction(0), Fraction(1)]
@@ -117,7 +117,7 @@ small_polys = st.dictionaries(
        st.fractions(min_value=-3, max_value=3, max_denominator=4),
        st.fractions(min_value=-3, max_value=3, max_denominator=4))
 def test_normal_form_linear(p, q, a, b):
-    J = build_jet_algebra(jacobian("u^3+v^5"), truncation_order=10)
+    J = JetAlgebra(jacobian("u^3+v^5"), 10, tagged=False)
     nf_p = J.normal_form(p)
     nf_q = J.normal_form(q)
     combo = J.normal_form(p.scale(a) + q.scale(b))
@@ -191,7 +191,7 @@ def test_row_seed_changes_nothing_semantically():
 # -- misuse is an internal failure, not bad input ----------------------------
 
 def test_untagged_algebra_gives_no_witness():
-    J = build_jet_algebra(jacobian("u^2+v^3"), truncation_order=8)
+    J = JetAlgebra(jacobian("u^2+v^3"), 8, tagged=False)
     with pytest.raises(AssertionError, match="untagged"):
         J.membership_with_witness(P("u"), 4)
 
@@ -199,7 +199,7 @@ def test_untagged_algebra_gives_no_witness():
 @pytest.mark.parametrize("order", [0, -7])
 def test_requested_order_below_one_rejected(order):
     with pytest.raises(ValueError, match="at least 1"):
-        build_jet_algebra(jacobian("u^2+v^3"), truncation_order=order)
+        JetAlgebra(jacobian("u^2+v^3"), order, tagged=False)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from curveinv.errors import ParseError, UndeclaredVariable
 from curveinv.poly import (
+    MAX_NESTING,
     Poly,
     euler_relation_holds,
     parse_branch,
@@ -50,6 +51,11 @@ def test_parse_unary_minus_and_parens():
     }
 
 
+@pytest.mark.parametrize("depth", [50, MAX_NESTING])
+def test_nested_parentheses_parse(depth):
+    assert P("(" * depth + "u" + ")" * depth + "^2") == P("u^2")
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         P("u^2 +")
@@ -60,6 +66,10 @@ def test_parse_errors_carry_position():
         P("u^(2)")  # exponent must be a bare natural
     with pytest.raises(ParseError):
         P("1/0")
+    deep = MAX_NESTING + 1
+    with pytest.raises(ParseError, match="nested deeper") as err:
+        P("(" * deep + "u" + ")" * deep)
+    assert err.value.position == MAX_NESTING
 
 
 def test_no_implicit_multiplication():
