@@ -9,7 +9,9 @@ degree first, so the monomials of degree <= T are a prefix of the list.
 The rows of the degree-<=T slice of the ideal live in the sparse echelon
 kernel :class:`linalg.Echelon` that also serves branch semigroups and
 dense ranks.  The pivot of each row is its smallest monomial, so normal
-forms are unique and runs are reproducible.
+forms are unique and runs are reproducible.  Rows are integer vectors:
+each generator is cleared of denominators once, and normal forms and
+cofactors come back as Fractions.
 
 The m-primality certificate: if every standard (non-pivot) monomial has
 total degree < T, then all monomials of some degree N <= T are reducible,
@@ -42,7 +44,9 @@ to degree <= T.
   So the rows with pivot degree <= T, cut at degree T, are an echelon
   basis of V_T with the same pivots, and by the echelon's two facts the
   basis, ``primality_bound`` and every normal form equal those of a fresh
-  build at T.
+  build at T.  A cut row need not stay primitive: the echelon's facts
+  hold for any nonzero multiple of a span element, so it only needs to
+  stay one, and it keeps its positive pivot coefficient.
 * Extension: the ideal of ``generators`` contains base's (a prefix of
   them), so V_T is base's rows plus the multiples of the extra
   generators; inserting only those gives an echelon basis of V_T, and
@@ -51,8 +55,14 @@ to degree <= T.
 
 Ideal-membership witnesses (cofactors) fall out of the same reduction
 with no extra linear solve: in a tagged algebra each row carries, as its
-echelon tag, an expression of itself as a combination of the multiples
-mult * g_j.  A :class:`JetAlgebra` is tagged by default, but
+echelon tag, an expression of itself as an integer combination of the
+multiples mult * g_j, under the key index(mult) * G + j for G
+generators.  A multiple goes in as d_j * mult * g_j with tag value d_j,
+d_j the lcm of g_j's denominators, so each row is exactly its tag's
+combination of the multiples.  A reduction returns its tag combination
+divided by its own integer scale: a key decodes by divmod into mult and
+j, and its value is the Fraction coefficient of mult in the cofactor of
+g_j.  A :class:`JetAlgebra` is tagged by default, but
 :func:`build_jet_algebra` always builds untagged: the Milnor algebra, its
 doubling attempts and the Tjurina algebra derived from it carry no tags,
 and ``plane`` tags only the algebra the tail map reads witnesses from.  A
@@ -70,13 +80,16 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotInIdeal, NotMPrimary, TruncationCapExceeded
-from .linalg import Echelon
+from .linalg import Echelon, common_denominator, integer_multiple
 from .poly import Monomial, Poly, grlex_key
 
 TRUNCATION_CAP = 64
+
+_ZERO = Fraction(0)
 
 
 _JET_MONOMIALS: Dict[int, Tuple[List[Monomial], Dict[Monomial, int]]] = {}
@@ -184,33 +197,37 @@ class JetAlgebra:
     def _build(self, first: int, row_seed: Optional[int]) -> None:
         """Insert every multiple mult * g_j of degree <= T, for j >= first.
 
-        If tagged, its tag is the single key index(mult) * G + j, G being
-        the number of generators, so tag combinations decode into
-        cofactors at any order.
+        Each generator is cleared of denominators once: with d_j the lcm of
+        g_j's denominators, the integer vector of d_j * mult * g_j goes in.
+        If tagged, its tag is the single key index(mult) * G + j, with
+        value d_j, G being the number of generators, so a row's tag is its
+        integer combination of the multiples mult * g_j at any order.
         """
         T = self.truncation_order
         nvars = len(self.ambient)
         index, monos, G = self._index, self._monomials, len(self.generators)
-        seeds: List[Tuple[Dict[int, Fraction], Optional[Dict[int, Fraction]]]] = []
+        seeds: List[Tuple[Dict[int, int], Optional[Dict[int, int]]]] = []
         for j in range(first, G):
             g = self.generators[j]
             g_order = g.order()
             if g_order is None or g_order > T:
                 continue  # spans nothing in degree <= T
+            d = common_denominator(g.terms)
+            g_ints = integer_multiple(g.terms, d)
+            g_terms = [(m, sum(m), c) for m, c in g_ints.items()]
             # the multipliers are the monomials of degree <= T - g_order,
             # a prefix of the jet monomials
             for i in range(comb(nvars + T - g_order, nvars)):
                 mult = monos[i]
-                terms: Dict[int, Fraction] = {}
-                for m, c in g.terms.items():
-                    prod = tuple(a + b for a, b in zip(m, mult))
-                    if sum(prod) <= T:
-                        k = index[prod]
+                room = T - sum(mult)
+                terms: Dict[int, int] = {}
+                for m, m_degree, c in g_terms:
+                    if m_degree <= room:
+                        k = index[tuple(map(add, m, mult))]
                         terms[k] = terms.get(k, 0) + c
                 terms = {k: c for k, c in terms.items() if c != 0}
                 if terms:
-                    tag = {i * G + j: Fraction(1)} if self.tagged else None
-                    seeds.append((terms, tag))
+                    seeds.append((terms, {i * G + j: d} if self.tagged else None))
         if row_seed is not None:
             random.Random(row_seed).shuffle(seeds)
         for terms, tag in seeds:
@@ -242,7 +259,7 @@ class JetAlgebra:
     def normal_form(self, p: Poly) -> List[Fraction]:
         """Coordinates of p's class over the standard-monomial basis."""
         normal, _ = self._reduce(p, track=False)
-        return [normal.get(i, Fraction(0)) for i in self._basis_keys]
+        return [normal.get(i, _ZERO) for i in self._basis_keys]
 
     def membership_with_witness(self, p: Poly, order: int) -> Tuple[Poly, ...]:
         """Cofactors c_i, one per generator g_i, with p - sum(c_i * g_i) of
@@ -268,7 +285,7 @@ class JetAlgebra:
         for key, c in combo.items():
             i, j = divmod(key, G)
             cofactors[j][self._monomials[i]] = c
-        polys = tuple(Poly(self.ambient, cof) for cof in cofactors)
+        polys = tuple(Poly._unchecked(self.ambient, cof) for cof in cofactors)
         defect = p
         for cof, g in zip(polys, self.generators):
             defect = defect - cof * g

@@ -1,20 +1,42 @@
-"""Exact linear algebra over Fraction: one sparse echelon kernel.
+"""Exact linear algebra over the rationals: one sparse echelon kernel.
 
 :class:`Echelon` is the only elimination in the package: jet algebras,
 branch value semigroups and the dense ranks and nullspaces below all use
-it.  It is deterministic, so repeated runs give identical results.
+it.  It eliminates fraction-free, on primitive integer rows: rational
+input is cleared of denominators once, on entry, and ``Fraction`` appears
+again only in what ``reduce`` and :func:`rref` return.  It is
+deterministic, so repeated runs give identical results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
-Sparse = Dict[int, Fraction]  # key -> nonzero coefficient
+Sparse = Dict[int, int]  # key -> nonzero integer coefficient
+Rational = Mapping[object, object]  # key -> int or Fraction coefficient
 
 
-def _subtract(work: Sparse, factor: Fraction, row: Mapping[int, Fraction]) -> None:
+_NUMERATOR = attrgetter("numerator")
+_DENOMINATOR = attrgetter("denominator")
+
+
+def common_denominator(vec: Rational) -> int:
+    """The lcm of the denominators of vec's coefficients."""
+    return lcm(*map(_DENOMINATOR, vec.values()))
+
+
+def integer_multiple(vec: Rational, d: int) -> dict:
+    """d * vec as an integer vector, d being a multiple of its denominators."""
+    if d == 1:
+        return dict(zip(vec, map(_NUMERATOR, vec.values())))
+    return {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
+
+
+def _subtract(work: Sparse, factor: int, row: Mapping[int, int]) -> None:
     """work -= factor * row, in place, dropping the entries that cancel."""
     for k, c in row.items():
         new = work.get(k, 0) - factor * c
@@ -24,16 +46,28 @@ def _subtract(work: Sparse, factor: Fraction, row: Mapping[int, Fraction]) -> No
             del work[k]
 
 
+def _scale(vec: Sparse, factor: int) -> None:
+    for k in vec:
+        vec[k] *= factor
+
+
 class Echelon:
     """A sparse row echelon basis of a subspace, grown one row at a time.
 
-    A row is a ``Dict[int, Fraction]`` of nonzero coefficients.  Its pivot
-    is its smallest key and the pivot coefficient is 1; ``rows`` maps each
-    pivot to its row, so no two rows share a pivot.  A row may carry a tag,
-    a second sparse vector that undergoes the same row operations: with a
-    unit-vector tag per inserted vector, a row's tag expresses the row as a
-    combination of the inserted vectors.  Tags are given for every row or
-    for none.
+    A row is a ``Dict[int, int]`` of nonzero integer coefficients.  Its
+    pivot is its smallest key, and ``rows`` maps each pivot to its row, so
+    no two rows share a pivot.  A row may carry a tag, a second integer
+    vector that undergoes the same row operations: with a unit-vector tag
+    per inserted vector, a row's tag expresses the row as a combination of
+    the inserted vectors.  Tags are given for every row or for none.
+
+    Rows are stored as found by fraction-free elimination: a row meets a
+    stored row at that row's pivot with coefficients w and r, and becomes
+    (r/g)*work - (w/g)*row with g = gcd(w, r), so no key gains a
+    denominator.  A new row is then divided by the content (gcd) of its
+    row and tag entries together and signed so that its pivot coefficient
+    is positive: every stored row is primitive jointly with its tag, and
+    row = tag . inserted vectors still holds exactly.
 
     Two facts every caller relies on, for any insertion order:
 
@@ -46,6 +80,11 @@ class Echelon:
       pivots, is unique: two such elements differ by a span element
       supported off the pivots, and such an element is zero by the first
       fact.  So ``reduce`` returns the same normal form for any basis.
+
+    Neither fact reads a row's scale: multiplying any row by a nonzero
+    number changes neither the span nor the pivots.  So the integer rows
+    give the same pivots and normal forms as rows with pivot coefficient 1,
+    and a caller may store any nonzero multiple of a row in its place.
     """
 
     __slots__ = ("rows", "tags")
@@ -57,55 +96,91 @@ class Echelon:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _eliminate(self, work: Sparse, combo: Optional[Sparse], full: bool) -> Sparse:
-        """Subtract rows from ``work`` in place, smallest key first, and
-        add their tags with the same factors to ``combo`` if it is given.
+    def _eliminate(
+        self, work: Sparse, combo: Optional[Sparse], scale: int, full: bool
+    ) -> Tuple[Dict[int, Fraction], int]:
+        """Cancel stored pivots in ``work`` in place, smallest key first.
 
-        With ``full``, move every key that is not a pivot to the returned
-        normal form; otherwise stop at the first such key.
+        On entry, work = scale * v for the vector v being reduced; the
+        elimination keeps work = scale * v - combo . inserted vectors, with
+        ``combo`` (the tags of the rows used) tracked if it is given, and
+        returns the final scale.  With ``full``, move every key that is not
+        a pivot to the returned normal form of v; otherwise stop at the
+        first such key.
         """
         rows, tags = self.rows, self.tags
-        normal: Sparse = {}
+        normal: Dict[int, Fraction] = {}
         while work:
             key = min(work)
             row = rows.get(key)
             if row is None:
                 if not full:
                     break
-                normal[key] = work.pop(key)
+                normal[key] = Fraction(work.pop(key), scale)
                 continue
-            factor = work[key]
-            _subtract(work, factor, row)
+            w, r = work[key], row[key]
+            g = gcd(w, r)
+            a, b = r // g, w // g
+            if a != 1:
+                scale *= a
+                _scale(work, a)
+                if combo is not None:
+                    _scale(combo, a)
+            _subtract(work, b, row)
             if combo is not None:
-                _subtract(combo, -factor, tags[key])
-        return normal
+                _subtract(combo, -b, tags[key])
+        return normal, scale
 
     def insert(
-        self, terms: Mapping[int, Fraction], tag: Optional[Mapping[int, Fraction]] = None
+        self, terms: Rational, tag: Optional[Rational] = None
     ) -> Optional[Sparse]:
-        """Add ``terms`` to the span; the normalized new row, or None if dependent."""
-        work = dict(terms)
+        """Add ``terms`` to the span; the new primitive row, or None if dependent."""
+        d = common_denominator(terms)
+        if tag is not None:
+            d = lcm(d, common_denominator(tag))
+        work = integer_multiple(terms, d)
         combo: Optional[Sparse] = None if tag is None else {}
-        self._eliminate(work, combo, full=False)
+        _, scale = self._eliminate(work, combo, d, full=False)
         if not work:
             return None
         pivot = min(work)
-        inv = Fraction(1) / work[pivot]
-        row = {k: c * inv for k, c in work.items()}
-        self.rows[pivot] = row
+        new_tag: Sparse = {}
         if tag is not None:
-            new_tag = dict(tag)
+            # work = scale * terms - combo . inserted vectors
+            new_tag = integer_multiple(tag, scale)
             _subtract(new_tag, 1, combo)
-            self.tags[pivot] = {k: c * inv for k, c in new_tag.items()}
-        return row
+        content = gcd(*work.values(), *new_tag.values())
+        if work[pivot] < 0:
+            content = -content
+        if content != 1:
+            work = {k: c // content for k, c in work.items()}
+            new_tag = {k: c // content for k, c in new_tag.items()}
+        self.rows[pivot] = work
+        if tag is not None:
+            self.tags[pivot] = new_tag
+        return work
 
     def reduce(
-        self, terms: Mapping[int, Fraction], track: bool = False
-    ) -> Tuple[Sparse, Optional[Sparse]]:
-        """Normal form of ``terms``; with ``track``, the tag combination subtracted."""
+        self, terms: Rational, track: bool = False
+    ) -> Tuple[Dict[int, Fraction], Optional[Dict[int, Fraction]]]:
+        """Normal form of ``terms``; with ``track``, the tag combination
+        subtracted.  Both are Fractions: the integer results divided by the
+        scale the elimination tracked."""
+        d = common_denominator(terms)
         combo: Optional[Sparse] = {} if track else None
-        normal = self._eliminate(dict(terms), combo, full=True)
-        return normal, combo
+        work = integer_multiple(terms, d)
+        normal, scale = self._eliminate(work, combo, d, full=True)
+        if combo is None:
+            return normal, None
+        return normal, {k: Fraction(c, scale) for k, c in combo.items()}
+
+
+def _echelon(rows: Sequence[Sequence[object]]) -> Echelon:
+    """The rows of a dense matrix in an :class:`Echelon` keyed by column."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.insert({j: x for j, x in enumerate(row) if x})
+    return echelon
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
@@ -120,20 +195,19 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
     if not rows:
         return [], []
     ncols = len(rows[0])
-    echelon = Echelon()
-    for row in rows:
-        echelon.insert({j: Fraction(x) for j, x in enumerate(row) if x})
+    echelon = _echelon(rows)
     pivots = sorted(echelon.rows)
     red: Matrix = []
     for p in pivots:
-        normal, _ = echelon.reduce({p: Fraction(1)})
+        normal, _ = echelon.reduce({p: 1})
         red.append([Fraction(j == p) - normal.get(j, 0) for j in range(ncols)])
     red.extend([Fraction(0)] * ncols for _ in range(len(rows) - len(pivots)))
     return red, pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    """Number of rows of an echelon basis of the row space; no RREF is built."""
+    return len(_echelon(rows))
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:

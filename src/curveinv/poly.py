@@ -51,6 +51,16 @@ class Poly:
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
+    @classmethod
+    def _unchecked(cls, variables: tuple, terms: dict) -> "Poly":
+        """Internal arithmetic's constructor, with no validation or copy:
+        ``variables`` is a tuple and ``terms`` maps exponent tuples of its
+        length to nonzero Fractions."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", variables)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -104,11 +114,15 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Poly(self.vars, out)
+            new = out.get(m, 0) + c
+            if new:
+                out[m] = new
+            else:
+                del out[m]
+        return Poly._unchecked(self.vars, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {m: -c for m, c in self.terms.items()})
+        return Poly._unchecked(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -119,12 +133,14 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Poly(self.vars, out)
+                out[m] = out.get(m, 0) + c1 * c2
+        return Poly._unchecked(self.vars, {m: c for m, c in out.items() if c})
 
     def scale(self, value: Scalar) -> "Poly":
         value = Fraction(value)
-        return Poly(self.vars, {m: c * value for m, c in self.terms.items()})
+        if not value:
+            return Poly._unchecked(self.vars, {})
+        return Poly._unchecked(self.vars, {m: c * value for m, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         """self**n by square-and-multiply, exactly."""
@@ -141,7 +157,7 @@ class Poly:
         return result
 
     def truncate(self, max_degree: int) -> "Poly":
-        return Poly(
+        return Poly._unchecked(
             self.vars, {m: c for m, c in self.terms.items() if sum(m) <= max_degree}
         )
 
@@ -151,11 +167,9 @@ class Poly:
         i = self.vars.index(var)
         out: dict = {}
         for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            dm = m[:i] + (m[i] - 1,) + m[i + 1 :]
-            out[dm] = out.get(dm, Fraction(0)) + c * m[i]
-        return Poly(self.vars, out)
+            if m[i]:  # distinct such m give distinct dm, so nothing cancels
+                out[m[:i] + (m[i] - 1,) + m[i + 1 :]] = c * m[i]
+        return Poly._unchecked(self.vars, out)
 
     def substitute(self, images: Mapping[str, "Poly"]) -> "Poly":
         """Compose with one image polynomial per ambient variable, exactly.
@@ -176,15 +190,15 @@ class Poly:
         powers: dict = {}  # (var, e) -> images[var] ** e
         out: dict = {}
         for m, c in self.terms.items():
-            piece = Poly.const(target_vars, c)
+            piece = Poly._unchecked(target_vars, {(0,) * len(target_vars): c})
             for var, e in zip(self.vars, m):
                 if e:
                     if (var, e) not in powers:
                         powers[var, e] = images[var] ** e
                     piece = piece * powers[var, e]
             for tm, tc in piece.terms.items():
-                out[tm] = out.get(tm, Fraction(0)) + tc
-        return Poly(target_vars, out)
+                out[tm] = out.get(tm, 0) + tc
+        return Poly._unchecked(target_vars, {m: c for m, c in out.items() if c})
 
     # -- comparison / printing --------------------------------------------
 

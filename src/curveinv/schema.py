@@ -64,7 +64,9 @@ def _parse_expr(source: Any, variables, path: str):
     try:
         return parse_poly(source, variables)
     except ParseError as exc:
-        raise SchemaError(f"bad expression {source!r}: {exc}", path)
+        # quote a bounded prefix, so one huge expression gives a short error
+        shown = repr(source) if len(source) <= 40 else f"{source[:40]!r}..."
+        raise SchemaError(f"bad expression {shown}: {exc}", path)
 
 
 def _param(images: List[Any], path: str) -> BranchParam:

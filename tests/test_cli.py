@@ -187,6 +187,8 @@ def test_input_that_python_rejects_exit_2(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message)
+    # the error quotes at most a bounded prefix of the rejected input
+    assert len(captured.err.encode()) < 200
 
 
 def test_not_m_primary_is_an_internal_failure(monkeypatch, capsys):

@@ -1,10 +1,14 @@
 """The sparse echelon kernel and the dense rref/rank/nullspace built on it."""
 
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from curveinv.jets import JetAlgebra, build_jet_algebra
 from curveinv.linalg import Echelon, nullspace, rank, rref
+from curveinv.poly import Poly, parse_poly
 
 
 def gauss_jordan(rows):
@@ -164,3 +168,100 @@ def test_zero_matrix():
         [Fraction(int(i == j)) for j in range(3)] for i in range(3)
     ]
     assert rref([]) == ([], []) and nullspace([]) == []
+
+
+# -- the integer kernel -------------------------------------------------------
+
+# Large heights: numerators up to 2^64, denominators up to 10^6.
+big = st.builds(
+    Fraction, st.integers(-(2**64), 2**64), st.integers(1, 10**6)
+)
+big_nonzero = big.filter(bool)
+
+
+@st.composite
+def tall_matrices(draw):
+    """Matrices of large-height rationals; each row is a big common content
+    times a row of big entries, and one row may be a big combination of
+    two others."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(st.one_of(st.just(Fraction(0)), big), min_size=ncols, max_size=ncols)
+    rows = [
+        [content * x for x in draw(row)]
+        for content in draw(st.lists(big_nonzero, min_size=1, max_size=5))
+    ]
+    if len(rows) >= 2 and draw(st.booleans()):
+        a, b = draw(big), draw(big)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+    return draw(st.permutations(rows)), ncols
+
+
+def combination(coeffs, rows, ncols):
+    """sum(coeffs[k] * rows[k]) as a dense vector."""
+    out = [Fraction(0)] * ncols
+    for k, c in coeffs.items():
+        out = [a + c * b for a, b in zip(out, rows[k])]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(tall_matrices(), st.data())
+def test_large_height_rationals_match_gauss_jordan(case, data):
+    rows, ncols = case
+    red, pivots = gauss_jordan(rows)
+    assert rref(rows) == (red, pivots)
+    assert rank(rows) == len(pivots)
+    assert nullspace(rows) == oracle_nullspace(rows)
+    echelon = Echelon()
+    for i, row in enumerate(rows):
+        new = echelon.insert(sparse(row), tag={i: Fraction(1)})
+        if new is not None:
+            assert sparse(combination(echelon.tags[min(new)], rows, ncols)) == new
+    vec = data.draw(st.lists(big, min_size=ncols, max_size=ncols))
+    normal, combo = echelon.reduce(sparse(vec), track=True)
+    # the oracle normal form subtracts vec[p] times RREF row p at each pivot
+    expected = list(vec)
+    for r, p in enumerate(pivots):
+        expected = [a - vec[p] * b for a, b in zip(expected, red[r])]
+    assert dense(normal, ncols) == expected
+    assert [a - b for a, b in zip(vec, expected)] == combination(combo, rows, ncols)
+    assert all(isinstance(c, Fraction) for c in [*normal.values(), *combo.values()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices(min_rows=1), tall_matrices()), st.booleans())
+def test_stored_rows_are_primitive_integer_vectors(case, tagged):
+    rows, _ = case
+    echelon = Echelon()
+    for i, row in enumerate(rows):
+        tag = {i: Fraction(1, i + 2)} if tagged else None
+        new = echelon.insert(sparse(row), tag=tag)
+        if new is None:
+            continue
+        pivot = min(new)
+        stored = echelon.tags[pivot] if tagged else {}
+        assert echelon.rows[pivot] is new
+        assert all(type(c) is int for c in [*new.values(), *stored.values()])
+        assert new[pivot] > 0
+        assert gcd(*new.values(), *stored.values()) == 1
+
+
+@pytest.mark.parametrize("src", ["u^2+v^3", "1/3*u^3+2/5*v^4", "(u+v)^2+v^9"])
+def test_jet_results_are_fractions(src):
+    """Integer rows stay inside the kernel: normal forms and cofactors are
+    Fractions, also for a germ with rational coefficients."""
+    f = parse_poly(src, ("u", "v"))
+    gens = [f.diff("u"), f.diff("v")]
+    milnor = build_jet_algebra(gens)
+    T = milnor.truncation_order
+    monomials = [(a, d - a) for d in range(T + 1) for a in range(d + 1)]
+    for mono in monomials:
+        normal = milnor.normal_form(f * Poly(f.vars, {mono: 1}))
+        assert all(isinstance(c, Fraction) for c in normal)
+    tagged = JetAlgebra(gens, T + 2)
+    u, v = Poly.variable(f.vars, "u"), Poly.variable(f.vars, "v")
+    p = u * gens[0] + (v * gens[1]).scale(Fraction(1, 7))
+    cofactors = tagged.membership_with_witness(p, T)
+    assert cofactors
+    for cof in cofactors:
+        assert all(isinstance(c, Fraction) for c in cof.terms.values())
