@@ -4,18 +4,18 @@ A branch parametrization generates a subalgebra of the power-series ring
 in t; the t-orders attained by that subalgebra form the value semigroup,
 computed here by subalgebra saturation (see ``branch_semigroup``) on the
 sparse echelon kernel :class:`linalg.Echelon` that also serves jet
-algebras and dense ranks.  The gap count below the conductor is the
-one-branch delta; multibranch delta adds pairwise intersection
-multiplicities, which need a defining equation per branch.  Milnor's
-formula mu = 2*delta - r + 1 is asserted against the independently
-computed mu as the end-to-end cross-check.  Branch images are polynomials
-in t, so equations are pulled back along branches exactly; the semigroup
-is the only computation with a working order.
+algebras and dense ranks.  Each image enters it once as an integer
+multiple, so saturation multiplies integer series.  The gap count below
+the conductor is the one-branch delta; multibranch delta adds pairwise
+intersection multiplicities, which need a defining equation per branch.
+Milnor's formula mu = 2*delta - r + 1 is asserted against the
+independently computed mu as the end-to-end cross-check.  Branch images
+are polynomials in t, so equations are pulled back along branches
+exactly; the semigroup is the only computation with a working order.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Set
 
@@ -27,13 +27,13 @@ from .errors import (
     NotTransverseAtOrder,
     SchemaError,
 )
-from .linalg import Echelon
+from .linalg import Echelon, integer_row
 from .plane import PlaneSingularity
 from .poly import BranchParam, DeltaR, Poly
 
 WORKING_ORDER_CAP = 4096
 
-Series = Dict[int, Fraction]  # t-exponent -> nonzero coefficient
+Series = Dict[int, int]  # t-exponent -> nonzero integer coefficient
 
 
 def branch_semigroup(b: BranchParam, order: int) -> Set[int]:
@@ -60,16 +60,21 @@ def branch_semigroup(b: BranchParam, order: int) -> Set[int]:
     So V = A, and by the echelon's pivot fact the pivot set is the set of
     lowest orders of A, whatever the order in which the queue is
     processed.  None of this uses that the images are monomials.
+
+    Each image enters as its integer multiple (:func:`linalg.integer_row`):
+    a nonzero multiple of a generator generates the same subalgebra, with
+    the same orders, and keeps every row and product an integer series.
     """
     gens = [
-        {m[0]: c for m, c in img.terms.items()} for img in b.images if not img.is_zero()
+        integer_row({m[0]: c for m, c in img.terms.items()})[0]
+        for img in b.images if not img.is_zero()
     ]
     if all(min(g) > order for g in gens):
         raise DegenerateBranch(
             f"all images vanish to working order {order}"
         )
     echelon = Echelon()
-    queue: List[Series] = [{0: Fraction(1)}]
+    queue: List[Series] = [{0: 1}]
     while queue:
         row = echelon.insert(queue.pop())
         if row is None:

@@ -9,9 +9,10 @@ degree first, so the monomials of degree <= T are a prefix of the list.
 The rows of the degree-<=T slice of the ideal live in the sparse echelon
 kernel :class:`linalg.Echelon` that also serves branch semigroups and
 dense ranks.  The pivot of each row is its smallest monomial, so normal
-forms are unique and runs are reproducible.  Rows are integer vectors:
-each generator is cleared of denominators once, and normal forms and
-cofactors come back as Fractions.
+forms are unique and runs are reproducible.  The kernel takes integer
+vectors: :func:`linalg.integer_row` clears each generator and each
+reduced polynomial of denominators once, and normal forms and cofactors
+come back as Fractions.
 
 The m-primality certificate: if every standard (non-pivot) monomial has
 total degree < T, then all monomials of some degree N <= T are reducible,
@@ -84,7 +85,7 @@ from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotInIdeal, NotMPrimary, TruncationCapExceeded
-from .linalg import Echelon, common_denominator, integer_multiple
+from .linalg import Echelon, integer_row
 from .poly import Monomial, Poly, grlex_key
 
 TRUNCATION_CAP = 64
@@ -212,8 +213,7 @@ class JetAlgebra:
             g_order = g.order()
             if g_order is None or g_order > T:
                 continue  # spans nothing in degree <= T
-            d = common_denominator(g.terms)
-            g_ints = integer_multiple(g.terms, d)
+            g_ints, d = integer_row(g.terms)
             g_terms = [(m, sum(m), c) for m, c in g_ints.items()]
             # the multipliers are the monomials of degree <= T - g_order,
             # a prefix of the jet monomials
@@ -253,8 +253,8 @@ class JetAlgebra:
         """Normal form of p, keyed by jet index; optionally the tag combination."""
         if p.vars != self.ambient:
             raise ValueError("ambient mismatch")
-        jet = p.truncate(self.truncation_order)
-        return self._rows.reduce({self._index[m]: c for m, c in jet.terms.items()}, track)
+        jet, d = integer_row(p.truncate(self.truncation_order).terms)
+        return self._rows.reduce({self._index[m]: c for m, c in jet.items()}, d, track)
 
     def normal_form(self, p: Poly) -> List[Fraction]:
         """Coordinates of p's class over the standard-monomial basis."""

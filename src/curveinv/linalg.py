@@ -2,10 +2,11 @@
 
 :class:`Echelon` is the only elimination in the package: jet algebras,
 branch value semigroups and the dense ranks and nullspaces below all use
-it.  It eliminates fraction-free, on primitive integer rows: rational
-input is cleared of denominators once, on entry, and ``Fraction`` appears
-again only in what ``reduce`` and :func:`rref` return.  It is
-deterministic, so repeated runs give identical results.
+it.  It eliminates fraction-free and takes integer vectors only: each
+caller clears a rational input of denominators once, where it enters,
+with :func:`integer_row`, and ``Fraction`` appears again only in what
+``reduce`` and :func:`rref` return.  It is deterministic, so repeated
+runs give identical results.
 """
 
 from __future__ import annotations
@@ -17,23 +18,19 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Sparse = Dict[int, int]  # key -> nonzero integer coefficient
-Rational = Mapping[object, object]  # key -> int or Fraction coefficient
 
 
 _NUMERATOR = attrgetter("numerator")
 _DENOMINATOR = attrgetter("denominator")
 
 
-def common_denominator(vec: Rational) -> int:
-    """The lcm of the denominators of vec's coefficients."""
-    return lcm(*map(_DENOMINATOR, vec.values()))
-
-
-def integer_multiple(vec: Rational, d: int) -> dict:
-    """d * vec as an integer vector, d being a multiple of its denominators."""
+def integer_row(vec: Mapping) -> Tuple[dict, int]:
+    """(d * vec, d) for d the lcm of the denominators of vec's int or
+    Fraction coefficients: the smallest positive integer multiple of vec."""
+    d = lcm(*map(_DENOMINATOR, vec.values()))
     if d == 1:
-        return dict(zip(vec, map(_NUMERATOR, vec.values())))
-    return {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
+        return dict(zip(vec, map(_NUMERATOR, vec.values()))), 1
+    return {k: c.numerator * (d // c.denominator) for k, c in vec.items()}, d
 
 
 def _subtract(work: Sparse, factor: int, row: Mapping[int, int]) -> None:
@@ -60,6 +57,8 @@ class Echelon:
     vector that undergoes the same row operations: with a unit-vector tag
     per inserted vector, a row's tag expresses the row as a combination of
     the inserted vectors.  Tags are given for every row or for none.
+    Inserted vectors, their tags and the vectors to reduce are integer
+    vectors; the kernel clears no denominators (see :func:`integer_row`).
 
     Rows are stored as found by fraction-free elimination: a row meets a
     stored row at that row's pivot with coefficients w and r, and becomes
@@ -131,23 +130,19 @@ class Echelon:
                 _subtract(combo, -b, tags[key])
         return normal, scale
 
-    def insert(
-        self, terms: Rational, tag: Optional[Rational] = None
-    ) -> Optional[Sparse]:
-        """Add ``terms`` to the span; the new primitive row, or None if dependent."""
-        d = common_denominator(terms)
-        if tag is not None:
-            d = lcm(d, common_denominator(tag))
-        work = integer_multiple(terms, d)
+    def insert(self, row: Sparse, tag: Optional[Sparse] = None) -> Optional[Sparse]:
+        """Add the integer vector ``row`` to the span, with its integer
+        ``tag``; the new primitive row, or None if dependent."""
+        work = dict(row)
         combo: Optional[Sparse] = None if tag is None else {}
-        _, scale = self._eliminate(work, combo, d, full=False)
+        _, scale = self._eliminate(work, combo, 1, full=False)
         if not work:
             return None
         pivot = min(work)
         new_tag: Sparse = {}
         if tag is not None:
-            # work = scale * terms - combo . inserted vectors
-            new_tag = integer_multiple(tag, scale)
+            # work = scale * row - combo . inserted vectors
+            new_tag = {k: scale * c for k, c in tag.items()}
             _subtract(new_tag, 1, combo)
         content = gcd(*work.values(), *new_tag.values())
         if work[pivot] < 0:
@@ -161,25 +156,27 @@ class Echelon:
         return work
 
     def reduce(
-        self, terms: Rational, track: bool = False
+        self, row: Sparse, d: int, track: bool = False
     ) -> Tuple[Dict[int, Fraction], Optional[Dict[int, Fraction]]]:
-        """Normal form of ``terms``; with ``track``, the tag combination
-        subtracted.  Both are Fractions: the integer results divided by the
-        scale the elimination tracked."""
-        d = common_denominator(terms)
+        """Normal form of v = row / d, for the integer vector ``row``; with
+        ``track``, the tag combination subtracted.  Both are Fractions: the
+        integer results divided by the scale the elimination tracked."""
         combo: Optional[Sparse] = {} if track else None
-        work = integer_multiple(terms, d)
-        normal, scale = self._eliminate(work, combo, d, full=True)
+        normal, scale = self._eliminate(dict(row), combo, d, full=True)
         if combo is None:
             return normal, None
         return normal, {k: Fraction(c, scale) for k, c in combo.items()}
 
 
-def _echelon(rows: Sequence[Sequence[object]]) -> Echelon:
-    """The rows of a dense matrix in an :class:`Echelon` keyed by column."""
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> Echelon:
+    """The rows of a dense matrix in an :class:`Echelon` keyed by column.
+
+    Each row goes in as its integer multiple: scaling a row changes
+    neither the row space nor its pivots.
+    """
     echelon = Echelon()
     for row in rows:
-        echelon.insert({j: x for j, x in enumerate(row) if x})
+        echelon.insert(integer_row({j: x for j, x in enumerate(row) if x})[0])
     return echelon
 
 
@@ -199,7 +196,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
     pivots = sorted(echelon.rows)
     red: Matrix = []
     for p in pivots:
-        normal, _ = echelon.reduce({p: 1})
+        normal, _ = echelon.reduce({p: 1}, 1)
         red.append([Fraction(j == p) - normal.get(j, 0) for j in range(ncols)])
     red.extend([Fraction(0)] * ncols for _ in range(len(rows) - len(pivots)))
     return red, pivots

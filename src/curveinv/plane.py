@@ -85,10 +85,10 @@ class PlaneAnalysis:
         self.tjurina = JetAlgebra(
             [self.f_u, self.f_v, f], self.milnor.truncation_order, base=self.milnor
         )
-        if sing.weights is not None:
-            self.effective_weights: Optional[Tuple[Fraction, Fraction]] = sing.weights
-        else:
-            self.effective_weights = weight_feasibility(f)
+        # Declared weights passing the Euler relation equal these unless f
+        # is c*u*v, where the support leaves them free, M_f = <1> and the
+        # tail scalar is w1 + w2 = 1 for any of them.
+        self.effective_weights = weight_feasibility(f)
         self._mult_cache = None
 
     # -- basic invariants --------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ParseError, UndeclaredVariable
 
@@ -434,7 +434,7 @@ class DeltaR:
 # ---------------------------------------------------------------------------
 
 
-def weight_feasibility(f: Poly):
+def weight_feasibility(f: Poly) -> Optional[Tuple[Fraction, Fraction]]:
     """Positive rational weights (w1, w2) with a*w1 + b*w2 = 1 on the support.
 
     Returns None when the linear system is infeasible over the positive

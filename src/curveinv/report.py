@@ -95,9 +95,7 @@ def _check_asserted(
     )
 
 
-def _analyze_plane(
-    sing: PlaneSingularity, options: AnalysisOptions, checks: List[Check]
-) -> PlaneRecord:
+def _analyze_plane(sing: PlaneSingularity, checks: List[Check]) -> PlaneRecord:
     label = sing.label or str(sing.f)
     analysis = PlaneAnalysis(sing)
     mu, tau = analysis.milnor_tjurina()
@@ -174,9 +172,7 @@ def _analyze_plane(
     )
 
 
-def _analyze_lci(
-    pres: LciPresentation, options: AnalysisOptions, checks: List[Check]
-) -> LciRecord:
+def _analyze_lci(pres: LciPresentation, checks: List[Check]) -> LciRecord:
     label = pres.label or ",".join(str(f) for f in pres.equations)
     report = obstruction(pres)
     e = report.e
@@ -221,9 +217,9 @@ def analyze(doc: CurveDocument, options: AnalysisOptions = AnalysisOptions()) ->
     records = []
     for sing in doc.singularities:
         if isinstance(sing, PlaneSingularity):
-            records.append(_analyze_plane(sing, options, checks))
+            records.append(_analyze_plane(sing, checks))
         else:
-            records.append(_analyze_lci(sing, options, checks))
+            records.append(_analyze_lci(sing, checks))
     model = CurveModel(genus=doc.genus, records=tuple(records), label=doc.label)
     invariants = global_invariants(model)
     verdict = degeneration_verdict(model, invariants)

@@ -64,6 +64,18 @@ def test_semigroup_closed_under_addition():
                 assert a + b in values
 
 
+def test_rational_images_match_images_scaled_to_integers():
+    # 15 times the second image: same subalgebra, so same semigroup and delta
+    rational = parse_branch(["t^4", "1/3*t^6+2/5*t^7"])
+    scaled = parse_branch(["t^4", "5*t^6+6*t^7"])
+    for order in (12, 29, 64):
+        assert branch_semigroup(rational, order) == branch_semigroup(scaled, order)
+    assert sorted(set(range(30)) - branch_semigroup(rational, 29)) == [
+        1, 2, 3, 5, 7, 9, 11, 15
+    ]
+    assert delta_with_retry(rational) == delta_with_retry(scaled) == 8
+
+
 def test_delta_one_branch_values():
     assert delta_one_branch(parse_branch(["t^2", "t^3"]), 16) == 1
     assert delta_one_branch(parse_branch(["t", "0"]), 8) == 0

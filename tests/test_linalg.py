@@ -1,13 +1,13 @@
 """The sparse echelon kernel and the dense rref/rank/nullspace built on it."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from curveinv.jets import JetAlgebra, build_jet_algebra
-from curveinv.linalg import Echelon, nullspace, rank, rref
+from curveinv.linalg import Echelon, integer_row, nullspace, rank, rref
 from curveinv.poly import Poly, parse_poly
 
 
@@ -119,13 +119,13 @@ def test_normal_form_independent_of_insertion_order(case, data):
     vec = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
     first, second = Echelon(), Echelon()
     for row in rows:
-        first.insert(sparse(row))
+        first.insert(integer_row(sparse(row))[0])
     for row in shuffled:
-        second.insert(sparse(row))
+        second.insert(integer_row(sparse(row))[0])
     assert set(first.rows) == set(second.rows)
-    normal, combo = first.reduce(sparse(vec))
+    normal, combo = first.reduce(*integer_row(sparse(vec)))
     assert combo is None
-    assert normal == second.reduce(sparse(vec))[0]
+    assert normal == second.reduce(*integer_row(sparse(vec)))[0]
     assert not set(normal) & set(first.rows)
 
 
@@ -136,14 +136,16 @@ def test_tags_record_the_combination_of_inserted_rows(case, data):
     vec = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
     echelon = Echelon()
     for i, row in enumerate(rows):
-        new = echelon.insert(sparse(row), tag={i: Fraction(1)})
+        # d * row goes in with tag d, so tags combine the rows themselves
+        ints, d = integer_row(sparse(row))
+        new = echelon.insert(ints, tag={i: d})
         if new is not None:
             # a new row is its tag's combination of the inserted rows
             combined = [Fraction(0)] * ncols
             for k, c in echelon.tags[min(new)].items():
                 combined = [a + c * b for a, b in zip(combined, rows[k])]
             assert sparse(combined) == new
-    normal, combo = echelon.reduce(sparse(vec), track=True)
+    normal, combo = echelon.reduce(*integer_row(sparse(vec)), track=True)
     combined = [Fraction(0)] * ncols
     for k, c in combo.items():
         combined = [a + c * b for a, b in zip(combined, rows[k])]
@@ -152,13 +154,16 @@ def test_tags_record_the_combination_of_inserted_rows(case, data):
 
 def test_insert_normalizes_and_rejects_dependent_rows():
     echelon = Echelon()
-    assert echelon.insert({2: Fraction(3), 4: Fraction(6)}) == {2: 1, 4: 2}
-    assert echelon.insert({2: Fraction(-1), 4: Fraction(-2)}) is None
-    assert echelon.insert({}) is None
-    assert echelon.insert({1: Fraction(2), 2: Fraction(2)}) == {1: 1, 2: 1}
+    def insert(vec):
+        return echelon.insert(integer_row(vec)[0])
+
+    assert insert({2: Fraction(3), 4: Fraction(6)}) == {2: 1, 4: 2}
+    assert insert({2: Fraction(-1), 4: Fraction(-2)}) is None
+    assert insert({}) is None
+    assert insert({1: Fraction(2), 2: Fraction(2)}) == {1: 1, 2: 1}
     assert len(echelon) == 2 and set(echelon.rows) == {1, 2}
     # 2 and 1 are pivots; 4 is not, and carries the whole normal form
-    assert echelon.reduce({1: Fraction(1)}) == ({4: Fraction(2)}, None)
+    assert echelon.reduce(*integer_row({1: Fraction(1)})) == ({4: Fraction(2)}, None)
 
 
 def test_zero_matrix():
@@ -171,6 +176,22 @@ def test_zero_matrix():
 
 
 # -- the integer kernel -------------------------------------------------------
+
+@settings(max_examples=200)
+@given(
+    st.dictionaries(
+        st.integers(0, 20),
+        st.one_of(st.integers(-(2**64), 2**64), st.fractions(max_denominator=10**6)),
+        max_size=6,
+    )
+)
+def test_integer_row_clears_denominators_once(vec):
+    ints, d = integer_row(vec)
+    assert d == lcm(*(Fraction(c).denominator for c in vec.values()))
+    assert set(ints) == set(vec)
+    for k, c in ints.items():
+        assert type(c) is int and c == d * vec[k]
+
 
 # Large heights: numerators up to 2^64, denominators up to 10^6.
 big = st.builds(
@@ -214,11 +235,12 @@ def test_large_height_rationals_match_gauss_jordan(case, data):
     assert nullspace(rows) == oracle_nullspace(rows)
     echelon = Echelon()
     for i, row in enumerate(rows):
-        new = echelon.insert(sparse(row), tag={i: Fraction(1)})
+        ints, d = integer_row(sparse(row))
+        new = echelon.insert(ints, tag={i: d})
         if new is not None:
             assert sparse(combination(echelon.tags[min(new)], rows, ncols)) == new
     vec = data.draw(st.lists(big, min_size=ncols, max_size=ncols))
-    normal, combo = echelon.reduce(sparse(vec), track=True)
+    normal, combo = echelon.reduce(*integer_row(sparse(vec)), track=True)
     # the oracle normal form subtracts vec[p] times RREF row p at each pivot
     expected = list(vec)
     for r, p in enumerate(pivots):
@@ -234,8 +256,8 @@ def test_stored_rows_are_primitive_integer_vectors(case, tagged):
     rows, _ = case
     echelon = Echelon()
     for i, row in enumerate(rows):
-        tag = {i: Fraction(1, i + 2)} if tagged else None
-        new = echelon.insert(sparse(row), tag=tag)
+        tag = {i: i + 2} if tagged else None
+        new = echelon.insert(integer_row(sparse(row))[0], tag=tag)
         if new is None:
             continue
         pivot = min(new)
