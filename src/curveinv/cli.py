@@ -9,13 +9,15 @@ No option sets a jet truncation order: the engine picks it (see
 ``jets``), and no reported number depends on it.
 
 Exit codes: 0 success, 1 invariant-check failure, 2 input error,
-3 truncation cap exceeded (see ``errors``).
+3 truncation cap exceeded (see ``errors``).  A reader that closes stdout
+early changes no exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -88,6 +90,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str) -> None:
+    """Print one report.  If the reader has closed stdout, drop the rest:
+    stdout is pointed at the null device, so the flush at exit cannot fail
+    again, and the subcommand still returns its own exit code."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _cmd_analyze(args) -> int:
     doc = load_curve(args.file)
     if args.tail_window < 1:
@@ -97,10 +112,7 @@ def _cmd_analyze(args) -> int:
         hc_window=tuple(args.hc_window),
     )
     report = analyze(doc, options)
-    if args.format == "json-like":
-        print(to_json(report))
-    else:
-        print(to_text(report))
+    _emit(to_json(report) if args.format == "json-like" else to_text(report))
     return EXIT_OK if report.ok() else EXIT_CHECK_FAILURE
 
 
@@ -120,7 +132,7 @@ def _cmd_sing(args) -> int:
     tail = analysis.tail_map_general()
     weights = analysis.effective_weights
     if args.format == "json-like":
-        print(
+        _emit(
             json.dumps(
                 {
                     "equation": str(f),
@@ -137,20 +149,25 @@ def _cmd_sing(args) -> int:
             )
         )
     else:
-        print(f"equation: {f}")
-        print(f"mu = {mu}, tau = {tau}")
-        print(f"quasihomogeneous (tau = mu): {analysis.saito_test()}")
-        if weights is not None:
-            print(f"weights in these coordinates: ({weights[0]}, {weights[1]})")
-        else:
-            print("no weight system in these coordinates")
-        print(f"tail map rank: {tail.rank}")
+        _emit(
+            "\n".join(
+                [
+                    f"equation: {f}",
+                    f"mu = {mu}, tau = {tau}",
+                    f"quasihomogeneous (tau = mu): {analysis.saito_test()}",
+                    f"weights in these coordinates: ({weights[0]}, {weights[1]})"
+                    if weights is not None
+                    else "no weight system in these coordinates",
+                    f"tail map rank: {tail.rank}",
+                ]
+            )
+        )
     return EXIT_OK
 
 
 def _cmd_corpus(args) -> int:
     text, ok = run_corpus()
-    print(text)
+    _emit(text)
     return EXIT_OK if ok else EXIT_CHECK_FAILURE
 
 

@@ -11,8 +11,8 @@ kernel :class:`linalg.Echelon` that also serves branch semigroups and
 dense ranks.  The pivot of each row is its smallest monomial, so normal
 forms are unique and runs are reproducible.  The kernel takes integer
 vectors: :func:`linalg.integer_row` clears each generator and each
-reduced polynomial of denominators once, and normal forms and cofactors
-come back as Fractions.
+reduced polynomial of denominators once, and normal forms come back as
+Fractions.
 
 The m-primality certificate: if every standard (non-pivot) monomial has
 total degree < T, then all monomials of some degree N <= T are reducible,
@@ -58,12 +58,22 @@ Ideal-membership witnesses (cofactors) fall out of the same reduction
 with no extra linear solve: in a tagged algebra each row carries, as its
 echelon tag, an expression of itself as an integer combination of the
 multiples mult * g_j, under the key index(mult) * G + j for G
-generators.  A multiple goes in as d_j * mult * g_j with tag value d_j,
-d_j the lcm of g_j's denominators, so each row is exactly its tag's
-combination of the multiples.  A reduction returns its tag combination
-divided by its own integer scale: a key decodes by divmod into mult and
-j, and its value is the Fraction coefficient of mult in the cofactor of
-g_j.  A :class:`JetAlgebra` is tagged by default, but
+generators.  Each generator is cleared once per algebra, g_j = G_j / d_j
+with G_j integer and d_j the lcm of g_j's denominators; a multiple goes in
+as mult * G_j with tag value d_j, so each row is exactly its tag's
+combination of the multiples.  The witness core takes an integer P with
+its denominator d and reduces P / d tracking the tags: it gets an integer
+combination, whose keys decode by divmod into mult and j and give integer
+cofactors C_j, and the integer scale s the reduction tracked, a multiple
+of d, with P / d = sum(C_j / s * g_j) up to degree T.  The defect
+P / d - sum(C_j / s * G_j / d_j) is then checked exactly without a
+Fraction: times L * s, for L the lcm of the d_j, it is
+L * (s / d) * P - sum((L / d_j) * C_j * G_j), an integer polynomial since
+d divides s and each d_j divides L, and a nonzero factor changes no
+order.  Its terms of degree <= the requested order must all cancel.
+``normal_form`` and ``membership_with_witness`` clear p once, call the
+integer cores, and divide by s only on the way out.  A
+:class:`JetAlgebra` is tagged by default, but
 :func:`build_jet_algebra` always builds untagged: the Milnor algebra, its
 doubling attempts and the Tjurina algebra derived from it carry no tags,
 and ``plane`` tags only the algebra the tail map reads witnesses from.  A
@@ -80,13 +90,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotInIdeal, NotMPrimary, TruncationCapExceeded
 from .linalg import Echelon, integer_row
-from .poly import Monomial, Poly, grlex_key
+from .poly import Monomial, Poly, grlex_key, multiply_terms
 
 TRUNCATION_CAP = 64
 
@@ -152,6 +162,8 @@ class JetAlgebra:
         nvars = len(ambient)
         self._monomials, self._index = _jet_monomials(nvars, truncation_order)
         self._size = comb(nvars + truncation_order, nvars)  # keys below it
+        # each generator cleared once: g_j = G_j / d_j, with integer G_j
+        self._integer_generators = tuple(integer_row(g.terms) for g in generators)
         self._rows = Echelon()
         first = 0
         if base is not None:
@@ -198,7 +210,7 @@ class JetAlgebra:
     def _build(self, first: int, row_seed: Optional[int]) -> None:
         """Insert every multiple mult * g_j of degree <= T, for j >= first.
 
-        Each generator is cleared of denominators once: with d_j the lcm of
+        Each generator goes in cleared of denominators: with d_j the lcm of
         g_j's denominators, the integer vector of d_j * mult * g_j goes in.
         If tagged, its tag is the single key index(mult) * G + j, with
         value d_j, G being the number of generators, so a row's tag is its
@@ -213,7 +225,7 @@ class JetAlgebra:
             g_order = g.order()
             if g_order is None or g_order > T:
                 continue  # spans nothing in degree <= T
-            g_ints, d = integer_row(g.terms)
+            g_ints, d = self._integer_generators[j]
             g_terms = [(m, sum(m), c) for m, c in g_ints.items()]
             # the multipliers are the monomials of degree <= T - g_order,
             # a prefix of the jet monomials
@@ -249,25 +261,33 @@ class JetAlgebra:
     def colength(self) -> int:
         return len(self.basis)
 
-    def _reduce(self, p: Poly, track: bool):
-        """Normal form of p, keyed by jet index; optionally the tag combination."""
+    def _cleared(self, p: Poly) -> Tuple[Dict[Monomial, int], int]:
         if p.vars != self.ambient:
             raise ValueError("ambient mismatch")
-        jet, d = integer_row(p.truncate(self.truncation_order).terms)
-        return self._rows.reduce({self._index[m]: c for m, c in jet.items()}, d, track)
+        return integer_row(p.terms)
 
-    def normal_form(self, p: Poly) -> List[Fraction]:
-        """Coordinates of p's class over the standard-monomial basis."""
-        normal, _ = self._reduce(p, track=False)
+    def _reduce(self, P: Dict[Monomial, int], d: int, track: bool):
+        """``Echelon.reduce`` of the degree-<=T jet of P / d."""
+        T, index = self.truncation_order, self._index
+        jet = {index[m]: c for m, c in P.items() if sum(m) <= T}
+        return self._rows.reduce(jet, d, track)
+
+    def integer_normal_form(self, P: Dict[Monomial, int], d: int) -> List[Fraction]:
+        """Coordinates over the standard-monomial basis of the class of
+        P / d, for P an integer term map in the ambient variables."""
+        normal, _, _ = self._reduce(P, d, track=False)
         return [normal.get(i, _ZERO) for i in self._basis_keys]
 
-    def membership_with_witness(self, p: Poly, order: int) -> Tuple[Poly, ...]:
-        """Cofactors c_i, one per generator g_i, with p - sum(c_i * g_i) of
-        order > ``order``; the defect is checked exactly.
+    def integer_witness(
+        self, P: Dict[Monomial, int], d: int, order: int
+    ) -> Tuple[List[Dict[Monomial, int]], int]:
+        """Integer cofactors C_j and a scale s with P / d - sum(C_j / s * g_j)
+        of order > ``order``, for P an integer term map; the defect is
+        checked exactly, in integers (see the module docstring).
 
-        A zero normal form says the jets of ``p`` and of the cofactor
+        A zero normal form says the jets of P / d and of the cofactor
         combination agree up to degree T, so any order up to T can be
-        verified, and the defect is computed and checked exactly.
+        verified.
         """
         if not self.tagged:
             raise AssertionError("an untagged jet algebra gives no witnesses")
@@ -275,26 +295,44 @@ class JetAlgebra:
             raise ValueError(
                 f"order {order} exceeds certified range {self.truncation_order}"
             )
-        normal, combo = self._reduce(p, track=True)
+        normal, combo, s = self._reduce(P, d, track=True)
         if normal:
             raise NotInIdeal(
                 f"nonzero normal form on {[self._monomials[i] for i in sorted(normal)]}"
             )
         G = len(self.generators)
-        cofactors: List[Dict[Monomial, Fraction]] = [{} for _ in self.generators]
+        cofactors: List[Dict[Monomial, int]] = [{} for _ in self.generators]
         for key, c in combo.items():
             i, j = divmod(key, G)
             cofactors[j][self._monomials[i]] = c
-        polys = tuple(Poly._unchecked(self.ambient, cof) for cof in cofactors)
-        defect = p
-        for cof, g in zip(polys, self.generators):
-            defect = defect - cof * g
-        defect_order = defect.order()
-        if defect_order is not None and defect_order <= order:
+        # L * s * (P / d - sum(C_j / s * G_j / d_j)), up to degree ``order``
+        L = lcm(*(d_j for _, d_j in self._integer_generators))
+        scale = L * (s // d)
+        defect = {m: scale * c for m, c in P.items() if sum(m) <= order}
+        for C, (G_j, d_j) in zip(cofactors, self._integer_generators):
+            factor = L // d_j
+            for m, c in multiply_terms(C, G_j).items():
+                if sum(m) <= order:
+                    defect[m] = defect.get(m, 0) - factor * c
+        defect_order = min((sum(m) for m, c in defect.items() if c), default=None)
+        if defect_order is not None:
             raise NotInIdeal(
                 f"witness defect has order {defect_order} <= {order}"
             )
-        return polys
+        return cofactors, s
+
+    def normal_form(self, p: Poly) -> List[Fraction]:
+        """Coordinates of p's class over the standard-monomial basis."""
+        return self.integer_normal_form(*self._cleared(p))
+
+    def membership_with_witness(self, p: Poly, order: int) -> Tuple[Poly, ...]:
+        """Cofactors c_i, one per generator g_i, with p - sum(c_i * g_i) of
+        order > ``order``: :meth:`integer_witness` on p cleared, as Fractions."""
+        cofactors, s = self.integer_witness(*self._cleared(p), order)
+        return tuple(
+            Poly._unchecked(self.ambient, {m: Fraction(c, s) for m, c in C.items()})
+            for C in cofactors
+        )
 
 
 def default_truncation(generators: Sequence[Poly]) -> int:

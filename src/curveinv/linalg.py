@@ -4,9 +4,9 @@
 branch value semigroups and the dense ranks and nullspaces below all use
 it.  It eliminates fraction-free and takes integer vectors only: each
 caller clears a rational input of denominators once, where it enters,
-with :func:`integer_row`, and ``Fraction`` appears again only in what
-``reduce`` and :func:`rref` return.  It is deterministic, so repeated
-runs give identical results.
+with :func:`integer_row`, and ``Fraction`` appears again only in the
+normal forms ``reduce`` returns and in :func:`rref`.  It is
+deterministic, so repeated runs give identical results.
 """
 
 from __future__ import annotations
@@ -157,15 +157,15 @@ class Echelon:
 
     def reduce(
         self, row: Sparse, d: int, track: bool = False
-    ) -> Tuple[Dict[int, Fraction], Optional[Dict[int, Fraction]]]:
-        """Normal form of v = row / d, for the integer vector ``row``; with
-        ``track``, the tag combination subtracted.  Both are Fractions: the
-        integer results divided by the scale the elimination tracked."""
+    ) -> Tuple[Dict[int, Fraction], Optional[Sparse], int]:
+        """Normal form of v = row / d, for the integer vector ``row``, as
+        Fractions; with ``track``, the integer combination C of the tags of
+        the rows subtracted (else None); and the scale s it tracked, a
+        multiple of d.  v minus its normal form is (C / s) . tags, so a
+        caller can stay in integers until it divides by s."""
         combo: Optional[Sparse] = {} if track else None
         normal, scale = self._eliminate(dict(row), combo, d, full=True)
-        if combo is None:
-            return normal, None
-        return normal, {k: Fraction(c, scale) for k, c in combo.items()}
+        return normal, combo, scale
 
 
 def _echelon(rows: Sequence[Sequence[Fraction]]) -> Echelon:
@@ -196,7 +196,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
     pivots = sorted(echelon.rows)
     red: Matrix = []
     for p in pivots:
-        normal, _ = echelon.reduce({p: 1}, 1)
+        normal, _, _ = echelon.reduce({p: 1}, 1)
         red.append([Fraction(j == p) - normal.get(j, 0) for j in range(ncols)])
     red.extend([Fraction(0)] * ncols for _ in range(len(rows) - len(pivots)))
     return red, pivots

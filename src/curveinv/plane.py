@@ -17,7 +17,14 @@ from typing import List, Optional, Tuple
 from . import linalg
 from .errors import MissingWeights, WitnessOrderInsufficient
 from .jets import JetAlgebra, build_jet_algebra
-from .poly import BranchParam, DeltaR, Poly, euler_relation_holds, weight_feasibility
+from .poly import (
+    BranchParam,
+    DeltaR,
+    Poly,
+    euler_relation_holds,
+    multiply_terms,
+    weight_feasibility,
+)
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,7 @@ class PlaneAnalysis:
         u, v = f.vars
         self.f_u = f.diff(u)
         self.f_v = f.diff(v)
+        self._integer_f = linalg.integer_row(f.terms)  # f = F / d_f
         self.milnor = build_jet_algebra([self.f_u, self.f_v])
         # The Tjurina ideal contains the Jacobian ideal, so its standard
         # monomials are among the Milnor algebra's and certify at its order;
@@ -121,17 +129,20 @@ class PlaneAnalysis:
     def mult_by_f(self) -> Tuple[Tuple[Fraction, ...], ...]:
         """Kernel of .f on M_f, as vectors over the M_f basis.
 
-        The kernel must have dimension tau.  The cokernel of an
-        endomorphism of the finite-dimensional M_f has the kernel's
-        dimension (rank-nullity), so it needs no second elimination.
+        Column j of the matrix of .f is the normal form of f times the
+        j-th standard monomial: f's integer terms F, shifted by that
+        monomial, over f's denominator.  The kernel must have dimension
+        tau.  The cokernel of an endomorphism of the finite-dimensional M_f
+        has the kernel's dimension (rank-nullity), so it needs no second
+        elimination.
         """
         if self._mult_cache is not None:
             return self._mult_cache
         basis = self.milnor.basis
         mu = len(basis)
-        f = self.sing.f
+        F, d = self._integer_f
         columns = [
-            self.milnor.normal_form(f * Poly(f.vars, {mono: 1}))
+            self.milnor.integer_normal_form(multiply_terms(F, {mono: 1}), d)
             for mono in basis
         ]
         rows = [[columns[j][i] for j in range(mu)] for i in range(mu)]
@@ -147,13 +158,25 @@ class PlaneAnalysis:
     # -- tail differential -------------------------------------------------
 
     def _tail_image(
-        self, lift: Poly, witness_algebra: JetAlgebra, order: int
+        self, product: Tuple[dict, int], witness_algebra: JetAlgebra, order: int
     ) -> List[Fraction]:
-        """Class in T_f of the divergence of a cofactor witness for f*lift."""
-        f = self.sing.f
-        u, v = f.vars
-        alpha, beta = witness_algebra.membership_with_witness(f * lift, order)
-        return self.tjurina.normal_form(alpha.diff(u) + beta.diff(v))
+        """Class in T_f of the divergence of a cofactor witness for f*lift,
+        given as the integer product F * Lambda over its denominator.
+
+        With cofactors C_u / s, C_v / s, the divergence is
+        (d_u(C_u) + d_v(C_v)) / s, so its class is the integer normal form
+        of the numerator over s.
+        """
+        (C_u, C_v), s = witness_algebra.integer_witness(*product, order)
+        divergence: dict = {}
+        for i, C in enumerate((C_u, C_v)):
+            for m, c in C.items():
+                if m[i]:
+                    dm = m[:i] + (m[i] - 1,) + m[i + 1 :]
+                    divergence[dm] = divergence.get(dm, 0) + c * m[i]
+        return self.tjurina.integer_normal_form(
+            {m: c for m, c in divergence.items() if c}, s
+        )
 
     def tail_map_general(self, row_seed: Optional[int] = None) -> TailMap:
         """Tail differential via cofactor witnesses, any isolated f.
@@ -161,7 +184,12 @@ class PlaneAnalysis:
         Each kernel class m of .f on M_f is lifted to a polynomial m~, a
         witness f*m~ = alpha*f_u + beta*f_v is extracted from the jet
         reduction, and the image is the class of d_u(alpha) + d_v(beta)
-        in T_f.
+        in T_f.  All of it runs on integer term maps, each over one
+        denominator: f = F / d_f and m~ = Lambda / d_m are cleared once,
+        f*m~ is the integer product F * Lambda over d_f * d_m, and the
+        witness comes back as integer cofactors over one scale s (see
+        ``JetAlgebra.integer_witness``); only the T_f coordinates are
+        Fractions.
 
         The witness order is T = N_M + N_T, the primality bounds of the
         Milnor and Tjurina algebras (m^N_M lies in J = (f_u, f_v) and m^N_T
@@ -186,7 +214,11 @@ class PlaneAnalysis:
         """
         kernel = self.mult_by_f()
         basis = self.milnor.basis
-        lifts = [Poly(self.sing.f.vars, dict(zip(basis, vec))) for vec in kernel]
+        F, d_f = self._integer_f
+        products = []
+        for vec in kernel:
+            lift, d_m = linalg.integer_row({m: c for m, c in zip(basis, vec) if c})
+            products.append((multiply_terms(F, lift), d_f * d_m))
         order = max(1, self.milnor.primality_bound + self.tjurina.primality_bound)
         recheck_algebra = JetAlgebra(
             [self.f_u, self.f_v], order + 2, row_seed=row_seed
@@ -195,9 +227,9 @@ class PlaneAnalysis:
             [self.f_u, self.f_v], order, base=recheck_algebra
         )
         columns = []
-        for lift in lifts:
-            image = self._tail_image(lift, witness_algebra, order)
-            recheck = self._tail_image(lift, recheck_algebra, order + 2)
+        for product in products:
+            image = self._tail_image(product, witness_algebra, order)
+            recheck = self._tail_image(product, recheck_algebra, order + 2)
             if image != recheck:
                 raise WitnessOrderInsufficient(
                     f"tail class moved under truncation raise at order {order}"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ParseError, UndeclaredVariable
@@ -27,6 +28,17 @@ Scalar = Union[int, Fraction]
 def grlex_key(mono: Monomial):
     """Sort key realizing graded lexicographic order (ascending)."""
     return (sum(mono), mono)
+
+
+def multiply_terms(a: Mapping[Monomial, Scalar], b: Mapping[Monomial, Scalar]) -> dict:
+    """The product of two term maps, int or Fraction coefficients alike,
+    without the terms that cancel."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 class Poly:
@@ -129,12 +141,7 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        return Poly._unchecked(self.vars, {m: c for m, c in out.items() if c})
+        return Poly._unchecked(self.vars, multiply_terms(self.terms, other.terms))
 
     def scale(self, value: Scalar) -> "Poly":
         value = Fraction(value)

@@ -1,7 +1,11 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -454,3 +458,32 @@ def test_reports_byte_identical():
         a = to_json(analyze(build_curve(doc), AnalysisOptions()))
         b = to_json(analyze(build_curve(doc), AnalysisOptions()))
         assert a == b
+
+
+# -- a reader that closes stdout early ---------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sing", "u^5+v^5+u^3*v^3", "--format", "json-like"],
+        ["sing", "u^5+v^5+u^3*v^3"],
+        ["corpus"],
+    ],
+    ids=["sing-json-like", "sing-text", "corpus"],
+)
+def test_closed_stdout_keeps_the_exit_code(argv):
+    """As with ``curveinv sing ... | head -1``: a report written to a pipe
+    whose read end is already closed leaves no traceback, and the exit code
+    is the subcommand's own (0 here), not the 1 of a failed check."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child writes anything
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "curveinv.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == cli.EXIT_OK

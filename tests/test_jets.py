@@ -9,6 +9,7 @@ from conftest import staircase_colength
 from curveinv import jets
 from curveinv.errors import NotInIdeal, TruncationCapExceeded
 from curveinv.jets import JetAlgebra, build_jet_algebra, default_truncation
+from curveinv.linalg import Echelon
 from curveinv.poly import Poly, parse_poly
 
 UV = ("u", "v")
@@ -176,6 +177,27 @@ def test_witness_order_out_of_certified_range():
     J = JetAlgebra(jacobian("u^2+v^3"), 8)
     with pytest.raises(ValueError):
         J.membership_with_witness(P("u"), 100)
+
+
+def test_corrupted_witness_fails_the_defect_check(monkeypatch):
+    """The exact defect check can fail: a kernel combination with one
+    cofactor coefficient off by one is caught, although the normal form
+    (which the corruption does not touch) is zero."""
+    reduce = Echelon.reduce
+
+    def corrupted(self, row, d, track=False):
+        normal, combo, scale = reduce(self, row, d, track)
+        if combo:
+            combo[min(combo)] += 1  # the multiple of lowest degree
+        return normal, combo, scale
+
+    f = P("u^3+v^5")
+    J = JetAlgebra(jacobian("u^3+v^5"), 18)
+    target = f * P("v^3")
+    J.membership_with_witness(target, 12)
+    monkeypatch.setattr(Echelon, "reduce", corrupted)
+    with pytest.raises(NotInIdeal, match="witness defect has order"):
+        J.membership_with_witness(target, 12)
 
 
 def test_row_seed_changes_nothing_semantically():

@@ -123,7 +123,7 @@ def test_normal_form_independent_of_insertion_order(case, data):
     for row in shuffled:
         second.insert(integer_row(sparse(row))[0])
     assert set(first.rows) == set(second.rows)
-    normal, combo = first.reduce(*integer_row(sparse(vec)))
+    normal, combo, _ = first.reduce(*integer_row(sparse(vec)))
     assert combo is None
     assert normal == second.reduce(*integer_row(sparse(vec)))[0]
     assert not set(normal) & set(first.rows)
@@ -145,10 +145,10 @@ def test_tags_record_the_combination_of_inserted_rows(case, data):
             for k, c in echelon.tags[min(new)].items():
                 combined = [a + c * b for a, b in zip(combined, rows[k])]
             assert sparse(combined) == new
-    normal, combo = echelon.reduce(*integer_row(sparse(vec)), track=True)
+    normal, combo, scale = echelon.reduce(*integer_row(sparse(vec)), track=True)
     combined = [Fraction(0)] * ncols
     for k, c in combo.items():
-        combined = [a + c * b for a, b in zip(combined, rows[k])]
+        combined = [a + Fraction(c, scale) * b for a, b in zip(combined, rows[k])]
     assert [a - b for a, b in zip(vec, dense(normal, ncols))] == combined
 
 
@@ -163,7 +163,7 @@ def test_insert_normalizes_and_rejects_dependent_rows():
     assert insert({1: Fraction(2), 2: Fraction(2)}) == {1: 1, 2: 1}
     assert len(echelon) == 2 and set(echelon.rows) == {1, 2}
     # 2 and 1 are pivots; 4 is not, and carries the whole normal form
-    assert echelon.reduce(*integer_row({1: Fraction(1)})) == ({4: Fraction(2)}, None)
+    assert echelon.reduce(*integer_row({1: Fraction(1)})) == ({4: Fraction(2)}, None, 1)
 
 
 def test_zero_matrix():
@@ -240,14 +240,19 @@ def test_large_height_rationals_match_gauss_jordan(case, data):
         if new is not None:
             assert sparse(combination(echelon.tags[min(new)], rows, ncols)) == new
     vec = data.draw(st.lists(big, min_size=ncols, max_size=ncols))
-    normal, combo = echelon.reduce(*integer_row(sparse(vec)), track=True)
+    ints, d = integer_row(sparse(vec))
+    normal, combo, scale = echelon.reduce(ints, d, track=True)
     # the oracle normal form subtracts vec[p] times RREF row p at each pivot
     expected = list(vec)
     for r, p in enumerate(pivots):
         expected = [a - vec[p] * b for a, b in zip(expected, red[r])]
     assert dense(normal, ncols) == expected
-    assert [a - b for a, b in zip(vec, expected)] == combination(combo, rows, ncols)
-    assert all(isinstance(c, Fraction) for c in [*normal.values(), *combo.values()])
+    assert scale % d == 0
+    assert [a - b for a, b in zip(vec, expected)] == combination(
+        {k: Fraction(c, scale) for k, c in combo.items()}, rows, ncols
+    )
+    assert all(isinstance(c, Fraction) for c in normal.values())
+    assert all(type(c) is int for c in combo.values())
 
 
 @settings(max_examples=200, deadline=None)

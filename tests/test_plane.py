@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from curveinv import plane
 from curveinv.errors import MissingWeights, NotMPrimary, TruncationCapExceeded
@@ -221,6 +221,23 @@ def germs(draw, max_k=9):
 def test_tail_map_matches_degree_order_oracle(f):
     a = PlaneAnalysis(PlaneSingularity(f))
     assert a.tail_map_general().matrix == degree_order_tail_matrix(a)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    germs(),
+    st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 30)),
+)
+@example(parse_poly("1/3*u^4+2/5*v^5+1/7*u^3*v^2", UV), Fraction(7, 3))
+@example(parse_poly("(u+v)^2+3/4*v^7", UV), Fraction(-2, 9))
+@example(parse_poly("(u+v)^2+3/4*v^7", UV), Fraction(6))
+def test_tail_map_invariant_under_scaling_f(f, c):
+    """c*f has f's Jacobian and Tjurina ideals, its kernel of .f and its
+    witnesses (c*f*m = alpha*c*f_u + beta*c*f_v), so the same tail matrix,
+    while f, each lift and each witness carry other denominators."""
+    tail = PlaneAnalysis(PlaneSingularity(f)).tail_map_general()
+    scaled = PlaneAnalysis(PlaneSingularity(f.scale(c))).tail_map_general()
+    assert scaled.matrix == tail.matrix
 
 
 @settings(max_examples=30, deadline=None)
