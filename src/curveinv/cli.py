@@ -32,6 +32,10 @@ EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_TRUNCATION_CAP = 3
 
+# Report windows: at most this many tail indices p and cyclic pages m.
+# A run at both caps takes seconds; the report grows with their product.
+MAX_WINDOW = 128
+
 
 def _parse_window(text: str):
     parts = text.split(",")
@@ -107,10 +111,14 @@ def _cmd_analyze(args) -> int:
     doc = load_curve(args.file)
     if args.tail_window < 1:
         raise SchemaError("tail window must be at least 1", "--tail-window")
-    options = AnalysisOptions(
-        tail_window=args.tail_window,
-        hc_window=tuple(args.hc_window),
-    )
+    if args.tail_window > MAX_WINDOW:
+        raise SchemaError(f"tail window must be at most {MAX_WINDOW}", "--tail-window")
+    lo, hi = args.hc_window
+    if hi - lo + 1 > MAX_WINDOW:
+        raise SchemaError(
+            f"hc window must span at most {MAX_WINDOW} values", "--hc-window"
+        )
+    options = AnalysisOptions(tail_window=args.tail_window, hc_window=(lo, hi))
     report = analyze(doc, options)
     _emit(to_json(report) if args.format == "json-like" else to_text(report))
     return EXIT_OK if report.ok() else EXIT_CHECK_FAILURE

@@ -55,19 +55,21 @@ to degree <= T.
   Milnor algebra by the multiples of f.
 
 Ideal-membership witnesses (cofactors) fall out of the same reduction
-with no extra linear solve: in a tagged algebra each row carries, as its
-echelon tag, an expression of itself as an integer combination of the
-multiples mult * g_j, under the key index(mult) * G + j for G
+with no extra linear solve: each row of a tagged algebra carries its
+expression as an integer combination of the multiples mult * g_j, as
+carried keys of its echelon (see :class:`linalg.Echelon`).  A fresh
+build sets the carry bound B to its own jet size, above every jet key,
+and gives the multiple mult * g_j the key B + index(mult) * G + j, for G
 generators.  Each generator is cleared once per algebra, g_j = G_j / d_j
-with G_j integer and d_j the lcm of g_j's denominators; a multiple goes in
-as mult * G_j with tag value d_j, so each row is exactly its tag's
-combination of the multiples.  The witness core takes an integer P with
-its denominator d and reduces P / d tracking the tags: it gets an integer
-combination, whose keys decode by divmod into mult and j and give integer
-cofactors C_j, and the integer scale s the reduction tracked, a multiple
-of d, with P / d = sum(C_j / s * g_j) up to degree T.  The defect
-P / d - sum(C_j / s * G_j / d_j) is then checked exactly without a
-Fraction: times L * s, for L the lcm of the d_j, it is
+with G_j integer and d_j the lcm of g_j's denominators; a multiple goes
+in as mult * G_j carrying d_j, so the part of each row below B is
+exactly its carried part's combination of the multiples.  The witness
+core takes an integer P with its denominator d and reduces P / d: the
+carried part K of the reduced vector decodes by divmod into mult and j
+and gives integer cofactors C_j = -K, and the scale s of the reduction,
+a multiple of d, gives P / d = sum(C_j / s * g_j) up to degree T.  The
+defect P / d - sum(C_j / s * G_j / d_j) is then checked exactly without
+a Fraction: times L * s, for L the lcm of the d_j, it is
 L * (s / d) * P - sum((L / d_j) * C_j * G_j), an integer polynomial since
 d divides s and each d_j divides L, and a nonzero factor changes no
 order.  Its terms of degree <= the requested order must all cancel.
@@ -75,14 +77,16 @@ order.  Its terms of degree <= the requested order must all cancel.
 integer cores, and divide by s only on the way out.  A
 :class:`JetAlgebra` is tagged by default, but
 :func:`build_jet_algebra` always builds untagged: the Milnor algebra, its
-doubling attempts and the Tjurina algebra derived from it carry no tags,
-and ``plane`` tags only the algebra the tail map reads witnesses from.  A
-derived algebra inherits its base's tagging.  A projected row keeps its tag
-uncut: every multiple in the tag of a row starts (has its lowest degree)
-at or below the row's pivot degree, by induction over insertions -- an
-inserted multiple starts at or below its lowest key, and it is reduced
-only by rows whose pivots lie below its final pivot.  So a row with pivot
-degree <= T uses only multiples a fresh build at T inserts.
+doubling attempts and the Tjurina algebra derived from it carry no
+cofactors, and in ``plane`` only the algebras the tail map reads
+witnesses from are tagged.  A projection inherits its base's tagging and
+bound B.  A tagged base cannot be extended, since its keys are numbered
+for its own generators.  Carried keys are never cut: every multiple
+carried by a row starts (has its lowest degree) at or below the row's
+pivot degree, by induction over insertions -- an inserted multiple
+starts at or below its lowest key, and it is reduced only by rows whose
+pivots lie below its final pivot.  So a row with pivot degree <= T uses
+only multiples a fresh build at T inserts.
 """
 
 from __future__ import annotations
@@ -137,7 +141,7 @@ class JetAlgebra:
     ``generators`` and whose order is at least T, the rows are derived
     from base's by projection and extension (see the module docstring)
     instead of a fresh elimination.  ``tagged`` says whether rows carry
-    cofactor tags; it defaults to base's tagging, or to True.
+    their cofactors; it defaults to base's tagging, or to True.
     """
 
     def __init__(
@@ -164,7 +168,6 @@ class JetAlgebra:
         self._size = comb(nvars + truncation_order, nvars)  # keys below it
         # each generator cleared once: g_j = G_j / d_j, with integer G_j
         self._integer_generators = tuple(integer_row(g.terms) for g in generators)
-        self._rows = Echelon()
         first = 0
         if base is not None:
             first = len(base.generators)
@@ -175,11 +178,15 @@ class JetAlgebra:
                     f"base order {base.truncation_order} is below {truncation_order}"
                 )
             if tagged and not base.tagged:
-                raise AssertionError("an untagged base gives no tags")
+                raise AssertionError("an untagged base gives no witnesses")
+            if base.tagged and first < len(generators):
+                raise AssertionError("a tagged base cannot be extended")
             self.tagged = base.tagged if tagged is None else tagged
+            self._rows = Echelon(carry=base._rows.carry)
             self._project(base)
         else:
             self.tagged = True if tagged is None else tagged
+            self._rows = Echelon(carry=self._size)
         self._build(first, row_seed)
         self._certify()
 
@@ -189,37 +196,31 @@ class JetAlgebra:
         """Keep base's rows whose pivot has degree <= T, cut at degree T.
 
         A row kept whole is shared, not copied: an echelon never changes a
-        row once stored.  Tags need no cut (see the module docstring); they
-        are only re-keyed when the generator count grows.
+        row once stored.  Carried keys are never cut (see the module
+        docstring).
         """
-        n, rows, tags = self._size, self._rows.rows, self._rows.tags
+        n, bound, rows = self._size, self._rows.carry, self._rows.rows
         whole = base._size == n
-        G, G_base = len(self.generators), len(base.generators)
         for pivot, row in base._rows.rows.items():
-            if pivot >= n:
-                continue
-            rows[pivot] = row if whole else {k: c for k, c in row.items() if k < n}
-            if self.tagged:
-                tag = base._rows.tags[pivot]
-                if G != G_base:
-                    tag = {
-                        key // G_base * G + key % G_base: c for key, c in tag.items()
-                    }
-                tags[pivot] = tag
+            if pivot < n:
+                rows[pivot] = row if whole else {
+                    k: c for k, c in row.items() if k < n or k >= bound
+                }
 
     def _build(self, first: int, row_seed: Optional[int]) -> None:
         """Insert every multiple mult * g_j of degree <= T, for j >= first.
 
         Each generator goes in cleared of denominators: with d_j the lcm of
         g_j's denominators, the integer vector of d_j * mult * g_j goes in.
-        If tagged, its tag is the single key index(mult) * G + j, with
-        value d_j, G being the number of generators, so a row's tag is its
+        If tagged, it carries d_j at the key bound + index(mult) * G + j,
+        G being the number of generators, so a row's carried part is its
         integer combination of the multiples mult * g_j at any order.
         """
         T = self.truncation_order
         nvars = len(self.ambient)
         index, monos, G = self._index, self._monomials, len(self.generators)
-        seeds: List[Tuple[Dict[int, int], Optional[Dict[int, int]]]] = []
+        bound = self._rows.carry
+        seeds: List[Dict[int, int]] = []
         for j in range(first, G):
             g = self.generators[j]
             g_order = g.order()
@@ -239,11 +240,13 @@ class JetAlgebra:
                         terms[k] = terms.get(k, 0) + c
                 terms = {k: c for k, c in terms.items() if c != 0}
                 if terms:
-                    seeds.append((terms, {i * G + j: d} if self.tagged else None))
+                    if self.tagged:
+                        terms[bound + i * G + j] = d
+                    seeds.append(terms)
         if row_seed is not None:
             random.Random(row_seed).shuffle(seeds)
-        for terms, tag in seeds:
-            self._rows.insert(terms, tag)
+        for terms in seeds:
+            self._rows.insert(terms)
 
     def _certify(self) -> None:
         T = self.truncation_order
@@ -266,16 +269,16 @@ class JetAlgebra:
             raise ValueError("ambient mismatch")
         return integer_row(p.terms)
 
-    def _reduce(self, P: Dict[Monomial, int], d: int, track: bool):
+    def _reduce(self, P: Dict[Monomial, int], d: int):
         """``Echelon.reduce`` of the degree-<=T jet of P / d."""
         T, index = self.truncation_order, self._index
         jet = {index[m]: c for m, c in P.items() if sum(m) <= T}
-        return self._rows.reduce(jet, d, track)
+        return self._rows.reduce(jet, d)
 
     def integer_normal_form(self, P: Dict[Monomial, int], d: int) -> List[Fraction]:
         """Coordinates over the standard-monomial basis of the class of
         P / d, for P an integer term map in the ambient variables."""
-        normal, _, _ = self._reduce(P, d, track=False)
+        normal, _, _ = self._reduce(P, d)
         return [normal.get(i, _ZERO) for i in self._basis_keys]
 
     def integer_witness(
@@ -295,16 +298,16 @@ class JetAlgebra:
             raise ValueError(
                 f"order {order} exceeds certified range {self.truncation_order}"
             )
-        normal, combo, s = self._reduce(P, d, track=True)
+        normal, carried, s = self._reduce(P, d)
         if normal:
             raise NotInIdeal(
                 f"nonzero normal form on {[self._monomials[i] for i in sorted(normal)]}"
             )
-        G = len(self.generators)
+        bound, G = self._rows.carry, len(self.generators)
         cofactors: List[Dict[Monomial, int]] = [{} for _ in self.generators]
-        for key, c in combo.items():
-            i, j = divmod(key, G)
-            cofactors[j][self._monomials[i]] = c
+        for key, c in carried.items():
+            i, j = divmod(key - bound, G)
+            cofactors[j][self._monomials[i]] = -c
         # L * s * (P / d - sum(C_j / s * G_j / d_j)), up to degree ``order``
         L = lcm(*(d_j for _, d_j in self._integer_generators))
         scale = L * (s // d)
@@ -363,8 +366,8 @@ def build_jet_algebra(generators: Sequence[Poly]) -> JetAlgebra:
     its one attempt.  Every certified order gives the same basis and
     normal forms (see the module docstring), so no caller picks the
     start; one that needs a fixed order builds :class:`JetAlgebra`
-    directly.  Rows are inserted in generator order, with no cofactor
-    tags.
+    directly.  Rows are inserted in generator order, with no carried
+    cofactors.
     """
     T = default_truncation(generators)
     max_degree = max((g.degree() or 0) for g in generators)

@@ -12,7 +12,7 @@ deterministic, so repeated runs give identical results.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -43,32 +43,31 @@ def _subtract(work: Sparse, factor: int, row: Mapping[int, int]) -> None:
             del work[k]
 
 
-def _scale(vec: Sparse, factor: int) -> None:
-    for k in vec:
-        vec[k] *= factor
-
-
 class Echelon:
     """A sparse row echelon basis of a subspace, grown one row at a time.
 
-    A row is a ``Dict[int, int]`` of nonzero integer coefficients.  Its
-    pivot is its smallest key, and ``rows`` maps each pivot to its row, so
-    no two rows share a pivot.  A row may carry a tag, a second integer
-    vector that undergoes the same row operations: with a unit-vector tag
-    per inserted vector, a row's tag expresses the row as a combination of
-    the inserted vectors.  Tags are given for every row or for none.
-    Inserted vectors, their tags and the vectors to reduce are integer
-    vectors; the kernel clears no denominators (see :func:`integer_row`).
+    A row is a ``Dict[int, int]`` of nonzero integer coefficients.  Keys at
+    or above the bound ``carry`` (none by default) are carried: they go
+    through every row operation but never become pivots and never enter a
+    normal form.  A row's pivot is its smallest key below the bound, and
+    ``rows`` maps each pivot to its row, so no two rows share a pivot.  A
+    caller who gives each inserted vector x_k a carried key k of its own,
+    with value t_k, can read every row off its carried part C:
+    row = sum(C[k] * x_k / t_k).  Inserted vectors and the vectors to
+    reduce are integer vectors; the kernel clears no denominators (see
+    :func:`integer_row`).
 
     Rows are stored as found by fraction-free elimination: a row meets a
     stored row at that row's pivot with coefficients w and r, and becomes
     (r/g)*work - (w/g)*row with g = gcd(w, r), so no key gains a
-    denominator.  A new row is then divided by the content (gcd) of its
-    row and tag entries together and signed so that its pivot coefficient
-    is positive: every stored row is primitive jointly with its tag, and
-    row = tag . inserted vectors still holds exactly.
+    denominator.  A new row is then divided by the content (gcd) of all
+    its entries, carried ones included, and signed so that its pivot
+    coefficient is positive: every stored row is primitive, and its
+    carried part still records it exactly.
 
-    Two facts every caller relies on, for any insertion order:
+    Elimination reads only the keys below the bound, so the carried keys
+    change no pivot, multiplier or scale.  Two facts every caller relies
+    on hold for the part below the bound, for any insertion order:
 
     * The pivot set is the set of smallest keys of the nonzero vectors in
       the span.  The rows have distinct pivots, so the smallest key of a
@@ -86,34 +85,33 @@ class Echelon:
     and a caller may store any nonzero multiple of a row in its place.
     """
 
-    __slots__ = ("rows", "tags")
+    __slots__ = ("rows", "carry")
 
-    def __init__(self):
+    def __init__(self, carry: Optional[int] = None):
         self.rows: Dict[int, Sparse] = {}
-        self.tags: Dict[int, Sparse] = {}
+        self.carry = inf if carry is None else carry
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def _eliminate(
-        self, work: Sparse, combo: Optional[Sparse], scale: int, full: bool
+        self, work: Sparse, scale: int, full: bool
     ) -> Tuple[Dict[int, Fraction], int]:
         """Cancel stored pivots in ``work`` in place, smallest key first.
 
         On entry, work = scale * v for the vector v being reduced; the
-        elimination keeps work = scale * v - combo . inserted vectors, with
-        ``combo`` (the tags of the rows used) tracked if it is given, and
-        returns the final scale.  With ``full``, move every key that is not
-        a pivot to the returned normal form of v; otherwise stop at the
-        first such key.
+        elimination keeps work a combination of v and the rows, returns the
+        final scale, and leaves the carried keys in ``work``.  With
+        ``full``, move every key below the bound that is not a pivot to the
+        returned normal form of v; otherwise stop at the first such key.
         """
-        rows, tags = self.rows, self.tags
+        rows, carry = self.rows, self.carry
         normal: Dict[int, Fraction] = {}
         while work:
             key = min(work)
             row = rows.get(key)
-            if row is None:
-                if not full:
+            if row is None:  # every pivot lies below the bound
+                if not full or key >= carry:
                     break
                 normal[key] = Fraction(work.pop(key), scale)
                 continue
@@ -122,50 +120,39 @@ class Echelon:
             a, b = r // g, w // g
             if a != 1:
                 scale *= a
-                _scale(work, a)
-                if combo is not None:
-                    _scale(combo, a)
+                for k in work:
+                    work[k] *= a
             _subtract(work, b, row)
-            if combo is not None:
-                _subtract(combo, -b, tags[key])
         return normal, scale
 
-    def insert(self, row: Sparse, tag: Optional[Sparse] = None) -> Optional[Sparse]:
-        """Add the integer vector ``row`` to the span, with its integer
-        ``tag``; the new primitive row, or None if dependent."""
+    def insert(self, row: Sparse) -> Optional[Sparse]:
+        """Add the integer vector ``row`` to the span; the new primitive
+        row, or None if ``row`` is dependent below the bound."""
         work = dict(row)
-        combo: Optional[Sparse] = None if tag is None else {}
-        _, scale = self._eliminate(work, combo, 1, full=False)
+        self._eliminate(work, 1, full=False)
         if not work:
             return None
         pivot = min(work)
-        new_tag: Sparse = {}
-        if tag is not None:
-            # work = scale * row - combo . inserted vectors
-            new_tag = {k: scale * c for k, c in tag.items()}
-            _subtract(new_tag, 1, combo)
-        content = gcd(*work.values(), *new_tag.values())
+        if pivot >= self.carry:
+            return None
+        content = gcd(*work.values())
         if work[pivot] < 0:
             content = -content
         if content != 1:
             work = {k: c // content for k, c in work.items()}
-            new_tag = {k: c // content for k, c in new_tag.items()}
         self.rows[pivot] = work
-        if tag is not None:
-            self.tags[pivot] = new_tag
         return work
 
-    def reduce(
-        self, row: Sparse, d: int, track: bool = False
-    ) -> Tuple[Dict[int, Fraction], Optional[Sparse], int]:
-        """Normal form of v = row / d, for the integer vector ``row``, as
-        Fractions; with ``track``, the integer combination C of the tags of
-        the rows subtracted (else None); and the scale s it tracked, a
-        multiple of d.  v minus its normal form is (C / s) . tags, so a
-        caller can stay in integers until it divides by s."""
-        combo: Optional[Sparse] = {} if track else None
-        normal, scale = self._eliminate(dict(row), combo, d, full=True)
-        return normal, combo, scale
+    def reduce(self, row: Sparse, d: int) -> Tuple[Dict[int, Fraction], Sparse, int]:
+        """Normal form of v = row / d, for the integer vector ``row`` below
+        the bound, as Fractions; the integer carried part K of the reduced
+        vector; and the scale s of the reduction, a multiple of d.  With
+        carried keys as in the class docstring, v minus its normal form is
+        sum(-K[k] / s * x_k / t_k), so a caller can stay in integers until
+        it divides by s."""
+        work = dict(row)
+        normal, scale = self._eliminate(work, d, full=True)
+        return normal, work, scale
 
 
 def _echelon(rows: Sequence[Sequence[Fraction]]) -> Echelon:

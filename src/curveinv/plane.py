@@ -208,7 +208,7 @@ class PlaneAnalysis:
           depend on the witness.
 
         Every class is recomputed at order T + 2 and must not move.  The
-        order-(T + 2) algebra is the one elimination, with cofactor tags;
+        order-(T + 2) algebra is the one elimination, carrying cofactors;
         the order-T witness algebra is its projection (see ``jets``), so the
         two witnesses are still taken at different truncations.
         """
@@ -244,7 +244,7 @@ class PlaneAnalysis:
             source_basis=kernel,
             target_basis=target_basis,
             matrix=matrix,
-            rank=linalg.rank([list(row) for row in matrix]) if matrix else 0,
+            rank=linalg.rank(matrix),
         )
 
     def tail_map_wh_scalar(self) -> TailMap:
@@ -275,5 +275,5 @@ class PlaneAnalysis:
             source_basis=kernel,
             target_basis=basis,
             matrix=matrix,
-            rank=linalg.rank([list(row) for row in matrix]) if matrix else 0,
+            rank=linalg.rank(matrix),
         )

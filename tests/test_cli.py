@@ -206,6 +206,19 @@ def test_not_m_primary_is_an_internal_failure(monkeypatch, capsys):
     assert "not certified m-primary" in capsys.readouterr().err
 
 
+def test_failing_kernel_dimension_makes_analyze_raise(monkeypatch):
+    """A kernel of .f of the wrong dimension ends the run, as the tail map
+    reads the same kernel: the report has no failing kernel-cokernel-tau
+    row to show."""
+    def wrong_kernel(self):
+        raise AssertionError("kernel of .f has dimension 0, expected tau=1")
+
+    monkeypatch.setattr(plane.PlaneAnalysis, "mult_by_f", wrong_kernel)
+    docs = {doc["label"]: doc for doc in corpus.curve_models()}
+    with pytest.raises(AssertionError, match="kernel of .f has dimension 0"):
+        analyze(build_curve(docs["nodal-rational"]), AnalysisOptions())
+
+
 # -- option validation -------------------------------------------------------
 
 def test_tail_window_below_one_exit_2(nodal_file, capsys):
@@ -213,6 +226,28 @@ def test_tail_window_below_one_exit_2(nodal_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --tail-window: tail window must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "window, expected",
+    [(["--tail-window", "128"], (128, 7)),
+     (["--hc-window=-64,63"], (4, 128)),
+     (["--tail-window", "129"], "--tail-window: tail window must be at most 128"),
+     (["--hc-window=-64,64"], "--hc-window: hc window must span at most 128 values")],
+    ids=["tail-at-cap", "hc-at-cap", "tail-above-cap", "hc-above-cap"],
+)
+def test_report_windows_have_a_budget(nodal_file, capsys, window, expected):
+    """Windows at the cap of 128 run; one past it is an input error."""
+    code = main(["analyze", nodal_file, *window, "--format", "json-like"])
+    captured = capsys.readouterr()
+    if isinstance(expected, str):
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {expected}\n"
+    else:
+        assert code == 0
+        doc = json.loads(captured.out)
+        assert (doc["options"]["tail_window"], len(doc["pages"]["hc"])) == expected
 
 
 @pytest.mark.parametrize(

@@ -185,11 +185,11 @@ def test_corrupted_witness_fails_the_defect_check(monkeypatch):
     (which the corruption does not touch) is zero."""
     reduce = Echelon.reduce
 
-    def corrupted(self, row, d, track=False):
-        normal, combo, scale = reduce(self, row, d, track)
-        if combo:
-            combo[min(combo)] += 1  # the multiple of lowest degree
-        return normal, combo, scale
+    def corrupted(self, row, d):
+        normal, carried, scale = reduce(self, row, d)
+        if carried:
+            carried[min(carried)] += 1  # the multiple of lowest degree
+        return normal, carried, scale
 
     f = P("u^3+v^5")
     J = JetAlgebra(jacobian("u^3+v^5"), 18)
@@ -225,16 +225,20 @@ def test_requested_order_below_one_rejected(order):
 
 
 @pytest.mark.parametrize(
-    "generators, order, tagged, message",
+    "generators, order, tagged, base_tagged, message",
     [
-        (jacobian("u^2+v^3")[::-1], 6, None, "not a prefix"),
-        (jacobian("u^2+v^3")[:1], 6, None, "not a prefix"),
-        (jacobian("u^2+v^3"), 9, None, "below 9"),
-        (jacobian("u^2+v^3"), 6, True, "untagged base"),
+        (jacobian("u^2+v^3")[::-1], 6, None, False, "not a prefix"),
+        (jacobian("u^2+v^3")[:1], 6, None, False, "not a prefix"),
+        (jacobian("u^2+v^3"), 9, None, False, "below 9"),
+        (jacobian("u^2+v^3"), 6, True, False, "untagged base"),
+        # carried keys are numbered for the base's generators
+        (jacobian("u^2+v^3") + [P("u^2+v^3")], 6, None, True,
+         "tagged base cannot be extended"),
     ],
-    ids=["reordered", "shorter", "order-above-base", "tags-from-untagged"],
+    ids=["reordered", "shorter", "order-above-base", "tags-from-untagged",
+         "extend-tagged"],
 )
-def test_base_misuse_fails_loudly(generators, order, tagged, message):
-    base = JetAlgebra(jacobian("u^2+v^3"), 8, tagged=False)
+def test_base_misuse_fails_loudly(generators, order, tagged, base_tagged, message):
+    base = JetAlgebra(jacobian("u^2+v^3"), 8, tagged=base_tagged)
     with pytest.raises(AssertionError, match=message):
         JetAlgebra(generators, order, tagged=tagged, base=base)

@@ -66,6 +66,13 @@ def dense(terms, ncols):
     return [terms.get(j, Fraction(0)) for j in range(ncols)]
 
 
+def split(row, bound):
+    """The part of a stored row below the carry bound, and its carried part
+    with keys counted from the bound."""
+    below = {k: c for k, c in row.items() if k < bound}
+    return below, {k - bound: c for k, c in row.items() if k >= bound}
+
+
 # Entries are mostly 0 and small, so rank deficiency is common.
 entries = st.one_of(
     st.just(Fraction(0)),
@@ -123,8 +130,8 @@ def test_normal_form_independent_of_insertion_order(case, data):
     for row in shuffled:
         second.insert(integer_row(sparse(row))[0])
     assert set(first.rows) == set(second.rows)
-    normal, combo, _ = first.reduce(*integer_row(sparse(vec)))
-    assert combo is None
+    normal, carried, _ = first.reduce(*integer_row(sparse(vec)))
+    assert carried == {}
     assert normal == second.reduce(*integer_row(sparse(vec)))[0]
     assert not set(normal) & set(first.rows)
 
@@ -134,21 +141,23 @@ def test_normal_form_independent_of_insertion_order(case, data):
 def test_tags_record_the_combination_of_inserted_rows(case, data):
     rows, ncols = case
     vec = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
-    echelon = Echelon()
+    echelon = Echelon(carry=ncols)
     for i, row in enumerate(rows):
-        # d * row goes in with tag d, so tags combine the rows themselves
+        # d * row carries d at key ncols + i, so carried parts combine the
+        # rows themselves
         ints, d = integer_row(sparse(row))
-        new = echelon.insert(ints, tag={i: d})
+        new = echelon.insert({**ints, ncols + i: d})
         if new is not None:
-            # a new row is its tag's combination of the inserted rows
+            # a new row is its carried part's combination of the inserted rows
+            below, carried = split(new, ncols)
             combined = [Fraction(0)] * ncols
-            for k, c in echelon.tags[min(new)].items():
+            for k, c in carried.items():
                 combined = [a + c * b for a, b in zip(combined, rows[k])]
-            assert sparse(combined) == new
-    normal, combo, scale = echelon.reduce(*integer_row(sparse(vec)), track=True)
+            assert sparse(combined) == below
+    normal, carried, scale = echelon.reduce(*integer_row(sparse(vec)))
     combined = [Fraction(0)] * ncols
-    for k, c in combo.items():
-        combined = [a + Fraction(c, scale) * b for a, b in zip(combined, rows[k])]
+    for k, c in carried.items():
+        combined = [a - Fraction(c, scale) * b for a, b in zip(combined, rows[k - ncols])]
     assert [a - b for a, b in zip(vec, dense(normal, ncols))] == combined
 
 
@@ -163,7 +172,7 @@ def test_insert_normalizes_and_rejects_dependent_rows():
     assert insert({1: Fraction(2), 2: Fraction(2)}) == {1: 1, 2: 1}
     assert len(echelon) == 2 and set(echelon.rows) == {1, 2}
     # 2 and 1 are pivots; 4 is not, and carries the whole normal form
-    assert echelon.reduce(*integer_row({1: Fraction(1)})) == ({4: Fraction(2)}, None, 1)
+    assert echelon.reduce(*integer_row({1: Fraction(1)})) == ({4: Fraction(2)}, {}, 1)
 
 
 def test_zero_matrix():
@@ -233,15 +242,17 @@ def test_large_height_rationals_match_gauss_jordan(case, data):
     assert rref(rows) == (red, pivots)
     assert rank(rows) == len(pivots)
     assert nullspace(rows) == oracle_nullspace(rows)
-    echelon = Echelon()
+    echelon = Echelon(carry=ncols)
     for i, row in enumerate(rows):
         ints, d = integer_row(sparse(row))
-        new = echelon.insert(ints, tag={i: d})
+        new = echelon.insert({**ints, ncols + i: d})
         if new is not None:
-            assert sparse(combination(echelon.tags[min(new)], rows, ncols)) == new
+            below, carried = split(new, ncols)
+            assert sparse(combination(carried, rows, ncols)) == below
     vec = data.draw(st.lists(big, min_size=ncols, max_size=ncols))
     ints, d = integer_row(sparse(vec))
-    normal, combo, scale = echelon.reduce(ints, d, track=True)
+    normal, carried, scale = echelon.reduce(ints, d)
+    _, combo = split({k: -c for k, c in carried.items()}, ncols)
     # the oracle normal form subtracts vec[p] times RREF row p at each pivot
     expected = list(vec)
     for r, p in enumerate(pivots):
@@ -258,19 +269,43 @@ def test_large_height_rationals_match_gauss_jordan(case, data):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(matrices(min_rows=1), tall_matrices()), st.booleans())
 def test_stored_rows_are_primitive_integer_vectors(case, tagged):
-    rows, _ = case
-    echelon = Echelon()
+    rows, ncols = case
+    echelon = Echelon(carry=ncols)
     for i, row in enumerate(rows):
-        tag = {i: i + 2} if tagged else None
-        new = echelon.insert(integer_row(sparse(row))[0], tag=tag)
+        carried = {ncols + i: i + 2} if tagged else {}
+        new = echelon.insert({**integer_row(sparse(row))[0], **carried})
         if new is None:
             continue
         pivot = min(new)
-        stored = echelon.tags[pivot] if tagged else {}
+        below, stored = split(new, ncols)
         assert echelon.rows[pivot] is new
-        assert all(type(c) is int for c in [*new.values(), *stored.values()])
+        assert all(type(c) is int for c in [*below.values(), *stored.values()])
         assert new[pivot] > 0
-        assert gcd(*new.values(), *stored.values()) == 1
+        assert gcd(*below.values(), *stored.values()) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices(min_rows=1), tall_matrices()), st.data())
+def test_carried_keys_never_become_pivots_or_normal_form_keys(case, data):
+    """A vector dependent below the bound stores nothing, whatever it
+    carries, and neither pivots nor normal forms reach the carried keys."""
+    rows, ncols = case
+    echelon = Echelon(carry=ncols)
+    for i, row in enumerate(rows):
+        ints, d = integer_row(sparse(row))
+        echelon.insert({**ints, ncols + i: d})
+    stored = dict(echelon.rows)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    dependent = combination(dict(enumerate(coeffs)), rows, ncols)
+    ints, _ = integer_row(sparse(dependent))
+    carried = data.draw(st.integers(1, 9))
+    assert echelon.insert({**ints, ncols + len(rows): carried}) is None
+    assert echelon.rows == stored
+    assert all(pivot < ncols for pivot in stored)
+    vec = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    ints, d = integer_row(sparse(vec))
+    normal, _, _ = echelon.reduce({**ints, ncols + len(rows): carried}, d)
+    assert all(k < ncols for k in normal)
 
 
 @pytest.mark.parametrize("src", ["u^2+v^3", "1/3*u^3+2/5*v^4", "(u+v)^2+v^9"])

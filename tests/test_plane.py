@@ -295,7 +295,8 @@ def test_derived_algebras_equal_fresh_builds(f, shift, d, tagged, polys):
     """A projection from order T + d, with or without the multiples of f
     added, has the basis, primality bound and normal forms of a fresh
     build at T, including not certifying where the fresh build does not
-    (T runs around the certified Milnor order T_c)."""
+    (T runs around the certified Milnor order T_c).  A tagged base is
+    projected only: its projection gives witnesses, and extending it fails."""
     jac = [f.diff("u"), f.diff("v")]
     T = max(1, build_jet_algebra(jac).truncation_order + shift)
     base = build_or_none(jac, T + d, tagged=tagged)
@@ -305,12 +306,16 @@ def test_derived_algebras_equal_fresh_builds(f, shift, d, tagged, polys):
     projected = build_or_none(jac, T, base=base)
     assert_same_algebra(projected, build_or_none(jac, T), polys)
     assert projected is None or projected.tagged == tagged
-    tjurina = build_or_none(jac + [f], T, base=base)
-    assert_same_algebra(tjurina, build_or_none(jac + [f], T), polys)
-    if tagged and tjurina is not None:  # the base's tags, re-keyed
+    if not tagged:
+        tjurina = build_or_none(jac + [f], T, base=base)
+        assert_same_algebra(tjurina, build_or_none(jac + [f], T), polys)
+        return
+    with pytest.raises(AssertionError, match="tagged base cannot be extended"):
+        JetAlgebra(jac + [f], T, base=base)
+    if projected is not None:  # the base's carried keys, kept by the cut
         for p in polys:
-            target = f * p + jac[1] * p * p
-            tjurina.membership_with_witness(target, T)
+            target = jac[0] * p + jac[1] * p * p
+            projected.membership_with_witness(target, T)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
