@@ -18,7 +18,9 @@ GOLDEN = Path(__file__).parent / "golden"
 WINDOW = ["--tail-window", "6", "--hc-window=-3,6"]
 FORMATS = {"txt": ["--format", "text"], "json": ["--format", "json-like"]}
 SING = {"e8": "u^3+v^5", "nonqh-quintic": "u^5+v^5+u^3*v^3",
-        "tangent-a8": "(u+v)^2+v^9"}
+        "tangent-a8": "(u+v)^2+v^9",
+        # kernel vectors of .f with denominators 27 and 5
+        "semiqh-5-7": "u^5+v^7+u^3*v^3", "semiqh-5-6": "u^5+v^6+u*v^5"}
 
 
 def _cases():
