@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals: one sparse echelon kernel.
 
 :class:`Echelon` is the only elimination in the package: jet algebras,
-branch value semigroups and the dense ranks and nullspaces below all use
-it.  It eliminates fraction-free and takes integer vectors only: each
-caller clears a rational input of denominators once, where it enters,
-with :func:`integer_row`, and ``Fraction`` appears again only in the
-normal forms ``reduce`` returns and in :func:`rref`.  It is
+branch value semigroups, column kernels and dense ranks all use it.  It
+eliminates fraction-free and takes integer vectors only: each caller
+clears a rational input of denominators once, where it enters, with
+:func:`integer_row`, and ``Fraction`` appears again only in the normal
+forms ``reduce`` returns, in kernel vectors and in :func:`rref`.  It is
 deterministic, so repeated runs give identical results.
 """
 
@@ -22,6 +22,7 @@ Sparse = Dict[int, int]  # key -> nonzero integer coefficient
 
 _NUMERATOR = attrgetter("numerator")
 _DENOMINATOR = attrgetter("denominator")
+_UNIT = (Fraction(0), Fraction(1))
 
 
 def integer_row(vec: Mapping) -> Tuple[dict, int]:
@@ -174,7 +175,8 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
     the unit vector e_p minus its normal form lies in the row space, has
     entry 1 at p and 0 at every other pivot, so it is row p of the RREF;
     the RREF is unique, so this equals Gauss-Jordan elimination.  Zero
-    rows fill the matrix up to the input's row count.
+    rows fill the matrix up to the input's row count.  No package code calls
+    it; it stays while ``perfbench/tracing.py`` wraps ``linalg.rref`` by name.
     """
     if not rows:
         return [], []
@@ -194,24 +196,25 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_echelon(rows))
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Basis of the right nullspace; one vector per free column, ascending.
+def column_nullspace(columns: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+    """Kernel basis of the matrix with these columns, of length n: one
+    vector per column that depends on the columns before it, ascending.
 
-    Each basis vector has entry 1 at its free column, so the nullspace of a
-    zero matrix is the standard basis in order.
+    Column j goes into an :class:`Echelon` as its integer vector d_j * c_j
+    carrying d_j at key n + j, once it is seen not to reduce to zero.  If it
+    does, with carried part K and scale s, then s * c_j + sum(K[n + k] * c_k)
+    is 0, and e_j + sum(K[n + k] / s * e_k) is the one kernel vector with
+    entry 1 at j and 0 at every other dependent column: the Gauss-Jordan
+    basis vector.  A zero matrix gives the standard basis in order.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = -red[r][free]
-        basis.append(vec)
+    n = len(columns[0]) if columns else 0
+    echelon, basis = Echelon(carry=n), []
+    for j, column in enumerate(columns):
+        ints, d = integer_row({i: x for i, x in enumerate(column) if x})
+        normal, K, s = echelon.reduce(ints, d)
+        if normal:
+            echelon.insert({**ints, n + j: d})
+        else:
+            vec = {k - n: Fraction(c, s) for k, c in K.items()}
+            basis.append([vec.get(k, _UNIT[k == j]) for k in range(len(columns))])
     return basis

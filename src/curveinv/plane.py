@@ -129,24 +129,21 @@ class PlaneAnalysis:
     def mult_by_f(self) -> Tuple[Tuple[Fraction, ...], ...]:
         """Kernel of .f on M_f, as vectors over the M_f basis.
 
-        Column j of the matrix of .f is the normal form of f times the
-        j-th standard monomial: f's integer terms F, shifted by that
-        monomial, over f's denominator.  The kernel must have dimension
-        tau.  The cokernel of an endomorphism of the finite-dimensional M_f
-        has the kernel's dimension (rank-nullity), so it needs no second
-        elimination.
+        Column j of .f is the normal form of f times the j-th standard
+        monomial (f's integer terms F, shifted, over f's denominator); the
+        columns go straight to ``linalg.column_nullspace``, no dense
+        matrix.  The kernel must have dimension tau; the cokernel of an
+        endomorphism of M_f has the same dimension (rank-nullity), so it
+        needs no second elimination.
         """
         if self._mult_cache is not None:
             return self._mult_cache
-        basis = self.milnor.basis
-        mu = len(basis)
         F, d = self._integer_f
         columns = [
             self.milnor.integer_normal_form(multiply_terms(F, {mono: 1}), d)
-            for mono in basis
+            for mono in self.milnor.basis
         ]
-        rows = [[columns[j][i] for j in range(mu)] for i in range(mu)]
-        kernel = tuple(tuple(vec) for vec in linalg.nullspace(rows))
+        kernel = tuple(map(tuple, linalg.column_nullspace(columns)))
         tau = self.tjurina.colength()
         if len(kernel) != tau:
             raise AssertionError(

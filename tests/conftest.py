@@ -1,6 +1,8 @@
 """Shared builders and oracles: analyzed curve models assembled from the
-builtin corpus, and an independent colength count for monomial ideals."""
+builtin corpus, an independent colength count for monomial ideals, and
+dense Gauss-Jordan elimination."""
 
+from fractions import Fraction
 from typing import List, Sequence
 
 import pytest
@@ -62,3 +64,50 @@ def staircase_colength(generators: Sequence[Poly]) -> int:
 
     scan([], 0)
     return count
+
+
+def gauss_jordan(rows):
+    """Reference oracle: dense Gauss-Jordan elimination, first nonzero row as pivot."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, len(m)):
+            if m[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def oracle_nullspace(rows, ncols):
+    """Gauss-Jordan nullspace basis of a matrix with ``ncols`` columns: one
+    vector per free column, with entry 1 there and 0 at the other free
+    columns."""
+    red, pivots = gauss_jordan(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, pcol in enumerate(pivots):
+            vec[pcol] = -red[r][free]
+        basis.append(vec)
+    return basis

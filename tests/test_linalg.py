@@ -1,4 +1,5 @@
-"""The sparse echelon kernel and the dense rref/rank/nullspace built on it."""
+"""The sparse echelon kernel, and the dense rref/rank and the column kernel
+built on it, against a Gauss-Jordan oracle."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -6,56 +7,10 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import gauss_jordan, oracle_nullspace
 from curveinv.jets import JetAlgebra, build_jet_algebra
-from curveinv.linalg import Echelon, integer_row, nullspace, rank, rref
+from curveinv.linalg import Echelon, column_nullspace, integer_row, rank, rref
 from curveinv.poly import Poly, parse_poly
-
-
-def gauss_jordan(rows):
-    """Reference oracle: dense Gauss-Jordan elimination, first nonzero row as pivot."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def oracle_nullspace(rows):
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = gauss_jordan(rows)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = -red[r][free]
-        basis.append(vec)
-    return basis
 
 
 def sparse(vec):
@@ -64,6 +19,11 @@ def sparse(vec):
 
 def dense(terms, ncols):
     return [terms.get(j, Fraction(0)) for j in range(ncols)]
+
+
+def transpose(rows, ncols):
+    """The columns of a matrix with ``ncols`` columns, given by its rows."""
+    return [[row[j] for row in rows] for j in range(ncols)]
 
 
 def split(row, bound):
@@ -98,21 +58,22 @@ def matrices(draw, min_rows=0):
 @settings(max_examples=200)
 @given(matrices())
 def test_rref_rank_nullspace_match_gauss_jordan(case):
-    rows, _ = case
+    rows, ncols = case
     red, pivots = rref(rows)
     assert (red, pivots) == gauss_jordan(rows)
     assert all(isinstance(x, Fraction) for row in red for x in row)
     assert rank(rows) == len(pivots)
-    assert nullspace(rows) == oracle_nullspace(rows)
+    basis = column_nullspace(transpose(rows, ncols))
+    assert basis == oracle_nullspace(rows, ncols)
+    assert all(isinstance(x, Fraction) for vec in basis for x in vec)
 
 
 @settings(max_examples=200)
 @given(matrices())
 def test_nullspace_is_annihilated(case):
     rows, ncols = case
-    basis = nullspace(rows)
-    if rows:
-        assert len(basis) == ncols - rank(rows)
+    basis = column_nullspace(transpose(rows, ncols))
+    assert len(basis) == ncols - rank(rows)
     for vec in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
@@ -177,11 +138,13 @@ def test_insert_normalizes_and_rejects_dependent_rows():
 
 def test_zero_matrix():
     zero = [[Fraction(0)] * 3 for _ in range(2)]
+    identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
     assert rref(zero) == (zero, [])
-    assert nullspace(zero) == [
-        [Fraction(int(i == j)) for j in range(3)] for i in range(3)
-    ]
-    assert rref([]) == ([], []) and nullspace([]) == []
+    assert column_nullspace(transpose(zero, 3)) == identity
+    assert rref([]) == ([], [])
+    # no columns (mu = 0 at a smooth point); three columns of length 0
+    assert column_nullspace([]) == []
+    assert column_nullspace([[], [], []]) == identity
 
 
 # -- the integer kernel -------------------------------------------------------
@@ -241,7 +204,7 @@ def test_large_height_rationals_match_gauss_jordan(case, data):
     red, pivots = gauss_jordan(rows)
     assert rref(rows) == (red, pivots)
     assert rank(rows) == len(pivots)
-    assert nullspace(rows) == oracle_nullspace(rows)
+    assert column_nullspace(transpose(rows, ncols)) == oracle_nullspace(rows, ncols)
     echelon = Echelon(carry=ncols)
     for i, row in enumerate(rows):
         ints, d = integer_row(sparse(row))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from conftest import oracle_nullspace
 from curveinv import plane
 from curveinv.errors import MissingWeights, NotMPrimary, TruncationCapExceeded
 from curveinv.jets import JetAlgebra, build_jet_algebra
@@ -214,6 +215,33 @@ def germs(draw, max_k=9):
         for mono in draw(extra):
             terms[mono] = draw(coefficients)
     return Poly(UV, terms)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(germs())
+@example(parse_poly("u^5+v^7+u^3*v^3", UV))  # a kernel entry with denominator 27
+@example(parse_poly("u^5+v^6+u*v^5", UV))  # and one with denominator 5
+def test_mult_by_f_matches_gauss_jordan_nullspace(f):
+    """The kernel of .f is the Gauss-Jordan nullspace of the dense matrix of
+    .f, whose columns are Poly normal forms of f times each basis monomial."""
+    a = PlaneAnalysis(PlaneSingularity(f))
+    basis = a.milnor.basis
+    columns = [a.milnor.normal_form(f * Poly(UV, {mono: 1})) for mono in basis]
+    rows = [[col[i] for col in columns] for i in range(len(basis))]
+    assert a.mult_by_f() == tuple(map(tuple, oracle_nullspace(rows, len(basis))))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(germs())
+@example(parse_poly("u^5+v^6+2*u^3*v^3", UV))
+@example(parse_poly("(u^2-v^3)^2+u*v^5", UV))
+def test_tail_rank_is_tau_iff_quasihomogeneous(f):
+    """The local form of the paper's theorem, read off the tail map: the
+    tail differential from ker(.f on M_f) to T_f has rank tau exactly when
+    mu = tau, that is, when f is quasihomogeneous (Saito)."""
+    a = PlaneAnalysis(PlaneSingularity(f))
+    mu, tau = a.milnor_tjurina()
+    assert (a.tail_map_general().rank == tau) == (mu == tau)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
