@@ -130,11 +130,11 @@ class PlaneAnalysis:
         """Kernel of .f on M_f, as vectors over the M_f basis.
 
         Column j of .f is the normal form of f times the j-th standard
-        monomial (f's integer terms F, shifted, over f's denominator); the
-        columns go straight to ``linalg.column_nullspace``, no dense
-        matrix.  The kernel must have dimension tau; the cokernel of an
-        endomorphism of M_f has the same dimension (rank-nullity), so it
-        needs no second elimination.
+        monomial (f's integer terms F, shifted, over f's denominator), and
+        the columns go straight to ``linalg.column_nullspace``.  The kernel
+        must have dimension tau; the cokernel of an endomorphism of M_f has
+        the same dimension (rank-nullity), so it needs no second
+        elimination.
         """
         if self._mult_cache is not None:
             return self._mult_cache
