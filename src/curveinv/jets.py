@@ -251,6 +251,7 @@ class JetAlgebra:
     def _certify(self) -> None:
         T = self.truncation_order
         self._basis_keys = [i for i in range(self._size) if i not in self._rows.rows]
+        self._position = {k: i for i, k in enumerate(self._basis_keys)}
         self.basis: Tuple[Monomial, ...] = tuple(
             self._monomials[i] for i in self._basis_keys
         )
@@ -280,6 +281,12 @@ class JetAlgebra:
         P / d, for P an integer term map in the ambient variables."""
         normal, _, _ = self._reduce(P, d)
         return [normal.get(i, _ZERO) for i in self._basis_keys]
+
+    def sparse_normal_form(self, P: Dict[Monomial, int], d: int) -> Dict[int, Fraction]:
+        """The nonzero coordinates of :meth:`integer_normal_form`, keyed by
+        position in the standard-monomial basis."""
+        normal, _, _ = self._reduce(P, d)
+        return {self._position[i]: c for i, c in normal.items()}
 
     def integer_witness(
         self, P: Dict[Monomial, int], d: int, order: int

@@ -196,9 +196,12 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(_echelon(rows))
 
 
-def column_nullspace(columns: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Kernel basis of the matrix with these columns, of length n: one
-    vector per column that depends on the columns before it, ascending.
+def column_nullspace(
+    columns: Sequence[Mapping[int, Fraction]], n: int
+) -> List[List[Fraction]]:
+    """Kernel basis of the matrix with these columns, of length n, each
+    given sparse as row index -> nonzero entry: one vector per column that
+    depends on the columns before it, ascending.
 
     Column j goes into an :class:`Echelon` as its integer vector d_j * c_j
     carrying d_j at key n + j, once it is seen not to reduce to zero.  If it
@@ -207,10 +210,9 @@ def column_nullspace(columns: Sequence[Sequence[Fraction]]) -> List[List[Fractio
     entry 1 at j and 0 at every other dependent column: the Gauss-Jordan
     basis vector.  A zero matrix gives the standard basis in order.
     """
-    n = len(columns[0]) if columns else 0
     echelon, basis = Echelon(carry=n), []
     for j, column in enumerate(columns):
-        ints, d = integer_row({i: x for i, x in enumerate(column) if x})
+        ints, d = integer_row(column)
         normal, K, s = echelon.reduce(ints, d)
         if normal:
             echelon.insert({**ints, n + j: d})

@@ -131,7 +131,7 @@ class PlaneAnalysis:
 
         Column j of .f is the normal form of f times the j-th standard
         monomial (f's integer terms F, shifted, over f's denominator), and
-        the columns go straight to ``linalg.column_nullspace``.  The kernel
+        the columns go sparse to ``linalg.column_nullspace``.  The kernel
         must have dimension tau; the cokernel of an endomorphism of M_f has
         the same dimension (rank-nullity), so it needs no second
         elimination.
@@ -140,10 +140,10 @@ class PlaneAnalysis:
             return self._mult_cache
         F, d = self._integer_f
         columns = [
-            self.milnor.integer_normal_form(multiply_terms(F, {mono: 1}), d)
+            self.milnor.sparse_normal_form(multiply_terms(F, {mono: 1}), d)
             for mono in self.milnor.basis
         ]
-        kernel = tuple(map(tuple, linalg.column_nullspace(columns)))
+        kernel = tuple(map(tuple, linalg.column_nullspace(columns, len(columns))))
         tau = self.tjurina.colength()
         if len(kernel) != tau:
             raise AssertionError(

@@ -220,7 +220,7 @@ def analyze(doc: CurveDocument, options: AnalysisOptions = AnalysisOptions()) ->
     verdict = degeneration_verdict(model, invariants)
     e1 = e1_page(model, invariants, verdict.verdict, tail_window=options.tail_window)
     e2 = e2_page(model, e1, invariants)
-    hc = hc_pages(model, e1, invariants, window=options.hc_window)
+    hc = hc_pages(model, e1, e2, invariants, window=options.hc_window)
     scope = doc.label or "curve"
     if verdict.ledger_consistent is None:
         checks.append(

@@ -34,9 +34,13 @@ source column was cut contributing nothing.
 
 One pass builds everything: the caller computes ``global_invariants``
 and ``degeneration_verdict`` once, ``e1_page`` builds the first page from
-them, and ``e2_page`` and ``hc_pages`` derive their pages from that first
-page through one rank-subtraction step, which also applies the
-constraints proved under degeneration.
+them, and ``e2_page`` derives the Hodge second page from it through one
+rank-subtraction step, which also applies the constraints proved under
+degeneration.  ``hc_pages`` runs no second subtraction per m: each page
+is the Hodge second page cut at column max(0, m), except on the left
+edge, where an arrow's target whose source column is cut keeps its
+first-page entry minus its outgoing rank (E1 - out), constrained the
+same way.  Those left-edge entries are computed once for every m.
 """
 
 from __future__ import annotations
@@ -384,16 +388,25 @@ def _second_page(
         rank = ranks.get(source, Dim(0))
         outgoing[source] = rank
         incoming[target] = rank
-    out: Dict[Tuple[int, int], Dim] = {}
-    for pos, entry in entries.items():
-        if not entry.positive:
-            for rank in (outgoing.get(pos), incoming.get(pos)):
-                if rank is not None:
-                    entry = entry - rank
-            if two_g_plus_R is not None and entry.coeffs:
-                entry = _apply_degenerate_constraints(entry, two_g_plus_R)
-        out[pos] = entry
-    return out
+    return {
+        pos: _survivor(entry, (outgoing.get(pos), incoming.get(pos)), two_g_plus_R)
+        for pos, entry in entries.items()
+    }
+
+
+def _survivor(
+    entry: Dim, ranks: Sequence[Optional[Dim]], two_g_plus_R: Optional[int]
+) -> Dim:
+    """``entry`` minus each rank that is not None, then the constraints; a
+    provably nonzero entry stays as it is."""
+    if entry.positive:
+        return entry
+    for rank in ranks:
+        if rank is not None:
+            entry = entry - rank
+    if two_g_plus_R is not None and entry.coeffs:
+        entry = _apply_degenerate_constraints(entry, two_g_plus_R)
+    return entry
 
 
 def _apply_degenerate_constraints(entry: Dim, two_g_plus_R: int) -> Dim:
@@ -457,17 +470,27 @@ def e2_page(c: CurveModel, e1: SSPage, gi: GlobalInvariants) -> SSPage:
 def hc_pages(
     c: CurveModel,
     e1: SSPage,
+    e2: SSPage,
     gi: GlobalInvariants,
     window: Tuple[int, int],
 ) -> HCPages:
     """Reindexed second pages of the split filtered complex, one per integer m.
 
-    The piece for m keeps the columns p >= max(0, m) of ``e1``, the first
-    page of ``c``, at filtration degree a = p - m.  Arrows whose source
-    column is cut contribute no incoming rank, so entries that were
-    cancelled from the left on the Hodge page can survive here; arrows
-    leaving the displayed window to the right are still subtracted, since
-    the column family continues beyond any finite display.
+    The piece for m keeps the columns p >= p_min = max(0, m) of ``e1``,
+    the first page of ``c``, at filtration degree a = p - m; ``e2`` is the
+    Hodge second page of ``e1``.  Every arrow goes from a column p to
+    p + 1, so an entry in a column p > p_min keeps every arrow into and
+    out of it, and its second-page value is its ``e2`` entry; arrows
+    leaving the displayed window to the right are subtracted, since the
+    column family continues beyond any finite display.  The exception is
+    the left edge: an entry of column p_min that is an arrow's target
+    loses no incoming rank, because the arrow's source column is cut, and
+    survives as E1 - out, its first-page entry minus its outgoing rank,
+    with the degenerate constraints applied after.  For m >= 3 that
+    survivor is the target of the left-most tail pair.  Column 0 is no
+    arrow's target, so a page with m <= 0 is ``e2`` reindexed.  The
+    left-edge entries are computed once for all m, and each page reads
+    the sorted ``e2`` entries once: the shift of p keeps their order.
     """
     lo, hi = window
     if lo > hi:
@@ -476,18 +499,20 @@ def hc_pages(
     two_g_plus_R = 2 * gi.genus + gi.R if verdict is Verdict.DEGENERATES else None
     entries, ranks = e1.entry_map(), e1.rank_map()
     arrows = _hodge_arrows(entries)
+    outgoing = {source: ranks.get(source, Dim(0)) for source, _ in arrows}
+    left_edge = {
+        target: _survivor(entries[target], (outgoing.get(target),), two_g_plus_R)
+        for _, target in arrows
+        if target in entries
+    }
     pages: List[Tuple[int, SSPage]] = []
     for m in range(lo, hi + 1):
         p_min = max(0, m)
-        e2_entries = _second_page(
-            {pos: entry for pos, entry in entries.items() if pos[0] >= p_min},
-            ranks,
-            [(s, t) for (s, t) in arrows if s[0] >= p_min],
-            two_g_plus_R,
+        reindexed = tuple(
+            ((p - m, q), left_edge.get((p, q), entry) if p == p_min else entry)
+            for (p, q), entry in e2.entries
+            if p >= p_min
         )
-        reindexed = {
-            (p - m, q): entry for (p, q), entry in e2_entries.items()
-        }
         notes = (
             f"column a = p - {m} hosts Hodge column p; columns p < {p_min} cut",
         )
@@ -496,7 +521,7 @@ def hc_pages(
                 m,
                 SSPage(
                     label=f"E2(F_{m}, {c.label})",
-                    entries=_freeze(reindexed),
+                    entries=reindexed,
                     d1_ranks=(),
                     verdict=verdict,
                     notes=notes,
@@ -520,24 +545,23 @@ def render_page(page: SSPage, format: str = "text") -> Union[str, dict]:
 
 
 def _render_text(page: SSPage) -> str:
-    entries = page.entry_map()
     lines = [f"{page.label}  [verdict: {page.verdict.value}]"]
-    if entries:
-        ps = sorted({p for p, _ in entries})
-        qs = sorted({q for _, q in entries}, reverse=True)
-        cells = {
-            (p, q): entries[(p, q)].render() if (p, q) in entries else "."
-            for p in ps
-            for q in qs
-        }
-        width = max(max(len(v) for v in cells.values()), 4)
+    if page.entries:
+        # each entry is rendered once; empty cells are "." and never wider
+        # than the minimum width 4
+        rendered = [(p, q, entry.render()) for (p, q), entry in page.entries]
+        ps = sorted({p for p, _, _ in rendered})
+        qs = sorted({q for _, q, _ in rendered}, reverse=True)
+        width = max(max(len(text) for _, _, text in rendered), 4)
+        column = {p: i for i, p in enumerate(ps)}
+        rows = {q: [f" {'.':>{width}}"] * len(ps) for q in qs}
+        for p, q, text in rendered:
+            rows[q][column[p]] = f" {text:>{width}}"
         header = "q\\p |" + "".join(f" {p:>{width}}" for p in ps)
         lines.append(header)
         lines.append("-" * len(header))
         for q in qs:
-            lines.append(
-                f"{q:>3} |" + "".join(f" {cells[(p, q)]:>{width}}" for p in ps)
-            )
+            lines.append(f"{q:>3} |" + "".join(rows[q]))
     else:
         lines.append("(empty grid)")
     for label, items in (("constraints", page.constraints), ("notes", page.notes)):

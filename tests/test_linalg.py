@@ -21,9 +21,10 @@ def dense(terms, ncols):
     return [terms.get(j, Fraction(0)) for j in range(ncols)]
 
 
-def transpose(rows, ncols):
-    """The columns of a matrix with ``ncols`` columns, given by its rows."""
-    return [[row[j] for row in rows] for j in range(ncols)]
+def sparse_columns(rows, ncols):
+    """The columns of a matrix with ``ncols`` columns, given by its rows, as
+    sparse maps."""
+    return [sparse([row[j] for row in rows]) for j in range(ncols)]
 
 
 def split(row, bound):
@@ -63,7 +64,7 @@ def test_rref_rank_nullspace_match_gauss_jordan(case):
     assert (red, pivots) == gauss_jordan(rows)
     assert all(isinstance(x, Fraction) for row in red for x in row)
     assert rank(rows) == len(pivots)
-    basis = column_nullspace(transpose(rows, ncols))
+    basis = column_nullspace(sparse_columns(rows, ncols), len(rows))
     assert basis == oracle_nullspace(rows, ncols)
     assert all(isinstance(x, Fraction) for vec in basis for x in vec)
 
@@ -72,7 +73,7 @@ def test_rref_rank_nullspace_match_gauss_jordan(case):
 @given(matrices())
 def test_nullspace_is_annihilated(case):
     rows, ncols = case
-    basis = column_nullspace(transpose(rows, ncols))
+    basis = column_nullspace(sparse_columns(rows, ncols), len(rows))
     assert len(basis) == ncols - rank(rows)
     for vec in basis:
         for row in rows:
@@ -140,11 +141,11 @@ def test_zero_matrix():
     zero = [[Fraction(0)] * 3 for _ in range(2)]
     identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
     assert rref(zero) == (zero, [])
-    assert column_nullspace(transpose(zero, 3)) == identity
+    assert column_nullspace(sparse_columns(zero, 3), 2) == identity
     assert rref([]) == ([], [])
     # no columns (mu = 0 at a smooth point); three columns of length 0
-    assert column_nullspace([]) == []
-    assert column_nullspace([[], [], []]) == identity
+    assert column_nullspace([], 0) == []
+    assert column_nullspace([{}, {}, {}], 0) == identity
 
 
 # -- the integer kernel -------------------------------------------------------
@@ -204,7 +205,8 @@ def test_large_height_rationals_match_gauss_jordan(case, data):
     red, pivots = gauss_jordan(rows)
     assert rref(rows) == (red, pivots)
     assert rank(rows) == len(pivots)
-    assert column_nullspace(transpose(rows, ncols)) == oracle_nullspace(rows, ncols)
+    basis = column_nullspace(sparse_columns(rows, ncols), len(rows))
+    assert basis == oracle_nullspace(rows, ncols)
     echelon = Echelon(carry=ncols)
     for i, row in enumerate(rows):
         ints, d = integer_row(sparse(row))

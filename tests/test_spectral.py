@@ -3,7 +3,18 @@
 import pytest
 
 from conftest import analyzed_model
-from curveinv.spectral import Dim, Verdict, render_page
+from curveinv import corpus
+from curveinv.report import AnalysisOptions
+from curveinv.spectral import (
+    Dim,
+    Verdict,
+    _hodge_arrows,
+    _second_page,
+    hc_pages,
+    render_page,
+)
+
+ALL_MODEL_LABELS = [doc["label"] for doc in corpus.curve_models()]
 
 
 def entries(page):
@@ -224,7 +235,96 @@ def test_hc_left_edge_survivor_recorded():
         assert exact(hc.page(m), (0, -m + 2)) == 2
 
 
+def oracle_hc_pages(report, window):
+    """The cyclic pages one rank subtraction per m: the first page cut to
+    the columns p >= max(0, m), with the arrows whose source column is
+    kept, then reindexed to (p - m, q)."""
+    e1, gi = report.e1, report.invariants
+    degenerates = e1.verdict is Verdict.DEGENERATES
+    two_g_plus_R = 2 * gi.genus + gi.R if degenerates else None
+    entries, ranks = e1.entry_map(), e1.rank_map()
+    arrows = _hodge_arrows(entries)
+    lo, hi = window
+    pages = []
+    for m in range(lo, hi + 1):
+        p_min = max(0, m)
+        second = _second_page(
+            {pos: entry for pos, entry in entries.items() if pos[0] >= p_min},
+            ranks,
+            [(s, t) for (s, t) in arrows if s[0] >= p_min],
+            two_g_plus_R,
+        )
+        reindexed = tuple(sorted(((p - m, q), e) for (p, q), e in second.items()))
+        pages.append((m, reindexed))
+    return pages
+
+
+@pytest.mark.parametrize("tail_window", [1, 6, 48])
+def test_hc_pages_match_per_m_rank_subtraction(tail_window):
+    verdicts, smooth = set(), False
+    for label in ALL_MODEL_LABELS:
+        report = analyzed_model(label, AnalysisOptions(tail_window=tail_window))
+        verdicts.add(report.verdict.verdict)
+        smooth |= not report.model.records
+        for window in ((-3, 6), (-4, -1), (2, 9), (5, 5)):
+            hc = hc_pages(report.model, report.e1, report.e2, report.invariants, window)
+            assert hc.verdict is report.verdict.verdict
+            expected = oracle_hc_pages(report, window)
+            assert [m for m, _ in hc.per_m] == [m for m, _ in expected]
+            for (m, page), (_, entries) in zip(hc.per_m, expected):
+                assert page.entries == entries, (label, window, m)
+                assert page.label == f"E2(F_{m}, {report.model.label})"
+                assert page.notes == (
+                    f"column a = p - {m} hosts Hodge column p; "
+                    f"columns p < {max(0, m)} cut",
+                )
+                assert page.verdict is report.verdict.verdict
+                assert (page.d1_ranks, page.constraints) == ((), ())
+    assert verdicts == set(Verdict) and smooth
+
+
 # -- rendering --------------------------------------------------------------
+
+def dense_render_text(page):
+    """Reference text grid: one cell for every (p, q) of the grid."""
+    entries = page.entry_map()
+    lines = [f"{page.label}  [verdict: {page.verdict.value}]"]
+    if entries:
+        ps = sorted({p for p, _ in entries})
+        qs = sorted({q for _, q in entries}, reverse=True)
+        cells = {
+            (p, q): entries[(p, q)].render() if (p, q) in entries else "."
+            for p in ps
+            for q in qs
+        }
+        width = max(max(len(v) for v in cells.values()), 4)
+        header = "q\\p |" + "".join(f" {p:>{width}}" for p in ps)
+        lines.append(header)
+        lines.append("-" * len(header))
+        for q in qs:
+            lines.append(
+                f"{q:>3} |" + "".join(f" {cells[(p, q)]:>{width}}" for p in ps)
+            )
+    else:
+        lines.append("(empty grid)")
+    for label, items in (("constraints", page.constraints), ("notes", page.notes)):
+        for item in items:
+            lines.append(f"{label[:-1]}: {item}")
+    return "\n".join(lines)
+
+
+def test_text_grid_matches_dense_reference():
+    options = AnalysisOptions(tail_window=6, hc_window=(-3, 6))
+    rendered, smooth = set(), False
+    for label in ALL_MODEL_LABELS:
+        report = analyzed_model(label, options)
+        smooth |= not report.model.records
+        pages = [report.e1, report.e2] + [page for _, page in report.hc.per_m]
+        for page in pages:
+            assert render_page(page, "text") == dense_render_text(page), page.label
+            rendered |= {entry.render() for _, entry in page.entries}
+    assert smooth and ">=1" in rendered
+    assert any(len(text) > 4 and text[0].isalpha() for text in rendered)
 
 def test_render_deterministic():
     report = analyzed_model("two-sing-genus-1")
