@@ -16,7 +16,6 @@ early changes no exit code.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional
@@ -24,7 +23,7 @@ from typing import List, Optional
 from .errors import CurveInvError, ParseError, SchemaError, TruncationCapExceeded
 from .plane import PlaneAnalysis, PlaneSingularity
 from .poly import parse_poly
-from .report import AnalysisOptions, analyze, run_corpus, to_json, to_text
+from .report import AnalysisOptions, analyze, dump_json, run_corpus, to_json, to_text
 from .schema import load_curve
 
 EXIT_OK = 0
@@ -141,7 +140,7 @@ def _cmd_sing(args) -> int:
     weights = analysis.effective_weights
     if args.format == "json-like":
         _emit(
-            json.dumps(
+            dump_json(
                 {
                     "equation": str(f),
                     "mu": mu,
@@ -151,9 +150,7 @@ def _cmd_sing(args) -> int:
                     "weights": None if weights is None else [str(w) for w in weights],
                     "tail_rank": tail.rank,
                     "tail_matrix": [[str(x) for x in row] for row in tail.matrix],
-                },
-                sort_keys=True,
-                indent=2,
+                }
             )
         )
     else:

@@ -8,8 +8,8 @@ two runs on the same document and options produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional, Tuple, Union
 
 from .branches import (
@@ -281,7 +281,7 @@ def _betti_checks(e2: SSPage, gi: GlobalInvariants, scope: str) -> List[Check]:
         detail = f"degree-1 total {total1.const}, b1={b1}"
     else:
         ok = total1.as_dict() == {"kappa": 1, "k_v": 1} and total1.const == 0
-        detail = f"degree-1 total {total1.render()}, constrained to b1={b1}"
+        detail = f"degree-1 total {total1.text}, constrained to b1={b1}"
     out.append(Check("betti-degree-1", scope, "pass" if ok else "fail", detail))
     total2 = Dim(0)
     for pos in ((1, 1), (2, 0)):
@@ -293,7 +293,7 @@ def _betti_checks(e2: SSPage, gi: GlobalInvariants, scope: str) -> List[Check]:
             "betti-degree-2",
             scope,
             "pass" if ok2 else "fail",
-            f"degree-2 total {total2.render()}, b2=1",
+            f"degree-2 total {total2.text}, b2=1",
         )
     )
     return out
@@ -383,7 +383,76 @@ def to_structured(report: Report) -> Dict:
 
 
 def to_json(report: Report) -> str:
-    return json.dumps(to_structured(report), sort_keys=True, indent=2)
+    return dump_json(to_structured(report))
+
+
+def dump_json(value) -> str:
+    """Write ``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` does.
+
+    Takes dicts with string keys, lists, strings, ints, bools and None, and
+    raises TypeError on any other type.  Strings go through the stdlib's C
+    escaper, so non-ASCII text comes out as \\uXXXX escapes.  Page rows, the
+    items of ``entries`` and ``d1_ranks`` (see ``spectral.render_page``), are
+    most of a report; each is written with one f-string.
+    """
+    return _dump(value, "\n")
+
+
+def _dump(value, newline: str) -> str:
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        body = f",{inner}".join(
+            [f"{_quote(key)}: {_dump(item, inner)}" for key, item in sorted(value.items())]
+        )
+        return f"{{{inner}{body}{newline}}}"
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        row_inner = inner + "  "
+        body = f",{inner}".join(
+            [_row(item, row_inner, inner) or _dump(item, inner) for item in value]
+        )
+        return f"[{inner}{body}{newline}]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
+def _row(value, inner: str, newline: str) -> Optional[str]:
+    """A page row as ``_dump`` writes it, or None for any other value.
+
+    A row is a dict with exactly the keys p, q (ints), provenance and one
+    of dim or rank (strings).
+    """
+    if type(value) is not dict or len(value) != 4:
+        return None
+    p, q, prov = value.get("p"), value.get("q"), value.get("provenance")
+    if type(p) is not int or type(q) is not int or not isinstance(prov, str):
+        return None
+    dim = value.get("dim")
+    if isinstance(dim, str):
+        return (
+            f'{{{inner}"dim": {_quote(dim)},{inner}"p": {p},'
+            f'{inner}"provenance": {_quote(prov)},{inner}"q": {q}{newline}}}'
+        )
+    rank = value.get("rank")
+    if isinstance(rank, str):
+        return (
+            f'{{{inner}"p": {p},{inner}"provenance": {_quote(prov)},'
+            f'{inner}"q": {q},{inner}"rank": {_quote(rank)}{newline}}}'
+        )
+    return None
 
 
 def to_text(report: Report) -> str:

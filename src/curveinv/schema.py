@@ -9,7 +9,7 @@ under the declared variables so parse errors surface with positions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -23,11 +23,18 @@ Sing = Union[PlaneSingularity, LciPresentation]
 
 @dataclass(frozen=True)
 class CurveDocument:
+    """A validated curve document.
+
+    ``source`` is the decoded document that ``build_curve`` validated, held
+    by reference, not copied: ``serialize_curve`` writes it as it is when
+    called, so a caller that mutates the dict afterwards changes that output.
+    """
+
     genus: int
     label: str
     notes: str
     singularities: Tuple[Sing, ...]
-    raw: str  # canonical JSON serialization of the validated source
+    source: Dict[str, Any] = field(hash=False)
 
 
 def _require(cond: bool, message: str, path: str) -> None:
@@ -52,7 +59,8 @@ def _natural(doc: Dict[str, Any], key: str, path: str, required=True, default=No
     return value
 
 
-def _parse_fraction(text: str, path: str) -> Fraction:
+def _parse_fraction(text: Any, path: str) -> Fraction:
+    _require(isinstance(text, str), "rational must be a string", path)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -203,7 +211,7 @@ def build_curve(doc: Any) -> CurveDocument:
         label=label,
         notes=notes,
         singularities=tuple(sings),
-        raw=json.dumps(doc, sort_keys=True, indent=2),
+        source=doc,
     )
 
 
@@ -222,5 +230,8 @@ def load_curve(path: str) -> CurveDocument:
 
 
 def serialize_curve(doc: CurveDocument) -> str:
-    """Canonical re-serialization of the validated source document."""
-    return doc.raw
+    """Canonical re-serialization of the validated source document: sorted
+    keys, two-space indent, as ``report.dump_json`` writes every report."""
+    from .report import dump_json  # report imports this module
+
+    return dump_json(doc.source)

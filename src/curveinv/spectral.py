@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import MissingBranchData
@@ -64,6 +65,8 @@ class Dim:
     ``coeffs`` holds the nonzero coefficients in UNKNOWN_ORDER; ``Dim.of``
     builds it from keywords.  ``positive`` marks a provably nonzero entry
     of undetermined size: it renders as ">=1" and refuses arithmetic.
+    ``text`` is rendered once per object: the cyclic pages share the
+    second page's entries.
     """
 
     const: int = 0
@@ -98,7 +101,8 @@ class Dim:
             coeffs[name] = coeffs.get(name, 0) + sign * coeff
         return Dim.of(self.const + sign * other.const, **coeffs)
 
-    def render(self) -> str:
+    @cached_property
+    def text(self) -> str:
         if self.positive:
             return ">=1"
         if not self.coeffs:
@@ -549,7 +553,7 @@ def _render_text(page: SSPage) -> str:
     if page.entries:
         # each entry is rendered once; empty cells are "." and never wider
         # than the minimum width 4
-        rendered = [(p, q, entry.render()) for (p, q), entry in page.entries]
+        rendered = [(p, q, entry.text) for (p, q), entry in page.entries]
         ps = sorted({p for p, _, _ in rendered})
         qs = sorted({q for _, q, _ in rendered}, reverse=True)
         width = max(max(len(text) for _, _, text in rendered), 4)
@@ -578,7 +582,7 @@ def _render_structured(page: SSPage) -> dict:
             {
                 "p": p,
                 "q": q,
-                "dim": entry.render(),
+                "dim": entry.text,
                 "provenance": entry.provenance,
             }
             for (p, q), entry in page.entries
@@ -587,7 +591,7 @@ def _render_structured(page: SSPage) -> dict:
             {
                 "p": p,
                 "q": q,
-                "rank": entry.render(),
+                "rank": entry.text,
                 "provenance": entry.provenance,
             }
             for (p, q), entry in page.d1_ranks

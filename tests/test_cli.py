@@ -12,7 +12,7 @@ import pytest
 from curveinv import cli, corpus, jets, plane
 from curveinv.cli import main
 from curveinv.errors import NotMPrimary
-from curveinv.report import AnalysisOptions, analyze, to_json
+from curveinv.report import AnalysisOptions, analyze, to_json, to_structured
 from curveinv.schema import build_curve, load_curve, serialize_curve
 
 
@@ -48,6 +48,20 @@ def test_analyze_options(nodal_file, capsys):
     assert sorted(doc["pages"]["hc"]) == ["0", "1", "2"]
 
 
+def test_analyze_json_like_escapes_a_non_ascii_label(tmp_path, capsys):
+    docs = {doc["label"]: doc for doc in corpus.curve_models()}
+    doc = dict(docs["nodal-rational"], label="nœud \"α\" \U0001f600")
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    assert main(["analyze", str(path), "--format", "json-like"]) == 0
+    out = capsys.readouterr().out
+    report = analyze(build_curve(doc), AnalysisOptions())
+    assert out == json.dumps(to_structured(report), sort_keys=True, indent=2) + "\n"
+    assert out.isascii()
+    assert '"label": "n\\u0153ud \\"\\u03b1\\" \\ud83d\\ude00"' in out
+    assert json.loads(out)["label"] == doc["label"]
+
+
 def test_sing_quick_mode(capsys):
     assert main(["sing", "u^3+v^5"]) == 0
     out = capsys.readouterr().out
@@ -76,6 +90,15 @@ def test_schema_error_exit_2(tmp_path, capsys):
     path.write_text('{"genus": 0, "singularities": [{"kind": "plane", '
                     '"f": "u*v", "variables": ["u", "v", "w"]}]}')
     assert main(["analyze", str(path)]) == 2
+
+
+def test_numeric_weights_exit_2(tmp_path, capsys):
+    sing = {"kind": "plane", "f": "u*v", "variables": ["u", "v"], "weights": [0.5, "1/2"],
+            "asserted": {"delta": 1, "r": 2}}
+    assert main(["analyze", _write_doc(tmp_path, sing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "$.singularities[0].weights[0]" in captured.err
 
 
 def test_missing_file_exit_2(capsys):

@@ -31,12 +31,12 @@ def exact(page, pos):
 
 def test_dim_arithmetic_and_rendering():
     e = Dim.of(2, kappa=1, c=-1)
-    assert (e.render(), e.provenance) == ("kappa - c + 2", "symbolic")
-    assert Dim.of(-3, c=-2, k_v=1).render() == "-2*c + k_v - 3"
+    assert (e.text, e.provenance) == ("kappa - c + 2", "symbolic")
+    assert Dim.of(-3, c=-2, k_v=1).text == "-2*c + k_v - 3"
     assert e - Dim.of(2, kappa=1) == Dim.of(0, c=-1)
     cancelled = e - Dim.of(2, kappa=1, c=-1)
     assert cancelled == Dim(0)
-    assert (cancelled.render(), cancelled.provenance) == ("0", "computed")
+    assert (cancelled.text, cancelled.provenance) == ("0", "computed")
     assert Dim(3) + Dim(4) == Dim(7)
 
 
@@ -44,7 +44,7 @@ def test_dim_rules():
     with pytest.raises(ValueError, match="negative dimension -1"):
         Dim(1) - Dim(2)
     marker = Dim(positive=True)
-    assert (marker.render(), marker.provenance) == (">=1", "computed")
+    assert (marker.text, marker.provenance) == (">=1", "computed")
     with pytest.raises(ValueError, match="undetermined-positive"):
         marker - Dim(0)
     with pytest.raises(ValueError, match="undetermined-positive"):
@@ -293,7 +293,7 @@ def dense_render_text(page):
         ps = sorted({p for p, _ in entries})
         qs = sorted({q for _, q in entries}, reverse=True)
         cells = {
-            (p, q): entries[(p, q)].render() if (p, q) in entries else "."
+            (p, q): entries[(p, q)].text if (p, q) in entries else "."
             for p in ps
             for q in qs
         }
@@ -322,7 +322,7 @@ def test_text_grid_matches_dense_reference():
         pages = [report.e1, report.e2] + [page for _, page in report.hc.per_m]
         for page in pages:
             assert render_page(page, "text") == dense_render_text(page), page.label
-            rendered |= {entry.render() for _, entry in page.entries}
+            rendered |= {entry.text for _, entry in page.entries}
     assert smooth and ">=1" in rendered
     assert any(len(text) > 4 and text[0].isalpha() for text in rendered)
 
