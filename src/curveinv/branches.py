@@ -5,19 +5,22 @@ in t; the t-orders attained by that subalgebra form the value semigroup,
 computed here by subalgebra saturation (see ``branch_semigroup``) on the
 sparse echelon kernel :class:`linalg.Echelon` that also serves jet
 algebras and dense ranks.  Each image enters it once as an integer
-multiple, so saturation multiplies integer series.  The gap count below
-the conductor is the one-branch delta; multibranch delta adds pairwise
-intersection multiplicities, which need a defining equation per branch.
-Milnor's formula mu = 2*delta - r + 1 is asserted against the
-independently computed mu as the end-to-end cross-check.  Branch images
-are polynomials in t, so equations are pulled back along branches
-exactly; the semigroup is the only computation with a working order.
+multiple, so saturation multiplies integer series.  The saturation runs
+its queue in ascending t-order, so the orders below the queue minimum are
+final; the gap count below the conductor is the one-branch delta, read as
+the orders become final, and the saturation stops at the conductor.
+Multibranch delta adds pairwise intersection multiplicities, which need a
+defining equation per branch.  Milnor's formula mu = 2*delta - r + 1 is
+asserted against the independently computed mu as the end-to-end
+cross-check.  Branch images are polynomials in t, so equations are pulled
+back along branches exactly; the semigroup is the only computation with a
+working order.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, List, Set
+from typing import Dict, Iterator, List, Set, Tuple
 
 from .errors import (
     DegenerateBranch,
@@ -36,18 +39,76 @@ WORKING_ORDER_CAP = 4096
 Series = Dict[int, int]  # t-exponent -> nonzero integer coefficient
 
 
+def _saturate(
+    b: BranchParam, order: int
+) -> Iterator[Tuple[int, Dict[int, Series]]]:
+    """Saturate the images' subalgebra truncated above ``order``; yield
+    (q, rows) each time q, the lowest order left in the queue and so a
+    bound below which every pivot is final, rises, and (order + 1, rows)
+    once the queue is empty.  ``rows`` is the live pivot -> row map of the
+    :class:`linalg.Echelon`.
+
+    The queue holds products row * g in buckets by lowest t-order, each
+    bucket in insertion order, so runs are deterministic; it starts with
+    the series 1 as 1 * 1.  A product's lowest order is pivot + ord(g),
+    since the product of the two lowest terms is its only term there, so
+    its bucket is known before it is formed: a product that truncates to
+    zero is never queued, and a queued one is formed only when its bucket
+    is processed.  A bucket gains no entry while it is processed, since
+    ord(g) >= 1 puts every product above the row's pivot.  See
+    ``branch_semigroup`` for why the pivots are the orders of A and why
+    those below the queue minimum are final.
+    """
+    gens = [
+        integer_row({m[0]: c for m, c in img.terms.items()})[0]
+        for img in b.images if not img.is_zero()
+    ]
+    lows = [min(g) for g in gens]
+    if all(low > order for low in lows):
+        raise DegenerateBranch(
+            f"all images vanish to working order {order}"
+        )
+    echelon = Echelon()
+    rows = echelon.rows
+    queue: Dict[int, List[Tuple[Series, Series]]] = {0: [({0: 1}, {0: 1})]}
+    for q in range(order + 1):
+        bucket = queue.pop(q, None)
+        if bucket is None:
+            continue
+        yield q, rows
+        for row, g in bucket:
+            series: Series = {}
+            for k1, c1 in row.items():
+                for k2, c2 in g.items():
+                    k = k1 + k2
+                    if k <= order:
+                        series[k] = series.get(k, 0) + c1 * c2
+            new = echelon.insert({k: c for k, c in series.items() if c})
+            if new is None:
+                continue
+            pivot = min(new)
+            for g, low in zip(gens, lows):
+                if pivot + low <= order:
+                    queue.setdefault(pivot + low, []).append((new, g))
+        if not queue:
+            break
+    yield order + 1, rows
+
+
 def branch_semigroup(b: BranchParam, order: int) -> Set[int]:
     """Value semigroup of the branch, intersected with [0, order].
 
     These are the lowest t-orders of the elements of A, the image in
     k[t]/(t^(order+1)) of the subalgebra generated by the images.
 
-    Saturation: series keyed by t-exponent go into a
-    :class:`linalg.Echelon`, whose pivot is the lowest t-order, from a
-    queue that starts with the series 1; each time an insertion adds a
-    row, the row's products with every image, truncated above ``order``,
-    are queued.  Each new row takes a new pivot in [0, order], so there
-    are at most order + 1 rows and (order + 1) * e products.
+    Saturation (``_saturate``, run here to exhaustion): series keyed by
+    t-exponent go into a :class:`linalg.Echelon`, whose pivot is the
+    lowest t-order, from a queue that starts with the series 1; each time
+    an insertion adds a row, the row's products with every image,
+    truncated above ``order``, are queued (those that truncate to zero are
+    skipped).  The queue is processed in ascending order of each series'
+    lowest t-order.  Each new row takes a new pivot in [0, order], so
+    there are at most order + 1 rows and (order + 1) * e products.
 
     Proof that the pivots are the orders attained by A.  Let V be the
     span of the rows when the queue is empty.  V is inside A: 1 is in A,
@@ -61,54 +122,50 @@ def branch_semigroup(b: BranchParam, order: int) -> Set[int]:
     lowest orders of A, whatever the order in which the queue is
     processed.  None of this uses that the images are monomials.
 
+    Proof that a pivot below the queue minimum q is final.  Inserting a
+    series never gives its row a pivot below the series' lowest order, so
+    every row still to come from the queue has a pivot >= q.  Such a row's
+    products have lowest order pivot + ord(g) > pivot >= q, since every
+    image vanishes at t = 0.  So the queue minimum never decreases, no
+    later row takes a pivot below q, and the orders below q are already
+    classified: the values are the pivots, the rest are gaps.
+
     Each image enters as its integer multiple (:func:`linalg.integer_row`):
     a nonzero multiple of a generator generates the same subalgebra, with
     the same orders, and keeps every row and product an integer series.
     """
-    gens = [
-        integer_row({m[0]: c for m, c in img.terms.items()})[0]
-        for img in b.images if not img.is_zero()
-    ]
-    if all(min(g) > order for g in gens):
-        raise DegenerateBranch(
-            f"all images vanish to working order {order}"
-        )
-    echelon = Echelon()
-    queue: List[Series] = [{0: 1}]
-    while queue:
-        row = echelon.insert(queue.pop())
-        if row is None:
-            continue
-        for g in gens:
-            prod: Series = {}
-            for k1, c1 in row.items():
-                for k2, c2 in g.items():
-                    k = k1 + k2
-                    if k <= order:
-                        prod[k] = prod.get(k, 0) + c1 * c2
-            prod = {k: c for k, c in prod.items() if c}
-            if prod:
-                queue.append(prod)
-    return set(echelon.rows)
-
-
-def _conductor(values: Set[int], order: int) -> int:
-    """Smallest c with a full run [c, c + s_min) of values; else NoConductor."""
-    nonzero = sorted(v for v in values if v > 0)
-    if not nonzero:
-        raise NoConductor(f"no nonzero semigroup value up to {order}")
-    s_min = nonzero[0]
-    for c in range(0, order - s_min + 2):
-        if all(c + i in values for i in range(s_min)):
-            return c
-    raise NoConductor(f"no run of {s_min} consecutive values up to {order}")
+    for _, rows in _saturate(b, order):
+        pass
+    return set(rows)
 
 
 def delta_one_branch(b: BranchParam, order: int) -> int:
-    """Number of semigroup gaps below the conductor."""
-    values = branch_semigroup(b, order)
-    c = _conductor(values, order)
-    return sum(1 for n in range(c) if n not in values)
+    """Number of semigroup gaps below the conductor, the smallest c with a
+    full run [c, c + s_min) of values, s_min the smallest nonzero value.
+
+    Each order below the queue minimum of the saturation is final (see
+    ``branch_semigroup``), so the orders are classified in ascending order
+    as they become final, and the saturation stops at the first run of
+    s_min consecutive values: every later integer is a value too.  The
+    working order only bounds the truncation; NoConductor if [0, order]
+    holds no such run.
+    """
+    n = gaps = run = s_min = 0
+    for final, rows in _saturate(b, order):
+        while n < final:
+            if n in rows:
+                run += 1
+                if not s_min and n:
+                    s_min = n
+                if s_min and run >= s_min:
+                    return gaps
+            else:
+                gaps += 1
+                run = 0
+            n += 1
+    if not s_min:
+        raise NoConductor(f"no nonzero semigroup value up to {order}")
+    raise NoConductor(f"no run of {s_min} consecutive values up to {order}")
 
 
 def branch_working_order(b: BranchParam) -> int:

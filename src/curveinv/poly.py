@@ -150,9 +150,13 @@ class Poly:
         return Poly._unchecked(self.vars, {m: c * value for m, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
-        """self**n by square-and-multiply, exactly."""
+        """self**n exactly: c^n * x^(n*m) in one step for a one-term
+        c * x^m, square-and-multiply for a sum."""
         if n < 0:
             raise ValueError("negative exponent")
+        if len(self.terms) == 1:
+            ((mono, c),) = self.terms.items()
+            return Poly._unchecked(self.vars, {tuple(n * e for e in mono): c ** n})
         result = Poly.const(self.vars, 1)
         base = self
         while n:

@@ -167,6 +167,46 @@ def test_semigroup_matches_enumerated_products(images, order):
     assert branch_semigroup(b, order) == enumerated_orders(b.images, order)
 
 
+def gaps_below_conductor(values, order):
+    """Gap count below the first run of s_min values in [0, order], or None."""
+    nonzero = sorted(v for v in values if v)
+    if not nonzero:
+        return None
+    s_min = nonzero[0]
+    for c in range(order - s_min + 2):
+        if all(c + i in values for i in range(s_min)):
+            return sum(1 for n in range(c) if n not in values)
+    return None
+
+
+def delta_or_none(b, order):
+    try:
+        return delta_one_branch(b, order)
+    except NoConductor:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(series, min_size=2, max_size=4), st.integers(1, 80))
+def test_early_stop_matches_exhaustive_semigroup(images, order):
+    b = BranchParam(tuple(images))
+    if all(img.order() > order for img in images):
+        return
+    values = branch_semigroup(b, order)
+    assert delta_or_none(b, order) == gaps_below_conductor(values, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 15), min_size=1, max_size=5), st.integers(0, 80))
+def test_early_stop_matches_numerical_semigroup(gens, order):
+    if min(gens) > order:
+        return
+    values = numerical_semigroup(gens, order)
+    assert delta_or_none(monomial_branch(gens), order) == gaps_below_conductor(
+        values, order
+    )
+
+
 @pytest.mark.parametrize(
     "gens, delta",
     [((16, 24, 36, 54, 81), 90), ((32, 48, 72, 108, 162, 243), 301)],

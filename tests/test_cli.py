@@ -337,6 +337,21 @@ def test_lci_delta_after_one_doubling(tmp_path, capsys):
     assert sing["delta"]["value"] == 100
 
 
+def test_lci_e5_chain_end_to_end(tmp_path, capsys):
+    # <16, 24, 36, 54, 81> has 90 gaps (numerical_semigroup in
+    # test_branches.py counts them) and conductor 180, far below the
+    # working order 8 * 81; the saturation stops at the conductor.
+    path = _lci_file(tmp_path, ["a", "b", "c", "d", "e"],
+                     ["b^2-a^3", "c^2-b^3", "d^2-c^3", "e^2-d^3"],
+                     ["t^16", "t^24", "t^36", "t^54", "t^81"])
+    assert main(["analyze", path, "--format", "json-like"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"]["value"] == "FailsViaNonPlanar"
+    sing = report["singularities"][0]
+    assert sing["delta"] == {"provenance": "computed", "value": 90}
+    assert sing["obstruction_position"] == [6, -1]
+
+
 def test_lci_parametrization_through_t_power_exit_2(tmp_path, capsys):
     # Every exponent is even, so the semigroup has no conductor at any order.
     path = _lci_file(tmp_path, ["x", "y", "z"], ["y^2-x^3", "z^2-y^3"],

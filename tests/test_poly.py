@@ -103,6 +103,25 @@ def test_truncate_and_order(p):
         assert p.order() == min(sum(m) for m in p.terms)
 
 
+one_terms = st.integers(1, 3).flatmap(
+    lambda n: st.builds(
+        lambda mono, c: Poly(("x", "y", "z")[:n], {mono: c}),
+        st.tuples(*[st.integers(0, 4)] * n),
+        coeffs,
+    )
+)
+
+
+@given(one_terms, st.integers(0, 7))
+def test_one_term_power_matches_repeated_product(p, n):
+    expected = Poly.const(p.vars, 1)
+    for _ in range(n):
+        expected = expected * p
+    result = p ** n
+    assert result == expected
+    assert all(type(c) is Fraction for c in result.terms.values())
+
+
 def test_diff_examples():
     assert P("u^2+v^3").diff("u") == P("2*u")
     assert P("u*v").diff("v") == P("u")
