@@ -16,6 +16,7 @@ early changes no exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import List, Optional
@@ -49,7 +50,10 @@ def _parse_window(text: str):
     return (lo, hi)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call only: parsing leaves no state
+    in it."""
     parser = argparse.ArgumentParser(
         prog="curveinv",
         description=(
@@ -68,6 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p_analyze = sub.add_parser("analyze", help="analyze a curve document")
+    p_analyze.set_defaults(handler=_cmd_analyze)
     p_analyze.add_argument("file", help="path to a curve JSON document")
     report_format(p_analyze)
     p_analyze.add_argument(
@@ -82,6 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_sing = sub.add_parser("sing", help="quick analysis of one plane equation")
+    p_sing.set_defaults(handler=_cmd_sing)
     p_sing.add_argument("expr", help="defining equation, e.g. 'u^2+v^3'")
     p_sing.add_argument(
         "--vars", default="u,v", metavar="u,v",
@@ -89,7 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     report_format(p_sing)
 
-    sub.add_parser("corpus", help="run the builtin corpus")
+    sub.add_parser("corpus", help="run the builtin corpus").set_defaults(
+        handler=_cmd_corpus
+    )
     return parser
 
 
@@ -177,15 +185,9 @@ def _cmd_corpus(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "sing": _cmd_sing,
-        "corpus": _cmd_corpus,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except CurveInvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, TruncationCapExceeded):

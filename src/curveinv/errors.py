@@ -3,7 +3,8 @@
 The CLI picks its exit code from the exception type alone:
 :class:`ParseError` and :class:`SchemaError` (bad input) exit 2,
 :class:`TruncationCapExceeded` (no m-primality certificate up to the
-doubling chain's limit, as for a non-isolated germ) exits 3, and every
+doubling chain's limit, as for a non-isolated germ, or a jet space above
+``jets.JET_SPACE_CAP`` monomials) exits 3, and every
 other :class:`CurveInvError` (a failed invariant check) exits 1.  Any other
 exception is an internal failure and is not caught.
 """
@@ -44,7 +45,8 @@ class NotMPrimary(CurveInvError):
 
 
 class TruncationCapExceeded(CurveInvError):
-    """Doubling the jet truncation hit the hard cap without a certificate."""
+    """Doubling the jet truncation hit the hard cap without a certificate,
+    or a jet space would hold more than ``jets.JET_SPACE_CAP`` monomials."""
 
 
 class NotInIdeal(CurveInvError):

@@ -30,7 +30,10 @@ Macaulay bound of :func:`default_truncation`, which certifies at once when
 the generators' initial forms are a regular sequence; it doubles the order
 on each failure and gives up only past max(start, TRUNCATION_CAP,
 4 + 2 * max generator degree).  The order it stops at changes how many
-rows it pays for, never a result.
+rows it pays for, never a result.  Every algebra, in or out of the chain,
+first checks the size comb(nvars + T, nvars) of its jet space against
+``JET_SPACE_CAP`` and raises :class:`TruncationCapExceeded` above it,
+before it lists a monomial.
 
 An algebra can be derived from a ``base`` algebra, with no new
 elimination of the base's generators.  Let V_T be the span of the
@@ -104,6 +107,10 @@ from .poly import Monomial, Poly, grlex_key, multiply_terms
 
 TRUNCATION_CAP = 64
 
+# Most monomials an algebra's jet space may hold, checked before any is
+# listed: above it the build raises TruncationCapExceeded (exit 3).
+JET_SPACE_CAP = 100_000
+
 _ZERO = Fraction(0)
 
 
@@ -164,8 +171,13 @@ class JetAlgebra:
         self.generators = tuple(generators)
         self.truncation_order = truncation_order
         nvars = len(ambient)
-        self._monomials, self._index = _jet_monomials(nvars, truncation_order)
         self._size = comb(nvars + truncation_order, nvars)  # keys below it
+        if self._size > JET_SPACE_CAP:
+            raise TruncationCapExceeded(
+                f"jet space of {self._size} monomials at truncation order "
+                f"{truncation_order} exceeds the cap of {JET_SPACE_CAP}"
+            )
+        self._monomials, self._index = _jet_monomials(nvars, truncation_order)
         # each generator cleared once: g_j = G_j / d_j, with integer G_j
         self._integer_generators = tuple(integer_row(g.terms) for g in generators)
         first = 0

@@ -469,17 +469,16 @@ def to_text(report: Report) -> str:
     )
     lines.append(f"  detail: {report.verdict.detail}")
     for record in report.model.records:
-        summary = _sing_summary(record)
-        if summary["kind"] == "plane":
+        if isinstance(record, PlaneRecord):
+            inv = record.invariants
             lines.append(
-                f"  plane {summary['label']}: mu={summary['mu']['value']} "
-                f"tau={summary['tau']['value']} "
-                f"qh={summary['qh_by_saito']} tail_rank={summary['tail_rank']['value']}"
+                f"  plane {record.sing.label}: mu={inv.mu} tau={inv.tau} "
+                f"qh={inv.qh_by_saito} tail_rank={record.tail.rank}"
             )
         else:
             lines.append(
-                f"  lci {summary['label']}: e={summary['embedding_dimension']} "
-                f"obstruction at {tuple(summary['obstruction_position'])}"
+                f"  lci {record.pres.label}: e={record.report.e} "
+                f"obstruction at {record.report.obstruction_position}"
             )
     for check in report.checks:
         lines.append(

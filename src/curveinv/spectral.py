@@ -11,8 +11,10 @@ are never guessed; they appear as the symbolic unknowns
 
 where u and v are the two non-tail first-page differentials.  Everything
 else is exact: tail ranks are sums of local tail-map ranks computed
-upstream, and the second page is obtained by subtracting incoming and
-outgoing ranks entry-by-entry (symbolically where necessary).
+upstream.  The differential d1 goes from (p, q) to (p + 1, q), and the
+first page keys each rank by its arrow's source, so the rank keys are the
+arrow list.  A second-page entry is its first-page entry minus the rank
+leaving it and the rank entering it, symbolically where necessary.
 
 Every entry and rank is one type, ``Dim``: an integer constant plus
 integer coefficients over the unknowns, or the marker "provably nonzero,
@@ -29,18 +31,18 @@ defeats it.
 The cyclic-homology pages are reindexed copies: the auxiliary filtered
 complex splits by an integer m, and its piece keeps the Hodge columns
 p >= max(0, m), placing column p in filtration degree a = p - m.  Its
-second page is computed by the same rank subtraction, with arrows whose
-source column was cut contributing nothing.
+second page follows the same rule, except that an entry of the cut
+column loses no incoming rank: the arrow into it starts in a column that
+was cut.
 
 One pass builds everything: the caller computes ``global_invariants``
 and ``degeneration_verdict`` once, ``e1_page`` builds the first page from
-them, and ``e2_page`` derives the Hodge second page from it through one
-rank-subtraction step, which also applies the constraints proved under
+them, and ``e2_page`` applies the survivor rule (``_survivor``) to each
+first-page entry, which also applies the constraints proved under
 degeneration.  ``hc_pages`` runs no second subtraction per m: each page
 is the Hodge second page cut at column max(0, m), except on the left
-edge, where an arrow's target whose source column is cut keeps its
-first-page entry minus its outgoing rank (E1 - out), constrained the
-same way.  Those left-edge entries are computed once for every m.
+edge, whose entries are the same rule without the incoming rank,
+computed once for every m.
 """
 
 from __future__ import annotations
@@ -365,44 +367,17 @@ def e1_page(
     )
 
 
-def _hodge_arrows(entries: Dict[Tuple[int, int], Dim]):
-    arrows = [((0, 1), (1, 1)), ((1, 0), (2, 0))]
-    for (p, q) in entries:
-        if q <= -1 and p == -q + 1:  # tail source (p'+1, -p')
-            arrows.append(((p, q), (p + 1, q)))
-    return arrows
-
-
-def _second_page(
-    entries: Dict[Tuple[int, int], Dim],
-    ranks: Dict[Tuple[int, int], Dim],
-    arrows: Sequence[Tuple[Tuple[int, int], Tuple[int, int]]],
-    two_g_plus_R: Optional[int],
-) -> Dict[Tuple[int, int], Dim]:
-    """Rank subtraction E2 = E1 - rank(out) - rank(in), then the constraints.
+def _survivor(
+    entry: Dim, ranks: Sequence[Optional[Dim]], two_g_plus_R: Optional[int]
+) -> Dim:
+    """``entry`` minus each rank that is not None, then the constraints; a
+    provably nonzero entry stays as it is.
 
     ``two_g_plus_R`` is given exactly when the sequence degenerates.  Then
     surjectivity of u gives c = 0, and the first Betti identity gives
     kappa + k_v = 2g + R, applied when both unknowns carry the same
     coefficient.
     """
-    incoming: Dict[Tuple[int, int], Dim] = {}
-    outgoing: Dict[Tuple[int, int], Dim] = {}
-    for source, target in arrows:
-        rank = ranks.get(source, Dim(0))
-        outgoing[source] = rank
-        incoming[target] = rank
-    return {
-        pos: _survivor(entry, (outgoing.get(pos), incoming.get(pos)), two_g_plus_R)
-        for pos, entry in entries.items()
-    }
-
-
-def _survivor(
-    entry: Dim, ranks: Sequence[Optional[Dim]], two_g_plus_R: Optional[int]
-) -> Dim:
-    """``entry`` minus each rank that is not None, then the constraints; a
-    provably nonzero entry stays as it is."""
     if entry.positive:
         return entry
     for rank in ranks:
@@ -437,9 +412,13 @@ def e2_page(c: CurveModel, e1: SSPage, gi: GlobalInvariants) -> SSPage:
         )
     degenerates = e1.verdict is Verdict.DEGENERATES
     two_g_plus_R = 2 * gi.genus + gi.R if degenerates else None
-    entry_map = e1.entry_map()
-    entries = _second_page(
-        entry_map, e1.rank_map(), _hodge_arrows(entry_map), two_g_plus_R
+    ranks = e1.rank_map()
+    entries = tuple(
+        (
+            (p, q),
+            _survivor(entry, (ranks.get((p, q)), ranks.get((p - 1, q))), two_g_plus_R),
+        )
+        for (p, q), entry in e1.entries
     )
     constraints: Tuple[str, ...] = ()
     if degenerates:
@@ -458,7 +437,7 @@ def e2_page(c: CurveModel, e1: SSPage, gi: GlobalInvariants) -> SSPage:
         note = "non-planar obstruction entry survives unconditionally"
     return SSPage(
         label=f"E2({c.label})",
-        entries=_freeze(entries),
+        entries=entries,
         d1_ranks=(),
         verdict=e1.verdict,
         constraints=constraints,
@@ -487,27 +466,24 @@ def hc_pages(
     out of it, and its second-page value is its ``e2`` entry; arrows
     leaving the displayed window to the right are subtracted, since the
     column family continues beyond any finite display.  The exception is
-    the left edge: an entry of column p_min that is an arrow's target
-    loses no incoming rank, because the arrow's source column is cut, and
-    survives as E1 - out, its first-page entry minus its outgoing rank,
-    with the degenerate constraints applied after.  For m >= 3 that
-    survivor is the target of the left-most tail pair.  Column 0 is no
-    arrow's target, so a page with m <= 0 is ``e2`` reindexed.  The
-    left-edge entries are computed once for all m, and each page reads
-    the sorted ``e2`` entries once: the shift of p keeps their order.
+    the left edge: an entry (p_min, q) whose incoming rank is keyed at
+    (p_min - 1, q), a cut column, keeps its first-page entry minus its
+    outgoing rank alone.  For m >= 3 that is the target of the left-most
+    tail pair.  Column 0 is no arrow's target, so a page with m <= 0 is
+    ``e2`` reindexed.  The left-edge entries are computed once for all m,
+    and each page reads the sorted ``e2`` entries once: the shift of p
+    keeps their order.
     """
     lo, hi = window
     if lo > hi:
         raise ValueError("empty window")
     verdict = e1.verdict
     two_g_plus_R = 2 * gi.genus + gi.R if verdict is Verdict.DEGENERATES else None
-    entries, ranks = e1.entry_map(), e1.rank_map()
-    arrows = _hodge_arrows(entries)
-    outgoing = {source: ranks.get(source, Dim(0)) for source, _ in arrows}
+    ranks = e1.rank_map()
     left_edge = {
-        target: _survivor(entries[target], (outgoing.get(target),), two_g_plus_R)
-        for _, target in arrows
-        if target in entries
+        (p, q): _survivor(entry, (ranks.get((p, q)),), two_g_plus_R)
+        for (p, q), entry in e1.entries
+        if (p - 1, q) in ranks
     }
     pages: List[Tuple[int, SSPage]] = []
     for m in range(lo, hi + 1):

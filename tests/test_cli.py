@@ -12,7 +12,9 @@ import pytest
 from curveinv import cli, corpus, jets, plane
 from curveinv.cli import main
 from curveinv.errors import NotMPrimary
-from curveinv.report import AnalysisOptions, analyze, to_json, to_structured
+from curveinv.report import (
+    AnalysisOptions, analyze, to_json, to_structured, to_text,
+)
 from curveinv.schema import build_curve, load_curve, serialize_curve
 
 
@@ -46,6 +48,17 @@ def test_analyze_options(nodal_file, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert sorted(doc["pages"]["hc"]) == ["0", "1", "2"]
+
+
+def test_options_of_one_call_do_not_reach_the_next(nodal_file, capsys):
+    # the parser is built once per process
+    argv = ["analyze", nodal_file, "--hc-window", "0,2", "--tail-window", "2"]
+    assert main(argv) == 0
+    narrow = capsys.readouterr().out
+    assert main(["analyze", nodal_file]) == 0
+    out = capsys.readouterr().out
+    assert out == to_text(analyze(load_curve(nodal_file), AnalysisOptions())) + "\n"
+    assert out != narrow
 
 
 def test_analyze_json_like_escapes_a_non_ascii_label(tmp_path, capsys):
@@ -115,6 +128,20 @@ def test_non_isolated_exit_3(capsys):
         assert captured.err == (
             f"error: no m-primality certificate up to truncation order {order}\n"
         )
+
+
+def test_jet_space_over_budget_exit_3(capsys):
+    # The chain would start at order 99999: comb(100001, 2) monomials, all
+    # refused before one is listed.
+    start = time.perf_counter()
+    assert main(["sing", "u^2+v^100000"]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: jet space of 5000050000 monomials at truncation order 99999 "
+        f"exceeds the cap of {jets.JET_SPACE_CAP}\n"
+    )
 
 
 @pytest.mark.parametrize(

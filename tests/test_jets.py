@@ -66,6 +66,14 @@ def test_not_m_primary_hits_cap(monkeypatch):
         build_jet_algebra([P("u")])
 
 
+def test_jet_space_cap_is_inclusive(monkeypatch):
+    # order 4 in two variables: comb(6, 2) = 15 monomials
+    monkeypatch.setattr(jets, "JET_SPACE_CAP", 15)
+    assert JetAlgebra(jacobian("u^2+v^3"), 4).colength() == 2
+    with pytest.raises(TruncationCapExceeded, match="21 monomials at truncation order"):
+        JetAlgebra(jacobian("u^2+v^3"), 5)
+
+
 def test_default_path_doubles_past_cap_to_degree_floor(monkeypatch):
     # initial forms 2(u+v), 2(u+v) are not a regular sequence: the Macaulay
     # start 1 fails and the default path doubles past a cap of 8 to reach T > 8

@@ -5,14 +5,7 @@ import pytest
 from conftest import analyzed_model
 from curveinv import corpus
 from curveinv.report import AnalysisOptions
-from curveinv.spectral import (
-    Dim,
-    Verdict,
-    _hodge_arrows,
-    _second_page,
-    hc_pages,
-    render_page,
-)
+from curveinv.spectral import Dim, Verdict, _survivor, hc_pages, render_page
 
 ALL_MODEL_LABELS = [doc["label"] for doc in corpus.curve_models()]
 
@@ -235,6 +228,39 @@ def test_hc_left_edge_survivor_recorded():
         assert exact(hc.page(m), (0, -m + 2)) == 2
 
 
+def hodge_arrows(entries):
+    """The d1 arrows (source, target), found by scanning the first-page
+    entries for tail sources, not read off the rank keys."""
+    arrows = [((0, 1), (1, 1)), ((1, 0), (2, 0))]
+    for (p, q) in entries:
+        if q <= -1 and p == -q + 1:  # tail source (p'+1, -p')
+            arrows.append(((p, q), (p + 1, q)))
+    return arrows
+
+
+def second_page(entries, ranks, arrows, two_g_plus_R):
+    """Rank subtraction E2 = E1 - rank(out) - rank(in) over the given
+    arrows, then the constraints."""
+    incoming, outgoing = {}, {}
+    for source, target in arrows:
+        rank = ranks.get(source, Dim(0))
+        outgoing[source] = rank
+        incoming[target] = rank
+    return {
+        pos: _survivor(entry, (outgoing.get(pos), incoming.get(pos)), two_g_plus_R)
+        for pos, entry in entries.items()
+    }
+
+
+def oracle_e2_entries(report):
+    """The Hodge second page: one rank subtraction over the full first page."""
+    e1, gi = report.e1, report.invariants
+    two_g_plus_R = 2 * gi.genus + gi.R if e1.verdict is Verdict.DEGENERATES else None
+    entries = e1.entry_map()
+    second = second_page(entries, e1.rank_map(), hodge_arrows(entries), two_g_plus_R)
+    return tuple(sorted(second.items()))
+
+
 def oracle_hc_pages(report, window):
     """The cyclic pages one rank subtraction per m: the first page cut to
     the columns p >= max(0, m), with the arrows whose source column is
@@ -243,12 +269,12 @@ def oracle_hc_pages(report, window):
     degenerates = e1.verdict is Verdict.DEGENERATES
     two_g_plus_R = 2 * gi.genus + gi.R if degenerates else None
     entries, ranks = e1.entry_map(), e1.rank_map()
-    arrows = _hodge_arrows(entries)
+    arrows = hodge_arrows(entries)
     lo, hi = window
     pages = []
     for m in range(lo, hi + 1):
         p_min = max(0, m)
-        second = _second_page(
+        second = second_page(
             {pos: entry for pos, entry in entries.items() if pos[0] >= p_min},
             ranks,
             [(s, t) for (s, t) in arrows if s[0] >= p_min],
@@ -266,6 +292,7 @@ def test_hc_pages_match_per_m_rank_subtraction(tail_window):
         report = analyzed_model(label, AnalysisOptions(tail_window=tail_window))
         verdicts.add(report.verdict.verdict)
         smooth |= not report.model.records
+        assert report.e2.entries == oracle_e2_entries(report), label
         for window in ((-3, 6), (-4, -1), (2, 9), (5, 5)):
             hc = hc_pages(report.model, report.e1, report.e2, report.invariants, window)
             assert hc.verdict is report.verdict.verdict
