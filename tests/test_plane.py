@@ -1,5 +1,6 @@
 """Plane singularity analysis: mu, tau, Saito test, tail maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,58 @@ def test_tail_rank_is_tau_iff_quasihomogeneous(f):
     a = PlaneAnalysis(PlaneSingularity(f))
     mu, tau = a.milnor_tjurina()
     assert (a.tail_map_general().rank == tau) == (mu == tau)
+
+
+def seeded_family(count, seed=3):
+    """c1*u^a + c2*v^b (a in 2..7, b in 2..9) plus up to four terms strictly
+    above its Newton boundary, of degree <= max(a, b) + 2, all with
+    rational coefficients: isolated, and often with tau < mu."""
+    rng = random.Random(seed)
+
+    def coefficient():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 6))
+
+    for _ in range(count):
+        a, b = rng.randint(2, 7), rng.randint(2, 9)
+        terms = {(a, 0): coefficient(), (0, b): coefficient()}
+        above = [
+            (i, j) for i in range(a + 1) for j in range(b + 1)
+            if i * b + j * a > a * b and i + j <= max(a, b) + 2
+        ]
+        for mono in rng.sample(above, rng.randint(0, min(4, len(above)))):
+            terms[mono] = coefficient()
+        yield Poly(UV, terms)
+
+
+def assert_tail_rank_is_2tau_minus_mu(f):
+    """Asserts the identity on f and returns mu - tau."""
+    a = PlaneAnalysis(PlaneSingularity(f))
+    mu, tau = a.milnor_tjurina()
+    assert a.tail_map_general().rank == 2 * tau - mu, f
+    return mu - tau
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(germs())
+def test_tail_cokernel_has_dimension_mu_minus_tau(f):
+    """The tail map ker(.f on M_f) -> T_f has rank 2*tau - mu, so its
+    cokernel has dimension mu - tau: an identity that reads mu and tau
+    only, stronger than rank == tau iff mu == tau."""
+    assert_tail_rank_is_2tau_minus_mu(f)
+
+
+@pytest.mark.parametrize(
+    "src,mu,tau",
+    [("u^5+v^31+u^3*v^19", 120, 109), ("(u^2-v^3)^2+u*v^5", 16, 14)],
+)
+def test_tail_cokernel_named_examples(src, mu, tau):
+    assert analysis(src).milnor_tjurina() == (mu, tau)
+    assert_tail_rank_is_2tau_minus_mu(parse_poly(src, UV))
+
+
+def test_tail_cokernel_on_a_seeded_family():
+    non_qh = sum(assert_tail_rank_is_2tau_minus_mu(f) > 0 for f in seeded_family(400))
+    assert non_qh >= 50  # the family does reach tau < mu
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
