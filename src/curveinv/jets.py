@@ -75,10 +75,21 @@ defect P / d - sum(C_j / s * G_j / d_j) is then checked exactly without
 a Fraction: times L * s, for L the lcm of the d_j, it is
 L * (s / d) * P - sum((L / d_j) * C_j * G_j), an integer polynomial since
 d divides s and each d_j divides L, and a nonzero factor changes no
-order.  Its terms of degree <= the requested order must all cancel.
-``normal_form`` and ``membership_with_witness`` clear p once, call the
-integer cores, and divide by s only on the way out.  A
-:class:`JetAlgebra` is tagged by default, but
+order.  Its terms of degree <= T must all cancel; ``integer_witness``
+returns the rest of it, up to a requested order that may exceed T, from
+the same multiply.  ``normal_form`` and ``membership_with_witness`` clear
+p once, call the integer cores, and divide by s only on the way out.
+
+A witness is good to any order without a larger algebra.  With N the
+primality bound, m^N lies in the ideal, so every x^b with |b| = N has a
+witness whose defect has order > T.  ``lifted_witness`` trades each
+defect term c * x^a for c * x^(a-b) times that defect, for a b <= a with
+|b| = N, by adding c * x^(a-b) times the witness of x^b; each pass
+raises the defect order by at least T + 1 - N >= 1.  The witnesses of
+the x^b form a table, built lazily and kept with the algebra, and the
+lifted cofactors pass the same exact defect check at the requested order.
+
+A :class:`JetAlgebra` is tagged by default, but
 :func:`build_jet_algebra` always builds untagged: the Milnor algebra, its
 doubling attempts and the Tjurina algebra derived from it carry no
 cofactors, and in ``plane`` only the algebras the tail map reads
@@ -97,13 +108,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, lcm
-from operator import add
+from math import comb, gcd, lcm
+from operator import add, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotInIdeal, NotMPrimary, TruncationCapExceeded
 from .linalg import Echelon, integer_row
-from .poly import Monomial, Poly, grlex_key, multiply_terms
+from .poly import Monomial, Poly, grlex_key
 
 TRUNCATION_CAP = 64
 
@@ -180,6 +191,15 @@ class JetAlgebra:
         self._monomials, self._index = _jet_monomials(nvars, truncation_order)
         # each generator cleared once: g_j = G_j / d_j, with integer G_j
         self._integer_generators = tuple(integer_row(g.terms) for g in generators)
+        self._generator_lcm = L = lcm(*(d_j for _, d_j in self._integer_generators))
+        # each (L / d_j) * G_j as (monomial, degree, coefficient) triples
+        self._generator_terms = tuple(
+            [(m, sum(m), (L // d_j) * c) for m, c in G_j.items()]
+            for G_j, d_j in self._integer_generators
+        )
+        # the lifting tables, built lazily (see _table_entry)
+        self._witnesses: Dict[Tuple[Monomial, int], tuple] = {}
+        self._tables: Dict[int, Dict[Monomial, tuple]] = {}
         first = 0
         if base is not None:
             first = len(base.generators)
@@ -300,23 +320,44 @@ class JetAlgebra:
         normal, _, _ = self._reduce(P, d)
         return {self._position[i]: c for i, c in normal.items()}
 
+    def _defect(
+        self,
+        P: Dict[Monomial, int],
+        d: int,
+        cofactors: Sequence[Dict[Monomial, int]],
+        s: int,
+        order: int,
+    ) -> Dict[Monomial, int]:
+        """The integer defect L * s * (P / d - sum(C_j / s * g_j)) up to
+        degree ``order``, without the terms that cancel: one multiply of
+        each cofactor by its cleared generator, with no product term above
+        ``order`` formed (see the module docstring)."""
+        scale = self._generator_lcm * (s // d)
+        defect = {m: scale * c for m, c in P.items() if sum(m) <= order}
+        for C, g_terms in zip(cofactors, self._generator_terms):
+            for m1, c1 in C.items():
+                room = order - sum(m1)
+                for m2, m2_degree, c2 in g_terms:
+                    if m2_degree <= room:
+                        m = tuple(map(add, m1, m2))
+                        defect[m] = defect.get(m, 0) - c1 * c2
+        return {m: c for m, c in defect.items() if c}
+
     def integer_witness(
         self, P: Dict[Monomial, int], d: int, order: int
-    ) -> Tuple[List[Dict[Monomial, int]], int]:
+    ) -> Tuple[List[Dict[Monomial, int]], int, Dict[Monomial, int]]:
         """Integer cofactors C_j and a scale s with P / d - sum(C_j / s * g_j)
-        of order > ``order``, for P an integer term map; the defect is
-        checked exactly, in integers (see the module docstring).
+        of order > min(T, ``order``), for P an integer term map, and that
+        defect times L * s up to degree ``order`` (see the module
+        docstring).  Its terms of degree <= T must cancel, or
+        :class:`NotInIdeal` is raised, so it is empty for ``order`` <= T.
 
         A zero normal form says the jets of P / d and of the cofactor
-        combination agree up to degree T, so any order up to T can be
-        verified.
+        combination agree up to degree T; the defect's terms of degree in
+        (T, ``order``] come from the same multiply that checks the rest.
         """
         if not self.tagged:
             raise AssertionError("an untagged jet algebra gives no witnesses")
-        if order > self.truncation_order:
-            raise ValueError(
-                f"order {order} exceeds certified range {self.truncation_order}"
-            )
         normal, carried, s = self._reduce(P, d)
         if normal:
             raise NotInIdeal(
@@ -327,21 +368,100 @@ class JetAlgebra:
         for key, c in carried.items():
             i, j = divmod(key - bound, G)
             cofactors[j][self._monomials[i]] = -c
-        # L * s * (P / d - sum(C_j / s * G_j / d_j)), up to degree ``order``
-        L = lcm(*(d_j for _, d_j in self._integer_generators))
-        scale = L * (s // d)
-        defect = {m: scale * c for m, c in P.items() if sum(m) <= order}
-        for C, (G_j, d_j) in zip(cofactors, self._integer_generators):
-            factor = L // d_j
-            for m, c in multiply_terms(C, G_j).items():
-                if sum(m) <= order:
-                    defect[m] = defect.get(m, 0) - factor * c
-        defect_order = min((sum(m) for m, c in defect.items() if c), default=None)
-        if defect_order is not None:
-            raise NotInIdeal(
-                f"witness defect has order {defect_order} <= {order}"
-            )
+        defect = self._defect(P, d, cofactors, s, order)
+        _check_defect(defect, min(order, self.truncation_order))
+        return cofactors, s, defect
+
+    def lifted_witness(
+        self, P: Dict[Monomial, int], d: int, order: int
+    ) -> Tuple[List[Dict[Monomial, int]], int]:
+        """Integer cofactors C_j and a scale s with P / d - sum(C_j / s * g_j)
+        of order > ``order``, for any ``order``: the witness at T, lifted
+        through a table of witnesses of the monomials of degree N, the
+        primality bound.
+
+        Each pass takes every defect term c * x^a of degree <= ``order``
+        (all of degree > T >= N), picks b <= a with |b| = N, and adds
+        c * x^(a-b) times the table witness (A_b, s_b) of x^b.  That
+        replaces the term by c * x^(a-b) times the defect of x^b, which
+        has order > T, so each pass raises the defect order by at least
+        T + 1 - N >= 1 and the loop ends.  A pass multiplies the scale by
+        L * lcm(s_b) and computes the next defect from the table's
+        defects alone; the cofactors are summed once, after the last pass,
+        each pass's additions times the scale the later passes bring.
+        Then the content is divided out, keeping d | s, and the final
+        cofactors must pass the exact defect check, or
+        :class:`NotInIdeal` is raised.
+        """
+        cofactors, s, defect = self.integer_witness(P, d, order)
+        if not defect:
+            return cofactors, s
+        L, T, N = self._generator_lcm, self.truncation_order, self.primality_bound
+        # the shifted table defect is needed up to degree ``order``, and
+        # the shift |a - b| = |a| - N is at least T + 1 - N
+        table_order = order - (T + 1 - N)
+        table = self._tables.setdefault(table_order, {})
+        s_0, passes = s, []  # (scale after the pass, lcm(s_b), [(c, entry)])
+        while defect:
+            steps, S = [], 1
+            for a, c in defect.items():
+                entry = table.get(a) or self._table_entry(table, a, table_order)
+                steps.append((c, entry))
+                S = lcm(S, entry[1])
+            s *= L * S
+            defect = {}
+            for c, (_, s_b, shifted_defect) in steps:
+                k = c * (S // s_b)
+                for m_degree, m, x in shifted_defect:
+                    if m_degree > order:
+                        break
+                    defect[m] = defect.get(m, 0) + k * x
+            passes.append((s, S, steps))
+            defect = {m: c for m, c in defect.items() if c}
+        scale = s // s_0
+        cofactors = [{m: scale * c for m, c in C.items()} for C in cofactors]
+        for s_t, S, steps in passes:
+            scale = s // s_t
+            for c, (shifted_cofactors, s_b, _) in steps:
+                k = c * (S // s_b) * scale
+                for C, A in zip(cofactors, shifted_cofactors):
+                    for m, x in A:
+                        C[m] = C.get(m, 0) + k * x
+        content = gcd(s // d, *(c for C in cofactors for c in C.values()))
+        s //= content
+        cofactors = [{m: c // content for m, c in C.items() if c} for C in cofactors]
+        _check_defect(self._defect(P, d, cofactors, s, order), order)
         return cofactors, s
+
+    def _table_entry(self, table: dict, a: Monomial, order: int) -> tuple:
+        """The table entry of x^a, stored in ``table``: for the b <= a with
+        |b| = N that takes from the first variables first, and A_b, s_b and
+        D_b the :meth:`integer_witness` of x^b up to ``order``, the terms of
+        x^(a-b) * A_b, s_b, and the terms of x^(a-b) * D_b as (degree,
+        monomial, coefficient), ascending.  Each x^b is reduced once per
+        algebra and order."""
+        b, n = [], self.primality_bound
+        for e in a:
+            b.append(min(e, n))
+            n -= b[-1]
+        b = tuple(b)
+        witness = self._witnesses.get((b, order))
+        if witness is None:
+            A_b, s_b, D_b = self.integer_witness({b: 1}, 1, order)
+            witness = self._witnesses[b, order] = (
+                [list(A.items()) for A in A_b],
+                s_b,
+                sorted((sum(m), m, x) for m, x in D_b.items()),
+            )
+        A_b, s_b, D_b = witness
+        shift = tuple(map(sub, a, b))
+        lift = sum(shift)
+        entry = table[a] = (
+            [[(tuple(map(add, m, shift)), x) for m, x in A] for A in A_b],
+            s_b,
+            [(m_degree + lift, tuple(map(add, m, shift)), x) for m_degree, m, x in D_b],
+        )
+        return entry
 
     def normal_form(self, p: Poly) -> List[Fraction]:
         """Coordinates of p's class over the standard-monomial basis."""
@@ -349,12 +469,25 @@ class JetAlgebra:
 
     def membership_with_witness(self, p: Poly, order: int) -> Tuple[Poly, ...]:
         """Cofactors c_i, one per generator g_i, with p - sum(c_i * g_i) of
-        order > ``order``: :meth:`integer_witness` on p cleared, as Fractions."""
-        cofactors, s = self.integer_witness(*self._cleared(p), order)
+        order > ``order`` <= T: :meth:`integer_witness` on p cleared, as
+        Fractions."""
+        if order > self.truncation_order:
+            raise ValueError(
+                f"order {order} exceeds certified range {self.truncation_order}"
+            )
+        cofactors, s, _ = self.integer_witness(*self._cleared(p), order)
         return tuple(
             Poly._unchecked(self.ambient, {m: Fraction(c, s) for m, c in C.items()})
             for C in cofactors
         )
+
+
+def _check_defect(defect: Dict[Monomial, int], order: int) -> None:
+    """Raise :class:`NotInIdeal` unless every term of ``defect`` has degree
+    > ``order``."""
+    defect_order = min((sum(m) for m in defect), default=None)
+    if defect_order is not None and defect_order <= order:
+        raise NotInIdeal(f"witness defect has order {defect_order} <= {order}")
 
 
 def default_truncation(generators: Sequence[Poly]) -> int:

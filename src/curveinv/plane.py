@@ -158,13 +158,14 @@ class PlaneAnalysis:
         self, product: Tuple[dict, int], witness_algebra: JetAlgebra, order: int
     ) -> List[Fraction]:
         """Class in T_f of the divergence of a cofactor witness for f*lift,
-        given as the integer product F * Lambda over its denominator.
+        given as the integer product F * Lambda over its denominator, with
+        the witness lifted to ``order`` (``JetAlgebra.lifted_witness``).
 
         With cofactors C_u / s, C_v / s, the divergence is
         (d_u(C_u) + d_v(C_v)) / s, so its class is the integer normal form
         of the numerator over s.
         """
-        (C_u, C_v), s = witness_algebra.integer_witness(*product, order)
+        (C_u, C_v), s = witness_algebra.lifted_witness(*product, order)
         divergence: dict = {}
         for i, C in enumerate((C_u, C_v)):
             for m, c in C.items():
@@ -185,29 +186,40 @@ class PlaneAnalysis:
         denominator: f = F / d_f and m~ = Lambda / d_m are cleared once,
         f*m~ is the integer product F * Lambda over d_f * d_m, and the
         witness comes back as integer cofactors over one scale s (see
-        ``JetAlgebra.integer_witness``); only the T_f coordinates are
+        ``JetAlgebra.lifted_witness``); only the T_f coordinates are
         Fractions.
 
-        The witness order is T = N_M + N_T, the primality bounds of the
+        The witness order is T_w = N_M + N_T, the primality bounds of the
         Milnor and Tjurina algebras (m^N_M lies in J = (f_u, f_v) and m^N_T
         in the Tjurina ideal), and it is exact:
 
-        * A witness read off the jet algebra at order T has a defect
-          D = f*m~ - alpha*f_u - beta*f_v in m^(T+1).
-        * Since m^N_M is in J, m^(T+1) lies in J * m^(T+1-N_M), so
-          D = a*f_u + b*f_v with a, b in m^(T+1-N_M).  Adding (a, b) gives
-          an exact witness, and the divergence d_u(a) + d_v(b) lies in
-          m^(T-N_M) = m^N_T, inside the Tjurina ideal: it leaves the
+        * A witness whose defect D = f*m~ - alpha*f_u - beta*f_v lies in
+          m^(T_w+1) is enough.
+        * Since m^N_M is in J, m^(T_w+1) lies in J * m^(T_w+1-N_M), so
+          D = a*f_u + b*f_v with a, b in m^(T_w+1-N_M).  Adding (a, b)
+          gives an exact witness, and the divergence d_u(a) + d_v(b) lies
+          in m^(T_w-N_M) = m^N_T, inside the Tjurina ideal: it leaves the
           class unchanged.
         * Two exact witnesses differ by a syzygy of f_u, f_v, which form a
-          regular sequence (J is m-primary), so by h*(f_v, -f_u) for some h.  Its
-          divergence h_u*f_v - h_v*f_u lies in J, so the class does not
-          depend on the witness.
+          regular sequence (J is m-primary), so by h*(f_v, -f_u) for some
+          h.  Its divergence h_u*f_v - h_v*f_u lies in J, so the class does
+          not depend on the witness.
 
-        Every class is recomputed at order T + 2 and must not move.  The
-        order-(T + 2) algebra is the one elimination, carrying cofactors;
-        the order-T witness algebra is its projection (see ``jets``), so the
-        two witnesses are still taken at different truncations.
+        No algebra is built at T_w.  The one elimination is a tagged
+        algebra A at N_M + 2, and the witness algebra is its projection
+        to N_M (see ``jets``).  Each takes the witness at its own order T
+        and lifts it through a table of witnesses of the monomials x^b of
+        degree N_M, built lazily from that algebra: a defect term c*x^a
+        gains c*x^(a-b)*(alpha_b, beta_b) for some b <= a with |b| = N_M,
+        which trades it for c*x^(a-b) times the defect of x^b, of order
+        > |a| + T - N_M.  So each pass raises the defect order by at least
+        T + 1 - N_M >= 1, and the loop ends once the defect has order
+        > T_w.  Which b a term takes changes the witness, never the class:
+        any lifted witness has a defect in m^(T_w+1), and the argument
+        above gives every such witness the same class.
+
+        Every class is recomputed from A, with A's own table, lifted to
+        T_w + 2, and must not move.
         """
         kernel = self.mult_by_f()
         basis = self.milnor.basis
@@ -217,12 +229,11 @@ class PlaneAnalysis:
             lift, d_m = linalg.integer_row({m: c for m, c in zip(basis, vec) if c})
             products.append((multiply_terms(F, lift), d_f * d_m))
         order = max(1, self.milnor.primality_bound + self.tjurina.primality_bound)
+        n_m = max(1, self.milnor.primality_bound)
         recheck_algebra = JetAlgebra(
-            [self.f_u, self.f_v], order + 2, row_seed=row_seed
+            [self.f_u, self.f_v], n_m + 2, row_seed=row_seed
         )
-        witness_algebra = JetAlgebra(
-            [self.f_u, self.f_v], order, base=recheck_algebra
-        )
+        witness_algebra = JetAlgebra([self.f_u, self.f_v], n_m, base=recheck_algebra)
         columns = []
         for product in products:
             image = self._tail_image(product, witness_algebra, order)

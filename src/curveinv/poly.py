@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -267,6 +268,35 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^/()]))")
 # inside Python's recursion limit.
 MAX_NESTING = 100
 
+# Most terms a product or power formed while parsing may have, by the bound
+# of _product_terms or _power_terms, checked before it is formed: fifty
+# times the largest polynomial in the corpus, tests and benchmark (5 terms).
+MAX_TERMS = 256
+
+
+def _product_terms(a: Poly, b: Poly) -> int:
+    """A bound on the terms of a * b: its exponents are sums of one of a's
+    and one of b's, so at most the number of pairs, inside the box that
+    a's and b's boxes add up to."""
+    box = 1
+    for col_a, col_b in zip(zip(*a.terms), zip(*b.terms)):
+        box *= max(col_a) + max(col_b) - min(col_a) - min(col_b) + 1
+    return min(len(a.terms) * len(b.terms), box)
+
+
+def _power_terms(p: Poly, n: int) -> int:
+    """A bound on the terms of p^n: a product of n of p's k terms, so at
+    most the comb(n + k - 1, k - 1) multisets, inside n times p's box."""
+    k = len(p.terms)
+    if k <= 1 or n <= 1:
+        return k if n else 1
+    if n >= MAX_TERMS:  # both bounds are at least n + 1, over the cap
+        return n + 1
+    box = 1
+    for column in zip(*p.terms):
+        box *= n * (max(column) - min(column)) + 1
+    return min(comb(n + k - 1, k - 1), box)
+
 
 def _tokenize(source: str):
     tokens = []
@@ -337,17 +367,20 @@ class _Parser:
     def term(self) -> Poly:
         acc = self.factor()
         while self.peek()[:2] == ("OP", "*"):
-            self.next()
-            acc = acc * self.factor()
+            _, _, pos = self.next()
+            factor = self.factor()
+            _check_terms(_product_terms(acc, factor), pos)
+            acc = acc * factor
         return acc
 
     def factor(self) -> Poly:
         base = self.base()
         if self.peek()[:2] == ("OP", "^"):
-            self.next()
+            _, _, op_pos = self.next()
             kind, val, pos = self.next()
             if kind != "INT":
                 raise ParseError("exponent is not a natural number", pos)
+            _check_terms(_power_terms(base, int(val)), op_pos)
             return base ** int(val)
         return base
 
@@ -379,13 +412,23 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
 
 
+def _check_terms(bound: int, position: int) -> None:
+    if bound > MAX_TERMS:
+        raise ParseError(
+            f"expansion may reach {bound} terms, over the cap of {MAX_TERMS}",
+            position,
+        )
+
+
 def parse_poly(source: str, variables: Sequence[str]) -> Poly:
     """Parse an expression over the declared variables.
 
     Grammar: sums of products of rationals, variables, and parenthesized
     subexpressions with natural-number exponents; no implicit
     multiplication; a single unary minus is allowed at the head of a term.
-    Parentheses nest at most ``MAX_NESTING`` deep.
+    Parentheses nest at most ``MAX_NESTING`` deep, and no product or
+    power may be bounded above ``MAX_TERMS`` terms (see
+    :func:`_product_terms` and :func:`_power_terms`).
     """
     return _Parser(source, variables).parse()
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from curveinv import cli, corpus, jets, plane
+from curveinv import cli, corpus, jets, plane, poly
 from curveinv.cli import main
 from curveinv.errors import NotMPrimary
 from curveinv.report import (
@@ -141,6 +141,29 @@ def test_jet_space_over_budget_exit_3(capsys):
     assert captured.err == (
         "error: jet space of 5000050000 monomials at truncation order 99999 "
         f"exceeds the cap of {jets.JET_SPACE_CAP}\n"
+    )
+
+
+def test_tail_map_reaches_past_the_old_recheck_order(capsys):
+    # u^2+v^223 certifies mu = tau = 222 at order 222; the tail map's
+    # algebras stop at order N_M + 2 = 224 (25,425 monomials), where an
+    # elimination at N_M + N_T + 2 = 446 would exceed the jet-space cap.
+    assert main(["sing", "u^2+v^223", "--format", "json-like"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["mu"], report["tau"], report["tail_rank"]) == (222, 222, 222)
+
+
+def test_expansion_over_budget_exit_2(capsys):
+    # (u+v+1)^60 would expand to comb(62, 2) = 1891 terms; the bound is
+    # checked before the power is formed.
+    start = time.perf_counter()
+    assert main(["sing", "(u+v+1)^60"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: expansion may reach 1891 terms, over the cap of "
+        f"{poly.MAX_TERMS} (at position 7)\n"
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import oracle_nullspace
-from curveinv import plane
+from curveinv import linalg, plane
 from curveinv.errors import MissingWeights, NotMPrimary, TruncationCapExceeded
 from curveinv.jets import JetAlgebra, build_jet_algebra
 from curveinv.plane import PlaneAnalysis, PlaneSingularity
@@ -299,6 +299,10 @@ def test_tail_cokernel_on_a_seeded_family():
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(germs())
+# germs whose witnesses need many lifting passes
+@example(parse_poly("u^5+v^6+2*u^3*v^3", UV))
+@example(parse_poly("u^4+v^5+u^3*v^2", UV))
+@example(parse_poly("(u^2-v^3)^2+u*v^5", UV))
 def test_tail_map_matches_degree_order_oracle(f):
     a = PlaneAnalysis(PlaneSingularity(f))
     assert a.tail_map_general().matrix == degree_order_tail_matrix(a)
@@ -417,3 +421,44 @@ def test_projected_witnesses_pass_the_exact_defect_check(f):
         assert defect.is_zero() or defect.order() > order
         for cof, g in zip(cofactors, jac):
             assert cof.is_zero() or cof.degree() <= order - g.order()
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(germs(max_k=12))
+@example(parse_poly("u^5+v^6+2*u^3*v^3", UV))
+@example(parse_poly("(u^2-v^3)^2+u*v^5", UV))
+def test_lifted_witnesses_pass_the_exact_defect_check(f):
+    """Witnesses from the order-N_M projection, lifted through its table to
+    T_w = N_M + N_T, satisfy f*lift = alpha*f_u + beta*f_v up to terms of
+    degree > T_w, checked here in Poly arithmetic; so do those of the
+    order-(N_M + 2) algebra lifted to T_w + 2."""
+    a = PlaneAnalysis(PlaneSingularity(f))
+    n_m = a.milnor.primality_bound
+    order = max(1, n_m + a.tjurina.primality_bound)
+    jac = [a.f_u, a.f_v]
+    table_algebra = JetAlgebra(jac, n_m + 2)
+    projected = JetAlgebra(jac, n_m, base=table_algebra)
+    for vec in a.mult_by_f():
+        target = f * Poly(UV, dict(zip(a.milnor.basis, vec)))
+        integer_target, d = linalg.integer_row(target.terms)
+        for algebra, lifted_order in ((projected, order), (table_algebra, order + 2)):
+            cofactors, s = algebra.lifted_witness(integer_target, d, lifted_order)
+            alpha, beta = (Poly(UV, {m: Fraction(c, s) for m, c in C.items()})
+                           for C in cofactors)
+            defect = target - alpha * a.f_u - beta * a.f_v
+            assert defect.is_zero() or defect.order() > lifted_order
+
+
+def test_tail_map_builds_no_algebra_above_the_table_order(monkeypatch):
+    built = []
+
+    def recording(generators, truncation_order, **kwargs):
+        built.append(truncation_order)
+        return JetAlgebra(generators, truncation_order, **kwargs)
+
+    a = analysis("u^5+v^6+2*u^3*v^3")
+    monkeypatch.setattr(plane, "JetAlgebra", recording)
+    a.tail_map_general()
+    n_m = a.milnor.primality_bound
+    assert built == [n_m + 2, n_m]
+    assert n_m + a.tjurina.primality_bound > n_m + 2
