@@ -285,17 +285,19 @@ def _product_terms(a: Poly, b: Poly) -> int:
 
 
 def _power_terms(p: Poly, n: int) -> int:
-    """A bound on the terms of p^n: a product of n of p's k terms, so at
-    most the comb(n + k - 1, k - 1) multisets, inside n times p's box."""
-    k = len(p.terms)
-    if k <= 1 or n <= 1:
-        return k if n else 1
+    """A bound on the terms of p^n, for p of k >= 2 terms: a product of n
+    of them, so at most the comb(n + k - 1, k - 1) multisets, inside n
+    times p's box."""
     if n >= MAX_TERMS:  # both bounds are at least n + 1, over the cap
         return n + 1
+    k = len(p.terms)
+    multisets = comb(n + k - 1, k - 1)
+    if multisets <= MAX_TERMS:
+        return multisets
     box = 1
     for column in zip(*p.terms):
         box *= n * (max(column) - min(column)) + 1
-    return min(comb(n + k - 1, k - 1), box)
+    return min(multisets, box)
 
 
 def _tokenize(source: str):
@@ -369,7 +371,8 @@ class _Parser:
         while self.peek()[:2] == ("OP", "*"):
             _, _, pos = self.next()
             factor = self.factor()
-            _check_terms(_product_terms(acc, factor), pos)
+            if len(acc.terms) * len(factor.terms) > MAX_TERMS:
+                _check_terms(_product_terms(acc, factor), pos)
             acc = acc * factor
         return acc
 
@@ -380,8 +383,10 @@ class _Parser:
             kind, val, pos = self.next()
             if kind != "INT":
                 raise ParseError("exponent is not a natural number", pos)
-            _check_terms(_power_terms(base, int(val)), op_pos)
-            return base ** int(val)
+            n = int(val)
+            if len(base.terms) > 1:
+                _check_terms(_power_terms(base, n), op_pos)
+            return base ** n
         return base
 
     def base(self) -> Poly:
