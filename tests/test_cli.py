@@ -144,10 +144,10 @@ def test_jet_space_over_budget_exit_3(capsys):
     )
 
 
-def test_tail_map_reaches_past_the_old_recheck_order(capsys):
-    # u^2+v^223 certifies mu = tau = 222 at order 222; the tail map's
-    # algebras stop at order N_M + 2 = 224 (25,425 monomials), where an
-    # elimination at N_M + N_T + 2 = 446 would exceed the jet-space cap.
+def test_tail_map_witnesses_stay_under_the_jet_space_cap(capsys):
+    # u^2+v^223 certifies mu = tau = 222 at order 222, and the tail map's
+    # algebras stop at order N_M + 2 = 224 (25,425 monomials); an algebra
+    # at the witness order T_w + 2 = 446 would need 100,128, over the cap.
     assert main(["sing", "u^2+v^223", "--format", "json-like"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["mu"], report["tau"], report["tail_rank"]) == (222, 222, 222)

@@ -9,7 +9,7 @@ from conftest import staircase_colength
 from curveinv import jets
 from curveinv.errors import NotInIdeal, TruncationCapExceeded
 from curveinv.jets import JetAlgebra, build_jet_algebra, default_truncation
-from curveinv.linalg import Echelon
+from curveinv.linalg import Echelon, integer_row
 from curveinv.poly import Poly, parse_poly
 
 UV = ("u", "v")
@@ -173,6 +173,26 @@ def test_witness_e8_high_order():
     alpha, beta = J.membership_with_witness(target, 12)
     defect = target - alpha * f.diff("u") - beta * f.diff("v")
     assert defect.is_zero() or defect.order() > 12
+
+
+def test_integer_witness_returns_its_defect_beyond_T():
+    """Past T the defect need not cancel: integer_witness returns it, times
+    L * s, up to the requested order, and lifted_witness raises its order
+    past that order."""
+    f = P("u^3+v^5+1/2*u^2*v^2")
+    J = JetAlgebra(jacobian("u^3+v^5+1/2*u^2*v^2"), 9)
+    target = f * P("v^3")
+    ints, d = integer_row(target.terms)
+
+    def defect(cofactors, s):
+        alpha, beta = (Poly(UV, {m: Fraction(c, s) for m, c in C.items()})
+                       for C in cofactors)
+        return (target - alpha * f.diff("u") - beta * f.diff("v")).truncate(16)
+
+    cofactors, s, beyond = J.integer_witness(ints, d, 16)
+    assert beyond and min(sum(m) for m in beyond) > 9
+    assert Poly(UV, beyond) == defect(cofactors, s).scale(J._generator_lcm * s)
+    assert defect(*J.lifted_witness(ints, d, 16)).is_zero()
 
 
 def test_witness_rejects_non_member():

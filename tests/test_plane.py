@@ -267,11 +267,11 @@ def seeded_family(count, seed=3):
 
 
 def assert_tail_rank_is_2tau_minus_mu(f):
-    """Asserts the identity on f and returns mu - tau."""
+    """Asserts the identity on f and returns (mu, tau)."""
     a = PlaneAnalysis(PlaneSingularity(f))
     mu, tau = a.milnor_tjurina()
     assert a.tail_map_general().rank == 2 * tau - mu, f
-    return mu - tau
+    return mu, tau
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -288,12 +288,12 @@ def test_tail_cokernel_has_dimension_mu_minus_tau(f):
     [("u^5+v^31+u^3*v^19", 120, 109), ("(u^2-v^3)^2+u*v^5", 16, 14)],
 )
 def test_tail_cokernel_named_examples(src, mu, tau):
-    assert analysis(src).milnor_tjurina() == (mu, tau)
-    assert_tail_rank_is_2tau_minus_mu(parse_poly(src, UV))
+    assert assert_tail_rank_is_2tau_minus_mu(parse_poly(src, UV)) == (mu, tau)
 
 
 def test_tail_cokernel_on_a_seeded_family():
-    non_qh = sum(assert_tail_rank_is_2tau_minus_mu(f) > 0 for f in seeded_family(400))
+    invariants = map(assert_tail_rank_is_2tau_minus_mu, seeded_family(400))
+    non_qh = sum(mu > tau for mu, tau in invariants)
     assert non_qh >= 50  # the family does reach tau < mu
 
 
