@@ -34,6 +34,9 @@ from .linalg import Echelon, integer_row
 from .plane import PlaneSingularity
 from .poly import BranchParam, DeltaR, Poly
 
+# The one working order of every branch semigroup.  The saturation stops
+# at the conductor, so the orders above it cost nothing; a branch with no
+# conductor up to it raises NoConductor (exit 1).
 WORKING_ORDER_CAP = 4096
 
 Series = Dict[int, int]  # t-exponent -> nonzero integer coefficient
@@ -168,27 +171,6 @@ def delta_one_branch(b: BranchParam, order: int) -> int:
     raise NoConductor(f"no run of {s_min} consecutive values up to {order}")
 
 
-def branch_working_order(b: BranchParam) -> int:
-    """Starting truncation order for one branch: eight times its top degree."""
-    return 8 * max(img.degree() or 1 for img in b.images)
-
-
-def delta_with_retry(b: BranchParam) -> int:
-    """delta_one_branch from branch_working_order, doubling on NoConductor.
-
-    The order decides only whether the conductor is found, not its value:
-    a run of s_min values makes every larger integer a value.
-    """
-    order = branch_working_order(b)
-    while True:
-        try:
-            return delta_one_branch(b, order)
-        except NoConductor:
-            if order >= WORKING_ORDER_CAP:
-                raise
-            order = min(2 * order, WORKING_ORDER_CAP)
-
-
 def check_primitive(b: BranchParam, path: str) -> None:
     """SchemaError at ``path`` if every image t-exponent shares a factor d > 1.
 
@@ -196,7 +178,7 @@ def check_primitive(b: BranchParam, path: str) -> None:
     through t -> t^d and covers its branch d times; its semigroup values
     are all multiples of d and have no conductor.  The test is sufficient,
     not necessary: a parametrization through some other series in t has
-    exponents with gcd 1 and still doubles to the cap.
+    exponents with gcd 1 and still runs to the cap.
     """
     d = gcd(*(m[0] for img in b.images for m in img.terms))
     if d > 1:
@@ -235,7 +217,7 @@ def delta_report(s: PlaneSingularity, mu: int) -> DeltaR:
                 f"branches[{i}]",
             )
         check_primitive(br.param, f"branches[{i}]")
-    delta = sum(delta_with_retry(br.param) for br in s.branches)
+    delta = sum(delta_one_branch(br.param, WORKING_ORDER_CAP) for br in s.branches)
     for i, br in enumerate(s.branches):
         for j in range(i + 1, len(s.branches)):
             if br.equation is None:

@@ -54,7 +54,8 @@ class NotInIdeal(CurveInvError):
 
 
 class WitnessOrderInsufficient(CurveInvError):
-    """Cofactor witness class changed under the order+2 stability re-check."""
+    """A tail class moved under the tail map's one re-check: the witness
+    algebra eliminated again with reshuffled rows, lifted two orders higher."""
 
 
 class MissingWeights(CurveInvError):

@@ -36,32 +36,20 @@ first checks the size comb(nvars + T, nvars) of its jet space against
 before it lists a monomial.
 
 An algebra can be derived from a ``base`` algebra, with no new
-elimination of the base's generators.  Let V_T be the span of the
-degree-<=T truncations of the multiples mult * g, and pi_T the truncation
-to degree <= T.
-
-* Projection: for T <= T', pi_T(V_T') = V_T.  A multiple of degree
-  > T - ord(g) truncates to zero, and every other one truncates to its own
-  degree-<=T generator.  A row of an echelon basis of V_T' whose pivot has
-  degree > T has every key of degree > T (keys ascend with degree), so it
-  truncates to zero; a row whose pivot has degree <= T keeps that pivot.
-  So the rows with pivot degree <= T, cut at degree T, are an echelon
-  basis of V_T with the same pivots, and by the echelon's two facts the
-  basis, ``primality_bound`` and every normal form equal those of a fresh
-  build at T.  A cut row need not stay primitive: the echelon's facts
-  hold for any nonzero multiple of a span element, so it only needs to
-  stay one, and it keeps its positive pivot coefficient.
-* Extension: the ideal of ``generators`` contains base's (a prefix of
-  them), so V_T is base's rows plus the multiples of the extra
-  generators; inserting only those gives an echelon basis of V_T, and
-  again everything equals a fresh build.  The Tjurina algebra extends the
-  Milnor algebra by the multiples of f.
+elimination of the base's generators: an untagged algebra at the same
+order whose generators are a prefix of ``generators``.  Let V_T be the
+span of the degree-<=T truncations of the multiples mult * g.  The ideal
+of ``generators`` contains base's, so V_T is base's rows plus the
+multiples of the extra generators; inserting only those gives an echelon
+basis of V_T, and by the echelon's two facts the basis,
+``primality_bound`` and every normal form equal those of a fresh build.
+The Tjurina algebra extends the Milnor algebra by the multiples of f.
 
 Ideal-membership witnesses (cofactors) fall out of the same reduction
 with no extra linear solve: each row of a tagged algebra carries its
 expression as an integer combination of the multiples mult * g_j, as
-carried keys of its echelon (see :class:`linalg.Echelon`).  A fresh
-build sets the carry bound B to its own jet size, above every jet key,
+carried keys of its echelon (see :class:`linalg.Echelon`).  An algebra
+sets the carry bound B to its own jet size, above every jet key,
 and gives the multiple mult * g_j the key B + index(mult) * G + j, for G
 generators.  Each generator is cleared once per algebra, g_j = G_j / d_j
 with G_j integer and d_j the lcm of g_j's denominators; a multiple goes
@@ -93,14 +81,8 @@ A :class:`JetAlgebra` is tagged by default, but
 :func:`build_jet_algebra` always builds untagged: the Milnor algebra, its
 doubling attempts and the Tjurina algebra derived from it carry no
 cofactors, and in ``plane`` only the algebras the tail map reads
-witnesses from are tagged.  A projection inherits its base's tagging and
-bound B.  A tagged base cannot be extended, since its keys are numbered
-for its own generators.  Carried keys are never cut: every multiple
-carried by a row starts (has its lowest degree) at or below the row's
-pivot degree, by induction over insertions -- an inserted multiple
-starts at or below its lowest key, and it is reduced only by rows whose
-pivots lie below its final pivot.  So a row with pivot degree <= T uses
-only multiples a fresh build at T inserts.
+witnesses from are tagged.  A derived algebra and its base are untagged:
+carried keys are numbered for one algebra's own generators.
 """
 
 from __future__ import annotations
@@ -155,11 +137,10 @@ def _jet_monomials(nvars: int, degree: int) -> Tuple[List[Monomial], Dict[Monomi
 class JetAlgebra:
     """Quotient of the power-series ring by an m-primary ideal at order T.
 
-    With ``base``, an algebra whose generators are a prefix of
-    ``generators`` and whose order is at least T, the rows are derived
-    from base's by projection and extension (see the module docstring)
-    instead of a fresh elimination.  ``tagged`` says whether rows carry
-    their cofactors; it defaults to base's tagging, or to True.
+    With ``base``, an untagged algebra at order T whose generators are a
+    prefix of ``generators``, the rows extend base's (see the module
+    docstring) instead of coming from a fresh elimination; the result is
+    untagged too.  ``tagged`` says whether rows carry their cofactors.
     """
 
     def __init__(
@@ -167,7 +148,7 @@ class JetAlgebra:
         generators: Sequence[Poly],
         truncation_order: int,
         row_seed: Optional[int] = None,
-        tagged: Optional[bool] = None,
+        tagged: bool = True,
         base: Optional["JetAlgebra"] = None,
     ):
         if not generators:
@@ -181,6 +162,7 @@ class JetAlgebra:
         self.ambient = ambient
         self.generators = tuple(generators)
         self.truncation_order = truncation_order
+        self.tagged = tagged
         nvars = len(ambient)
         self._size = comb(nvars + truncation_order, nvars)  # keys below it
         if self._size > JET_SPACE_CAP:
@@ -200,44 +182,26 @@ class JetAlgebra:
         # the lifting tables, built lazily (see _table_entry)
         self._witnesses: Dict[Tuple[Monomial, int], tuple] = {}
         self._tables: Dict[int, Dict[Monomial, tuple]] = {}
+        self._rows = Echelon(carry=self._size)
         first = 0
         if base is not None:
             first = len(base.generators)
             if self.generators[:first] != base.generators:
                 raise AssertionError("base generators are not a prefix")
-            if base.truncation_order < truncation_order:
+            if base.truncation_order != truncation_order:
                 raise AssertionError(
-                    f"base order {base.truncation_order} is below {truncation_order}"
+                    f"base order {base.truncation_order} is not {truncation_order}"
                 )
-            if tagged and not base.tagged:
-                raise AssertionError("an untagged base gives no witnesses")
-            if base.tagged and first < len(generators):
+            if base.tagged:
                 raise AssertionError("a tagged base cannot be extended")
-            self.tagged = base.tagged if tagged is None else tagged
-            self._rows = Echelon(carry=base._rows.carry)
-            self._project(base)
-        else:
-            self.tagged = True if tagged is None else tagged
-            self._rows = Echelon(carry=self._size)
+            if tagged:
+                raise AssertionError("an untagged base gives no witnesses")
+            # shared, not copied: an echelon never changes a stored row
+            self._rows.rows.update(base._rows.rows)
         self._build(first, row_seed)
         self._certify()
 
     # -- construction ------------------------------------------------------
-
-    def _project(self, base: "JetAlgebra") -> None:
-        """Keep base's rows whose pivot has degree <= T, cut at degree T.
-
-        A row kept whole is shared, not copied: an echelon never changes a
-        row once stored.  Carried keys are never cut (see the module
-        docstring).
-        """
-        n, bound, rows = self._size, self._rows.carry, self._rows.rows
-        whole = base._size == n
-        for pivot, row in base._rows.rows.items():
-            if pivot < n:
-                rows[pivot] = row if whole else {
-                    k: c for k, c in row.items() if k < n or k >= bound
-                }
 
     def _build(self, first: int, row_seed: Optional[int]) -> None:
         """Insert every multiple mult * g_j of degree <= T, for j >= first.

@@ -91,7 +91,8 @@ class PlaneAnalysis:
         # monomials are among the Milnor algebra's and certify at its order;
         # it extends the Milnor rows by the multiples of f alone.
         self.tjurina = JetAlgebra(
-            [self.f_u, self.f_v, f], self.milnor.truncation_order, base=self.milnor
+            [self.f_u, self.f_v, f], self.milnor.truncation_order,
+            tagged=False, base=self.milnor,
         )
         # Declared weights passing the Euler relation equal these unless f
         # is c*u*v, where the support leaves them free, M_f = <1> and the
@@ -176,7 +177,7 @@ class PlaneAnalysis:
             {m: c for m, c in divergence.items() if c}, s
         )
 
-    def tail_map_general(self, row_seed: Optional[int] = None) -> TailMap:
+    def tail_map_general(self, row_seed: int = 1) -> TailMap:
         """Tail differential via cofactor witnesses, any isolated f.
 
         Each kernel class m of .f on M_f is lifted to a polynomial m~, a
@@ -205,21 +206,24 @@ class PlaneAnalysis:
           h.  Its divergence h_u*f_v - h_v*f_u lies in J, so the class does
           not depend on the witness.
 
-        No algebra is built at T_w.  The one elimination is a tagged
-        algebra A at N_M + 2, and the witness algebra is its projection
-        to N_M (see ``jets``).  Each takes the witness at its own order T
-        and lifts it through a table of witnesses of the monomials x^b of
-        degree N_M, built lazily from that algebra: a defect term c*x^a
-        gains c*x^(a-b)*(alpha_b, beta_b) for some b <= a with |b| = N_M,
-        which trades it for c*x^(a-b) times the defect of x^b, of order
+        No algebra is built at T_w.  The witnesses come from a tagged
+        algebra A at N_M + 2, taken at its own order T and lifted through a
+        table of witnesses of the monomials x^b of degree N_M, built lazily
+        from A (see ``jets``): a defect term c*x^a gains
+        c*x^(a-b)*(alpha_b, beta_b) for some b <= a with |b| = N_M, which
+        trades it for c*x^(a-b) times the defect of x^b, of order
         > |a| + T - N_M.  So each pass raises the defect order by at least
         T + 1 - N_M >= 1, and the loop ends once the defect has order
         > T_w.  Which b a term takes changes the witness, never the class:
         any lifted witness has a defect in m^(T_w+1), and the argument
         above gives every such witness the same class.
 
-        Every class is recomputed from A, with A's own table, lifted to
-        T_w + 2, and must not move.
+        Every class is read from A lifted to T_w, and A is dropped.  Then A
+        is built again with its rows inserted in the order ``row_seed``
+        shuffles them to, and every class, lifted to T_w + 2 through that
+        algebra's own table, must match: one comparison re-checks the
+        witness order and the independence from the reduction order, and
+        a mismatch raises :class:`WitnessOrderInsufficient`.
         """
         kernel = self.mult_by_f()
         basis = self.milnor.basis
@@ -229,20 +233,18 @@ class PlaneAnalysis:
             lift, d_m = linalg.integer_row({m: c for m, c in zip(basis, vec) if c})
             products.append((multiply_terms(F, lift), d_f * d_m))
         order = max(1, self.milnor.primality_bound + self.tjurina.primality_bound)
+        jacobian = [self.f_u, self.f_v]
         n_m = max(1, self.milnor.primality_bound)
-        recheck_algebra = JetAlgebra(
-            [self.f_u, self.f_v], n_m + 2, row_seed=row_seed
-        )
-        witness_algebra = JetAlgebra([self.f_u, self.f_v], n_m, base=recheck_algebra)
-        columns = []
-        for product in products:
-            image = self._tail_image(product, witness_algebra, order)
-            recheck = self._tail_image(product, recheck_algebra, order + 2)
-            if image != recheck:
+        witness_algebra = JetAlgebra(jacobian, n_m + 2)
+        columns = [self._tail_image(p, witness_algebra, order) for p in products]
+        del witness_algebra  # freed before the re-check algebra is built
+        recheck_algebra = JetAlgebra(jacobian, n_m + 2, row_seed=row_seed)
+        for product, image in zip(products, columns):
+            if self._tail_image(product, recheck_algebra, order + 2) != image:
                 raise WitnessOrderInsufficient(
-                    f"tail class moved under truncation raise at order {order}"
+                    f"tail class at order {order} moved under the reshuffled "
+                    f"re-check at order {order + 2}"
                 )
-            columns.append(image)
         target_basis = self.tjurina.basis
         matrix = tuple(
             tuple(columns[j][i] for j in range(len(columns)))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, log10
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -273,6 +273,42 @@ MAX_NESTING = 100
 # times the largest polynomial in the corpus, tests and benchmark (5 terms).
 MAX_TERMS = 256
 
+# Most decimal digits a coefficient's numerator or denominator may have,
+# checked on each power before it is formed and on each product and sum
+# after: Python's default limit for printing an int, so every parsed
+# polynomial prints.
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10 ** MAX_DIGITS
+
+
+def _check_digits(coefficients: Iterable[Scalar], position: int) -> None:
+    for c in coefficients:
+        if abs(c.numerator) >= _DIGITS_BOUND or c.denominator >= _DIGITS_BOUND:
+            raise ParseError(
+                f"coefficient has more than {MAX_DIGITS} digits", position
+            )
+
+
+def _check_power_digits(p: Poly, n: int, position: int) -> None:
+    """Raise :class:`ParseError` if p^n may have a coefficient of more than
+    ``MAX_DIGITS`` digits, before it is formed.
+
+    With p = P / D, for D the lcm of p's denominators, p^n = P^n / D^n, and
+    each coefficient of P^n is at most S^n for S the sum of P's absolute
+    coefficients; so each numerator and denominator of p^n is at most M^n,
+    M = max(S, D), which has at most n * log10(M) + 1 digits.  For one
+    term the bound is exact.  With M >= 2 the bound passes the limit once
+    n > 4 * MAX_DIGITS, which is checked first, so no float overflows.
+    """
+    coefficients = p.terms.values()
+    D = lcm(*(c.denominator for c in coefficients))
+    M = max(D, sum(abs(c.numerator) * (D // c.denominator) for c in coefficients))
+    if M > 1 and (n > 4 * MAX_DIGITS or n * log10(M) >= MAX_DIGITS):
+        raise ParseError(
+            f"power may have a coefficient of more than {MAX_DIGITS} digits",
+            position,
+        )
+
 
 def _product_terms(a: Poly, b: Poly) -> int:
     """A bound on the terms of a * b: its exponents are sums of one of a's
@@ -361,9 +397,10 @@ class _Parser:
         else:
             acc = self.term()
         while self.peek()[0] == "OP" and self.peek()[1] in "+-":
-            _, op, _ = self.next()
+            _, op, pos = self.next()
             t = self.term()
             acc = acc + t if op == "+" else acc - t
+            _check_digits((acc.terms.get(m, 0) for m in t.terms), pos)
         return acc
 
     def term(self) -> Poly:
@@ -374,6 +411,7 @@ class _Parser:
             if len(acc.terms) * len(factor.terms) > MAX_TERMS:
                 _check_terms(_product_terms(acc, factor), pos)
             acc = acc * factor
+            _check_digits(acc.terms.values(), pos)
         return acc
 
     def factor(self) -> Poly:
@@ -386,6 +424,7 @@ class _Parser:
             n = int(val)
             if len(base.terms) > 1:
                 _check_terms(_power_terms(base, n), op_pos)
+            _check_power_digits(base, n, op_pos)
             return base ** n
         return base
 
@@ -431,9 +470,11 @@ def parse_poly(source: str, variables: Sequence[str]) -> Poly:
     Grammar: sums of products of rationals, variables, and parenthesized
     subexpressions with natural-number exponents; no implicit
     multiplication; a single unary minus is allowed at the head of a term.
-    Parentheses nest at most ``MAX_NESTING`` deep, and no product or
-    power may be bounded above ``MAX_TERMS`` terms (see
-    :func:`_product_terms` and :func:`_power_terms`).
+    Parentheses nest at most ``MAX_NESTING`` deep, no product or power
+    may be bounded above ``MAX_TERMS`` terms (see :func:`_product_terms`
+    and :func:`_power_terms`), and no coefficient may have a numerator or
+    denominator of more than ``MAX_DIGITS`` digits (a power's bound is
+    :func:`_check_power_digits`).
     """
     return _Parser(source, variables).parse()
 

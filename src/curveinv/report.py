@@ -13,10 +13,11 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional, Tuple, Union
 
 from .branches import (
+    WORKING_ORDER_CAP,
     check_milnor_formula,
     check_primitive,
+    delta_one_branch,
     delta_report,
-    delta_with_retry,
 )
 from .lci import (
     LciPresentation,
@@ -98,8 +99,9 @@ def _check_asserted(
 def _analyze_plane(sing: PlaneSingularity, checks: List[Check]) -> PlaneRecord:
     label = sing.label or str(sing.f)
     analysis = PlaneAnalysis(sing)
-    # milnor_tjurina asserts tau <= mu, and mult_by_f (which the tail map
-    # calls) asserts the kernel dimension, so a report that exists passed both
+    # milnor_tjurina asserts tau <= mu, mult_by_f (which the tail map calls)
+    # asserts the kernel dimension, and the tail map re-checks every class
+    # under reshuffled witness extraction, so a report that exists passed all
     mu, tau = analysis.milnor_tjurina()
     checks.append(Check("tau-le-mu", label, "pass", f"tau={tau}, mu={mu}"))
     checks.append(
@@ -107,14 +109,9 @@ def _analyze_plane(sing: PlaneSingularity, checks: List[Check]) -> PlaneRecord:
               f"both dimensions equal tau={tau}")
     )
     tail = analysis.tail_map_general()
-    reseeded = analysis.tail_map_general(row_seed=1)
     checks.append(
-        Check(
-            "witness-independence",
-            label,
-            "pass" if reseeded.matrix == tail.matrix else "fail",
-            "tail matrix invariant under reshuffled witness extraction",
-        )
+        Check("witness-independence", label, "pass",
+              "tail matrix invariant under reshuffled witness extraction")
     )
     if analysis.effective_weights is not None:
         scalar = analysis.tail_map_wh_scalar()
@@ -197,7 +194,9 @@ def _analyze_lci(pres: LciPresentation, checks: List[Check]) -> LciRecord:
     delta_r = pres.asserted
     if pres.parametrization is not None:
         check_primitive(pres.parametrization, "parametrization")
-        delta_r = DeltaR(delta_with_retry(pres.parametrization), 1, "computed")
+        delta_r = DeltaR(
+            delta_one_branch(pres.parametrization, WORKING_ORDER_CAP), 1, "computed"
+        )
         _check_asserted(pres.asserted, delta_r, label, checks)
     return LciRecord(pres=pres, report=report, delta_r=delta_r)
 

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curveinv.branches import (
+    WORKING_ORDER_CAP,
     branch_semigroup,
-    branch_working_order,
     delta_one_branch,
     delta_report,
-    delta_with_retry,
     intersection_multiplicity,
 )
 from curveinv.errors import (
@@ -73,7 +72,8 @@ def test_rational_images_match_images_scaled_to_integers():
     assert sorted(set(range(30)) - branch_semigroup(rational, 29)) == [
         1, 2, 3, 5, 7, 9, 11, 15
     ]
-    assert delta_with_retry(rational) == delta_with_retry(scaled) == 8
+    assert delta_one_branch(rational, WORKING_ORDER_CAP) == 8
+    assert delta_one_branch(scaled, WORKING_ORDER_CAP) == 8
 
 
 def test_delta_one_branch_values():
@@ -213,26 +213,31 @@ def test_early_stop_matches_numerical_semigroup(gens, order):
 )
 def test_high_embedding_dimension_chains(gens, delta):
     b = monomial_branch(gens)
-    order = branch_working_order(b)
-    assert delta_one_branch(b, order) == delta
-    gaps = set(range(order + 1)) - numerical_semigroup(gens, order)
+    assert delta_one_branch(b, WORKING_ORDER_CAP) == delta
+    gaps = set(range(2000)) - numerical_semigroup(gens, 1999)
     assert len(gaps) == delta
 
 
 def test_one_doubling_recovers_conductor():
-    # <10, 11> has conductor 90, above the starting order 8 * 11 = 88.
+    # <10, 11> has conductor 90, above 8 * 11 = 88: an order below the
+    # conductor finds none, and the one working order finds it.
     b = monomial_branch((10, 11))
-    order = branch_working_order(b)
-    assert order == 88
     with pytest.raises(NoConductor):
-        delta_one_branch(b, order)
-    assert delta_with_retry(b) == 45
+        delta_one_branch(b, 88)
+    assert delta_one_branch(b, WORKING_ORDER_CAP) == 45
 
 
 def test_no_conductor_stops_at_working_order_cap():
     # Every exponent is even, so the semigroup has no conductor at any order.
     with pytest.raises(NoConductor, match="up to 4096"):
-        delta_with_retry(monomial_branch((8, 12, 18)))
+        delta_one_branch(monomial_branch((8, 12, 18)), WORKING_ORDER_CAP)
+
+
+def test_high_degree_branch_stops_at_working_order_cap():
+    # <1000, 1001> has conductor 999000: the branch saturates to 4096 only.
+    s = sing("u^1001-v^1000", [(["t^1000", "t^1001"], None)])
+    with pytest.raises(NoConductor, match="up to 4096"):
+        delta_report(s, 999000)
 
 
 # -- intersection multiplicities -------------------------------------------
@@ -258,8 +263,8 @@ def _report(src, branch_specs):
 def test_node_report():
     rep = _report("u*v", [(["t", "0"], "v"), (["0", "t"], "u")])
     assert (rep.delta, rep.r) == (1, 2)
-    assert delta_with_retry(parse_branch(["t", "0"])) == 0
-    assert delta_with_retry(parse_branch(["0", "t"])) == 0
+    assert delta_one_branch(parse_branch(["t", "0"]), WORKING_ORDER_CAP) == 0
+    assert delta_one_branch(parse_branch(["0", "t"]), WORKING_ORDER_CAP) == 0
     assert intersection_multiplicity(P("v"), parse_branch(["0", "t"])) == 1
 
 

@@ -168,6 +168,25 @@ def test_expansion_over_budget_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "expr",
+    ["u^2+v^3+3^10000*u^5", "u^2+v^3+1/3^10000*u^5", "u^2+v^3+3^8000*3^8000*u^5"],
+    ids=["power", "power-denominator", "product"],
+)
+def test_oversized_coefficient_exit_2(expr, capsys):
+    # a power is bounded before it is formed, a product checked after
+    assert main(["sing", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"more than {poly.MAX_DIGITS} digits" in captured.err
+
+
+def test_coefficient_under_the_digit_bound_prints(capsys):
+    # 3^8000 has 3,818 digits
+    assert main(["sing", "u^2+v^3+3^4000*3^4000*u^5"]) == 0
+    assert str(3 ** 8000) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "expr,start",
     [("u^2+v^80", 1), ("u^2+v^80", 70), ("(u+v)^2+v^9", 1)],
 )

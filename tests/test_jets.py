@@ -255,12 +255,13 @@ def test_requested_order_below_one_rejected(order):
 @pytest.mark.parametrize(
     "generators, order, tagged, base_tagged, message",
     [
-        (jacobian("u^2+v^3")[::-1], 6, None, False, "not a prefix"),
-        (jacobian("u^2+v^3")[:1], 6, None, False, "not a prefix"),
-        (jacobian("u^2+v^3"), 9, None, False, "below 9"),
-        (jacobian("u^2+v^3"), 6, True, False, "untagged base"),
+        (jacobian("u^2+v^3")[::-1], 8, False, False, "not a prefix"),
+        (jacobian("u^2+v^3")[:1], 8, False, False, "not a prefix"),
+        # the base's rows are its own order's slice, so the orders must match
+        (jacobian("u^2+v^3") + [P("u^2+v^3")], 9, False, False, "base order 8 is not 9"),
+        (jacobian("u^2+v^3") + [P("u^2+v^3")], 8, True, False, "untagged base"),
         # carried keys are numbered for the base's generators
-        (jacobian("u^2+v^3") + [P("u^2+v^3")], 6, None, True,
+        (jacobian("u^2+v^3") + [P("u^2+v^3")], 8, False, True,
          "tagged base cannot be extended"),
     ],
     ids=["reordered", "shorter", "order-above-base", "tags-from-untagged",

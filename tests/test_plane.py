@@ -7,11 +7,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import oracle_nullspace
-from curveinv import linalg, plane
-from curveinv.errors import MissingWeights, NotMPrimary, TruncationCapExceeded
+from curveinv import corpus, linalg, plane
+from curveinv.errors import (
+    MissingWeights, NotMPrimary, TruncationCapExceeded, WitnessOrderInsufficient,
+)
 from curveinv.jets import JetAlgebra, build_jet_algebra
 from curveinv.plane import PlaneAnalysis, PlaneSingularity
 from curveinv.poly import Poly, parse_poly
+from curveinv.report import AnalysisOptions, analyze
+from curveinv.schema import build_curve
 
 UV = ("u", "v")
 
@@ -342,7 +346,7 @@ def test_mu_tau_invariant_under_u_plus_c_v_k(a, b, k, c):
     assert PlaneAnalysis(PlaneSingularity(moved)).milnor_tjurina() == (mu, tau)
 
 
-# -- jet algebras derived by projection and extension -----------------------
+# -- jet algebras derived by extension ---------------------------------------
 
 jet_polys = st.dictionaries(
     st.tuples(st.integers(0, 30), st.integers(0, 30)), coefficients, max_size=6
@@ -369,58 +373,19 @@ def assert_same_algebra(derived, fresh, polys):
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    germs(max_k=12),
-    st.integers(-2, 2),
-    st.integers(0, 3),
-    st.booleans(),
-    st.lists(jet_polys, max_size=4),
-)
-def test_derived_algebras_equal_fresh_builds(f, shift, d, tagged, polys):
-    """A projection from order T + d, with or without the multiples of f
-    added, has the basis, primality bound and normal forms of a fresh
-    build at T, including not certifying where the fresh build does not
-    (T runs around the certified Milnor order T_c).  A tagged base is
-    projected only: its projection gives witnesses, and extending it fails."""
+@given(germs(max_k=12), st.integers(-2, 2), st.lists(jet_polys, max_size=4))
+def test_derived_algebras_equal_fresh_builds(f, shift, polys):
+    """The Jacobian rows at order T, extended by the multiples of f, have
+    the basis, primality bound and normal forms of a fresh build of the
+    Tjurina ideal at T (T runs around the certified Milnor order T_c; the
+    Tjurina ideal certifies wherever the Jacobian does)."""
     jac = [f.diff("u"), f.diff("v")]
     T = max(1, build_jet_algebra(jac).truncation_order + shift)
-    base = build_or_none(jac, T + d, tagged=tagged)
-    if base is None:  # certified at T, the ideal would certify at T + d too
-        assert build_or_none(jac, T) is None
+    base = build_or_none(jac, T, tagged=False)
+    if base is None:  # nothing to extend
         return
-    projected = build_or_none(jac, T, base=base)
-    assert_same_algebra(projected, build_or_none(jac, T), polys)
-    assert projected is None or projected.tagged == tagged
-    if not tagged:
-        tjurina = build_or_none(jac + [f], T, base=base)
-        assert_same_algebra(tjurina, build_or_none(jac + [f], T), polys)
-        return
-    with pytest.raises(AssertionError, match="tagged base cannot be extended"):
-        JetAlgebra(jac + [f], T, base=base)
-    if projected is not None:  # the base's carried keys, kept by the cut
-        for p in polys:
-            target = jac[0] * p + jac[1] * p * p
-            projected.membership_with_witness(target, T)
-
-
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(germs(max_k=12))
-def test_projected_witnesses_pass_the_exact_defect_check(f):
-    """Witnesses from the order-T_w projection of the tagged order-(T_w + 2)
-    algebra satisfy f*lift = alpha*f_u + beta*f_v up to terms of degree
-    > T_w, and their cofactors use only the multiples a fresh build at T_w
-    inserts."""
-    a = PlaneAnalysis(PlaneSingularity(f))
-    order = max(1, a.milnor.primality_bound + a.tjurina.primality_bound)
-    jac = [a.f_u, a.f_v]
-    witness_algebra = JetAlgebra(jac, order, base=JetAlgebra(jac, order + 2))
-    for vec in a.mult_by_f():
-        target = f * Poly(UV, dict(zip(a.milnor.basis, vec)))
-        cofactors = witness_algebra.membership_with_witness(target, order)
-        defect = target - cofactors[0] * a.f_u - cofactors[1] * a.f_v
-        assert defect.is_zero() or defect.order() > order
-        for cof, g in zip(cofactors, jac):
-            assert cof.is_zero() or cof.degree() <= order - g.order()
+    tjurina = build_or_none(jac + [f], T, tagged=False, base=base)
+    assert_same_algebra(tjurina, build_or_none(jac + [f], T, tagged=False), polys)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -428,20 +393,22 @@ def test_projected_witnesses_pass_the_exact_defect_check(f):
 @example(parse_poly("u^5+v^6+2*u^3*v^3", UV))
 @example(parse_poly("(u^2-v^3)^2+u*v^5", UV))
 def test_lifted_witnesses_pass_the_exact_defect_check(f):
-    """Witnesses from the order-N_M projection, lifted through its table to
-    T_w = N_M + N_T, satisfy f*lift = alpha*f_u + beta*f_v up to terms of
-    degree > T_w, checked here in Poly arithmetic; so do those of the
-    order-(N_M + 2) algebra lifted to T_w + 2."""
+    """Witnesses from the order-(N_M + 2) algebra, lifted through its table
+    to T_w = N_M + N_T, satisfy f*lift = alpha*f_u + beta*f_v up to terms
+    of degree > T_w, checked here in Poly arithmetic; so do those of the
+    same algebra with reshuffled rows, lifted to T_w + 2."""
     a = PlaneAnalysis(PlaneSingularity(f))
-    n_m = a.milnor.primality_bound
-    order = max(1, n_m + a.tjurina.primality_bound)
+    n_m = max(1, a.milnor.primality_bound)
+    order = max(1, a.milnor.primality_bound + a.tjurina.primality_bound)
     jac = [a.f_u, a.f_v]
-    table_algebra = JetAlgebra(jac, n_m + 2)
-    projected = JetAlgebra(jac, n_m, base=table_algebra)
+    witness_algebra = JetAlgebra(jac, n_m + 2)
+    recheck_algebra = JetAlgebra(jac, n_m + 2, row_seed=1)
     for vec in a.mult_by_f():
         target = f * Poly(UV, dict(zip(a.milnor.basis, vec)))
         integer_target, d = linalg.integer_row(target.terms)
-        for algebra, lifted_order in ((projected, order), (table_algebra, order + 2)):
+        for algebra, lifted_order in (
+            (witness_algebra, order), (recheck_algebra, order + 2)
+        ):
             cofactors, s = algebra.lifted_witness(integer_target, d, lifted_order)
             alpha, beta = (Poly(UV, {m: Fraction(c, s) for m, c in C.items()})
                            for C in cofactors)
@@ -460,5 +427,40 @@ def test_tail_map_builds_no_algebra_above_the_table_order(monkeypatch):
     monkeypatch.setattr(plane, "JetAlgebra", recording)
     a.tail_map_general()
     n_m = a.milnor.primality_bound
-    assert built == [n_m + 2, n_m]
+    assert built == [n_m + 2, n_m + 2]
     assert n_m + a.tjurina.primality_bound > n_m + 2
+
+
+def test_analyze_computes_one_tail_map_per_plane_singularity(monkeypatch):
+    """The report's witness-independence check is the tail map's own
+    re-check, not a second tail map."""
+    labels = []
+    tail_map_general = PlaneAnalysis.tail_map_general
+
+    def recording(self, *args, **kwargs):
+        labels.append(self.sing.label)
+        return tail_map_general(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlaneAnalysis, "tail_map_general", recording)
+    docs = {doc["label"]: doc for doc in corpus.curve_models()}
+    report = analyze(build_curve(docs["two-sing-genus-1"]), AnalysisOptions())
+    assert labels == ["node", "cusp"]
+    assert [c.status for c in report.checks if c.name == "witness-independence"] == [
+        "pass", "pass"
+    ]
+
+
+def test_recheck_mismatch_raises(monkeypatch):
+    """A class that moves under the reshuffled re-check at T_w + 2 stops
+    the tail map."""
+    a = analysis("u^3+v^5")
+    t_w = a.milnor.primality_bound + a.tjurina.primality_bound
+    tail_image = plane.PlaneAnalysis._tail_image
+
+    def moved_on_recheck(self, product, algebra, order):
+        image = tail_image(self, product, algebra, order)
+        return image if order == t_w else [x + 1 for x in image]
+
+    monkeypatch.setattr(plane.PlaneAnalysis, "_tail_image", moved_on_recheck)
+    with pytest.raises(WitnessOrderInsufficient, match="reshuffled re-check"):
+        a.tail_map_general()
