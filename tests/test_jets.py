@@ -258,7 +258,8 @@ def test_requested_order_below_one_rejected(order):
         (jacobian("u^2+v^3")[::-1], 8, False, False, "not a prefix"),
         (jacobian("u^2+v^3")[:1], 8, False, False, "not a prefix"),
         # the base's rows are its own order's slice, so the orders must match
-        (jacobian("u^2+v^3") + [P("u^2+v^3")], 9, False, False, "base order 8 is not 9"),
+        (jacobian("u^2+v^3") + [P("u^2+v^3")], 9, False, False,
+         "base order 8 is not 9"),
         (jacobian("u^2+v^3") + [P("u^2+v^3")], 8, True, False, "untagged base"),
         # carried keys are numbered for the base's generators
         (jacobian("u^2+v^3") + [P("u^2+v^3")], 8, False, True,
