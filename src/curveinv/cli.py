@@ -25,7 +25,7 @@ from .errors import CurveInvError, ParseError, SchemaError, TruncationCapExceede
 from .plane import PlaneAnalysis, PlaneSingularity
 from .poly import parse_poly
 from .report import AnalysisOptions, analyze, dump_json, run_corpus, to_json, to_text
-from .schema import load_curve
+from .schema import INPUT_BOUND, MAX_INPUT_DIGITS, load_curve
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -124,6 +124,11 @@ def _cmd_analyze(args) -> int:
     if hi - lo + 1 > MAX_WINDOW:
         raise SchemaError(
             f"hc window must span at most {MAX_WINDOW} values", "--hc-window"
+        )
+    if max(-lo, hi) >= INPUT_BOUND:
+        raise SchemaError(
+            f"hc window bounds must have at most {MAX_INPUT_DIGITS} digits",
+            "--hc-window",
         )
     options = AnalysisOptions(tail_window=args.tail_window, hc_window=(lo, hi))
     report = analyze(doc, options)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import List, Optional, Tuple
 
+from . import linalg
 from .errors import NonMinimalPresentation, PlanarNoObstruction
 from .poly import BranchParam, DeltaR, Poly
 
@@ -134,17 +135,16 @@ def obstruction(p: LciPresentation) -> ObstructionReport:
 
 
 def coker_mod_m_cross_check(p: LciPresentation) -> int:
-    """Numeric check: rank of the Jacobian-entry constant-term matrix is 0.
+    """e - 1 minus the rank of the Jacobian entries' constant terms.
 
-    The final map of the complex lands in a free module of rank e - 1
-    whose mod-m reduction receives the constant terms of the Jacobian
-    entries; minimality forces them all to vanish, so the mod-m cokernel
-    has full dimension e - 1.  Returns that dimension.
+    This is no independent test: the constant term of d f_i / d x_j is the
+    coefficient of x_j in f_i, so once :func:`embedding_dimension` has
+    passed, every constant term is zero and this returns e - 1.  A real
+    second minimality test would take the constant terms of the complex's
+    last differential, which nothing builds yet.
     """
     e = len(p.variables)
     constants = [
         [entry.constant_term() for entry in row] for row in jacobian_matrix(p)
     ]
-    from . import linalg
-
     return (e - 1) - linalg.rank(constants) if constants else e - 1

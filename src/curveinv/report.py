@@ -8,6 +8,7 @@ two runs on the same document and options produce byte-identical output.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional, Tuple, Union
@@ -43,6 +44,7 @@ from .spectral import (
     e2_page,
     global_invariants,
     hc_pages,
+    page_json,
     render_page,
 )
 
@@ -100,8 +102,9 @@ def _analyze_plane(sing: PlaneSingularity, checks: List[Check]) -> PlaneRecord:
     label = sing.label or str(sing.f)
     analysis = PlaneAnalysis(sing)
     # milnor_tjurina asserts tau <= mu, mult_by_f (which the tail map calls)
-    # asserts the kernel dimension, and the tail map re-checks every class
-    # under reshuffled witness extraction, so a report that exists passed all
+    # asserts the kernel dimension (the cokernel's is rank-nullity), and the
+    # tail map re-checks every class under reshuffled witness extraction,
+    # so a report that exists passed all
     mu, tau = analysis.milnor_tjurina()
     checks.append(Check("tau-le-mu", label, "pass", f"tau={tau}, mu={mu}"))
     checks.append(
@@ -239,6 +242,7 @@ def analyze(doc: CurveDocument, options: AnalysisOptions = AnalysisOptions()) ->
                 ),
             )
         )
+    # hc_pages copies the verdict, so this compares it with itself
     checks.append(
         Check(
             "hc-verdict-agreement",
@@ -336,7 +340,8 @@ def _sing_summary(record: Union[PlaneRecord, LciRecord]) -> Dict:
     return summary
 
 
-def to_structured(report: Report) -> Dict:
+def _document(report: Report) -> Dict:
+    """The report as ``to_json`` writes it: plain JSON values and pages."""
     gi = report.invariants
     return {
         "label": report.label,
@@ -362,12 +367,9 @@ def to_structured(report: Report) -> Dict:
             for c in report.checks
         ],
         "pages": {
-            "e1": render_page(report.e1, "json-like"),
-            "e2": render_page(report.e2, "json-like"),
-            "hc": {
-                str(m): render_page(page, "json-like")
-                for m, page in report.hc.per_m
-            },
+            "e1": report.e1,
+            "e2": report.e2,
+            "hc": {str(m): page for m, page in report.hc.per_m},
         },
         "global_invariants": {
             "genus": {"value": gi.genus, "provenance": "asserted-input"},
@@ -382,17 +384,22 @@ def to_structured(report: Report) -> Dict:
 
 
 def to_json(report: Report) -> str:
-    return dump_json(to_structured(report))
+    return dump_json(_document(report))
+
+
+def to_structured(report: Report) -> Dict:
+    """The JSON value that ``to_json`` writes, read back from its text."""
+    return json.loads(to_json(report))
 
 
 def dump_json(value) -> str:
     """Write ``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` does.
 
     Takes dicts with string keys, lists, strings, ints, bools and None, and
-    raises TypeError on any other type.  Strings go through the stdlib's C
-    escaper, so non-ASCII text comes out as \\uXXXX escapes.  Page rows, the
-    items of ``entries`` and ``d1_ranks`` (see ``spectral.render_page``), are
-    most of a report; each is written with one f-string.
+    raises TypeError on any other type, except that an ``SSPage`` is written
+    by ``spectral.page_json`` as the object ``render_page(page, "json-like")``
+    returns.  Strings go through the stdlib's C escaper, so non-ASCII text
+    comes out as \\uXXXX escapes.
     """
     return _dump(value, "\n")
 
@@ -412,11 +419,10 @@ def _dump(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        row_inner = inner + "  "
-        body = f",{inner}".join(
-            [_row(item, row_inner, inner) or _dump(item, inner) for item in value]
-        )
+        body = f",{inner}".join([_dump(item, inner) for item in value])
         return f"[{inner}{body}{newline}]"
+    if isinstance(value, SSPage):
+        return page_json(value, newline)
     if value is None:
         return "null"
     if value is True:
@@ -426,32 +432,6 @@ def _dump(value, newline: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"cannot write {type(value).__name__} as JSON")
-
-
-def _row(value, inner: str, newline: str) -> Optional[str]:
-    """A page row as ``_dump`` writes it, or None for any other value.
-
-    A row is a dict with exactly the keys p, q (ints), provenance and one
-    of dim or rank (strings).
-    """
-    if type(value) is not dict or len(value) != 4:
-        return None
-    p, q, prov = value.get("p"), value.get("q"), value.get("provenance")
-    if type(p) is not int or type(q) is not int or not isinstance(prov, str):
-        return None
-    dim = value.get("dim")
-    if isinstance(dim, str):
-        return (
-            f'{{{inner}"dim": {_quote(dim)},{inner}"p": {p},'
-            f'{inner}"provenance": {_quote(prov)},{inner}"q": {q}{newline}}}'
-        )
-    rank = value.get("rank")
-    if isinstance(rank, str):
-        return (
-            f'{{{inner}"p": {p},{inner}"provenance": {_quote(prov)},'
-            f'{inner}"q": {q},{inner}"rank": {_quote(rank)}{newline}}}'
-        )
-    return None
 
 
 def to_text(report: Report) -> str:

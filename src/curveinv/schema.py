@@ -51,11 +51,24 @@ def _get(doc: Dict[str, Any], key: str, kind, path: str, default=None, required=
     return value
 
 
+# Python prints an int of at most 4300 digits (``poly.MAX_DIGITS``), and
+# JSON decoding accepts one that long.  A number that a report prints from
+# the genus, an asserted delta or r, or an --hc-window bound sums a few
+# terms per singularity, each at most 4 times such a field or a jet-capped
+# Milnor number; with the fields below 10^4000, such a sum has fewer than
+# 4300 digits unless a document holds some 10^290 singularities.
+MAX_INPUT_DIGITS = 4000
+INPUT_BOUND = 10 ** MAX_INPUT_DIGITS  # every bounded value lies below it
+
+
 def _natural(doc: Dict[str, Any], key: str, path: str, required=True, default=None):
     value = _get(doc, key, int, path, required=required, default=default)
     if value is not None:
         _require(not isinstance(value, bool) and value >= 0,
                  f"field {key!r} must be a natural number", f"{path}.{key}")
+        _require(value < INPUT_BOUND,
+                 f"field {key!r} has more than {MAX_INPUT_DIGITS} digits",
+                 f"{path}.{key}")
     return value
 
 

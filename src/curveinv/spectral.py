@@ -42,14 +42,17 @@ first-page entry, which also applies the constraints proved under
 degeneration.  ``hc_pages`` runs no second subtraction per m: each page
 is the Hodge second page cut at column max(0, m), except on the left
 edge, whose entries are the same rule without the incoming rank,
-computed once for every m.
+computed once for every m.  ``page_json`` writes a page's JSON, the one
+layout that ``report.to_json`` and the json-like ``render_page`` read.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import MissingBranchData
@@ -517,10 +520,11 @@ def hc_pages(
 
 
 def render_page(page: SSPage, format: str = "text") -> Union[str, dict]:
+    """The page as a text grid, or as the dict that ``page_json`` writes."""
     if format == "text":
         return _render_text(page)
     if format == "json-like":
-        return _render_structured(page)
+        return json.loads(page_json(page))
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -550,28 +554,33 @@ def _render_text(page: SSPage) -> str:
     return "\n".join(lines)
 
 
-def _render_structured(page: SSPage) -> dict:
-    return {
-        "label": page.label,
-        "verdict": page.verdict.value,
-        "entries": [
-            {
-                "p": p,
-                "q": q,
-                "dim": entry.text,
-                "provenance": entry.provenance,
-            }
-            for (p, q), entry in page.entries
-        ],
-        "d1_ranks": [
-            {
-                "p": p,
-                "q": q,
-                "rank": entry.text,
-                "provenance": entry.provenance,
-            }
-            for (p, q), entry in page.d1_ranks
-        ],
-        "constraints": list(page.constraints),
-        "notes": list(page.notes),
-    }
+def page_json(page: SSPage, newline: str = "\n") -> str:
+    """The page as ``report.dump_json`` writes it, with ``newline`` (a line
+    break and the indent) before the closing brace.  The one place a page's
+    JSON is laid out: keys in sorted order, each row of entries (dim, p,
+    provenance, q) and of d1_ranks (p, provenance, q, rank) one f-string.
+    """
+    key = newline + "  "
+    item = key + "  "
+    field = item + "  "
+
+    def array(items: List[str]) -> str:
+        return f"[{item}{f',{item}'.join(items)}{key}]" if items else "[]"
+
+    entries = array([
+        f'{{{field}"dim": {_quote(entry.text)},{field}"p": {p},'
+        f'{field}"provenance": {_quote(entry.provenance)},{field}"q": {q}{item}}}'
+        for (p, q), entry in page.entries
+    ])
+    ranks = array([
+        f'{{{field}"p": {p},{field}"provenance": {_quote(rank.provenance)},'
+        f'{field}"q": {q},{field}"rank": {_quote(rank.text)}{item}}}'
+        for (p, q), rank in page.d1_ranks
+    ])
+    return (
+        f'{{{key}"constraints": {array([_quote(c) for c in page.constraints])},'
+        f'{key}"d1_ranks": {ranks},{key}"entries": {entries},'
+        f'{key}"label": {_quote(page.label)},'
+        f'{key}"notes": {array([_quote(n) for n in page.notes])},'
+        f'{key}"verdict": {_quote(page.verdict.value)}{newline}}}'
+    )

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from curveinv import cli, corpus, jets, plane, poly
+from curveinv import cli, corpus, jets, plane, poly, schema
 from curveinv.cli import main
 from curveinv.errors import NotMPrimary
 from curveinv.report import (
@@ -184,6 +184,63 @@ def test_coefficient_under_the_digit_bound_prints(capsys):
     # 3^8000 has 3,818 digits
     assert main(["sing", "u^2+v^3+3^4000*3^4000*u^5"]) == 0
     assert str(3 ** 8000) in capsys.readouterr().out
+
+
+# 4300 digits decode as JSON, but 2 * genus or a sum over singularities
+# would have more than Python prints
+NINES = 10 ** 4300 - 1
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"genus": NINES}, "$.genus"),
+        ({"genus": 0, "singularities": [
+            {"kind": "plane", "variables": ["u", "v"], "f": "u^2-v^3",
+             "asserted": {"delta": NINES, "r": 1}}]},
+         "$.singularities[0].asserted.delta"),
+        ({"genus": 0, "singularities": [
+            {"kind": "lci", "variables": ["x", "y", "z"],
+             "equations": ["y^2-x^3", "z^2-y^3"],
+             "asserted": {"delta": NINES, "r": 1}}]},
+         "$.singularities[0].asserted.delta"),
+    ],
+    ids=["genus", "plane-delta", "lci-delta"],
+)
+@pytest.mark.parametrize("fmt", ["text", "json-like"])
+def test_natural_over_the_digit_bound_exit_2(doc, path, fmt, tmp_path, capsys):
+    doc_file = tmp_path / "huge.json"
+    doc_file.write_text(json.dumps(doc))
+    assert main(["analyze", str(doc_file), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: field {path.rsplit('.', 1)[1]!r} has more than "
+        f"{schema.MAX_INPUT_DIGITS} digits\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-like"])
+def test_hc_window_over_the_digit_bound_exit_2(nodal_file, fmt, capsys):
+    window = f"--hc-window=-{NINES},-{NINES}"
+    assert main(["analyze", nodal_file, window, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --hc-window: hc window bounds must have at most "
+        f"{schema.MAX_INPUT_DIGITS} digits\n"
+    )
+
+
+def test_input_at_the_digit_bound_prints(tmp_path, capsys):
+    largest = 10 ** schema.MAX_INPUT_DIGITS - 1
+    doc_file = tmp_path / "large.json"
+    doc_file.write_text(json.dumps({"genus": largest}))
+    window = f"--hc-window=-{largest},-{largest}"
+    assert main(["analyze", str(doc_file), window, "--format", "json-like"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["global_invariants"]["betti"] == [1, 2 * largest, 1]
+    assert report["options"]["hc_window"] == [-largest, -largest]
 
 
 @pytest.mark.parametrize(
