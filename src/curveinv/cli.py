@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from typing import List, Optional
 
@@ -37,14 +38,26 @@ EXIT_TRUNCATION_CAP = 3
 MAX_WINDOW = 128
 
 
+_DECIMAL = re.compile(r"\s*([+-]?)[0-9]+\s*")
+
+
+def _window_bound(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        # int() refuses a decimal string of more than 4300 digits; such a
+        # bound stands in as +-INPUT_BOUND, which _cmd_analyze reports
+        match = _DECIMAL.fullmatch(text)
+        if match is None:
+            raise argparse.ArgumentTypeError("window bounds must be integers")
+        return -INPUT_BOUND if match[1] == "-" else INPUT_BOUND
+
+
 def _parse_window(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("window must be 'a,b'")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError("window bounds must be integers")
+    lo, hi = map(_window_bound, parts)
     if lo > hi:
         raise argparse.ArgumentTypeError("window must satisfy a <= b")
     return (lo, hi)
@@ -121,14 +134,14 @@ def _cmd_analyze(args) -> int:
     if args.tail_window > MAX_WINDOW:
         raise SchemaError(f"tail window must be at most {MAX_WINDOW}", "--tail-window")
     lo, hi = args.hc_window
-    if hi - lo + 1 > MAX_WINDOW:
-        raise SchemaError(
-            f"hc window must span at most {MAX_WINDOW} values", "--hc-window"
-        )
     if max(-lo, hi) >= INPUT_BOUND:
         raise SchemaError(
             f"hc window bounds must have at most {MAX_INPUT_DIGITS} digits",
             "--hc-window",
+        )
+    if hi - lo + 1 > MAX_WINDOW:
+        raise SchemaError(
+            f"hc window must span at most {MAX_WINDOW} values", "--hc-window"
         )
     options = AnalysisOptions(tail_window=args.tail_window, hc_window=(lo, hi))
     report = analyze(doc, options)

@@ -73,9 +73,11 @@ primality bound, m^N lies in the ideal, so every x^b with |b| = N has a
 witness whose defect has order > T.  ``lifted_witness`` trades each
 defect term c * x^a for c * x^(a-b) times that defect, for a b <= a with
 |b| = N, by adding c * x^(a-b) times the witness of x^b; each pass
-raises the defect order by at least T + 1 - N >= 1.  The witnesses of
-the x^b form a table, built lazily and kept with the algebra, and the
-lifted cofactors pass the same exact defect check at the requested order.
+raises the defect order by at least T + 1 - N >= 1.  The one lifting
+cache holds the witness of each x^b per order it was read at, built on
+first use and kept with the algebra; each pass shifts the cached terms
+as it reads them, and the lifted cofactors pass the same exact defect
+check at the requested order.
 
 A :class:`JetAlgebra` is tagged by default, but
 :func:`build_jet_algebra` always builds untagged: the Milnor algebra, its
@@ -179,9 +181,8 @@ class JetAlgebra:
             [(m, sum(m), (L // d_j) * c) for m, c in G_j.items()]
             for G_j, d_j in self._integer_generators
         )
-        # the lifting tables, built lazily (see _table_entry)
+        # the lifting cache: witnesses of x^b by (b, order), built lazily
         self._witnesses: Dict[Tuple[Monomial, int], tuple] = {}
-        self._tables: Dict[int, Dict[Monomial, tuple]] = {}
         self._rows = Echelon(carry=self._size)
         first = 0
         if base is not None:
@@ -246,11 +247,9 @@ class JetAlgebra:
 
     def _certify(self) -> None:
         T = self.truncation_order
-        self._basis_keys = [i for i in range(self._size) if i not in self._rows.rows]
-        self._position = {k: i for i, k in enumerate(self._basis_keys)}
-        self.basis: Tuple[Monomial, ...] = tuple(
-            self._monomials[i] for i in self._basis_keys
-        )
+        keys = [i for i in range(self._size) if i not in self._rows.rows]
+        self._position = {k: i for i, k in enumerate(keys)}
+        self.basis: Tuple[Monomial, ...] = tuple(self._monomials[i] for i in keys)
         top = max((sum(m) for m in self.basis), default=-1)
         if top >= T:
             raise NotMPrimary(T)
@@ -272,15 +271,10 @@ class JetAlgebra:
         jet = {index[m]: c for m, c in P.items() if sum(m) <= T}
         return self._rows.reduce(jet, d)
 
-    def integer_normal_form(self, P: Dict[Monomial, int], d: int) -> List[Fraction]:
-        """Coordinates over the standard-monomial basis of the class of
-        P / d, for P an integer term map in the ambient variables."""
-        normal, _, _ = self._reduce(P, d)
-        return [normal.get(i, _ZERO) for i in self._basis_keys]
-
     def sparse_normal_form(self, P: Dict[Monomial, int], d: int) -> Dict[int, Fraction]:
-        """The nonzero coordinates of :meth:`integer_normal_form`, keyed by
-        position in the standard-monomial basis."""
+        """The nonzero coordinates of the class of P / d over the
+        standard-monomial basis, keyed by position in it, for P an integer
+        term map in the ambient variables."""
         normal, _, _ = self._reduce(P, d)
         return {self._position[i]: c for i, c in normal.items()}
 
@@ -341,95 +335,73 @@ class JetAlgebra:
     ) -> Tuple[List[Dict[Monomial, int]], int]:
         """Integer cofactors C_j and a scale s with P / d - sum(C_j / s * g_j)
         of order > ``order``, for any ``order``: the witness at T, lifted
-        through a table of witnesses of the monomials of degree N, the
-        primality bound.
+        through the witnesses of the monomials of degree N, the primality
+        bound.
 
-        Each pass takes every defect term c * x^a of degree <= ``order``
-        (all of degree > T >= N), picks b <= a with |b| = N, and adds
-        c * x^(a-b) times the table witness (A_b, s_b) of x^b.  That
-        replaces the term by c * x^(a-b) times the defect of x^b, which
-        has order > T, so each pass raises the defect order by at least
-        T + 1 - N >= 1 and the loop ends.  A pass multiplies the scale by
-        L * lcm(s_b) and computes the next defect from the table's
-        defects alone; the cofactors are summed once, after the last pass,
-        each pass's additions times the scale the later passes bring.
-        Then the content is divided out, keeping d | s, and the final
-        cofactors must pass the exact defect check, or
+        The loop keeps the defect D = L * (s / d) * P - sum((L / d_j) * C_j
+        * G_j) up to degree ``order``.  Each pass splits every defect term
+        c * x^a (of degree > T >= N) as x^b * x^(a-b) with |b| = N, taking
+        from the first variables first, and reads the witness (A_b, s_b,
+        D_b) of x^b, computed once per algebra and order.  With S the lcm
+        of the s_b, it multiplies s and every C_j by L * S and adds
+        c * (S / s_b) * x^(a-b) * A_b to the cofactors; the invariant then
+        leaves D = sum(c * (S / s_b) * x^(a-b) * D_b).  Each D_b has order
+        > T, so each pass raises the defect order by at least T + 1 - N
+        >= 1 and the loop ends.  Then the content is divided out, keeping
+        d | s, and the final cofactors must pass the exact defect check, or
         :class:`NotInIdeal` is raised.
         """
         cofactors, s, defect = self.integer_witness(P, d, order)
         if not defect:
             return cofactors, s
         L, T, N = self._generator_lcm, self.truncation_order, self.primality_bound
-        # the shifted table defect is needed up to degree ``order``, and
-        # the shift |a - b| = |a| - N is at least T + 1 - N
-        table_order = order - (T + 1 - N)
-        table = self._tables.setdefault(table_order, {})
-        s_0, passes = s, []  # (scale after the pass, lcm(s_b), [(c, entry)])
+        # D_b is needed up to degree ``order`` - |a - b|, and the shift
+        # |a - b| = |a| - N is at least T + 1 - N
+        witness_order = order - (T + 1 - N)
         while defect:
             steps, S = [], 1
             for a, c in defect.items():
-                entry = table.get(a) or self._table_entry(table, a, table_order)
-                steps.append((c, entry))
-                S = lcm(S, entry[1])
+                b, n = [], N
+                for e in a:
+                    b.append(min(e, n))
+                    n -= b[-1]
+                b = tuple(b)
+                witness = self._witnesses.get((b, witness_order))
+                if witness is None:
+                    A_b, s_b, D_b = self.integer_witness({b: 1}, 1, witness_order)
+                    witness = self._witnesses[b, witness_order] = (
+                        [list(A.items()) for A in A_b],
+                        s_b,
+                        sorted((sum(m), m, x) for m, x in D_b.items()),
+                    )
+                steps.append((c, tuple(map(sub, a, b)), witness))
+                S = lcm(S, witness[1])
             s *= L * S
+            cofactors = [{m: L * S * x for m, x in C.items()} for C in cofactors]
             defect = {}
-            for c, (_, s_b, shifted_defect) in steps:
+            for c, shift, (A_b, s_b, D_b) in steps:
                 k = c * (S // s_b)
-                for m_degree, m, x in shifted_defect:
-                    if m_degree > order:
-                        break
-                    defect[m] = defect.get(m, 0) + k * x
-            passes.append((s, S, steps))
-            defect = {m: c for m, c in defect.items() if c}
-        scale = s // s_0
-        cofactors = [{m: scale * c for m, c in C.items()} for C in cofactors]
-        for s_t, S, steps in passes:
-            scale = s // s_t
-            for c, (shifted_cofactors, s_b, _) in steps:
-                k = c * (S // s_b) * scale
-                for C, A in zip(cofactors, shifted_cofactors):
+                for C, A in zip(cofactors, A_b):
                     for m, x in A:
+                        m = tuple(map(add, m, shift))
                         C[m] = C.get(m, 0) + k * x
+                room = order - sum(shift)
+                for m_degree, m, x in D_b:
+                    if m_degree > room:
+                        break
+                    m = tuple(map(add, m, shift))
+                    defect[m] = defect.get(m, 0) + k * x
+            defect = {m: c for m, c in defect.items() if c}
         content = gcd(s // d, *(c for C in cofactors for c in C.values()))
         s //= content
         cofactors = [{m: c // content for m, c in C.items() if c} for C in cofactors]
         _check_defect(self._defect(P, d, cofactors, s, order), order)
         return cofactors, s
 
-    def _table_entry(self, table: dict, a: Monomial, order: int) -> tuple:
-        """The table entry of x^a, stored in ``table``: for the b <= a with
-        |b| = N that takes from the first variables first, and A_b, s_b and
-        D_b the :meth:`integer_witness` of x^b up to ``order``, the terms of
-        x^(a-b) * A_b, s_b, and the terms of x^(a-b) * D_b as (degree,
-        monomial, coefficient), ascending.  Each x^b is reduced once per
-        algebra and order."""
-        b, n = [], self.primality_bound
-        for e in a:
-            b.append(min(e, n))
-            n -= b[-1]
-        b = tuple(b)
-        witness = self._witnesses.get((b, order))
-        if witness is None:
-            A_b, s_b, D_b = self.integer_witness({b: 1}, 1, order)
-            witness = self._witnesses[b, order] = (
-                [list(A.items()) for A in A_b],
-                s_b,
-                sorted((sum(m), m, x) for m, x in D_b.items()),
-            )
-        A_b, s_b, D_b = witness
-        shift = tuple(map(sub, a, b))
-        lift = sum(shift)
-        entry = table[a] = (
-            [[(tuple(map(add, m, shift)), x) for m, x in A] for A in A_b],
-            s_b,
-            [(m_degree + lift, tuple(map(add, m, shift)), x) for m_degree, m, x in D_b],
-        )
-        return entry
-
     def normal_form(self, p: Poly) -> List[Fraction]:
         """Coordinates of p's class over the standard-monomial basis."""
-        return self.integer_normal_form(*self._cleared(p))
+        normal = self.sparse_normal_form(*self._cleared(p))
+        return [normal.get(i, _ZERO) for i in range(len(self.basis))]
 
     def membership_with_witness(self, p: Poly, order: int) -> Tuple[Poly, ...]:
         """Cofactors c_i, one per generator g_i, with p - sum(c_i * g_i) of

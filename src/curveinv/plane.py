@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import linalg
 from .errors import MissingWeights, WitnessOrderInsufficient
@@ -25,6 +25,8 @@ from .poly import (
     multiply_terms,
     weight_feasibility,
 )
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -157,13 +159,13 @@ class PlaneAnalysis:
 
     def _tail_image(
         self, product: Tuple[dict, int], witness_algebra: JetAlgebra, order: int
-    ) -> List[Fraction]:
+    ) -> Dict[int, Fraction]:
         """Class in T_f of the divergence of a cofactor witness for f*lift,
         given as the integer product F * Lambda over its denominator, with
         the witness lifted to ``order`` (``JetAlgebra.lifted_witness``).
 
         With cofactors C_u / s, C_v / s, the divergence is
-        (d_u(C_u) + d_v(C_v)) / s, so its class is the integer normal form
+        (d_u(C_u) + d_v(C_v)) / s, so its class is the sparse normal form
         of the numerator over s.
         """
         (C_u, C_v), s = witness_algebra.lifted_witness(*product, order)
@@ -173,7 +175,7 @@ class PlaneAnalysis:
                 if m[i]:
                     dm = m[:i] + (m[i] - 1,) + m[i + 1 :]
                     divergence[dm] = divergence.get(dm, 0) + c * m[i]
-        return self.tjurina.integer_normal_form(
+        return self.tjurina.sparse_normal_form(
             {m: c for m, c in divergence.items() if c}, s
         )
 
@@ -207,9 +209,9 @@ class PlaneAnalysis:
           not depend on the witness.
 
         No algebra is built at T_w.  The witnesses come from a tagged
-        algebra A at N_M + 2, taken at its own order T and lifted through a
-        table of witnesses of the monomials x^b of degree N_M, built lazily
-        from A (see ``jets``): a defect term c*x^a gains
+        algebra A at N_M + 2, taken at its own order T and lifted through
+        the witnesses of the monomials x^b of degree N_M, cached lazily in
+        A (see ``jets``): a defect term c*x^a gains
         c*x^(a-b)*(alpha_b, beta_b) for some b <= a with |b| = N_M, which
         trades it for c*x^(a-b) times the defect of x^b, of order
         > |a| + T - N_M.  So each pass raises the defect order by at least
@@ -221,7 +223,7 @@ class PlaneAnalysis:
         Every class is read from A lifted to T_w, and A is dropped.  Then A
         is built again with its rows inserted in the order ``row_seed``
         shuffles them to, and every class, lifted to T_w + 2 through that
-        algebra's own table, must match: one comparison re-checks the
+        algebra's own cache, must match: one comparison re-checks the
         witness order and the independence from the reduction order, and
         a mismatch raises :class:`WitnessOrderInsufficient`.
         """
@@ -247,7 +249,7 @@ class PlaneAnalysis:
                 )
         target_basis = self.tjurina.basis
         matrix = tuple(
-            tuple(columns[j][i] for j in range(len(columns)))
+            tuple(column.get(i, _ZERO) for column in columns)
             for i in range(len(target_basis))
         )
         return TailMap(

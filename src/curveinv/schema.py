@@ -9,6 +9,7 @@ under the declared variables so parse errors surface with positions.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -72,11 +73,24 @@ def _natural(doc: Dict[str, Any], key: str, path: str, required=True, default=No
     return value
 
 
+# A rational is an integer or p/q, each part of at most MAX_INPUT_DIGITS
+# digits, matched before Fraction sees it: Fraction also takes decimal
+# exponents, and "1e20000000" would build 10**20000000 first.
+_RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{MAX_INPUT_DIGITS}}}(/[0-9]{{1,{MAX_INPUT_DIGITS}}})?")
+
+
 def _parse_fraction(text: Any, path: str) -> Fraction:
     _require(isinstance(text, str), "rational must be a string", path)
+    if not _RATIONAL.fullmatch(text):
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+        raise SchemaError(
+            f"bad rational {shown}: expected an integer or p/q of at most "
+            f"{MAX_INPUT_DIGITS} digits each",
+            path,
+        )
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise SchemaError(f"bad rational {text!r}: {exc}", path)
 
 

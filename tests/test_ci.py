@@ -1,7 +1,8 @@
-"""The CI workflow's benchmark smoke steps cover every benchmark workload.
+"""The CI workflow covers every benchmark workload and installs the test
+tools at the versions ``pyproject.toml`` pins.
 
-Read with a regular expression: CI installs only pytest and Hypothesis, so
-no YAML parser is at hand.
+Read with regular expressions: CI installs only pytest and Hypothesis, so
+no YAML parser is at hand, and Python 3.10 has no ``tomllib``.
 """
 
 import json
@@ -20,3 +21,14 @@ def test_smoke_loops_list_every_benchmark_workload():
     assert len(loops) == 2
     for loop in loops:
         assert sorted(loop.split()) == names
+
+
+def test_workflow_installs_the_pinned_test_extra():
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    installed = re.findall(r"^\s*run: python -m pip install (.*)$", workflow, re.MULTILINE)
+    extra = re.search(r"^test = \[(.*)\]$", pyproject, re.MULTILINE)
+    assert len(installed) == 1 and extra is not None
+    pins = sorted(installed[0].split())
+    assert pins == sorted(re.findall(r'"([^"]+)"', extra[1]))
+    assert all(re.fullmatch(r"[a-z]+==[0-9.]+", pin) for pin in pins)

@@ -114,6 +114,20 @@ def test_numeric_weights_exit_2(tmp_path, capsys):
     assert "$.singularities[0].weights[0]" in captured.err
 
 
+def test_weight_with_a_large_exponent_exit_2_at_once(tmp_path, capsys):
+    # Fraction("1e20000000") would build 10**20000000 before any check
+    sing = {"kind": "plane", "f": "u^2+v^3", "variables": ["u", "v"],
+            "weights": ["1e20000000", "1/3"], "asserted": {"delta": 1, "r": 1}}
+    start = time.perf_counter()
+    assert main(["analyze", _write_doc(tmp_path, sing)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "$.singularities[0].weights[0]" in captured.err
+    sing["weights"] = ["1/2", "1/3"]
+    assert main(["analyze", _write_doc(tmp_path, sing)]) == 0
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["analyze", "/no/such/file.json"]) == 2
 
@@ -222,14 +236,17 @@ def test_natural_over_the_digit_bound_exit_2(doc, path, fmt, tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json-like"])
 def test_hc_window_over_the_digit_bound_exit_2(nodal_file, fmt, capsys):
-    window = f"--hc-window=-{NINES},-{NINES}"
-    assert main(["analyze", nodal_file, window, "--format", fmt]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: --hc-window: hc window bounds must have at most "
-        f"{schema.MAX_INPUT_DIGITS} digits\n"
-    )
+    # 4301 digits are more than int() converts, and the span is not checked
+    # before the digits
+    for window in (f"-{NINES},-{NINES}", f"-{'9' * 4301},0"):
+        argv = ["analyze", nodal_file, f"--hc-window={window}", "--format", fmt]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --hc-window: hc window bounds must have at most "
+            f"{schema.MAX_INPUT_DIGITS} digits\n"
+        )
 
 
 def test_input_at_the_digit_bound_prints(tmp_path, capsys):

@@ -195,6 +195,23 @@ def test_integer_witness_returns_its_defect_beyond_T():
     assert defect(*J.lifted_witness(ints, d, 16)).is_zero()
 
 
+def test_one_algebra_lifts_to_several_orders_in_turn():
+    """The witnesses of the x^b are cached by (b, order): a later, higher
+    order must not reuse defects truncated for an earlier one.  At T = 10
+    the x^b defects read for order 16 are cut at degree 10, below all
+    their terms, and order 19 needs them up to degree 13."""
+    f = P("u^3+v^5+1/2*u^2*v^2")
+    J = JetAlgebra(jacobian("u^3+v^5+1/2*u^2*v^2"), 10)
+    target = f * P("v^3")
+    ints, d = integer_row(target.terms)
+    for order in (16, 12, 19):
+        cofactors, s = J.lifted_witness(ints, d, order)
+        alpha, beta = (Poly(UV, {m: Fraction(c, s) for m, c in C.items()})
+                       for C in cofactors)
+        defect = target - alpha * f.diff("u") - beta * f.diff("v")
+        assert defect.truncate(order).is_zero(), order
+
+
 def test_witness_rejects_non_member():
     J = JetAlgebra(jacobian("u^2+v^3"), 8)
     with pytest.raises(NotInIdeal):

@@ -1,5 +1,6 @@
 """Plane singularity analysis: mu, tau, Saito test, tail maps."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -271,11 +272,12 @@ def seeded_family(count, seed=3):
 
 
 def assert_tail_rank_is_2tau_minus_mu(f):
-    """Asserts the identity on f and returns (mu, tau)."""
+    """Asserts the identity on f and returns (mu, tau, tail matrix)."""
     a = PlaneAnalysis(PlaneSingularity(f))
     mu, tau = a.milnor_tjurina()
-    assert a.tail_map_general().rank == 2 * tau - mu, f
-    return mu, tau
+    tail = a.tail_map_general()
+    assert tail.rank == 2 * tau - mu, f
+    return mu, tau, tail.matrix
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -292,13 +294,23 @@ def test_tail_cokernel_has_dimension_mu_minus_tau(f):
     [("u^5+v^31+u^3*v^19", 120, 109), ("(u^2-v^3)^2+u*v^5", 16, 14)],
 )
 def test_tail_cokernel_named_examples(src, mu, tau):
-    assert assert_tail_rank_is_2tau_minus_mu(parse_poly(src, UV)) == (mu, tau)
+    assert assert_tail_rank_is_2tau_minus_mu(parse_poly(src, UV))[:2] == (mu, tau)
+
+
+# sha256 of the family's tail matrices: any change of a tail class changes it
+SEEDED_FAMILY_TAIL_SHA256 = (
+    "e18162eeef41bbd1020761b3afb86eedab78122317d8d91dbafbb27e21fa5077"
+)
 
 
 def test_tail_cokernel_on_a_seeded_family():
-    invariants = map(assert_tail_rank_is_2tau_minus_mu, seeded_family(400))
-    non_qh = sum(mu > tau for mu, tau in invariants)
+    digest, non_qh = hashlib.sha256(), 0
+    for f in seeded_family(400):
+        mu, tau, matrix = assert_tail_rank_is_2tau_minus_mu(f)
+        non_qh += mu > tau
+        digest.update(repr((str(f), [[str(x) for x in row] for row in matrix])).encode())
     assert non_qh >= 50  # the family does reach tau < mu
+    assert digest.hexdigest() == SEEDED_FAMILY_TAIL_SHA256
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -393,7 +405,7 @@ def test_derived_algebras_equal_fresh_builds(f, shift, polys):
 @example(parse_poly("u^5+v^6+2*u^3*v^3", UV))
 @example(parse_poly("(u^2-v^3)^2+u*v^5", UV))
 def test_lifted_witnesses_pass_the_exact_defect_check(f):
-    """Witnesses from the order-(N_M + 2) algebra, lifted through its table
+    """Witnesses from the order-(N_M + 2) algebra, lifted through its cache
     to T_w = N_M + N_T, satisfy f*lift = alpha*f_u + beta*f_v up to terms
     of degree > T_w, checked here in Poly arithmetic; so do those of the
     same algebra with reshuffled rows, lifted to T_w + 2."""
