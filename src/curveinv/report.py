@@ -43,7 +43,9 @@ from .spectral import (
     e1_page,
     e2_page,
     global_invariants,
+    hc_json,
     hc_pages,
+    hc_text,
     page_json,
     render_page,
 )
@@ -369,7 +371,7 @@ def _document(report: Report) -> Dict:
         "pages": {
             "e1": report.e1,
             "e2": report.e2,
-            "hc": {str(m): page for m, page in report.hc.per_m},
+            "hc": report.hc,
         },
         "global_invariants": {
             "genus": {"value": gi.genus, "provenance": "asserted-input"},
@@ -398,8 +400,9 @@ def dump_json(value) -> str:
     Takes dicts with string keys, lists, strings, ints, bools and None, and
     raises TypeError on any other type, except that an ``SSPage`` is written
     by ``spectral.page_json`` as the object ``render_page(page, "json-like")``
-    returns.  Strings go through the stdlib's C escaper, so non-ASCII text
-    comes out as \\uXXXX escapes.
+    returns, and an ``HCPages`` by ``spectral.hc_json`` as the object that
+    maps each ``str(m)`` to its page.  Strings go through the stdlib's C
+    escaper, so non-ASCII text comes out as \\uXXXX escapes.
     """
     return _dump(value, "\n")
 
@@ -423,6 +426,8 @@ def _dump(value, newline: str) -> str:
         return f"[{inner}{body}{newline}]"
     if isinstance(value, SSPage):
         return page_json(value, newline)
+    if isinstance(value, HCPages):
+        return hc_json(value, newline)
     if value is None:
         return "null"
     if value is True:
@@ -467,9 +472,9 @@ def to_text(report: Report) -> str:
     lines.append(render_page(report.e1, "text"))
     lines.append("")
     lines.append(render_page(report.e2, "text"))
-    for m, page in report.hc.per_m:
+    for text in hc_text(report.hc):
         lines.append("")
-        lines.append(render_page(page, "text"))
+        lines.append(text)
     return "\n".join(lines)
 
 

@@ -42,14 +42,24 @@ first-page entry, which also applies the constraints proved under
 degeneration.  ``hc_pages`` runs no second subtraction per m: each page
 is the Hodge second page cut at column max(0, m), except on the left
 edge, whose entries are the same rule without the incoming rank,
-computed once for every m.  ``page_json`` writes a page's JSON, the one
-layout that ``report.to_json`` and the json-like ``render_page`` read.
+computed once for every m.  ``HCPages`` keeps the second page, the left
+edge and the window, and builds a cyclic page as an ``SSPage`` only when
+asked.
+
+One text renderer (``_TextGrid``) and one JSON writer (``_JsonRows``)
+serve every page, as a cut: a Hodge page is the cut at its own first
+column with m = 0 and no left edge.  ``hc_text`` renders each row of the
+second page once per cell width and slices every cyclic page's rows from
+it; ``hc_json`` keeps each entry row as the text around its ``"p"``,
+once per report.  ``page_json`` and ``hc_json`` write the one layout
+that ``report.to_json`` and the json-like ``render_page`` read.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
@@ -205,11 +215,57 @@ class SSPage:
 
 @dataclass(frozen=True)
 class HCPages:
-    per_m: Tuple[Tuple[int, SSPage], ...]
+    """The cyclic second pages E2(F_m), m in ``window``, as cuts of ``e2``.
+
+    The page for m keeps the columns p >= max(0, m) of the Hodge second
+    page ``e2`` at a = p - m, with the ``left_edge`` entries of its cut
+    column in place of e2's.  ``label`` is the curve model's.  The writers
+    (``hc_text``, ``hc_json``) read these fields; ``per_m`` and ``page``
+    build the pages as ``SSPage`` values on first use.
+    """
+
+    e2: SSPage
+    left_edge: Tuple[Tuple[Tuple[int, int], Dim], ...]  # sorted by (p, q)
+    window: Tuple[int, int]
+    label: str
     verdict: Verdict
 
+    def cuts(self) -> List[Tuple[int, str, str, int, Dict[int, Dim]]]:
+        """(m, label, note, p_min, edge) for each m in the window: the cut
+        column p_min = max(0, m) and, keyed by q, the left-edge entries
+        that replace e2's in it."""
+        edges: Dict[int, Dict[int, Dim]] = {}
+        for (p, q), entry in self.left_edge:
+            edges.setdefault(p, {})[q] = entry
+        lo, hi = self.window
+        return [
+            (
+                m,
+                f"E2(F_{m}, {self.label})",
+                f"column a = p - {m} hosts Hodge column p; columns p < {max(0, m)} cut",
+                max(0, m),
+                edges.get(max(0, m), {}),
+            )
+            for m in range(lo, hi + 1)
+        ]
+
+    @cached_property
+    def per_m(self) -> Tuple[Tuple[int, SSPage], ...]:
+        pages = []
+        for m, label, note, p_min, edge in self.cuts():
+            entries = tuple(
+                ((p - m, q), edge.get(q, entry) if p == p_min else entry)
+                for (p, q), entry in self.e2.entries
+                if p >= p_min
+            )
+            pages.append((m, SSPage(label, entries, (), self.verdict, notes=(note,))))
+        return tuple(pages)
+
     def page(self, m: int) -> SSPage:
-        return dict(self.per_m)[m]
+        lo, hi = self.window
+        if not lo <= m <= hi:
+            raise KeyError(m)
+        return self.per_m[m - lo][1]
 
 
 def _freeze(d: Dict[Tuple[int, int], Dim]):
@@ -473,9 +529,9 @@ def hc_pages(
     (p_min - 1, q), a cut column, keeps its first-page entry minus its
     outgoing rank alone.  For m >= 3 that is the target of the left-most
     tail pair.  Column 0 is no arrow's target, so a page with m <= 0 is
-    ``e2`` reindexed.  The left-edge entries are computed once for all m,
-    and each page reads the sorted ``e2`` entries once: the shift of p
-    keeps their order.
+    ``e2`` reindexed.  The left-edge entries are computed once for all m;
+    the pages themselves are cuts of ``e2`` that ``HCPages`` builds or
+    writes on demand.
     """
     lo, hi = window
     if lo > hi:
@@ -483,35 +539,12 @@ def hc_pages(
     verdict = e1.verdict
     two_g_plus_R = 2 * gi.genus + gi.R if verdict is Verdict.DEGENERATES else None
     ranks = e1.rank_map()
-    left_edge = {
-        (p, q): _survivor(entry, (ranks.get((p, q)),), two_g_plus_R)
+    left_edge = tuple(
+        ((p, q), _survivor(entry, (ranks.get((p, q)),), two_g_plus_R))
         for (p, q), entry in e1.entries
         if (p - 1, q) in ranks
-    }
-    pages: List[Tuple[int, SSPage]] = []
-    for m in range(lo, hi + 1):
-        p_min = max(0, m)
-        reindexed = tuple(
-            ((p - m, q), left_edge.get((p, q), entry) if p == p_min else entry)
-            for (p, q), entry in e2.entries
-            if p >= p_min
-        )
-        notes = (
-            f"column a = p - {m} hosts Hodge column p; columns p < {p_min} cut",
-        )
-        pages.append(
-            (
-                m,
-                SSPage(
-                    label=f"E2(F_{m}, {c.label})",
-                    entries=reindexed,
-                    d1_ranks=(),
-                    verdict=verdict,
-                    notes=notes,
-                ),
-            )
-        )
-    return HCPages(per_m=tuple(pages), verdict=verdict)
+    )
+    return HCPages(e2=e2, left_edge=left_edge, window=window, label=c.label, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -522,65 +555,185 @@ def hc_pages(
 def render_page(page: SSPage, format: str = "text") -> Union[str, dict]:
     """The page as a text grid, or as the dict that ``page_json`` writes."""
     if format == "text":
-        return _render_text(page)
+        grid = _TextGrid(page.entries)
+        return _text(page.label, page.verdict, grid.lines(grid.first, 0, {}),
+                     page.constraints, page.notes)
     if format == "json-like":
         return json.loads(page_json(page))
     raise ValueError(f"unknown format {format!r}")
 
 
-def _render_text(page: SSPage) -> str:
-    lines = [f"{page.label}  [verdict: {page.verdict.value}]"]
-    if page.entries:
-        # each entry is rendered once; empty cells are "." and never wider
-        # than the minimum width 4
-        rendered = [(p, q, entry.text) for (p, q), entry in page.entries]
-        ps = sorted({p for p, _, _ in rendered})
-        qs = sorted({q for _, q, _ in rendered}, reverse=True)
-        width = max(max(len(text) for _, _, text in rendered), 4)
-        column = {p: i for i, p in enumerate(ps)}
-        rows = {q: [f" {'.':>{width}}"] * len(ps) for q in qs}
-        for p, q, text in rendered:
-            rows[q][column[p]] = f" {text:>{width}}"
-        header = "q\\p |" + "".join(f" {p:>{width}}" for p in ps)
-        lines.append(header)
-        lines.append("-" * len(header))
-        for q in qs:
-            lines.append(f"{q:>3} |" + "".join(rows[q]))
-    else:
-        lines.append("(empty grid)")
-    for label, items in (("constraints", page.constraints), ("notes", page.notes)):
-        for item in items:
-            lines.append(f"{label[:-1]}: {item}")
+def hc_text(hc: HCPages) -> List[str]:
+    """The text of each cyclic page, in window order: ``render_page`` of
+    ``hc.page(m)``, written from one grid of ``hc.e2``."""
+    grid = _TextGrid(hc.e2.entries)
+    return [
+        _text(label, hc.verdict, grid.lines(p_min, m, edge), (), (note,))
+        for m, label, note, p_min, edge in hc.cuts()
+    ]
+
+
+def _text(label: str, verdict: Verdict, grid: List[str],
+          constraints: Sequence[str], notes: Sequence[str]) -> str:
+    lines = [f"{label}  [verdict: {verdict.value}]", *grid]
+    lines += [f"constraint: {item}" for item in constraints]
+    lines += [f"note: {item}" for item in notes]
     return "\n".join(lines)
+
+
+class _TextGrid:
+    """A page's text grid, laid out once for every cut of it.
+
+    ``lines(p_min, m, edge)`` is the grid of the cut that keeps the columns
+    p >= p_min under the labels p - m, with the ``edge`` entries (keyed by
+    q) in place of the page's in column p_min.  The page itself is the cut
+    at its first column with m = 0 and no edge.  Cells are right-aligned
+    to the cut's widest cell (at least 4); empty cells are ".", and the row
+    labels are right-aligned to the longest (at least 3).
+
+    Each row of the whole page is rendered once per cell width.  A cut's
+    row is its first cell followed by a right-end slice of that string:
+    every later cell fits the cut's width, but a cell of a cut column may
+    not, so a slice from the left would misalign.
+    """
+
+    def __init__(self, entries: Sequence[Tuple[Tuple[int, int], Dim]]):
+        self.cells: Dict[int, Dict[int, str]] = {}  # p -> q -> text
+        last: Dict[int, int] = {}  # q -> the row's last column
+        for (p, q), entry in entries:
+            self.cells.setdefault(p, {})[q] = entry.text
+            last[q] = max(last.get(q, p), p)
+        self.columns = sorted(self.cells)
+        self.first = self.columns[0] if self.columns else 0
+        self.rows = sorted(last.items(), reverse=True)
+        # widest[k]: the widest cell of the columns from k on
+        self.widest = [0] * (len(self.columns) + 1)
+        for k in range(len(self.columns) - 1, -1, -1):
+            column = self.cells[self.columns[k]].values()
+            self.widest[k] = max(self.widest[k + 1], *map(len, column))
+        self.strings: Dict[int, Dict[int, str]] = {}  # width -> q -> whole row
+        self.labels: Dict[int, Dict[int, str]] = {}  # label width -> q -> label
+
+    def lines(self, p_min: int, m: int, edge: Dict[int, Dim]) -> List[str]:
+        k = bisect_left(self.columns, p_min)
+        if k == len(self.columns):
+            return ["(empty grid)"]
+        first = self.columns[k]
+        column = self.cells[first]
+        if first == p_min and edge:
+            column = {q: edge[q].text if q in edge else text for q, text in column.items()}
+        width = max(4, self.widest[k + 1], *map(len, column.values()))
+        if width not in self.strings:
+            self.strings[width] = self._strings(width)
+        strings = self.strings[width]
+        rows = [q for q, last in self.rows if last >= first]
+        label = max(3, len(str(rows[0])), len(str(rows[-1])))
+        if label not in self.labels:
+            self.labels[label] = {q: f"{q:>{label}} |" for q, _ in self.rows}
+        labels = self.labels[label]
+        header = "q\\p".ljust(label) + " |" + "".join(
+            [f" {p - m:>{width}}" for p in self.columns[k:]]
+        )
+        dot = f" {'.':>{width}}"
+        firsts = {q: f" {text:>{width}}" for q, text in column.items()}
+        cut = (len(self.columns) - k - 1) * (width + 1)
+        later = slice(-cut, None) if cut else slice(0, 0)
+        return [header, "-" * len(header)] + [
+            f"{labels[q]}{firsts.get(q, dot)}{strings[q][later]}" for q in rows
+        ]
+
+    def _strings(self, width: int) -> Dict[int, str]:
+        dot = f" {'.':>{width}}"
+        rows = {q: [dot] * len(self.columns) for q, _ in self.rows}
+        for k, p in enumerate(self.columns):
+            for q, text in self.cells[p].items():
+                rows[q][k] = f" {text:>{width}}"
+        return {q: "".join(cells) for q, cells in rows.items()}
 
 
 def page_json(page: SSPage, newline: str = "\n") -> str:
     """The page as ``report.dump_json`` writes it, with ``newline`` (a line
-    break and the indent) before the closing brace.  The one place a page's
-    JSON is laid out: keys in sorted order, each row of entries (dim, p,
-    provenance, q) and of d1_ranks (p, provenance, q, rank) one f-string.
+    break and the indent) before the closing brace.  Keys come in sorted
+    order, and each row of entries (dim, p, provenance, q) and of d1_ranks
+    (p, provenance, q, rank) on its own lines.
     """
-    key = newline + "  "
-    item = key + "  "
+    item = newline + "    "
     field = item + "  "
-
-    def array(items: List[str]) -> str:
-        return f"[{item}{f',{item}'.join(items)}{key}]" if items else "[]"
-
-    entries = array([
-        f'{{{field}"dim": {_quote(entry.text)},{field}"p": {p},'
-        f'{field}"provenance": {_quote(entry.provenance)},{field}"q": {q}{item}}}'
-        for (p, q), entry in page.entries
-    ])
-    ranks = array([
+    ranks = [
         f'{{{field}"p": {p},{field}"provenance": {_quote(rank.provenance)},'
         f'{field}"q": {q},{field}"rank": {_quote(rank.text)}{item}}}'
         for (p, q), rank in page.d1_ranks
-    ])
+    ]
+    rows = _JsonRows(page.entries, newline)
+    first = page.entries[0][0][0] if page.entries else 0
+    return _page_json(page.label, page.verdict, page.constraints, ranks,
+                      rows.cut(first, 0, {}), page.notes, newline)
+
+
+def hc_json(hc: HCPages, newline: str = "\n") -> str:
+    """The cyclic pages as the object {str(m): page} that ``report.dump_json``
+    writes, each page as ``page_json`` writes ``hc.page(m)``, from one set of
+    rows of ``hc.e2``."""
+    inner = newline + "  "
+    rows = _JsonRows(hc.e2.entries, inner)
+    pages = [
+        f"{_quote(str(m))}: "
+        + _page_json(label, hc.verdict, (), [], rows.cut(p_min, m, edge), (note,), inner)
+        for m, label, note, p_min, edge in sorted(hc.cuts(), key=lambda cut: str(cut[0]))
+    ]
+    return f"{{{inner}{f',{inner}'.join(pages)}{newline}}}"
+
+
+def _page_json(label: str, verdict: Verdict, constraints: Sequence[str],
+               ranks: List[str], entries: List[str], notes: Sequence[str],
+               newline: str) -> str:
+    """The one layout of a page's JSON, around its written rows."""
+    key = newline + "  "
     return (
-        f'{{{key}"constraints": {array([_quote(c) for c in page.constraints])},'
-        f'{key}"d1_ranks": {ranks},{key}"entries": {entries},'
-        f'{key}"label": {_quote(page.label)},'
-        f'{key}"notes": {array([_quote(n) for n in page.notes])},'
-        f'{key}"verdict": {_quote(page.verdict.value)}{newline}}}'
+        f'{{{key}"constraints": {_array([_quote(c) for c in constraints], key)},'
+        f'{key}"d1_ranks": {_array(ranks, key)},{key}"entries": {_array(entries, key)},'
+        f'{key}"label": {_quote(label)},'
+        f'{key}"notes": {_array([_quote(n) for n in notes], key)},'
+        f'{key}"verdict": {_quote(verdict.value)}{newline}}}'
     )
+
+
+def _array(items: List[str], key: str) -> str:
+    """A JSON array of written items, closed at the indent ``key``."""
+    item = key + "  "
+    return f"[{item}{f',{item}'.join(items)}{key}]" if items else "[]"
+
+
+class _JsonRows:
+    """A page's entry rows as JSON, laid out once for every cut of it.
+
+    ``cut(p_min, m, edge)`` writes the rows of the cut that keeps the
+    columns p >= p_min at p - m, with the ``edge`` entries (keyed by q) in
+    place of the page's in column p_min.  A row of a cut differs from the
+    page's own row only in ``"p": p - m``, so each row is kept as the text
+    before and after that integer.  ``newline`` is the page's own.
+    """
+
+    def __init__(self, entries: Sequence[Tuple[Tuple[int, int], Dim]], newline: str):
+        self.item = newline + "    "
+        self.field = self.item + "  "
+        self.ps = [p for (p, _), _ in entries]
+        self.rows = [(p, q, *self.pieces(q, entry)) for (p, q), entry in entries]
+
+    def pieces(self, q: int, entry: Dim) -> Tuple[str, str]:
+        field = self.field
+        return (
+            f'{{{field}"dim": {_quote(entry.text)},{field}"p": ',
+            f',{field}"provenance": {_quote(entry.provenance)},{field}"q": {q}{self.item}}}',
+        )
+
+    def cut(self, p_min: int, m: int, edge: Dict[int, Dim]) -> List[str]:
+        start = bisect_left(self.ps, p_min)
+        end = bisect_right(self.ps, p_min, start)
+        rows = []
+        for p, q, head, tail in self.rows[start:end]:
+            if q in edge:
+                head, tail = self.pieces(q, edge[q])
+            rows.append(f"{head}{p - m}{tail}")
+        rows += [f"{head}{p - m}{tail}" for p, _, head, tail in self.rows[end:]]
+        return rows

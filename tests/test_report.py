@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import HC_WINDOWS
 from curveinv import corpus
 from curveinv.report import AnalysisOptions, analyze, dump_json, to_json, to_structured
 from curveinv.schema import build_curve
@@ -169,7 +170,7 @@ def test_pages_match_the_page_oracle(page):
 @pytest.mark.parametrize("tail_window", [1, 6, 48])
 def test_report_pages_match_the_page_oracle(tail_window):
     for doc in corpus.curve_models():
-        for window in ((-3, 6), (5, 5), (-1, 48)):
+        for window in HC_WINDOWS + ((-1, 48),):
             options = AnalysisOptions(tail_window=tail_window, hc_window=window)
             report = analyze(build_curve(doc), options)
             pages = {
@@ -179,6 +180,8 @@ def test_report_pages_match_the_page_oracle(tail_window):
             }
             structured = to_structured(report)
             assert structured["pages"] == pages, (doc["label"], window)
+            if window == HC_WINDOWS[-1]:
+                assert all(page["entries"] == [] for page in pages["hc"].values())
             for page in [report.e1, report.e2] + [p for _, p in report.hc.per_m]:
                 assert render_page(page, "json-like") == page_oracle(page)
             # the page bytes in place are json.dumps of the oracle's pages

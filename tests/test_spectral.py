@@ -1,11 +1,14 @@
 """Page assembly, verdicts, and cyclic-homology reindexing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import analyzed_model
+from conftest import HC_WINDOWS, analyzed_model
 from curveinv import corpus
-from curveinv.report import AnalysisOptions
-from curveinv.spectral import Dim, Verdict, _survivor, hc_pages, render_page
+from curveinv.report import AnalysisOptions, dump_json, to_text
+from curveinv.spectral import (
+    Dim, HCPages, SSPage, Verdict, _survivor, hc_json, hc_pages, hc_text, render_page,
+)
 
 ALL_MODEL_LABELS = [doc["label"] for doc in corpus.curve_models()]
 
@@ -293,7 +296,7 @@ def test_hc_pages_match_per_m_rank_subtraction(tail_window):
         verdicts.add(report.verdict.verdict)
         smooth |= not report.model.records
         assert report.e2.entries == oracle_e2_entries(report), label
-        for window in ((-3, 6), (-4, -1), (2, 9), (5, 5)):
+        for window in HC_WINDOWS:
             hc = hc_pages(report.model, report.e1, report.e2, report.invariants, window)
             assert hc.verdict is report.verdict.verdict
             expected = oracle_hc_pages(report, window)
@@ -325,12 +328,13 @@ def dense_render_text(page):
             for q in qs
         }
         width = max(max(len(v) for v in cells.values()), 4)
-        header = "q\\p |" + "".join(f" {p:>{width}}" for p in ps)
+        label = max(3, *(len(str(q)) for q in qs))
+        header = "q\\p".ljust(label) + " |" + "".join(f" {p:>{width}}" for p in ps)
         lines.append(header)
         lines.append("-" * len(header))
         for q in qs:
             lines.append(
-                f"{q:>3} |" + "".join(f" {cells[(p, q)]:>{width}}" for p in ps)
+                f"{q:>{label}} |" + "".join(f" {cells[(p, q)]:>{width}}" for p in ps)
             )
     else:
         lines.append("(empty grid)")
@@ -341,17 +345,101 @@ def dense_render_text(page):
 
 
 def test_text_grid_matches_dense_reference():
-    options = AnalysisOptions(tail_window=6, hc_window=(-3, 6))
-    rendered, smooth = set(), False
-    for label in ALL_MODEL_LABELS:
-        report = analyzed_model(label, options)
-        smooth |= not report.model.records
-        pages = [report.e1, report.e2] + [page for _, page in report.hc.per_m]
-        for page in pages:
-            assert render_page(page, "text") == dense_render_text(page), page.label
-            rendered |= {entry.text for _, entry in page.entries}
-    assert smooth and ">=1" in rendered
+    """Every page against the dense grid, alone and in place in the whole
+    report, at tail windows 1, 6 and 48 and every window of HC_WINDOWS."""
+    rendered, smooth, empty, edge_markers = set(), False, set(), set()
+    for tail_window in (1, 6, 48):
+        for window in HC_WINDOWS:
+            options = AnalysisOptions(tail_window=tail_window, hc_window=window)
+            for label in ALL_MODEL_LABELS:
+                report = analyzed_model(label, options)
+                smooth |= not report.model.records
+                hc = [page for _, page in report.hc.per_m]
+                dense = [dense_render_text(page) for page in [report.e1, report.e2] + hc]
+                assert render_page(report.e1, "text") == dense[0], label
+                assert render_page(report.e2, "text") == dense[1], label
+                assert hc_text(report.hc) == dense[2:], (label, options)
+                assert to_text(report).endswith("\n\n" + "\n\n".join(dense))
+                for page in [report.e1, report.e2] + hc:
+                    rendered |= {entry.text for _, entry in page.entries}
+                    empty |= {page.label} if not page.entries else set()
+                    # an lci ">=1" entry in the cut column: m = e + 1
+                    edge_markers |= {
+                        page.label for (a, _), entry in page.entries if a == 0 and entry.positive
+                    }
+                if window == HC_WINDOWS[-1]:
+                    assert all(text.splitlines()[1] == "(empty grid)" for text in dense[2:])
+    assert smooth and ">=1" in rendered and empty and edge_markers
+    assert "E2(F_4, nonplanar-t469)" in edge_markers
     assert any(len(text) > 4 and text[0].isalpha() for text in rendered)
+
+
+def test_cut_rows_slice_from_the_right():
+    """A cut page's rows are right-end slices of the whole rows of E2: on
+    nodal-rational, E2's column 1 holds "kappa", wider than any cell of the
+    pages cut at m >= 2, so a slice from the left would shift those rows."""
+    report = analyzed_model("nodal-rational", AnalysisOptions(hc_window=(0, 5)))
+    assert max(len(entry.text) for (p, _), entry in report.e2.entries if p == 1) == 5
+    texts = hc_text(report.hc)
+    for (m, page), text in zip(report.hc.per_m, texts):
+        assert text == dense_render_text(page), m
+        if m >= 2:
+            assert max(len(entry.text) for _, entry in page.entries) <= 4
+            grid = text.splitlines()[1:-1]
+            assert {len(line) for line in grid} == {len(grid[0])}, m
+
+
+def test_row_labels_below_minus_99_keep_the_header_width():
+    """Row labels are as wide as the longest q label: at tail window 128
+    the rows q <= -100 line up with the header."""
+    options = AnalysisOptions(tail_window=128, hc_window=(-1, 126))
+    report = analyzed_model("mixed-node-t469", options)
+    pages = to_text(report).split("\n\n")[1:]
+    assert len(pages) == 2 + 128
+    for text in pages:
+        lines = text.splitlines()
+        grid = [line for line in lines if "|" in line or set(line) == {"-"}]
+        assert {len(line) for line in grid} == {len(lines[1])}, lines[0]
+    e2_lines = pages[1].splitlines()
+    assert e2_lines[1].startswith("q\\p  |")
+    assert any(line.startswith("-128 |") for line in e2_lines)
+    assert any(line.startswith("  -1 |") for line in e2_lines)
+
+
+# A sparse e2 grid with cells of several widths, left-edge entries that may
+# or may not sit on a cell, and a window that may pass the last column.
+cells = st.sampled_from([
+    Dim(0), Dim(7), Dim(123456), Dim(positive=True),
+    Dim.of(2, kappa=1, c=-1), Dim.of(-3, c=-2, k_v=1),
+])
+positions = st.tuples(st.integers(0, 10), st.integers(-8, 3))
+
+
+@st.composite
+def cut_pages(draw):
+    entries = tuple(sorted(draw(st.dictionaries(positions, cells, max_size=25)).items()))
+    left_edge = tuple(sorted(draw(st.dictionaries(positions, cells, max_size=6)).items()))
+    lo = draw(st.integers(-4, 14))
+    verdict = draw(st.sampled_from(Verdict))
+    e2 = SSPage("E2(x)", entries, (), verdict)
+    return HCPages(e2, left_edge, (lo, lo + draw(st.integers(0, 6))), "x", verdict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_pages())
+def test_cut_writers_match_the_built_pages(hc):
+    """The writers' cuts of e2 against the pages ``per_m`` builds: the text
+    against the dense grid, the JSON against ``page_json`` of each page."""
+    assert hc_text(hc) == [dense_render_text(page) for _, page in hc.per_m]
+    pages = {str(m): page for m, page in hc.per_m}
+    assert hc_json(hc, "\n  ") == dump_json({"hc": pages})[len('{\n  "hc": '):-2]
+    lo, hi = hc.window
+    for m in (lo, hi):
+        assert hc.page(m) is hc.per_m[m - lo][1]
+    for m in (lo - 1, hi + 1):
+        with pytest.raises(KeyError):
+            hc.page(m)
+
 
 def test_render_deterministic():
     report = analyzed_model("two-sing-genus-1")
