@@ -665,9 +665,8 @@ def page_json(page: SSPage, newline: str = "\n") -> str:
         for (p, q), rank in page.d1_ranks
     ]
     rows = _JsonRows(page.entries, newline)
-    first = page.entries[0][0][0] if page.entries else 0
     return _page_json(page.label, page.verdict, page.constraints, ranks,
-                      rows.cut(first, 0, {}), page.notes, newline)
+                      rows.cut(rows.first, 0, {}), page.notes, newline)
 
 
 def hc_json(hc: HCPages, newline: str = "\n") -> str:
@@ -718,6 +717,7 @@ class _JsonRows:
         self.item = newline + "    "
         self.field = self.item + "  "
         self.ps = [p for (p, _), _ in entries]
+        self.first = self.ps[0] if self.ps else 0
         self.rows = [(p, q, *self.pieces(q, entry)) for (p, q), entry in entries]
 
     def pieces(self, q: int, entry: Dim) -> Tuple[str, str]:
