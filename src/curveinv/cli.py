@@ -25,8 +25,9 @@ from typing import List, Optional
 from .errors import CurveInvError, ParseError, SchemaError, TruncationCapExceeded
 from .plane import PlaneAnalysis, PlaneSingularity
 from .poly import parse_poly
-from .report import AnalysisOptions, analyze, dump_json, run_corpus, to_json, to_text
+from .report import AnalysisOptions, analyze, run_corpus, to_json, to_text
 from .schema import INPUT_BOUND, MAX_INPUT_DIGITS, load_curve
+from .spectral import dump_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1

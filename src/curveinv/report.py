@@ -4,13 +4,12 @@
 the curve model, computes the pages and the verdict, and records each
 cross-check as pass/fail/skipped.  Reports serialize deterministically:
 two runs on the same document and options produce byte-identical output.
+``to_json`` writes through ``spectral.dump_json``, the one JSON writer.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Optional, Tuple, Union
 
 from .branches import (
@@ -40,13 +39,12 @@ from .spectral import (
     Verdict,
     VerdictReport,
     degeneration_verdict,
+    dump_json,
     e1_page,
     e2_page,
     global_invariants,
-    hc_json,
     hc_pages,
     hc_text,
-    page_json,
     render_page,
 )
 
@@ -221,27 +219,30 @@ def analyze(doc: CurveDocument, options: AnalysisOptions = AnalysisOptions()) ->
             records.append(_analyze_lci(sing, checks))
     model = CurveModel(genus=doc.genus, records=tuple(records), label=doc.label)
     invariants = global_invariants(model)
-    verdict = degeneration_verdict(model, invariants)
+    verdict = degeneration_verdict(model)
     e1 = e1_page(model, invariants, verdict.verdict, tail_window=options.tail_window)
     e2 = e2_page(model, e1, invariants)
     hc = hc_pages(model, e1, e2, invariants, window=options.hc_window)
     scope = doc.label or "curve"
-    if verdict.ledger_consistent is None:
+    if model.lci_records():
         checks.append(
             Check("ledger-equivalence", scope, "skipped",
                   "needs all-planar singularities with delta/r data")
         )
     else:
+        # Every planar germ satisfies mu = 2*delta - r + 1 (computed from its
+        # branches or checked on asserted values), so 2*delta - R = mu_total,
+        # and the verdict is Degenerates exactly when tau_total = mu_total:
+        # this check cannot fail
+        rhs = 2 * invariants.delta_total - invariants.R
+        consistent = (invariants.tau_total == rhs) == (verdict.verdict is Verdict.DEGENERATES)
         checks.append(
             Check(
                 "ledger-equivalence",
                 scope,
-                "pass" if verdict.ledger_consistent else "fail",
-                (
-                    f"tau_total={verdict.ledger_tau_total}, "
-                    f"2*delta - R = {verdict.ledger_rhs}, "
-                    f"verdict {verdict.verdict.value}"
-                ),
+                "pass" if consistent else "fail",
+                f"tau_total={invariants.tau_total}, 2*delta - R = {rhs}, "
+                f"verdict {verdict.verdict.value}",
             )
         )
     # hc_pages copies the verdict, so this compares it with itself
@@ -389,56 +390,6 @@ def to_json(report: Report) -> str:
     return dump_json(_document(report))
 
 
-def to_structured(report: Report) -> Dict:
-    """The JSON value that ``to_json`` writes, read back from its text."""
-    return json.loads(to_json(report))
-
-
-def dump_json(value) -> str:
-    """Write ``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` does.
-
-    Takes dicts with string keys, lists, strings, ints, bools and None, and
-    raises TypeError on any other type, except that an ``SSPage`` is written
-    by ``spectral.page_json`` as the object ``render_page(page, "json-like")``
-    returns, and an ``HCPages`` by ``spectral.hc_json`` as the object that
-    maps each ``str(m)`` to its page.  Strings go through the stdlib's C
-    escaper, so non-ASCII text comes out as \\uXXXX escapes.
-    """
-    return _dump(value, "\n")
-
-
-def _dump(value, newline: str) -> str:
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        body = f",{inner}".join(
-            [f"{_quote(key)}: {_dump(item, inner)}" for key, item in sorted(value.items())]
-        )
-        return f"{{{inner}{body}{newline}}}"
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        body = f",{inner}".join([_dump(item, inner) for item in value])
-        return f"[{inner}{body}{newline}]"
-    if isinstance(value, SSPage):
-        return page_json(value, newline)
-    if isinstance(value, HCPages):
-        return hc_json(value, newline)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"cannot write {type(value).__name__} as JSON")
-
-
 def to_text(report: Report) -> str:
     gi = report.invariants
     lines = [
@@ -469,9 +420,9 @@ def to_text(report: Report) -> str:
             f"  [{check.status:>7}] {check.name} ({check.scope}): {check.detail}"
         )
     lines.append("")
-    lines.append(render_page(report.e1, "text"))
+    lines.append(render_page(report.e1))
     lines.append("")
-    lines.append(render_page(report.e2, "text"))
+    lines.append(render_page(report.e2))
     for text in hc_text(report.hc):
         lines.append("")
         lines.append(text)

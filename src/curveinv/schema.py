@@ -4,6 +4,8 @@ A curve document is a JSON object with a genus, a label, and a list of
 singularity documents of kind "plane" or "lci".  Validation is manual and
 reports the path of the offending field; expression strings are parsed
 under the declared variables so parse errors surface with positions.
+``serialize_curve`` writes a document back through ``spectral.dump_json``,
+the package's one JSON writer.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import ParseError, SchemaError
 from .lci import LciPresentation
 from .plane import Branch, PlaneSingularity
 from .poly import BRANCH_PARAM_VAR, BranchParam, DeltaR, parse_poly
+from .spectral import dump_json
 
 Sing = Union[PlaneSingularity, LciPresentation]
 
@@ -258,7 +261,5 @@ def load_curve(path: str) -> CurveDocument:
 
 def serialize_curve(doc: CurveDocument) -> str:
     """Canonical re-serialization of the validated source document: sorted
-    keys, two-space indent, as ``report.dump_json`` writes every report."""
-    from .report import dump_json  # report imports this module
-
+    keys, two-space indent, as ``spectral.dump_json`` writes every report."""
     return dump_json(doc.source)

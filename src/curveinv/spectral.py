@@ -46,19 +46,19 @@ computed once for every m.  ``HCPages`` keeps the second page, the left
 edge and the window, and builds a cyclic page as an ``SSPage`` only when
 asked.
 
-One text renderer (``_TextGrid``) and one JSON writer (``_JsonRows``)
+One text renderer (``_TextGrid``) and one row writer (``_JsonRows``)
 serve every page, as a cut: a Hodge page is the cut at its own first
 column with m = 0 and no left edge.  ``hc_text`` renders each row of the
 second page once per cell width and slices every cyclic page's rows from
-it; ``hc_json`` keeps each entry row as the text around its ``"p"``,
-once per report.  ``page_json`` and ``hc_json`` write the one layout
-that ``report.to_json`` and the json-like ``render_page`` read.
+it; ``_JsonRows`` keeps each entry row as the text around its ``"p"``,
+once per report.  ``dump_json`` is the package's one JSON writer: it
+writes reports, ``sing`` results and ``schema.serialize_curve``, and a
+page as its six fields around the rows that ``_JsonRows`` wrote.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -192,9 +192,6 @@ class VerdictReport:
     verdict: Verdict
     witness: str
     detail: str
-    ledger_tau_total: Optional[int]
-    ledger_rhs: Optional[int]  # 2*delta - R
-    ledger_consistent: Optional[bool]  # None when skipped
 
 
 @dataclass(frozen=True)
@@ -220,7 +217,7 @@ class HCPages:
     The page for m keeps the columns p >= max(0, m) of the Hodge second
     page ``e2`` at a = p - m, with the ``left_edge`` entries of its cut
     column in place of e2's.  ``label`` is the curve model's.  The writers
-    (``hc_text``, ``hc_json``) read these fields; ``per_m`` and ``page``
+    (``hc_text``, ``dump_json``) read these fields; ``per_m`` and ``page``
     build the pages as ``SSPage`` values on first use.
     """
 
@@ -305,13 +302,11 @@ def global_invariants(c: CurveModel) -> GlobalInvariants:
 # ---------------------------------------------------------------------------
 
 
-def degeneration_verdict(c: CurveModel, gi: GlobalInvariants) -> VerdictReport:
+def degeneration_verdict(c: CurveModel) -> VerdictReport:
     """Decide second-page degeneration from the analyzed singularities."""
     for record in c.lci_records():
         rep = record.report
-        return _with_ledger(
-            c,
-            gi,
+        return VerdictReport(
             Verdict.FAILS_VIA_NONPLANAR,
             witness=record.pres.label,
             detail=(
@@ -322,42 +317,15 @@ def degeneration_verdict(c: CurveModel, gi: GlobalInvariants) -> VerdictReport:
     for record in c.plane_records():
         inv = record.invariants
         if inv.tau < inv.mu:
-            return _with_ledger(
-                c,
-                gi,
+            return VerdictReport(
                 Verdict.FAILS_VIA_TAU,
                 witness=record.sing.label,
                 detail=f"tau={inv.tau} < mu={inv.mu}: not quasihomogeneous",
             )
-    return _with_ledger(
-        c,
-        gi,
+    return VerdictReport(
         Verdict.DEGENERATES,
         witness="",
         detail="every singularity is a quasihomogeneous plane curve point",
-    )
-
-
-def _with_ledger(
-    c: CurveModel, gi: GlobalInvariants, verdict: Verdict, witness: str, detail: str
-) -> VerdictReport:
-    """Attach the tau_total = 2*delta - R ledger check when it applies.
-
-    The identity is meaningful only when every singularity is planar;
-    otherwise the check is reported as skipped.
-    """
-    tau_total = rhs = consistent = None
-    if all(isinstance(r, PlaneRecord) for r in c.records):
-        tau_total = gi.tau_total
-        rhs = 2 * gi.delta_total - gi.R
-        consistent = (tau_total == rhs) == (verdict is Verdict.DEGENERATES)
-    return VerdictReport(
-        verdict=verdict,
-        witness=witness,
-        detail=detail,
-        ledger_tau_total=tau_total,
-        ledger_rhs=rhs,
-        ledger_consistent=consistent,
     )
 
 
@@ -552,15 +520,11 @@ def hc_pages(
 # ---------------------------------------------------------------------------
 
 
-def render_page(page: SSPage, format: str = "text") -> Union[str, dict]:
-    """The page as a text grid, or as the dict that ``page_json`` writes."""
-    if format == "text":
-        grid = _TextGrid(page.entries)
-        return _text(page.label, page.verdict, grid.lines(grid.first, 0, {}),
-                     page.constraints, page.notes)
-    if format == "json-like":
-        return json.loads(page_json(page))
-    raise ValueError(f"unknown format {format!r}")
+def render_page(page: SSPage) -> str:
+    """The page as a text grid."""
+    grid = _TextGrid(page.entries)
+    return _text(page.label, page.verdict, grid.lines(grid.first, 0, {}),
+                 page.constraints, page.notes)
 
 
 def hc_text(hc: HCPages) -> List[str]:
@@ -651,56 +615,104 @@ class _TextGrid:
         return {q: "".join(cells) for q, cells in rows.items()}
 
 
-def page_json(page: SSPage, newline: str = "\n") -> str:
-    """The page as ``report.dump_json`` writes it, with ``newline`` (a line
-    break and the indent) before the closing brace.  Keys come in sorted
-    order, and each row of entries (dim, p, provenance, q) and of d1_ranks
-    (p, provenance, q, rank) on its own lines.
+def dump_json(value) -> str:
+    """Write ``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` does.
+
+    Takes dicts with string keys, lists, strings, ints, bools and None, and
+    raises TypeError on any other type, except that an ``SSPage`` is written
+    as its six fields, an ``HCPages`` as the object that maps each
+    ``str(m)`` to the page ``hc.page(m)``, and the items of a ``_Written``
+    list as the JSON text they are.  Strings go through the stdlib's C
+    escaper, so non-ASCII text comes out as \\uXXXX escapes.  The pieces
+    are joined once, at the end: a report holds pages of hundreds of
+    kilobytes, and no nested value is copied into its parent's text.  A
+    string in a dict or list, the most common value (every entry of a
+    ``sing`` tail matrix is one), is written without a call.
     """
-    item = newline + "    "
-    field = item + "  "
-    ranks = [
-        f'{{{field}"p": {p},{field}"provenance": {_quote(rank.provenance)},'
-        f'{field}"q": {q},{field}"rank": {_quote(rank.text)}{item}}}'
-        for (p, q), rank in page.d1_ranks
-    ]
-    rows = _JsonRows(page.entries, newline)
-    return _page_json(page.label, page.verdict, page.constraints, ranks,
-                      rows.cut(rows.first, 0, {}), page.notes, newline)
+    out: List[str] = []
+    _dump(value, "\n", out)
+    return "".join(out)
 
 
-def hc_json(hc: HCPages, newline: str = "\n") -> str:
-    """The cyclic pages as the object {str(m): page} that ``report.dump_json``
-    writes, each page as ``page_json`` writes ``hc.page(m)``, from one set of
-    rows of ``hc.e2``."""
-    inner = newline + "  "
-    rows = _JsonRows(hc.e2.entries, inner)
-    pages = [
-        f"{_quote(str(m))}: "
-        + _page_json(label, hc.verdict, (), [], rows.cut(p_min, m, edge), (note,), inner)
-        for m, label, note, p_min, edge in sorted(hc.cuts(), key=lambda cut: str(cut[0]))
-    ]
-    return f"{{{inner}{f',{inner}'.join(pages)}{newline}}}"
+class _Written(list):
+    """Array items written as JSON text, each at the indent of its array."""
 
 
-def _page_json(label: str, verdict: Verdict, constraints: Sequence[str],
-               ranks: List[str], entries: List[str], notes: Sequence[str],
-               newline: str) -> str:
-    """The one layout of a page's JSON, around its written rows."""
-    key = newline + "  "
-    return (
-        f'{{{key}"constraints": {_array([_quote(c) for c in constraints], key)},'
-        f'{key}"d1_ranks": {_array(ranks, key)},{key}"entries": {_array(entries, key)},'
-        f'{key}"label": {_quote(label)},'
-        f'{key}"notes": {_array([_quote(n) for n in notes], key)},'
-        f'{key}"verdict": {_quote(verdict.value)}{newline}}}'
-    )
+def _dump(value, newline: str, out: List[str]) -> None:
+    """Append the JSON text of ``value`` to ``out``, with ``newline`` (a
+    line break and the indent) before its closing bracket."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, item in sorted(value.items()):
+            if item.__class__ is str:
+                out.append(f"{lead}{_quote(key)}: {_quote(item)}")
+            else:
+                out.append(f"{lead}{_quote(key)}: ")
+                _dump(item, inner, out)
+            lead = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if isinstance(value, _Written):
+            out += (f"[{inner}", f",{inner}".join(value), f"{newline}]")
+            return
+        lead = "[" + inner
+        for item in value:
+            if item.__class__ is str:
+                out.append(lead + _quote(item))
+            else:
+                out.append(lead)
+                _dump(item, inner, out)
+            lead = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, SSPage):
+        # each row of entries (dim, p, provenance, q) and of d1_ranks (p,
+        # provenance, q, rank) written straight from the page
+        rows = _JsonRows(value.entries, newline)
+        field = rows.field
+        ranks = _Written(
+            f'{{{field}"p": {p},{field}"provenance": {_quote(rank.provenance)},'
+            f'{field}"q": {q},{field}"rank": {_quote(rank.text)}{rows.item}}}'
+            for (p, q), rank in value.d1_ranks
+        )
+        page = _page(value.label, value.verdict, value.constraints, ranks,
+                     rows.cut(rows.first, 0, {}), value.notes)
+        _dump(page, newline, out)
+    elif isinstance(value, HCPages):
+        # every cyclic page a cut of one set of rows of the second page
+        rows = _JsonRows(value.e2.entries, newline + "  ")
+        pages = {
+            str(m): _page(label, value.verdict, (), [], rows.cut(p_min, m, edge), (note,))
+            for m, label, note, p_min, edge in value.cuts()
+        }
+        _dump(pages, newline, out)
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
-def _array(items: List[str], key: str) -> str:
-    """A JSON array of written items, closed at the indent ``key``."""
-    item = key + "  "
-    return f"[{item}{f',{item}'.join(items)}{key}]" if items else "[]"
+def _page(label: str, verdict: Verdict, constraints: Sequence[str],
+          ranks: List[str], entries: List[str], notes: Sequence[str]) -> dict:
+    """A page's six JSON fields, around its written rows."""
+    return {"constraints": list(constraints), "d1_ranks": ranks,
+            "entries": entries, "label": label, "notes": list(notes),
+            "verdict": verdict.value}
 
 
 class _JsonRows:
@@ -727,10 +739,10 @@ class _JsonRows:
             f',{field}"provenance": {_quote(entry.provenance)},{field}"q": {q}{self.item}}}',
         )
 
-    def cut(self, p_min: int, m: int, edge: Dict[int, Dim]) -> List[str]:
+    def cut(self, p_min: int, m: int, edge: Dict[int, Dim]) -> _Written:
         start = bisect_left(self.ps, p_min)
         end = bisect_right(self.ps, p_min, start)
-        rows = []
+        rows = _Written()
         for p, q, head, tail in self.rows[start:end]:
             if q in edge:
                 head, tail = self.pieces(q, edge[q])

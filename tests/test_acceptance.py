@@ -130,10 +130,12 @@ def test_criterion_06_degeneration_verdicts():
 
 def test_criterion_07_ledger_equivalence():
     for label in PLANAR_BRANCH_MODELS:
-        v = analyzed_model(label).verdict
-        assert v.ledger_consistent is True, label
-        degenerates = v.verdict is Verdict.DEGENERATES
-        assert (v.ledger_tau_total == v.ledger_rhs) == degenerates, label
+        report = analyzed_model(label)
+        gi = report.invariants
+        ledger = [c for c in report.checks if c.name == "ledger-equivalence"]
+        assert [c.status for c in ledger] == ["pass"], label
+        degenerates = report.verdict.verdict is Verdict.DEGENERATES
+        assert (gi.tau_total == 2 * gi.delta_total - gi.R) == degenerates, label
     _report(
         "7 (ledger equivalence)",
         True,

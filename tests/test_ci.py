@@ -32,3 +32,14 @@ def test_workflow_installs_the_pinned_test_extra():
     pins = sorted(installed[0].split())
     assert pins == sorted(re.findall(r'"([^"]+)"', extra[1]))
     assert all(re.fullmatch(r"[a-z]+==[0-9.]+", pin) for pin in pins)
+
+
+def test_lowest_workflow_python_is_the_requires_python_floor():
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    matrix = re.findall(r"^\s*python-version: \[(.*)\]$", workflow, re.MULTILINE)
+    floor = re.findall(r'^requires-python = ">=([0-9.]+)"$', pyproject, re.MULTILINE)
+    assert len(matrix) == 1 and len(floor) == 1
+    versions = re.findall(r'"([0-9.]+)"', matrix[0])
+    lowest = min(versions, key=lambda v: tuple(map(int, v.split("."))))
+    assert lowest == floor[0]

@@ -13,7 +13,7 @@ from curveinv import cli, corpus, jets, plane, poly, schema
 from curveinv.cli import main
 from curveinv.errors import NotMPrimary
 from curveinv.report import (
-    AnalysisOptions, analyze, to_json, to_structured, to_text,
+    AnalysisOptions, analyze, to_json, to_text,
 )
 from curveinv.schema import build_curve, load_curve, serialize_curve
 
@@ -69,7 +69,7 @@ def test_analyze_json_like_escapes_a_non_ascii_label(tmp_path, capsys):
     assert main(["analyze", str(path), "--format", "json-like"]) == 0
     out = capsys.readouterr().out
     report = analyze(build_curve(doc), AnalysisOptions())
-    assert out == json.dumps(to_structured(report), sort_keys=True, indent=2) + "\n"
+    assert out == json.dumps(json.loads(to_json(report)), sort_keys=True, indent=2) + "\n"
     assert out.isascii()
     assert '"label": "n\\u0153ud \\"\\u03b1\\" \\ud83d\\ude00"' in out
     assert json.loads(out)["label"] == doc["label"]
@@ -667,6 +667,14 @@ def test_schema_round_trip(tmp_path):
         path.write_text(serialize_curve(first))
         second = load_curve(str(path))
         assert first == second
+
+
+def test_serialize_curve_writes_the_bytes_of_json_dumps():
+    docs = corpus.curve_models()
+    assert len(docs) == 12
+    for doc in docs:
+        expected = json.dumps(doc, sort_keys=True, indent=2)
+        assert serialize_curve(build_curve(doc)) == expected, doc["label"]
 
 
 def test_reports_byte_identical():
