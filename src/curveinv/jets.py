@@ -6,13 +6,21 @@ at most a truncation order T.  The jet monomials are listed once per
 number of variables, in ascending graded-lex order, and a monomial's
 position in that list is its key at every order: graded-lex compares total
 degree first, so the monomials of degree <= T are a prefix of the list.
-The rows of the degree-<=T slice of the ideal live in the sparse echelon
-kernel :class:`linalg.Echelon` that also serves branch semigroups and
-dense ranks.  The pivot of each row is its smallest monomial, so normal
-forms are unique and runs are reproducible.  The kernel takes integer
-vectors: :func:`linalg.integer_row` clears each generator and each
-reduced polynomial of denominators once, and normal forms come back as
-Fractions.
+The rows of the degree-<=T slice of the ideal are the truncated multiples
+mult * g_j, and their keys come by index arithmetic, with no monomial
+built and no dict lookup per term: beside the list, one "times x_i" table
+per variable maps each key to the key of x_i times its monomial, read off
+the list's index once and grown with it.  The monomials of degree e + 1
+are, in graded-lex order, x_i times a prefix of those of degree e, for
+i = nvars - 1 down to 0, so the keys of each multiple are those of a
+multiple one degree lower mapped through one table (see
+:func:`_multiple_keys`); one code path serves every number of variables.
+The rows live in the sparse echelon kernel :class:`linalg.Echelon` that
+also serves branch semigroups and dense ranks.  The pivot of each row is
+its smallest monomial, so normal forms are unique and runs are
+reproducible.  The kernel takes integer vectors:
+:func:`linalg.integer_row` clears each generator and each reduced
+polynomial of denominators once, and normal forms come back as Fractions.
 
 The m-primality certificate: if every standard (non-pivot) monomial has
 total degree < T, then all monomials of some degree N <= T are reducible,
@@ -85,16 +93,28 @@ doubling attempts and the Tjurina algebra derived from it carry no
 cofactors, and in ``plane`` only the algebras the tail map reads
 witnesses from are tagged.  A derived algebra and its base are untagged:
 carried keys are numbered for one algebra's own generators.
+
+The tail map's witness and re-check algebras have the same generators,
+order and tags, so they insert the same multiples: a tagged algebra keeps
+the list of multiples it built as ``multiples``, and the re-check takes
+it as its ``multiples`` argument and inserts a copy of it in the order
+its ``row_seed`` shuffles the copy to.  That is the order a rebuilt list
+would take, since a shuffle depends only on the seed and the length, and
+the re-check still runs its own full elimination; the list is built once
+per tail map.  An insert copies its row, so the list is never changed.
+No untagged algebra keeps its list, and neither does one given a list:
+the Milnor and Tjurina algebras drop theirs after their build.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, count, repeat
 from math import comb, gcd, lcm
 from operator import add, sub
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import NotInIdeal, NotMPrimary, TruncationCapExceeded
 from .linalg import Echelon, integer_row
@@ -136,6 +156,66 @@ def _jet_monomials(nvars: int, degree: int) -> Tuple[List[Monomial], Dict[Monomi
     return monos, index
 
 
+_JET_TIMES: Dict[int, List[List[int]]] = {}
+
+
+def _jet_times(nvars: int, degree: int) -> List[List[int]]:
+    """The shared "times x_i" tables of ``nvars`` variables: entry k of
+    table i is the key of x_i times the monomial of key k, for every
+    monomial of total degree < ``degree``.
+
+    They are read off the index of :func:`_jet_monomials` and grown on
+    demand with it.  Each is a list of the index's own int objects, one
+    pointer per entry, so the rows built from them share those objects;
+    an int array is as small, but makes a new int object for each key
+    read, which the rows then keep.
+    """
+    tables = _JET_TIMES.get(nvars)
+    if tables is None:
+        tables = _JET_TIMES[nvars] = [[] for _ in range(nvars)]
+    below = comb(nvars + degree - 1, nvars)  # monomials of degree < degree
+    if len(tables[0]) < below:
+        monos, index = _jet_monomials(nvars, degree)
+        for i, table in enumerate(tables):
+            table.extend(
+                index[mono[:i] + (mono[i] + 1,) + mono[i + 1 :]]
+                for mono in monos[len(table) : below]
+            )
+    return tables
+
+
+def _multiple_keys(
+    nvars: int, keys: Sequence[int], degrees: Sequence[int], top: int
+) -> Iterator[List[List[int]]]:
+    """Yield, for e = 0, ..., top - degrees[0], one row for each multiplier
+    x^a of degree e, in graded-lex order: the keys of the products
+    x^a * x^m_t of degree <= ``top``, for monomials x^m_t with ``keys``,
+    listed in ascending ``degrees``.
+
+    Graded-lex order sorts the monomials of one degree by the exponent of
+    x_0 first, so those of degree e + 1 are, in order, x_i times the
+    monomials of degree e free of x_0, ..., x_(i-1), for i = nvars - 1
+    down to 0; the latter are the first comb(e + nvars - 1 - i,
+    nvars - 1 - i) monomials of degree e, in order.  So the keys of each
+    multiplier are those of one multiplier a degree lower, without the
+    terms that would leave degree ``top``, mapped through the times-x_i
+    table: keys come by index arithmetic, with no monomial built.
+    """
+    times = _jet_times(nvars, top)
+    cut = [bisect_right(degrees, room) for room in range(top + 1)]
+    block = [keys[: cut[top]]]
+    yield block
+    for e in range(top - degrees[0]):
+        room = cut[top - e - 1]
+        lower = block if room == cut[top - e] else [row[:room] for row in block]
+        block = []
+        for i in reversed(range(nvars)):
+            times_i = times[i].__getitem__
+            for row in lower[: comb(e + nvars - 1 - i, nvars - 1 - i)]:
+                block.append(list(map(times_i, row)))
+        yield block
+
+
 class JetAlgebra:
     """Quotient of the power-series ring by an m-primary ideal at order T.
 
@@ -143,6 +223,10 @@ class JetAlgebra:
     prefix of ``generators``, the rows extend base's (see the module
     docstring) instead of coming from a fresh elimination; the result is
     untagged too.  ``tagged`` says whether rows carry their cofactors.
+    ``multiples``, the ``multiples`` of a tagged algebra with the same
+    generators and order, is inserted in place of a list built anew.  With
+    ``row_seed``, the rows go in the order it shuffles a copy of the list
+    to.
     """
 
     def __init__(
@@ -152,6 +236,7 @@ class JetAlgebra:
         row_seed: Optional[int] = None,
         tagged: bool = True,
         base: Optional["JetAlgebra"] = None,
+        multiples: Optional[List[Dict[int, int]]] = None,
     ):
         if not generators:
             raise ValueError("empty generator list")
@@ -199,50 +284,55 @@ class JetAlgebra:
                 raise AssertionError("an untagged base gives no witnesses")
             # shared, not copied: an echelon never changes a stored row
             self._rows.rows.update(base._rows.rows)
-        self._build(first, row_seed)
+        # A tagged algebra keeps the multiples it built, for a re-check to
+        # insert reshuffled (see plane.tail_map_general); no other keeps any.
+        self.multiples: Optional[List[Dict[int, int]]] = None
+        if multiples is None:
+            multiples = self._multiples(first)
+            if tagged:
+                self.multiples = multiples
+        self._insert(multiples, row_seed)
         self._certify()
 
     # -- construction ------------------------------------------------------
 
-    def _build(self, first: int, row_seed: Optional[int]) -> None:
-        """Insert every multiple mult * g_j of degree <= T, for j >= first.
+    def _multiples(self, first: int) -> List[Dict[int, int]]:
+        """The integer vector of every multiple mult * g_j of degree <= T,
+        for j >= first, by generator and then by mult in graded-lex order.
 
         Each generator goes in cleared of denominators: with d_j the lcm of
-        g_j's denominators, the integer vector of d_j * mult * g_j goes in.
-        If tagged, it carries d_j at the key bound + index(mult) * G + j,
-        G being the number of generators, so a row's carried part is its
-        integer combination of the multiples mult * g_j at any order.
+        g_j's denominators, the vector is that of d_j * mult * g_j, its keys
+        those of :func:`_multiple_keys`.  If tagged, it carries d_j at the
+        key bound + index(mult) * G + j, G being the number of generators,
+        so a row's carried part is its integer combination of the multiples
+        mult * g_j at any order.  Distinct terms of g_j stay distinct in
+        mult * g_j, so no two terms share a key and none cancels.
         """
-        T = self.truncation_order
-        nvars = len(self.ambient)
-        index, monos, G = self._index, self._monomials, len(self.generators)
-        bound = self._rows.carry
-        seeds: List[Dict[int, int]] = []
+        T, nvars, G = self.truncation_order, len(self.ambient), len(self.generators)
+        multiples: List[Dict[int, int]] = []
         for j in range(first, G):
-            g = self.generators[j]
-            g_order = g.order()
-            if g_order is None or g_order > T:
-                continue  # spans nothing in degree <= T
             g_ints, d = self._integer_generators[j]
-            g_terms = [(m, sum(m), c) for m, c in g_ints.items()]
-            # the multipliers are the monomials of degree <= T - g_order,
-            # a prefix of the jet monomials
-            for i in range(comb(nvars + T - g_order, nvars)):
-                mult = monos[i]
-                room = T - sum(mult)
-                terms: Dict[int, int] = {}
-                for m, m_degree, c in g_terms:
-                    if m_degree <= room:
-                        k = index[tuple(map(add, m, mult))]
-                        terms[k] = terms.get(k, 0) + c
-                terms = {k: c for k, c in terms.items() if c != 0}
-                if terms:
-                    if self.tagged:
-                        terms[bound + i * G + j] = d
-                    seeds.append(terms)
+            # the terms of degree <= T, in graded-lex order
+            support = sorted((sum(m), m, c) for m, c in g_ints.items() if sum(m) <= T)
+            if not support:
+                continue  # spans nothing in degree <= T
+            degrees, monos, coefficients = zip(*support)
+            keys = [self._index[m] for m in monos]
+            keyed = chain.from_iterable(_multiple_keys(nvars, keys, degrees, T))
+            rows = list(map(dict, map(zip, keyed, repeat(coefficients))))
+            if self.tagged:
+                for terms, tag in zip(rows, count(self._rows.carry + j, G)):
+                    terms[tag] = d
+            multiples += rows
+        return multiples
+
+    def _insert(self, multiples: List[Dict[int, int]], row_seed: Optional[int]) -> None:
+        """Insert ``multiples``, in the order ``row_seed`` shuffles a copy of
+        them to if it is given."""
         if row_seed is not None:
-            random.Random(row_seed).shuffle(seeds)
-        for terms in seeds:
+            multiples = list(multiples)
+            random.Random(row_seed).shuffle(multiples)
+        for terms in multiples:
             self._rows.insert(terms)
 
     def _certify(self) -> None:

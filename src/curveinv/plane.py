@@ -221,11 +221,12 @@ class PlaneAnalysis:
         above gives every such witness the same class.
 
         Every class is read from A lifted to T_w, and A is dropped.  Then A
-        is built again with its rows inserted in the order ``row_seed``
-        shuffles them to, and every class, lifted to T_w + 2 through that
-        algebra's own cache, must match: one comparison re-checks the
-        witness order and the independence from the reduction order, and
-        a mismatch raises :class:`WitnessOrderInsufficient`.
+        is eliminated again from A's own list of multiples, inserted in the
+        order ``row_seed`` shuffles a copy of it to, and every class,
+        lifted to T_w + 2 through that algebra's own cache, must match:
+        one comparison re-checks the witness order and the independence
+        from the reduction order, and a mismatch raises
+        :class:`WitnessOrderInsufficient`.
         """
         kernel = self.mult_by_f()
         basis = self.milnor.basis
@@ -239,8 +240,14 @@ class PlaneAnalysis:
         n_m = max(1, self.milnor.primality_bound)
         witness_algebra = JetAlgebra(jacobian, n_m + 2)
         columns = [self._tail_image(p, witness_algebra, order) for p in products]
-        del witness_algebra  # freed before the re-check algebra is built
-        recheck_algebra = JetAlgebra(jacobian, n_m + 2, row_seed=row_seed)
+        # the witness algebra is freed before the re-check algebra is built,
+        # and its list of multiples once the re-check has inserted it
+        multiples = witness_algebra.multiples
+        del witness_algebra
+        recheck_algebra = JetAlgebra(
+            jacobian, n_m + 2, row_seed=row_seed, multiples=multiples
+        )
+        del multiples
         for product, image in zip(products, columns):
             if self._tail_image(product, recheck_algebra, order + 2) != image:
                 raise WitnessOrderInsufficient(

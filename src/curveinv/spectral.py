@@ -63,7 +63,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import MissingBranchData
 from .lci import LciPresentation, ObstructionReport
@@ -360,20 +360,20 @@ def e1_page(
             notes=tuple(notes),
         )
     g, delta, tau = gi.genus, gi.delta_total, gi.tau_total
+    # one Dim per value, shared by every entry and rank that has it, so its
+    # text is rendered once
+    tau_dim, tail_rank = Dim(tau), Dim(_tail_rank_total(c))
     entries[(0, 0)] = Dim(1)
     entries[(0, 1)] = Dim(g + delta)
-    entries[(2, 0)] = Dim(tau)
+    entries[(2, 0)] = tau_dim
     entries[(1, 0)] = Dim.of(tau, kappa=1, c=-1)
     entries[(1, 1)] = Dim.of(tau + 1 - g - delta, kappa=1, c=-1)
     for p in range(1, tail_window + 1):
-        entries[(p + 1, -p)] = Dim(tau)
-        entries[(p + 2, -p)] = Dim(tau)
-    tail_rank = _tail_rank_total(c)
-    for p in range(1, tail_window + 1):
-        ranks[(p + 1, -p)] = Dim(tail_rank)
+        entries[(p + 1, -p)] = entries[(p + 2, -p)] = tau_dim
+        ranks[(p + 1, -p)] = tail_rank
     degenerates = verdict is Verdict.DEGENERATES
     # rank of u out of (1,0): tau - c; proved full (c = 0) under degeneration
-    ranks[(1, 0)] = Dim(tau) if degenerates else Dim.of(tau, c=-1)
+    ranks[(1, 0)] = tau_dim if degenerates else Dim.of(tau, c=-1)
     ranks[(0, 1)] = Dim.of(g + delta, k_v=-1)
     for record in c.lci_records():
         pos = record.report.obstruction_position
@@ -415,6 +415,23 @@ def _survivor(
     return entry
 
 
+def _survivors(
+    cells: Iterable[Tuple[Tuple[int, int], Dim, Tuple[Optional[Dim], ...]]],
+    two_g_plus_R: Optional[int],
+) -> Tuple[Tuple[Tuple[int, int], Dim], ...]:
+    """``_survivor`` of each (position, entry, ranks) cell, computed once
+    per distinct (entry, ranks): equal cells share one ``Dim``, so its text
+    is rendered once."""
+    memo: Dict[Tuple[Dim, Tuple[Optional[Dim], ...]], Dim] = {}
+    out = []
+    for pq, entry, ranks in cells:
+        survivor = memo.get((entry, ranks))
+        if survivor is None:
+            survivor = memo[entry, ranks] = _survivor(entry, ranks, two_g_plus_R)
+        out.append((pq, survivor))
+    return tuple(out)
+
+
 def _apply_degenerate_constraints(entry: Dim, two_g_plus_R: int) -> Dim:
     coeffs = entry.as_dict()
     coeffs.pop("c", None)
@@ -440,12 +457,10 @@ def e2_page(c: CurveModel, e1: SSPage, gi: GlobalInvariants) -> SSPage:
     degenerates = e1.verdict is Verdict.DEGENERATES
     two_g_plus_R = 2 * gi.genus + gi.R if degenerates else None
     ranks = e1.rank_map()
-    entries = tuple(
-        (
-            (p, q),
-            _survivor(entry, (ranks.get((p, q)), ranks.get((p - 1, q))), two_g_plus_R),
-        )
-        for (p, q), entry in e1.entries
+    entries = _survivors(
+        (((p, q), entry, (ranks.get((p, q)), ranks.get((p - 1, q))))
+         for (p, q), entry in e1.entries),
+        two_g_plus_R,
     )
     constraints: Tuple[str, ...] = ()
     if degenerates:
@@ -507,10 +522,10 @@ def hc_pages(
     verdict = e1.verdict
     two_g_plus_R = 2 * gi.genus + gi.R if verdict is Verdict.DEGENERATES else None
     ranks = e1.rank_map()
-    left_edge = tuple(
-        ((p, q), _survivor(entry, (ranks.get((p, q)),), two_g_plus_R))
-        for (p, q), entry in e1.entries
-        if (p - 1, q) in ranks
+    left_edge = _survivors(
+        (((p, q), entry, (ranks.get((p, q)),))
+         for (p, q), entry in e1.entries if (p - 1, q) in ranks),
+        two_g_plus_R,
     )
     return HCPages(e2=e2, left_edge=left_edge, window=window, label=c.label, verdict=verdict)
 

@@ -1,10 +1,10 @@
-"""The benchmark's page-heavy catalogues, replayed in process.
+"""The benchmark's catalogues, replayed in process.
 
-Every op any seed of the ``wide-pages`` and ``lci-chain`` workloads can
-produce (text and json-like, every name scheme and genus) runs through
-``curveinv.cli.main`` as ``perfbench/run.py`` runs it; its stdout must
-have the sha256 recorded in ``perfbench/references.json`` and agree with
-the workload's oracle.
+Every op any seed of the ``wide-pages``, ``lci-chain``, ``plane-sing`` and
+``corpus`` workloads can produce (text and json-like, every name scheme,
+sign and genus) runs through ``curveinv.cli.main`` as ``perfbench/run.py``
+runs it; its stdout must have the sha256 recorded in
+``perfbench/references.json`` and agree with the workload's oracle.
 """
 
 import json
@@ -19,7 +19,10 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name,ops", [("wide-pages", 216), ("lci-chain", 78)])
+@pytest.mark.parametrize(
+    "name,ops",
+    [("wide-pages", 216), ("lci-chain", 78), ("plane-sing", 144), ("corpus", 1)],
+)
 def test_catalogue_ops_match_the_references(name, ops, tmp_path):
     workload = workloads.WORKLOADS[name]
     references = json.loads(run.REFERENCES.read_text())

@@ -1,18 +1,22 @@
 """Jet algebras: colengths, normal forms, membership witnesses."""
 
 from fractions import Fraction
+from itertools import product
+from math import comb
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import staircase_colength
+from conftest import gauss_jordan, staircase_colength
 from curveinv import jets
 from curveinv.errors import NotInIdeal, TruncationCapExceeded
 from curveinv.jets import JetAlgebra, build_jet_algebra, default_truncation
 from curveinv.linalg import Echelon, integer_row
-from curveinv.poly import Poly, parse_poly
+from curveinv.poly import Poly, grlex_key, parse_poly
 
 UV = ("u", "v")
+XYZ = ("x", "y", "z")
 
 
 def P(src):
@@ -150,6 +154,89 @@ def test_monomial_ideal_matches_staircase_count(a, b, extra):
     ]
     J = build_jet_algebra(gens)
     assert J.colength() == staircase_colength(gens)
+
+
+# -- keys by index arithmetic -----------------------------------------------
+
+@st.composite
+def supports(draw):
+    """A number of variables 1..4, a top degree and a few distinct
+    monomials of degree <= top, in graded-lex order."""
+    nvars = draw(st.integers(1, 4))
+    top = draw(st.integers(0, (12, 9, 6, 5)[nvars - 1]))
+    exponents = st.tuples(*[st.integers(0, top)] * nvars)
+    monos = draw(st.lists(exponents.filter(lambda m: sum(m) <= top),
+                          min_size=1, max_size=4, unique=True))
+    return nvars, top, sorted(monos, key=grlex_key)
+
+
+@settings(max_examples=80)
+@given(supports())
+def test_multiple_keys_match_the_monomial_index(case):
+    """Each key computed from the times-x_i tables is the index's key of
+    the product m + mult, for every multiplier mult in graded-lex order and
+    every m of the support with degree <= top - |mult|."""
+    nvars, top, support = case
+    monos, index = jets._jet_monomials(nvars, top)
+    degrees = [sum(m) for m in support]
+    blocks = jets._multiple_keys(nvars, [index[m] for m in support], degrees, top)
+    rows = [row for block in blocks for row in block]
+    assert len(rows) == comb(nvars + top - degrees[0], nvars)
+    for mult, row in zip(monos, rows):
+        assert row == [
+            index[tuple(map(add, m, mult))]
+            for m in support if sum(m) + sum(mult) <= top
+        ]
+
+
+def dense_algebra(generators, T):
+    """The standard monomials of the dense Gauss-Jordan oracle: the
+    non-pivot columns, in graded-lex order, of the matrix of every
+    multiple mult * g truncated at degree T.  The monomials are listed
+    here, independently of ``jets``."""
+    nvars = len(generators[0].vars)
+    monos = sorted(
+        (m for m in product(range(T + 1), repeat=nvars) if sum(m) <= T), key=grlex_key
+    )
+    column = {m: k for k, m in enumerate(monos)}
+    rows = []
+    for g in generators:
+        for mult in monos:
+            terms = {tuple(map(add, m, mult)): c for m, c in g.terms.items()}
+            row = [0] * len(monos)
+            for m, c in terms.items():
+                if sum(m) <= T:
+                    row[column[m]] = c
+            if any(row):
+                rows.append(row)
+    _, pivots = gauss_jordan(rows)
+    return [m for k, m in enumerate(monos) if k not in set(pivots)]
+
+
+@pytest.mark.parametrize("a,b,c", [(1, 1, 1), (2, 3, 2), (1, 4, 2)])
+def test_three_variable_monomial_ideal_matches_gauss_jordan(a, b, c):
+    gens = [parse_poly(src, XYZ) for src in (f"x^{a}", f"y^{b}", f"z^{c}")]
+    T = default_truncation(gens)
+    J = JetAlgebra(gens, T)
+    assert J.colength() == a * b * c == staircase_colength(gens)
+    assert list(J.basis) == dense_algebra(gens, T)
+
+
+@pytest.mark.parametrize("bump", [0, 1])
+def test_three_variable_jacobian_matches_gauss_jordan(bump):
+    """The Jacobian of x^3 + y^3 + z^3 + 1/2*x*y*z, a homogeneous isolated
+    singularity with mu = 2^3, at its Macaulay order and one above; its
+    tagged witnesses decode to cofactors in three variables."""
+    f = parse_poly("x^3+y^3+z^3+1/2*x*y*z", XYZ)
+    gens = [f.diff(x) for x in XYZ]
+    T = default_truncation(gens) + bump
+    J = JetAlgebra(gens, T)
+    assert J.colength() == 8
+    assert list(J.basis) == dense_algebra(gens, T)
+    target = parse_poly("x*y", XYZ) * gens[0] - parse_poly("z^2", XYZ) * gens[2]
+    cofactors = J.membership_with_witness(target, T)
+    defect = target - sum((c * g for c, g in zip(cofactors, gens)), Poly.zero(XYZ))
+    assert defect.is_zero() or defect.order() > T
 
 
 # -- membership witnesses ---------------------------------------------------

@@ -443,6 +443,42 @@ def test_tail_map_builds_no_algebra_above_the_table_order(monkeypatch):
     assert n_m + a.tjurina.primality_bound > n_m + 2
 
 
+def test_tail_map_eliminations_insert_one_row_list_in_two_orders(monkeypatch):
+    """The witness and re-check algebras insert the same multiset of rows,
+    built once, the re-check in a reshuffled order; the Milnor and Tjurina
+    algebras keep no row list."""
+    a = analysis("u^5+v^6+2*u^3*v^3")
+    inserted, building, built = [], [], []
+    insert, multiples = linalg.Echelon.insert, JetAlgebra._multiples
+
+    def recording_insert(self, row):
+        if building:
+            inserted[-1].append(tuple(sorted(row.items())))
+        return insert(self, row)
+
+    def recording_multiples(self, first):
+        built.append(self.truncation_order)
+        return multiples(self, first)
+
+    def recording_algebra(*args, **kwargs):
+        inserted.append([])
+        building.append(True)
+        try:
+            return JetAlgebra(*args, **kwargs)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(linalg.Echelon, "insert", recording_insert)
+    monkeypatch.setattr(JetAlgebra, "_multiples", recording_multiples)
+    monkeypatch.setattr(plane, "JetAlgebra", recording_algebra)
+    a.tail_map_general()
+    witness, recheck = inserted
+    assert len(witness) > 1 and sorted(witness) == sorted(recheck)
+    assert witness != recheck
+    assert built == [a.milnor.primality_bound + 2]
+    assert a.milnor.multiples is None and a.tjurina.multiples is None
+
+
 def test_analyze_computes_one_tail_map_per_plane_singularity(monkeypatch):
     """The report's witness-independence check is the tail map's own
     re-check, not a second tail map."""

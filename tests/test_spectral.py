@@ -159,6 +159,21 @@ def test_tail_uniformity():
     assert len(tails) == 1
 
 
+def test_wide_pages_share_one_dim_per_tail_cell():
+    """The first page's tail entries and ranks are one ``Dim`` each, and so
+    are the second page's and the left edge's equal cells: a 48-wide report
+    holds a handful of ``Dim`` objects, so it renders each text once."""
+    report = analyzed_model("nonqh-quintic-model", AnalysisOptions(tail_window=48))
+    e1, e2 = report.e1, report.e2
+    tails = [entries(e1)[(p + 1, -p)] for p in range(1, 49)]
+    tails += [entries(e1)[(p + 2, -p)] for p in range(1, 49)]
+    assert len({id(d) for d in tails}) == 1
+    assert len({id(d) for (p, q), d in e1.d1_ranks if q < 0}) == 1
+    assert len(e2.entries) > 96
+    assert len({id(d) for _, d in e2.entries}) <= 8
+    assert len({id(d) for _, d in report.hc.left_edge}) <= 4
+
+
 # -- second page ------------------------------------------------------------
 
 def test_e2_degenerate_support():
