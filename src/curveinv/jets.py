@@ -46,12 +46,23 @@ before it lists a monomial.
 An algebra can be derived from a ``base`` algebra, with no new
 elimination of the base's generators: an untagged algebra at the same
 order whose generators are a prefix of ``generators``.  Let V_T be the
-span of the degree-<=T truncations of the multiples mult * g.  The ideal
-of ``generators`` contains base's, so V_T is base's rows plus the
-multiples of the extra generators; inserting only those gives an echelon
-basis of V_T, and by the echelon's two facts the basis,
-``primality_bound`` and every normal form equal those of a fresh build.
-The Tjurina algebra extends the Milnor algebra by the multiples of f.
+span of the degree-<=T truncations trunc_T(mult * g) of the multiples of
+all the generators, and W_T the base's part of it, spanned by base's
+rows.  The derived algebra inserts, beside base's rows, trunc_T(h * b)
+for each extra generator h and each standard monomial b of base, and no
+other multiple of h.  These span V_T at any T.  Any monomial m of degree
+<= T is NF_B(m), a combination of the b, plus an element r of W_T; and r
+is a combination of the products mult * g_i of base's generators up to
+terms of degree > T.  So trunc_T(h * m) is the same combination of the
+trunc_T(h * b) plus trunc_T(h * r), and h * r differs from a sum of
+products (x^c * mult) * g_i, x^c the monomials of h, only in degrees above
+T, which truncation drops: trunc_T(h * r) lies in W_T.  By the echelon's
+two facts the basis, ``primality_bound`` and every normal form then equal
+those of a fresh build, from at most as many rows as base has standard
+monomials per extra generator.  The Tjurina algebra extends the Milnor
+algebra this way: f times each of the mu standard monomials, where every
+multiple of f of degree <= T would be O(T^2) rows (780 against 40 for
+u^2+v^41).
 
 Ideal-membership witnesses (cofactors) fall out of the same reduction
 with no extra linear solve: each row of a tagged algebra carries its
@@ -220,13 +231,17 @@ class JetAlgebra:
     """Quotient of the power-series ring by an m-primary ideal at order T.
 
     With ``base``, an untagged algebra at order T whose generators are a
-    prefix of ``generators``, the rows extend base's (see the module
-    docstring) instead of coming from a fresh elimination; the result is
-    untagged too.  ``tagged`` says whether rows carry their cofactors.
-    ``multiples``, the ``multiples`` of a tagged algebra with the same
-    generators and order, is inserted in place of a list built anew.  With
-    ``row_seed``, the rows go in the order it shuffles a copy of the list
-    to.
+    prefix of ``generators``, the rows extend base's instead of coming
+    from a fresh elimination: the algebra inserts trunc_T(h * b) for each
+    extra generator h and each standard monomial b of base.  Any monomial
+    is its base normal form plus an element of base's span, and h times
+    that element is a sum of multiples of base's generators up to degrees
+    above T, so these rows span what every multiple of h would (see the
+    module docstring); the result is untagged too.  ``tagged`` says
+    whether rows carry their cofactors.  ``multiples``, the ``multiples``
+    of a tagged algebra with the same generators and order, is inserted in
+    place of a list built anew.  With ``row_seed``, the rows go in the
+    order it shuffles a copy of the list to.
     """
 
     def __init__(
@@ -269,10 +284,8 @@ class JetAlgebra:
         # the lifting cache: witnesses of x^b by (b, order), built lazily
         self._witnesses: Dict[Tuple[Monomial, int], tuple] = {}
         self._rows = Echelon(carry=self._size)
-        first = 0
         if base is not None:
-            first = len(base.generators)
-            if self.generators[:first] != base.generators:
+            if self.generators[: len(base.generators)] != base.generators:
                 raise AssertionError("base generators are not a prefix")
             if base.truncation_order != truncation_order:
                 raise AssertionError(
@@ -288,7 +301,7 @@ class JetAlgebra:
         # insert reshuffled (see plane.tail_map_general); no other keeps any.
         self.multiples: Optional[List[Dict[int, int]]] = None
         if multiples is None:
-            multiples = self._multiples(first)
+            multiples = self._multiples(base)
             if tagged:
                 self.multiples = multiples
         self._insert(multiples, row_seed)
@@ -296,9 +309,10 @@ class JetAlgebra:
 
     # -- construction ------------------------------------------------------
 
-    def _multiples(self, first: int) -> List[Dict[int, int]]:
-        """The integer vector of every multiple mult * g_j of degree <= T,
-        for j >= first, by generator and then by mult in graded-lex order.
+    def _multiples(self, base: Optional["JetAlgebra"]) -> List[Dict[int, int]]:
+        """The integer vectors to insert: with no ``base``, the vector of
+        every multiple mult * g_j of degree <= T, by generator and then by
+        mult in graded-lex order; with ``base``, :meth:`_extension`.
 
         Each generator goes in cleared of denominators: with d_j the lcm of
         g_j's denominators, the vector is that of d_j * mult * g_j, its keys
@@ -308,9 +322,11 @@ class JetAlgebra:
         mult * g_j at any order.  Distinct terms of g_j stay distinct in
         mult * g_j, so no two terms share a key and none cancels.
         """
+        if base is not None:
+            return self._extension(base)
         T, nvars, G = self.truncation_order, len(self.ambient), len(self.generators)
         multiples: List[Dict[int, int]] = []
-        for j in range(first, G):
+        for j in range(G):
             g_ints, d = self._integer_generators[j]
             # the terms of degree <= T, in graded-lex order
             support = sorted((sum(m), m, c) for m, c in g_ints.items() if sum(m) <= T)
@@ -325,6 +341,26 @@ class JetAlgebra:
                     terms[tag] = d
             multiples += rows
         return multiples
+
+    def _extension(self, base: "JetAlgebra") -> List[Dict[int, int]]:
+        """The vector of trunc_T(h * b), h an extra generator cleared of
+        denominators and b a standard monomial of ``base``, by generator and
+        then by b in graded-lex order; the zero ones are left out.  With
+        base's rows they span the slice V_T (see the module docstring)."""
+        T, index = self.truncation_order, self._index
+        rows: List[Dict[int, int]] = []
+        for h_ints, _ in self._integer_generators[len(base.generators) :]:
+            terms = [(m, sum(m), c) for m, c in h_ints.items()]
+            for b in base.basis:
+                room = T - sum(b)
+                row = {
+                    index[tuple(map(add, m, b))]: c
+                    for m, degree, c in terms
+                    if degree <= room
+                }
+                if row:
+                    rows.append(row)
+        return rows
 
     def _insert(self, multiples: List[Dict[int, int]], row_seed: Optional[int]) -> None:
         """Insert ``multiples``, in the order ``row_seed`` shuffles a copy of
@@ -466,8 +502,9 @@ class JetAlgebra:
                     )
                 steps.append((c, tuple(map(sub, a, b)), witness))
                 S = lcm(S, witness[1])
-            s *= L * S
-            cofactors = [{m: L * S * x for m, x in C.items()} for C in cofactors]
+            if L * S != 1:
+                s *= L * S
+                cofactors = [{m: L * S * x for m, x in C.items()} for C in cofactors]
             defect = {}
             for c, shift, (A_b, s_b, D_b) in steps:
                 k = c * (S // s_b)

@@ -2,8 +2,9 @@
 
 :class:`Echelon` is the only elimination in the package: jet algebras,
 branch value semigroups, column kernels and dense ranks all use it.  It
-eliminates fraction-free and takes integer vectors only: each caller
-clears a rational input of denominators once, where it enters, with
+eliminates fraction-free, in one loop per call written into each of its
+two methods, and takes integer vectors only: each caller clears a
+rational input of denominators once, where it enters, with
 :func:`integer_row`, and ``Fraction`` appears again only in the normal
 forms ``reduce`` returns, in kernel vectors and in :func:`rref`.  It is
 deterministic, so repeated runs give identical results.
@@ -34,16 +35,6 @@ def integer_row(vec: Mapping) -> Tuple[dict, int]:
     return {k: c.numerator * (d // c.denominator) for k, c in vec.items()}, d
 
 
-def _subtract(work: Sparse, factor: int, row: Mapping[int, int]) -> None:
-    """work -= factor * row, in place, dropping the entries that cancel."""
-    for k, c in row.items():
-        new = work.get(k, 0) - factor * c
-        if new:
-            work[k] = new
-        else:
-            del work[k]
-
-
 class Echelon:
     """A sparse row echelon basis of a subspace, grown one row at a time.
 
@@ -61,10 +52,14 @@ class Echelon:
     Rows are stored as found by fraction-free elimination: a row meets a
     stored row at that row's pivot with coefficients w and r, and becomes
     (r/g)*work - (w/g)*row with g = gcd(w, r), so no key gains a
-    denominator.  A new row is then divided by the content (gcd) of all
-    its entries, carried ones included, and signed so that its pivot
-    coefficient is positive: every stored row is primitive, and its
-    carried part still records it exactly.
+    denominator.  Each of ``insert`` and ``reduce`` runs this step in one
+    loop of its own, with no helper call per row: ``insert`` stops at the
+    first key that is no pivot and tracks no scale, ``reduce`` runs to the
+    end and tracks the scale its normal form is divided by.  A new row is
+    then divided by the content (gcd) of all its entries, carried ones
+    included, and signed so that its pivot coefficient is positive: every
+    stored row is primitive, and its carried part still records it
+    exactly.
 
     Elimination reads only the keys below the bound, so the carried keys
     change no pivot, multiplier or scale.  Two facts every caller relies
@@ -95,53 +90,41 @@ class Echelon:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _eliminate(
-        self, work: Sparse, scale: int, full: bool
-    ) -> Tuple[Dict[int, Fraction], int]:
-        """Cancel stored pivots in ``work`` in place, smallest key first.
+    def insert(self, row: Sparse) -> Optional[Sparse]:
+        """Add the integer vector ``row`` to the span; the new primitive
+        row, or None if ``row`` is dependent below the bound.
 
-        On entry, work = scale * v for the vector v being reduced; the
-        elimination keeps work a combination of v and the rows, returns the
-        final scale, and leaves the carried keys in ``work``.  With
-        ``full``, move every key below the bound that is not a pivot to the
-        returned normal form of v; otherwise stop at the first such key.
+        The loop cancels stored pivots in a copy of ``row``, smallest key
+        first, and stops at the first key that is no pivot: the new row's
+        pivot, unless it is carried.  No scale is tracked, since the row
+        is divided by its content at the end.
         """
-        rows, carry = self.rows, self.carry
-        normal: Dict[int, Fraction] = {}
+        rows, work = self.rows, dict(row)
         while work:
-            key = min(work)
-            row = rows.get(key)
-            if row is None:  # every pivot lies below the bound
-                if not full or key >= carry:
-                    break
-                normal[key] = Fraction(work.pop(key), scale)
-                continue
-            w, r = work[key], row[key]
+            pivot = min(work)
+            stored = rows.get(pivot)
+            if stored is None:
+                break
+            w, r = work[pivot], stored[pivot]
             g = gcd(w, r)
             a, b = r // g, w // g
             if a != 1:
-                scale *= a
                 for k in work:
                     work[k] *= a
-            _subtract(work, b, row)
-        return normal, scale
-
-    def insert(self, row: Sparse) -> Optional[Sparse]:
-        """Add the integer vector ``row`` to the span; the new primitive
-        row, or None if ``row`` is dependent below the bound."""
-        work = dict(row)
-        self._eliminate(work, 1, full=False)
-        if not work:
-            return None
-        pivot = min(work)
-        if pivot >= self.carry:
+            for k, c in stored.items():
+                new = work.get(k, 0) - b * c
+                if new:
+                    work[k] = new
+                else:
+                    del work[k]
+        if not work or pivot >= self.carry:
             return None
         content = gcd(*work.values())
         if work[pivot] < 0:
             content = -content
         if content != 1:
             work = {k: c // content for k, c in work.items()}
-        self.rows[pivot] = work
+        rows[pivot] = work
         return work
 
     def reduce(self, row: Sparse, d: int) -> Tuple[Dict[int, Fraction], Sparse, int]:
@@ -150,9 +133,38 @@ class Echelon:
         vector; and the scale s of the reduction, a multiple of d.  With
         carried keys as in the class docstring, v minus its normal form is
         sum(-K[k] / s * x_k / t_k), so a caller can stay in integers until
-        it divides by s."""
-        work = dict(row)
-        normal, scale = self._eliminate(work, d, full=True)
+        it divides by s.
+
+        The loop starts from work = row and s = d, and keeps work plus s
+        times the normal form found so far equal to s * v plus a
+        combination of the rows.  It cancels stored pivots smallest key
+        first and moves each key below the bound that is no pivot to the
+        normal form, divided by the scale at that point: a row met later
+        has a larger pivot, so it never touches that key.
+        """
+        rows, carry, work, scale = self.rows, self.carry, dict(row), d
+        normal: Dict[int, Fraction] = {}
+        while work:
+            key = min(work)
+            stored = rows.get(key)
+            if stored is None:  # every pivot lies below the bound
+                if key >= carry:
+                    break
+                normal[key] = Fraction(work.pop(key), scale)
+                continue
+            w, r = work[key], stored[key]
+            g = gcd(w, r)
+            a, b = r // g, w // g
+            if a != 1:
+                scale *= a
+                for k in work:
+                    work[k] *= a
+            for k, c in stored.items():
+                new = work.get(k, 0) - b * c
+                if new:
+                    work[k] = new
+                else:
+                    del work[k]
         return normal, work, scale
 
 

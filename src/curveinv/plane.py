@@ -91,7 +91,7 @@ class PlaneAnalysis:
         self.milnor = build_jet_algebra([self.f_u, self.f_v])
         # The Tjurina ideal contains the Jacobian ideal, so its standard
         # monomials are among the Milnor algebra's and certify at its order;
-        # it extends the Milnor rows by the multiples of f alone.
+        # it extends the Milnor rows by f times each Milnor standard monomial.
         self.tjurina = JetAlgebra(
             [self.f_u, self.f_v, f], self.milnor.truncation_order,
             tagged=False, base=self.milnor,

@@ -386,11 +386,16 @@ def assert_same_algebra(derived, fresh, polys):
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(germs(max_k=12), st.integers(-2, 2), st.lists(jet_polys, max_size=4))
+# non-QH germs where (f) adds two dimensions to the Jacobian ideal:
+# mu 16, tau 14 and mu 20, tau 18, so an extension by f alone is caught
+@example(parse_poly("(u^2-v^3)^2+u*v^5", UV), 0, [])
+@example(parse_poly("u^5+v^6+2*u^3*v^3", UV), 0, [])
 def test_derived_algebras_equal_fresh_builds(f, shift, polys):
-    """The Jacobian rows at order T, extended by the multiples of f, have
-    the basis, primality bound and normal forms of a fresh build of the
-    Tjurina ideal at T (T runs around the certified Milnor order T_c; the
-    Tjurina ideal certifies wherever the Jacobian does)."""
+    """The Jacobian rows at order T, extended by f times each standard
+    monomial of the Jacobian algebra, have the basis, primality bound and
+    normal forms of a fresh build of the Tjurina ideal at T (T runs around
+    the certified Milnor order T_c; the Tjurina ideal certifies wherever
+    the Jacobian does)."""
     jac = [f.diff("u"), f.diff("v")]
     T = max(1, build_jet_algebra(jac).truncation_order + shift)
     base = build_or_none(jac, T, tagged=False)
@@ -441,6 +446,37 @@ def test_tail_map_builds_no_algebra_above_the_table_order(monkeypatch):
     n_m = a.milnor.primality_bound
     assert built == [n_m + 2, n_m + 2]
     assert n_m + a.tjurina.primality_bound > n_m + 2
+
+
+@pytest.mark.parametrize(
+    "src, mu, tau", [("u^2+v^11", 10, 10), ("(u^2-v^3)^2+u*v^5", 16, 14)]
+)
+def test_tjurina_build_inserts_at_most_one_row_per_milnor_basis_monomial(
+    monkeypatch, src, mu, tau
+):
+    """The Tjurina algebra inserts f times each standard monomial of the
+    Milnor algebra, not every multiple of f of degree <= T (45 on each
+    germ here), on a QH and a non-QH germ."""
+    inserted, building = [], []
+    insert = linalg.Echelon.insert
+
+    def recording_insert(self, row):
+        if building:
+            inserted.append(row)
+        return insert(self, row)
+
+    def recording_algebra(*args, **kwargs):
+        building.append(True)
+        try:
+            return JetAlgebra(*args, **kwargs)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(linalg.Echelon, "insert", recording_insert)
+    monkeypatch.setattr(plane, "JetAlgebra", recording_algebra)
+    a = analysis(src)
+    assert 0 < len(inserted) <= len(a.milnor.basis)
+    assert a.milnor_tjurina() == (mu, tau)
 
 
 def test_tail_map_eliminations_insert_one_row_list_in_two_orders(monkeypatch):
