@@ -162,7 +162,7 @@ def _cmd_sing(args) -> int:
     except ValueError as exc:
         raise SchemaError(str(exc), "expr")
     analysis = PlaneAnalysis(sing)
-    mu, tau = analysis.milnor_tjurina()
+    inv = analysis.invariants
     tail = analysis.tail_map_general()
     weights = analysis.effective_weights
     if args.format == "json-like":
@@ -170,10 +170,10 @@ def _cmd_sing(args) -> int:
             dump_json(
                 {
                     "equation": str(f),
-                    "mu": mu,
-                    "tau": tau,
-                    "qh_by_saito": analysis.saito_test(),
-                    "wh_in_coords": weights is not None,
+                    "mu": inv.mu,
+                    "tau": inv.tau,
+                    "qh_by_saito": inv.qh_by_saito,
+                    "wh_in_coords": inv.wh_in_coords,
                     "weights": None if weights is None else [str(w) for w in weights],
                     "tail_rank": tail.rank,
                     "tail_matrix": [[str(x) for x in row] for row in tail.matrix],
@@ -185,8 +185,8 @@ def _cmd_sing(args) -> int:
             "\n".join(
                 [
                     f"equation: {f}",
-                    f"mu = {mu}, tau = {tau}",
-                    f"quasihomogeneous (tau = mu): {analysis.saito_test()}",
+                    f"mu = {inv.mu}, tau = {inv.tau}",
+                    f"quasihomogeneous (tau = mu): {inv.qh_by_saito}",
                     f"weights in these coordinates: ({weights[0]}, {weights[1]})"
                     if weights is not None
                     else "no weight system in these coordinates",

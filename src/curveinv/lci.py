@@ -143,8 +143,8 @@ def coker_mod_m_cross_check(p: LciPresentation) -> int:
     second minimality test would take the constant terms of the complex's
     last differential, which nothing builds yet.
     """
-    e = len(p.variables)
     constants = [
-        [entry.constant_term() for entry in row] for row in jacobian_matrix(p)
+        {j: c for j, c in enumerate(map(Poly.constant_term, row)) if c}
+        for row in jacobian_matrix(p)
     ]
-    return (e - 1) - linalg.rank(constants) if constants else e - 1
+    return len(p.variables) - 1 - linalg.rank(constants)

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals: one sparse echelon kernel.
 
 :class:`Echelon` is the only elimination in the package: jet algebras,
-branch value semigroups, column kernels and dense ranks all use it.  It
+branch value semigroups, column kernels and ranks all use it.  It
 eliminates fraction-free, in one loop per call written into each of its
 two methods, and takes integer vectors only: each caller clears a
 rational input of denominators once, where it enters, with
 :func:`integer_row`, and ``Fraction`` appears again only in the normal
-forms ``reduce`` returns, in kernel vectors and in :func:`rref`.  It is
+forms ``reduce`` returns, in kernel vectors and in :func:`rref`.  Every
+vector is sparse, index -> nonzero entry, except in :func:`rref`.  It is
 deterministic, so repeated runs give identical results.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, lcm
 from operator import attrgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Sparse = Dict[int, int]  # key -> nonzero integer coefficient
@@ -23,7 +24,6 @@ Sparse = Dict[int, int]  # key -> nonzero integer coefficient
 
 _NUMERATOR = attrgetter("numerator")
 _DENOMINATOR = attrgetter("denominator")
-_UNIT = (Fraction(0), Fraction(1))
 
 
 def integer_row(vec: Mapping) -> Tuple[dict, int]:
@@ -168,32 +168,23 @@ class Echelon:
         return normal, work, scale
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> Echelon:
-    """The rows of a dense matrix in an :class:`Echelon` keyed by column.
-
-    Each row goes in as its integer multiple: scaling a row changes
-    neither the row space nor its pivots.
-    """
-    echelon = Echelon()
-    for row in rows:
-        echelon.insert(integer_row({j: x for j, x in enumerate(row) if x})[0])
-    return echelon
-
-
 def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form and the list of pivot column indices.
 
-    The rows go into an :class:`Echelon` keyed by column.  For a pivot p,
-    the unit vector e_p minus its normal form lies in the row space, has
-    entry 1 at p and 0 at every other pivot, so it is row p of the RREF;
-    the RREF is unique, so this equals Gauss-Jordan elimination.  Zero
-    rows fill the matrix up to the input's row count.  No package code calls
-    it; it stays while ``perfbench/tracing.py`` wraps ``linalg.rref`` by name.
+    The rows go into an :class:`Echelon` keyed by column, each scaled to
+    integers.  For a pivot p, the unit vector e_p minus its normal form lies
+    in the row space, has entry 1 at p and 0 at every other pivot, so it is
+    row p of the RREF; the RREF is unique, so this equals Gauss-Jordan
+    elimination.  Zero rows fill the matrix up to the input's row count.  No
+    package code calls it; it stays while ``perfbench/tracing.py`` wraps
+    ``linalg.rref`` by name.  It is the one dense function here.
     """
     if not rows:
         return [], []
     ncols = len(rows[0])
-    echelon = _echelon(rows)
+    echelon = Echelon()
+    for row in rows:
+        echelon.insert(integer_row({j: x for j, x in enumerate(row) if x})[0])
     pivots = sorted(echelon.rows)
     red: Matrix = []
     for p in pivots:
@@ -203,17 +194,22 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
     return red, pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Number of rows of an echelon basis of the row space; no RREF is built."""
-    return len(_echelon(rows))
+def rank(vectors: Iterable[Mapping[int, Fraction]]) -> int:
+    """Dimension of the span of sparse vectors, each given as index ->
+    nonzero entry: the rank of a matrix given by its rows or by its
+    columns.  It counts the rows of an echelon basis; no RREF is built."""
+    echelon = Echelon()
+    for vec in vectors:
+        echelon.insert(integer_row(vec)[0])
+    return len(echelon)
 
 
 def column_nullspace(
     columns: Sequence[Mapping[int, Fraction]], n: int
-) -> List[List[Fraction]]:
+) -> List[Dict[int, Fraction]]:
     """Kernel basis of the matrix with these columns, of length n, each
     given sparse as row index -> nonzero entry: one vector per column that
-    depends on the columns before it, ascending.
+    depends on the columns before it, ascending, sparse in the same way.
 
     Column j goes into an :class:`Echelon` as its integer vector d_j * c_j
     carrying d_j at key n + j, once it is seen not to reduce to zero.  If it
@@ -229,6 +225,7 @@ def column_nullspace(
         if normal:
             echelon.insert({**ints, n + j: d})
         else:
-            vec = {k - n: Fraction(c, s) for k, c in K.items()}
-            basis.append([vec.get(k, _UNIT[k == j]) for k in range(len(columns))])
+            vec = {k - n: Fraction(c, s) for k, c in sorted(K.items())}
+            vec[j] = Fraction(1)
+            basis.append(vec)
     return basis

@@ -10,7 +10,7 @@ the main internal cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -70,16 +70,26 @@ class LocalInvariants:
 
 @dataclass(frozen=True)
 class TailMap:
-    """Matrix of the tail differential from ker(.f on M_f) to T_f."""
+    """The tail differential from ker(.f on M_f) to T_f: column j is the
+    image of kernel vector j, sparse over the T_f basis positions and
+    storing no zero, as the kernel vectors do; the rank is the columns'."""
 
-    source_basis: Tuple[Tuple[Fraction, ...], ...]  # vectors over the M_f basis
+    source_basis: Tuple[Dict[int, Fraction], ...]  # kernel vectors over the M_f basis
     target_basis: Tuple[tuple, ...]  # standard monomials of T_f
-    matrix: Tuple[Tuple[Fraction, ...], ...]  # rows indexed by target basis
+    columns: Tuple[Dict[int, Fraction], ...]
     rank: int
+
+    @property
+    def matrix(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """Dense rows indexed by the target basis, built on each call."""
+        return tuple(
+            tuple(column.get(i, _ZERO) for column in self.columns)
+            for i in range(len(self.target_basis))
+        )
 
 
 class PlaneAnalysis:
-    """Caches the jet algebras of one singularity and derives its invariants."""
+    """The jet algebras, local invariants and tail maps of one singularity."""
 
     def __init__(self, sing: PlaneSingularity):
         self.sing = sing
@@ -100,37 +110,24 @@ class PlaneAnalysis:
         # is c*u*v, where the support leaves them free, M_f = <1> and the
         # tail scalar is w1 + w2 = 1 for any of them.
         self.effective_weights = weight_feasibility(f)
-        self._mult_cache = None
-
-    # -- basic invariants --------------------------------------------------
-
-    def milnor_tjurina(self) -> Tuple[int, int]:
-        mu = self.milnor.colength()
-        tau = self.tjurina.colength()
+        mu, tau = self.milnor.colength(), self.tjurina.colength()
         if tau > mu:
             raise AssertionError(f"tau={tau} exceeds mu={mu}")
-        return mu, tau
-
-    def saito_test(self) -> bool:
-        mu, tau = self.milnor_tjurina()
-        return mu == tau
-
-    def wh_in_coords(self) -> bool:
-        return self.effective_weights is not None
-
-    def local_invariants(self) -> LocalInvariants:
-        mu, tau = self.milnor_tjurina()
-        return LocalInvariants(
+        self.invariants = LocalInvariants(
             mu=mu,
             tau=tau,
-            qh_by_saito=self.saito_test(),
-            wh_in_coords=self.wh_in_coords(),
+            qh_by_saito=mu == tau,
+            wh_in_coords=self.effective_weights is not None,
         )
+        self._mult_cache = None
+
+    def milnor_tjurina(self) -> Tuple[int, int]:
+        return self.invariants.mu, self.invariants.tau
 
     # -- multiplication by f on the Milnor algebra -------------------------
 
-    def mult_by_f(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """Kernel of .f on M_f, as vectors over the M_f basis.
+    def mult_by_f(self) -> Tuple[Dict[int, Fraction], ...]:
+        """Kernel of .f on M_f, as sparse vectors over the M_f basis positions.
 
         Column j of .f is the normal form of f times the j-th standard
         monomial (f's integer terms F, shifted, over f's denominator), and
@@ -146,8 +143,8 @@ class PlaneAnalysis:
             self.milnor.sparse_normal_form(multiply_terms(F, {mono: 1}), d)
             for mono in self.milnor.basis
         ]
-        kernel = tuple(map(tuple, linalg.column_nullspace(columns, len(columns))))
-        tau = self.tjurina.colength()
+        kernel = tuple(linalg.column_nullspace(columns, len(columns)))
+        tau = self.invariants.tau
         if len(kernel) != tau:
             raise AssertionError(
                 f"kernel of .f has dimension {len(kernel)}, expected tau={tau}"
@@ -233,13 +230,13 @@ class PlaneAnalysis:
         F, d_f = self._integer_f
         products = []
         for vec in kernel:
-            lift, d_m = linalg.integer_row({m: c for m, c in zip(basis, vec) if c})
+            lift, d_m = linalg.integer_row({basis[k]: c for k, c in vec.items()})
             products.append((multiply_terms(F, lift), d_f * d_m))
         order = max(1, self.milnor.primality_bound + self.tjurina.primality_bound)
         jacobian = [self.f_u, self.f_v]
         n_m = max(1, self.milnor.primality_bound)
         witness_algebra = JetAlgebra(jacobian, n_m + 2)
-        columns = [self._tail_image(p, witness_algebra, order) for p in products]
+        columns = tuple(self._tail_image(p, witness_algebra, order) for p in products)
         # the witness algebra is freed before the re-check algebra is built,
         # and its list of multiples once the re-check has inserted it
         multiples = witness_algebra.multiples
@@ -254,16 +251,11 @@ class PlaneAnalysis:
                     f"tail class at order {order} moved under the reshuffled "
                     f"re-check at order {order + 2}"
                 )
-        target_basis = self.tjurina.basis
-        matrix = tuple(
-            tuple(column.get(i, _ZERO) for column in columns)
-            for i in range(len(target_basis))
-        )
         return TailMap(
             source_basis=kernel,
-            target_basis=target_basis,
-            matrix=matrix,
-            rank=linalg.rank(matrix),
+            target_basis=self.tjurina.basis,
+            columns=columns,
+            rank=linalg.rank(columns),
         )
 
     def tail_map_wh_scalar(self) -> TailMap:
@@ -272,7 +264,8 @@ class PlaneAnalysis:
         The Jacobian ideal is graded for the weights, so M_f splits into
         weighted-degree eigenspaces and the tail differential multiplies
         the weighted-degree-lambda piece by lambda + w1 + w2, which is
-        positive; the map is an isomorphism of rank tau = mu.
+        positive; the map is an isomorphism of rank tau = mu.  Column j is
+        kernel vector j scaled entrywise by these nonzero scalars.
         """
         if self.effective_weights is None:
             raise MissingWeights(
@@ -286,13 +279,12 @@ class PlaneAnalysis:
                 "weighted case must share the M_f and T_f standard bases"
             )
         scalars = [mono[0] * w1 + mono[1] * w2 + w1 + w2 for mono in basis]
-        matrix = tuple(
-            tuple(vec[i] * scalar for vec in kernel)
-            for i, scalar in enumerate(scalars)
+        columns = tuple(
+            {i: c * scalars[i] for i, c in vec.items()} for vec in kernel
         )
         return TailMap(
             source_basis=kernel,
             target_basis=basis,
-            matrix=matrix,
-            rank=linalg.rank(matrix),
+            columns=columns,
+            rank=linalg.rank(columns),
         )

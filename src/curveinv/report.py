@@ -101,11 +101,12 @@ def _check_asserted(
 def _analyze_plane(sing: PlaneSingularity, checks: List[Check]) -> PlaneRecord:
     label = sing.label or str(sing.f)
     analysis = PlaneAnalysis(sing)
-    # milnor_tjurina asserts tau <= mu, mult_by_f (which the tail map calls)
-    # asserts the kernel dimension (the cokernel's is rank-nullity), and the
-    # tail map re-checks every class under reshuffled witness extraction,
-    # so a report that exists passed all
-    mu, tau = analysis.milnor_tjurina()
+    # PlaneAnalysis asserts tau <= mu as it builds its invariants, mult_by_f
+    # (which the tail map calls) asserts the kernel dimension (the
+    # cokernel's is rank-nullity), and the tail map re-checks every class
+    # under reshuffled witness extraction, so a report that exists passed all
+    inv = analysis.invariants
+    mu, tau = inv.mu, inv.tau
     checks.append(Check("tau-le-mu", label, "pass", f"tau={tau}, mu={mu}"))
     checks.append(
         Check("kernel-cokernel-tau", label, "pass",
@@ -118,7 +119,7 @@ def _analyze_plane(sing: PlaneSingularity, checks: List[Check]) -> PlaneRecord:
     )
     if analysis.effective_weights is not None:
         scalar = analysis.tail_map_wh_scalar()
-        agree = scalar.matrix == tail.matrix
+        agree = scalar.columns == tail.columns
         checks.append(
             Check(
                 "wh-scalar-agreement",
@@ -127,7 +128,7 @@ def _analyze_plane(sing: PlaneSingularity, checks: List[Check]) -> PlaneRecord:
                 "diagonal scalar formula matches the witness algorithm",
             )
         )
-        if analysis.saito_test():
+        if inv.qh_by_saito:
             checks.append(
                 Check(
                     "qh-full-rank",
@@ -161,7 +162,7 @@ def _analyze_plane(sing: PlaneSingularity, checks: List[Check]) -> PlaneRecord:
         )
     return PlaneRecord(
         sing=sing,
-        invariants=analysis.local_invariants(),
+        invariants=inv,
         tail=tail,
         delta_r=delta_r,
     )
@@ -445,11 +446,10 @@ def run_corpus():
         sing = build_curve(
             {"genus": 0, "label": doc["label"], "singularities": [doc]}
         ).singularities[0]
-        analysis = PlaneAnalysis(sing)
-        mu, tau = analysis.milnor_tjurina()
+        inv = PlaneAnalysis(sing).invariants
         lines.append(
-            f"  {doc['label']:<16} {mu:>4} {tau:>4} "
-            f"{str(analysis.saito_test()):>5} {str(analysis.wh_in_coords()):>5}"
+            f"  {doc['label']:<16} {inv.mu:>4} {inv.tau:>4} "
+            f"{str(inv.qh_by_saito):>5} {str(inv.wh_in_coords):>5}"
         )
     lines.append("")
     lines.append("curve models:")

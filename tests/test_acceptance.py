@@ -59,7 +59,7 @@ def test_criterion_01_ade_zoo_mu_tau_and_staircase():
             continue
         mu, tau = analysis.milnor_tjurina()
         assert mu == tau, label
-        assert analysis.saito_test(), label
+        assert analysis.invariants.qh_by_saito, label
         if label in monomial_jacobian:
             gens = [analysis.f_u, analysis.f_v]
             assert staircase_colength(gens) == mu, label
@@ -110,7 +110,7 @@ def test_criterion_04_scalar_general_agreement():
 
 def test_criterion_05_qh_full_rank():
     for label, analysis in _zoo_analyses():
-        if analysis.saito_test():
+        if analysis.invariants.qh_by_saito:
             _, tau = analysis.milnor_tjurina()
             assert analysis.tail_map_general().rank == tau, label
     _report("5 (QH full rank)", True, "tail rank equals tau on every QH entry")

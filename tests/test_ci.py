@@ -1,10 +1,13 @@
 """The CI workflow covers every benchmark workload and installs the test
-tools at the versions ``pyproject.toml`` pins.
+tools at the versions ``pyproject.toml`` pins, and every name the package
+imports is read.
 
-Read with regular expressions: CI installs only pytest and Hypothesis, so
-no YAML parser is at hand, and Python 3.10 has no ``tomllib``.
+Read with regular expressions and ``ast``: CI installs only pytest and
+Hypothesis, so no YAML parser is at hand, and Python 3.10 has no
+``tomllib``.
 """
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -43,3 +46,37 @@ def test_lowest_workflow_python_is_the_requires_python_floor():
     versions = re.findall(r'"([0-9.]+)"', matrix[0])
     lowest = min(versions, key=lambda v: tuple(map(int, v.split("."))))
     assert lowest == floor[0]
+
+
+def _names_read(tree):
+    """Names a module reads: in code, in annotations (quoted ones parsed
+    too) and in ``__all__``."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for sub in ast.walk(annotation) if annotation else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    read |= _names_read(ast.parse(sub.value, mode="eval"))
+    return read
+
+
+def test_src_imports_are_used():
+    unused = []
+    for path in sorted((ROOT / "src" / "curveinv").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unused == []

@@ -167,6 +167,23 @@ def test_tail_map_witnesses_stay_under_the_jet_space_cap(capsys):
     assert (report["mu"], report["tau"], report["tail_rank"]) == (222, 222, 222)
 
 
+def test_reach_of_sing_on_u2_plus_v_n(capsys):
+    """The README's reach line: the tail map of u^2+v^N eliminates at
+    order N + 1, so N = 444 (mu = 443, 99,681 jet monomials) is the largest
+    that runs and N = 445 (100,128) exits 3.  The line moves with ROADMAP
+    item 7 (weighted truncation)."""
+    assert main(["sing", "u^2+v^444"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert (out[1], out[-1]) == ("mu = 443, tau = 443", "tail map rank: 443")
+    assert main(["sing", "u^2+v^445"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: jet space of 100128 monomials at truncation order 446 "
+        f"exceeds the cap of {jets.JET_SPACE_CAP}\n"
+    )
+
+
 def test_expansion_over_budget_exit_2(capsys):
     # (u+v+1)^60 would expand to comb(62, 2) = 1891 terms; the bound is
     # checked before the power is formed.

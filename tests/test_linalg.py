@@ -1,5 +1,5 @@
-"""The sparse echelon kernel, and the dense rref/rank and the column kernel
-built on it, against a Gauss-Jordan oracle."""
+"""The sparse echelon kernel, and the dense rref, the sparse rank and the
+column kernel built on it, against a Gauss-Jordan oracle."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -19,6 +19,10 @@ def sparse(vec):
 
 def dense(terms, ncols):
     return [terms.get(j, Fraction(0)) for j in range(ncols)]
+
+
+def dense_basis(basis, ncols):
+    return [dense(vec, ncols) for vec in basis]
 
 
 def sparse_columns(rows, ncols):
@@ -63,10 +67,12 @@ def test_rref_rank_nullspace_match_gauss_jordan(case):
     red, pivots = rref(rows)
     assert (red, pivots) == gauss_jordan(rows)
     assert all(isinstance(x, Fraction) for row in red for x in row)
-    assert rank(rows) == len(pivots)
+    assert rank(map(sparse, rows)) == len(pivots)
+    assert rank(sparse_columns(rows, ncols)) == len(pivots)
     basis = column_nullspace(sparse_columns(rows, ncols), len(rows))
-    assert basis == oracle_nullspace(rows, ncols)
-    assert all(isinstance(x, Fraction) for vec in basis for x in vec)
+    assert dense_basis(basis, ncols) == oracle_nullspace(rows, ncols)
+    assert all(isinstance(x, Fraction) for vec in basis for x in vec.values())
+    assert all(x for vec in basis for x in vec.values())
 
 
 @settings(max_examples=200)
@@ -74,8 +80,8 @@ def test_rref_rank_nullspace_match_gauss_jordan(case):
 def test_nullspace_is_annihilated(case):
     rows, ncols = case
     basis = column_nullspace(sparse_columns(rows, ncols), len(rows))
-    assert len(basis) == ncols - rank(rows)
-    for vec in basis:
+    assert len(basis) == ncols - rank(map(sparse, rows))
+    for vec in dense_basis(basis, ncols):
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
@@ -141,11 +147,12 @@ def test_zero_matrix():
     zero = [[Fraction(0)] * 3 for _ in range(2)]
     identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
     assert rref(zero) == (zero, [])
-    assert column_nullspace(sparse_columns(zero, 3), 2) == identity
+    assert dense_basis(column_nullspace(sparse_columns(zero, 3), 2), 3) == identity
     assert rref([]) == ([], [])
+    assert rank(map(sparse, zero)) == rank([]) == 0
     # no columns (mu = 0 at a smooth point); three columns of length 0
     assert column_nullspace([], 0) == []
-    assert column_nullspace([{}, {}, {}], 0) == identity
+    assert dense_basis(column_nullspace([{}, {}, {}], 0), 3) == identity
 
 
 # -- the integer kernel -------------------------------------------------------
@@ -204,9 +211,10 @@ def test_large_height_rationals_match_gauss_jordan(case, data):
     rows, ncols = case
     red, pivots = gauss_jordan(rows)
     assert rref(rows) == (red, pivots)
-    assert rank(rows) == len(pivots)
+    assert rank(map(sparse, rows)) == len(pivots)
+    assert rank(sparse_columns(rows, ncols)) == len(pivots)
     basis = column_nullspace(sparse_columns(rows, ncols), len(rows))
-    assert basis == oracle_nullspace(rows, ncols)
+    assert dense_basis(basis, ncols) == oracle_nullspace(rows, ncols)
     echelon = Echelon(carry=ncols)
     for i, row in enumerate(rows):
         ints, d = integer_row(sparse(row))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import oracle_nullspace
+from conftest import gauss_jordan, oracle_nullspace
 from curveinv import corpus, linalg, plane
 from curveinv.errors import (
     MissingWeights, NotMPrimary, TruncationCapExceeded, WitnessOrderInsufficient,
@@ -25,6 +25,11 @@ def analysis(src, **kwargs):
     return PlaneAnalysis(PlaneSingularity(parse_poly(src, UV), **kwargs))
 
 
+def dense_vectors(vectors, n):
+    """Sparse vectors (index -> entry) as dense tuples of length n."""
+    return tuple(tuple(vec.get(i, Fraction(0)) for i in range(n)) for vec in vectors)
+
+
 ADE = (
     [(f"u^2+v^{n + 1}", n) for n in range(1, 11)]
     + [(f"u^2*v+v^{n - 1}", n) for n in range(4, 11)]
@@ -37,8 +42,8 @@ def test_ade_mu_equals_tau(src, expected_mu):
     a = analysis(src)
     mu, tau = a.milnor_tjurina()
     assert (mu, tau) == (expected_mu, expected_mu)
-    assert a.saito_test()
-    assert a.wh_in_coords()
+    assert a.invariants.qh_by_saito
+    assert a.invariants.wh_in_coords
 
 
 def test_non_qh_quintic_strict_inequality():
@@ -46,8 +51,8 @@ def test_non_qh_quintic_strict_inequality():
     mu, tau = a.milnor_tjurina()
     assert (mu, tau) == (16, 15)
     assert tau < mu
-    assert not a.saito_test()
-    assert not a.wh_in_coords()
+    assert not a.invariants.qh_by_saito
+    assert not a.invariants.wh_in_coords
 
 
 def test_non_isolated_rejected():
@@ -66,7 +71,7 @@ def test_declared_weights_validated():
 # -- multiplication by f ----------------------------------------------------
 
 def test_mult_by_f_node():
-    assert analysis("u*v").mult_by_f() == ((Fraction(1),),)
+    assert dense_vectors(analysis("u*v").mult_by_f(), 1) == ((Fraction(1),),)
 
 
 def test_mult_by_f_zero_under_weights():
@@ -173,7 +178,7 @@ def degree_order_tail_matrix(a):
     u, v = f.vars
     kernel = a.mult_by_f()
     lifts = [
-        Poly(f.vars, {m: c for m, c in zip(a.milnor.basis, vec) if c != 0})
+        Poly(f.vars, {a.milnor.basis[k]: c for k, c in vec.items()})
         for vec in kernel
     ]
     gen_degree = max(g.degree() or 0 for g in (a.f_u, a.f_v))
@@ -234,7 +239,9 @@ def test_mult_by_f_matches_gauss_jordan_nullspace(f):
     basis = a.milnor.basis
     columns = [a.milnor.normal_form(f * Poly(UV, {mono: 1})) for mono in basis]
     rows = [[col[i] for col in columns] for i in range(len(basis))]
-    assert a.mult_by_f() == tuple(map(tuple, oracle_nullspace(rows, len(basis))))
+    assert dense_vectors(a.mult_by_f(), len(basis)) == tuple(
+        map(tuple, oracle_nullspace(rows, len(basis)))
+    )
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -421,7 +428,7 @@ def test_lifted_witnesses_pass_the_exact_defect_check(f):
     witness_algebra = JetAlgebra(jac, n_m + 2)
     recheck_algebra = JetAlgebra(jac, n_m + 2, row_seed=1)
     for vec in a.mult_by_f():
-        target = f * Poly(UV, dict(zip(a.milnor.basis, vec)))
+        target = f * Poly(UV, {a.milnor.basis[k]: c for k, c in vec.items()})
         integer_target, d = linalg.integer_row(target.terms)
         for algebra, lifted_order in (
             (witness_algebra, order), (recheck_algebra, order + 2)
@@ -513,6 +520,38 @@ def test_tail_map_eliminations_insert_one_row_list_in_two_orders(monkeypatch):
     assert witness != recheck
     assert built == [a.milnor.primality_bound + 2]
     assert a.milnor.multiples is None and a.tjurina.multiples is None
+
+
+# -- sparse vectors ---------------------------------------------------------
+
+def assert_sparse_tail_data(a):
+    """No kernel vector, tail column or scalar column stores a zero, and
+    each tail rank is the Gauss-Jordan rank of its dense matrix."""
+    tails = [a.tail_map_general()]
+    if a.effective_weights is not None:
+        tails.append(a.tail_map_wh_scalar())
+    assert all(all(vec.values()) for vec in a.mult_by_f())
+    for tail in tails:
+        assert tail.source_basis == a.mult_by_f()
+        assert all(all(column.values()) for column in tail.columns)
+        assert tail.rank == len(gauss_jordan(tail.matrix)[1])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(germs())
+@example(parse_poly("u^5+v^6+2*u^3*v^3", UV))
+@example(parse_poly("u^3+v^5", UV))
+def test_tail_data_is_sparse_and_ranked_like_gauss_jordan(f):
+    assert_sparse_tail_data(PlaneAnalysis(PlaneSingularity(f)))
+
+
+def test_corpus_tail_data_is_sparse_and_ranked_like_gauss_jordan():
+    models = corpus.curve_models()
+    assert len(models) == 12
+    for doc in models:
+        for sing in build_curve(doc).singularities:
+            if isinstance(sing, PlaneSingularity):
+                assert_sparse_tail_data(PlaneAnalysis(sing))
 
 
 def test_analyze_computes_one_tail_map_per_plane_singularity(monkeypatch):
