@@ -4,7 +4,9 @@ A branch parametrization generates a subalgebra of the power-series ring
 in t; the t-orders attained by that subalgebra form the value semigroup,
 computed here by subalgebra saturation (see ``branch_semigroup``) on the
 sparse echelon kernel :class:`linalg.Echelon` that also serves jet
-algebras and dense ranks.  Each image enters it once as an integer
+algebras and the sparse ranks of :func:`linalg.rank` (:func:`linalg.rref`
+is the one dense function, kept while ``perfbench/tracing.py`` wraps
+it).  Each image enters it once as an integer
 multiple, so saturation multiplies integer series.  The saturation runs
 its queue in ascending t-order, so the orders below the queue minimum are
 final; the gap count below the conductor is the one-branch delta, read as

@@ -16,7 +16,9 @@ i = nvars - 1 down to 0, so the keys of each multiple are those of a
 multiple one degree lower mapped through one table (see
 :func:`_multiple_keys`); one code path serves every number of variables.
 The rows live in the sparse echelon kernel :class:`linalg.Echelon` that
-also serves branch semigroups and dense ranks.  The pivot of each row is
+also serves branch semigroups and the sparse ranks of :func:`linalg.rank`
+(:func:`linalg.rref` is the one dense function, kept while
+``perfbench/tracing.py`` wraps it).  The pivot of each row is
 its smallest monomial, so normal forms are unique and runs are
 reproducible.  The kernel takes integer vectors:
 :func:`linalg.integer_row` clears each generator and each reduced
@@ -45,24 +47,26 @@ before it lists a monomial.
 
 An algebra can be derived from a ``base`` algebra, with no new
 elimination of the base's generators: an untagged algebra at the same
-order whose generators are a prefix of ``generators``.  Let V_T be the
-span of the degree-<=T truncations trunc_T(mult * g) of the multiples of
-all the generators, and W_T the base's part of it, spanned by base's
-rows.  The derived algebra inserts, beside base's rows, trunc_T(h * b)
-for each extra generator h and each standard monomial b of base, and no
-other multiple of h.  These span V_T at any T.  Any monomial m of degree
-<= T is NF_B(m), a combination of the b, plus an element r of W_T; and r
-is a combination of the products mult * g_i of base's generators up to
-terms of degree > T.  So trunc_T(h * m) is the same combination of the
-trunc_T(h * b) plus trunc_T(h * r), and h * r differs from a sum of
-products (x^c * mult) * g_i, x^c the monomials of h, only in degrees above
-T, which truncation drops: trunc_T(h * r) lies in W_T.  By the echelon's
-two facts the basis, ``primality_bound`` and every normal form then equal
-those of a fresh build, from at most as many rows as base has standard
-monomials per extra generator.  The Tjurina algebra extends the Milnor
-algebra this way: f times each of the mu standard monomials, where every
-multiple of f of degree <= T would be O(T^2) rows (780 against 40 for
-u^2+v^41).
+order whose generators are a prefix of ``generators``.  It shares base's
+rows and inserts only the rows its caller hands it as ``multiples``.  Let
+V_T be the span of the degree-<=T truncations trunc_T(mult * g) of the
+multiples of all the generators, and W_T the base's part of it, spanned
+by base's rows.  For one extra generator h, the rows trunc_T(h * b), b a
+standard monomial of base, span V_T beside W_T at any T.  Any monomial m
+of degree <= T is NF_B(m), a combination of the b, plus an element r of
+W_T; and r is a combination of the products mult * g_i of base's
+generators up to terms of degree > T.  So trunc_T(h * m) is the same
+combination of the trunc_T(h * b) plus trunc_T(h * r), and h * r differs
+from a sum of products (x^c * mult) * g_i, x^c the monomials of h, only
+in degrees above T, which truncation drops: trunc_T(h * r) lies in W_T.
+NF_B(h * b) differs from trunc_T(h * b) by an element of W_T, so the
+normal forms span the same V_T.  By the echelon's two facts the basis,
+``primality_bound`` and every normal form then equal those of a fresh
+build.  The Tjurina algebra extends the Milnor algebra this way, with the
+columns of .f on the Milnor algebra, NF_B(f * b) keyed by ``basis_keys``,
+which ``plane`` reduces once and also reads the kernel of .f from: at
+most mu rows, none when f lies in the Jacobian ideal, where every
+multiple of f of degree <= T would be O(T^2) rows (780 for u^2+v^41).
 
 Ideal-membership witnesses (cofactors) fall out of the same reduction
 with no extra linear solve: each row of a tagged algebra carries its
@@ -114,7 +118,7 @@ would take, since a shuffle depends only on the seed and the length, and
 the re-check still runs its own full elimination; the list is built once
 per tail map.  An insert copies its row, so the list is never changed.
 No untagged algebra keeps its list, and neither does one given a list:
-the Milnor and Tjurina algebras drop theirs after their build.
+the Milnor algebra drops its list after its build.
 """
 
 from __future__ import annotations
@@ -230,18 +234,16 @@ def _multiple_keys(
 class JetAlgebra:
     """Quotient of the power-series ring by an m-primary ideal at order T.
 
-    With ``base``, an untagged algebra at order T whose generators are a
-    prefix of ``generators``, the rows extend base's instead of coming
-    from a fresh elimination: the algebra inserts trunc_T(h * b) for each
-    extra generator h and each standard monomial b of base.  Any monomial
-    is its base normal form plus an element of base's span, and h times
-    that element is a sum of multiples of base's generators up to degrees
-    above T, so these rows span what every multiple of h would (see the
-    module docstring); the result is untagged too.  ``tagged`` says
-    whether rows carry their cofactors.  ``multiples``, the ``multiples``
-    of a tagged algebra with the same generators and order, is inserted in
-    place of a list built anew.  With ``row_seed``, the rows go in the
-    order it shuffles a copy of the list to.
+    ``tagged`` says whether rows carry their cofactors.  ``multiples`` is
+    inserted in place of a list built anew: the ``multiples`` of a tagged
+    algebra with the same generators and order, or, with ``base``, the
+    rows its one caller hands it.  ``base`` is an untagged algebra at
+    order T whose generators are a prefix of ``generators``; its rows are
+    shared, and the result is untagged too.  The Tjurina algebra hands in
+    the .f columns NF_B(f * b), b a standard monomial of base: each
+    differs from trunc_T(f * b) by an element of base's span, so they span
+    the same slice (see the module docstring).  With ``row_seed``, the
+    rows go in the order it shuffles a copy of the list to.
     """
 
     def __init__(
@@ -295,13 +297,15 @@ class JetAlgebra:
                 raise AssertionError("a tagged base cannot be extended")
             if tagged:
                 raise AssertionError("an untagged base gives no witnesses")
+            if multiples is None:
+                raise AssertionError("a derived algebra inserts the rows it is handed")
             # shared, not copied: an echelon never changes a stored row
             self._rows.rows.update(base._rows.rows)
         # A tagged algebra keeps the multiples it built, for a re-check to
         # insert reshuffled (see plane.tail_map_general); no other keeps any.
         self.multiples: Optional[List[Dict[int, int]]] = None
         if multiples is None:
-            multiples = self._multiples(base)
+            multiples = self._multiples()
             if tagged:
                 self.multiples = multiples
         self._insert(multiples, row_seed)
@@ -309,10 +313,10 @@ class JetAlgebra:
 
     # -- construction ------------------------------------------------------
 
-    def _multiples(self, base: Optional["JetAlgebra"]) -> List[Dict[int, int]]:
-        """The integer vectors to insert: with no ``base``, the vector of
-        every multiple mult * g_j of degree <= T, by generator and then by
-        mult in graded-lex order; with ``base``, :meth:`_extension`.
+    def _multiples(self) -> List[Dict[int, int]]:
+        """The integer vectors to insert: the vector of every multiple
+        mult * g_j of degree <= T, by generator and then by mult in
+        graded-lex order.
 
         Each generator goes in cleared of denominators: with d_j the lcm of
         g_j's denominators, the vector is that of d_j * mult * g_j, its keys
@@ -322,8 +326,6 @@ class JetAlgebra:
         mult * g_j at any order.  Distinct terms of g_j stay distinct in
         mult * g_j, so no two terms share a key and none cancels.
         """
-        if base is not None:
-            return self._extension(base)
         T, nvars, G = self.truncation_order, len(self.ambient), len(self.generators)
         multiples: List[Dict[int, int]] = []
         for j in range(G):
@@ -342,26 +344,6 @@ class JetAlgebra:
             multiples += rows
         return multiples
 
-    def _extension(self, base: "JetAlgebra") -> List[Dict[int, int]]:
-        """The vector of trunc_T(h * b), h an extra generator cleared of
-        denominators and b a standard monomial of ``base``, by generator and
-        then by b in graded-lex order; the zero ones are left out.  With
-        base's rows they span the slice V_T (see the module docstring)."""
-        T, index = self.truncation_order, self._index
-        rows: List[Dict[int, int]] = []
-        for h_ints, _ in self._integer_generators[len(base.generators) :]:
-            terms = [(m, sum(m), c) for m, c in h_ints.items()]
-            for b in base.basis:
-                room = T - sum(b)
-                row = {
-                    index[tuple(map(add, m, b))]: c
-                    for m, degree, c in terms
-                    if degree <= room
-                }
-                if row:
-                    rows.append(row)
-        return rows
-
     def _insert(self, multiples: List[Dict[int, int]], row_seed: Optional[int]) -> None:
         """Insert ``multiples``, in the order ``row_seed`` shuffles a copy of
         them to if it is given."""
@@ -374,6 +356,7 @@ class JetAlgebra:
     def _certify(self) -> None:
         T = self.truncation_order
         keys = [i for i in range(self._size) if i not in self._rows.rows]
+        self.basis_keys = tuple(keys)  # the jet key of each standard monomial
         self._position = {k: i for i, k in enumerate(keys)}
         self.basis: Tuple[Monomial, ...] = tuple(self._monomials[i] for i in keys)
         top = max((sum(m) for m in self.basis), default=-1)

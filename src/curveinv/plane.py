@@ -28,6 +28,9 @@ from .poly import (
 
 _ZERO = Fraction(0)
 
+# The order the tail map's re-check algebra shuffles its rows to.
+RECHECK_SEED = 1
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -97,14 +100,26 @@ class PlaneAnalysis:
         u, v = f.vars
         self.f_u = f.diff(u)
         self.f_v = f.diff(v)
-        self._integer_f = linalg.integer_row(f.terms)  # f = F / d_f
+        self._integer_f = F, d_f = linalg.integer_row(f.terms)  # f = F / d_f
         self.milnor = build_jet_algebra([self.f_u, self.f_v])
-        # The Tjurina ideal contains the Jacobian ideal, so its standard
-        # monomials are among the Milnor algebra's and certify at its order;
-        # it extends the Milnor rows by f times each Milnor standard monomial.
+        # Column j of .f on M_f is the normal form of f times the j-th
+        # standard monomial, sparse over the M_f basis positions, reduced
+        # once for mult_by_f and the Tjurina algebra.  The Tjurina ideal
+        # contains the Jacobian ideal, so it certifies at the Milnor order;
+        # its rows are the Milnor rows and the nonzero columns, keyed by jet
+        # monomial, which span what every multiple of f would (see jets).
+        self._f_columns = [
+            self.milnor.sparse_normal_form(multiply_terms(F, {mono: 1}), d_f)
+            for mono in self.milnor.basis
+        ]
+        keys = self.milnor.basis_keys
         self.tjurina = JetAlgebra(
             [self.f_u, self.f_v, f], self.milnor.truncation_order,
             tagged=False, base=self.milnor,
+            multiples=[
+                linalg.integer_row({keys[i]: c for i, c in column.items()})[0]
+                for column in self._f_columns if column
+            ],
         )
         # Declared weights passing the Euler relation equal these unless f
         # is c*u*v, where the support leaves them free, M_f = <1> and the
@@ -129,20 +144,15 @@ class PlaneAnalysis:
     def mult_by_f(self) -> Tuple[Dict[int, Fraction], ...]:
         """Kernel of .f on M_f, as sparse vectors over the M_f basis positions.
 
-        Column j of .f is the normal form of f times the j-th standard
-        monomial (f's integer terms F, shifted, over f's denominator), and
-        the columns go sparse to ``linalg.column_nullspace``.  The kernel
-        must have dimension tau; the cokernel of an endomorphism of M_f has
-        the same dimension (rank-nullity), so it needs no second
-        elimination.
+        The columns of .f, reduced in ``__init__`` and inserted in the
+        Tjurina algebra too, go to ``linalg.column_nullspace``, an
+        elimination of its own.  The kernel must have dimension tau; the
+        cokernel of an endomorphism of M_f has the same dimension
+        (rank-nullity), so it needs no second elimination.
         """
         if self._mult_cache is not None:
             return self._mult_cache
-        F, d = self._integer_f
-        columns = [
-            self.milnor.sparse_normal_form(multiply_terms(F, {mono: 1}), d)
-            for mono in self.milnor.basis
-        ]
+        columns = self._f_columns
         kernel = tuple(linalg.column_nullspace(columns, len(columns)))
         tau = self.invariants.tau
         if len(kernel) != tau:
@@ -176,7 +186,7 @@ class PlaneAnalysis:
             {m: c for m, c in divergence.items() if c}, s
         )
 
-    def tail_map_general(self, row_seed: int = 1) -> TailMap:
+    def tail_map_general(self) -> TailMap:
         """Tail differential via cofactor witnesses, any isolated f.
 
         Each kernel class m of .f on M_f is lifted to a polynomial m~, a
@@ -219,7 +229,7 @@ class PlaneAnalysis:
 
         Every class is read from A lifted to T_w, and A is dropped.  Then A
         is eliminated again from A's own list of multiples, inserted in the
-        order ``row_seed`` shuffles a copy of it to, and every class,
+        order ``RECHECK_SEED`` shuffles a copy of it to, and every class,
         lifted to T_w + 2 through that algebra's own cache, must match:
         one comparison re-checks the witness order and the independence
         from the reduction order, and a mismatch raises
@@ -242,7 +252,7 @@ class PlaneAnalysis:
         multiples = witness_algebra.multiples
         del witness_algebra
         recheck_algebra = JetAlgebra(
-            jacobian, n_m + 2, row_seed=row_seed, multiples=multiples
+            jacobian, n_m + 2, row_seed=RECHECK_SEED, multiples=multiples
         )
         del multiples
         for product, image in zip(products, columns):

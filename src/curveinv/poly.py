@@ -564,20 +564,17 @@ def weight_feasibility(f: Poly) -> Optional[Tuple[Fraction, Fraction]]:
             a2, b2 = other
             w1 = Fraction(b2 - b1, det)
             w2 = Fraction(a1 - a2, det)
-            if w1 <= 0 or w2 <= 0:
+            if w1 <= 0 or w2 <= 0 or not euler_relation_holds(f, w1, w2):
                 return None
-            if any(a * w1 + b * w2 != 1 for a, b in rows):
-                return None
-            if not euler_relation_holds(f, w1, w2):
-                raise AssertionError("weight system fails the exact Euler relation")
             return (w1, w2)
     return None  # all rows proportional but distinct: inconsistent
 
 
 def euler_relation_holds(f: Poly, w1: Scalar, w2: Scalar) -> bool:
-    """Exact check of f = w1*u*f_u + w2*v*f_v."""
-    u, v = f.vars
-    lhs = (
-        Poly.variable(f.vars, u) * f.diff(u)
-    ).scale(Fraction(w1)) + (Poly.variable(f.vars, v) * f.diff(v)).scale(Fraction(w2))
-    return lhs == f
+    """Exact check of f = w1*u*f_u + w2*v*f_v, term by term.
+
+    The Euler operator w1*u*d_u + w2*v*d_v maps each term c*u^a*v^b to
+    (a*w1 + b*w2)*c*u^a*v^b, and distinct terms stay distinct, so it fixes
+    f exactly when a*w1 + b*w2 = 1 on every term of f's support.
+    """
+    return all(a * w1 + b * w2 == 1 for a, b in f.terms)

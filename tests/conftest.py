@@ -1,14 +1,17 @@
 """Shared builders and oracles: analyzed curve models assembled from the
-builtin corpus, an independent colength count for monomial ideals, and
-dense Gauss-Jordan elimination."""
+builtin corpus, a Hypothesis strategy for plane germs, an independent
+colength count for monomial ideals, and dense Gauss-Jordan elimination."""
 
 from fractions import Fraction
+from itertools import product
+from operator import add
 from typing import List, Sequence
 
 import pytest
+from hypothesis import strategies as st
 
 from curveinv import corpus
-from curveinv.poly import Monomial, Poly
+from curveinv.poly import Monomial, Poly, grlex_key
 from curveinv.report import AnalysisOptions, analyze
 from curveinv.schema import build_curve
 
@@ -31,6 +34,39 @@ def analyzed_model(label, options=AnalysisOptions()):
 @pytest.fixture
 def model():
     return analyzed_model
+
+
+_UV = ("u", "v")
+
+coefficients = st.builds(
+    lambda sign, num, den: Fraction(sign * num, den),
+    st.sampled_from((-1, 1)), st.integers(1, 5), st.integers(1, 6),
+)
+
+
+@st.composite
+def germs(draw, max_k=9, families=("bp", "above", "tangent")):
+    """Brieskorn-Pham c1*u^a + c2*v^b ("bp"), 2 <= a, b <= 7, alone or
+    plus terms above its Newton boundary ("above": semi-quasihomogeneous,
+    often with tau < mu), or (u+v)^2 + c*v^k, k <= max_k ("tangent"),
+    whose Jacobian's initial forms are not coprime; one of ``families``."""
+    family = draw(st.sampled_from(families))
+    if family == "tangent":
+        k = draw(st.integers(2, max_k))
+        return Poly(_UV, {(2, 0): 1, (1, 1): 2, (0, 2): 1}) + Poly(
+            _UV, {(0, k): draw(coefficients)}
+        )
+    a, b = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    terms = {(a, 0): draw(coefficients), (0, b): draw(coefficients)}
+    above = [
+        (i, j) for i in range(a + 1) for j in range(b + 1)
+        if i * b + j * a > a * b and i + j <= max(a, b) + 1
+    ]
+    if family == "above":
+        extra = st.lists(st.sampled_from(above), min_size=1, max_size=2, unique=True)
+        for mono in draw(extra):
+            terms[mono] = draw(coefficients)
+    return Poly(_UV, terms)
 
 
 def staircase_colength(generators: Sequence[Poly]) -> int:
@@ -69,6 +105,30 @@ def staircase_colength(generators: Sequence[Poly]) -> int:
 
     scan([], 0)
     return count
+
+
+def dense_algebra(generators, T):
+    """The standard monomials of the dense Gauss-Jordan oracle: the
+    non-pivot columns, in graded-lex order, of the matrix of every
+    multiple mult * g truncated at degree T.  The monomials are listed
+    here, independently of ``jets``."""
+    nvars = len(generators[0].vars)
+    monos = sorted(
+        (m for m in product(range(T + 1), repeat=nvars) if sum(m) <= T), key=grlex_key
+    )
+    column = {m: k for k, m in enumerate(monos)}
+    rows = []
+    for g in generators:
+        for mult in monos:
+            terms = {tuple(map(add, m, mult)): c for m, c in g.terms.items()}
+            row = [0] * len(monos)
+            for m, c in terms.items():
+                if sum(m) <= T:
+                    row[column[m]] = c
+            if any(row):
+                rows.append(row)
+    _, pivots = gauss_jordan(rows)
+    return [m for k, m in enumerate(monos) if k not in set(pivots)]
 
 
 def gauss_jordan(rows):

@@ -1,6 +1,6 @@
-"""The CI workflow covers every benchmark workload and installs the test
-tools at the versions ``pyproject.toml`` pins, and every name the package
-imports is read.
+"""The CI workflow covers every benchmark workload, installs the test
+tools at the versions ``pyproject.toml`` pins and grants its token read
+access only, and every name the package imports is read.
 
 Read with regular expressions and ``ast``: CI installs only pytest and
 Hypothesis, so no YAML parser is at hand, and Python 3.10 has no
@@ -35,6 +35,17 @@ def test_workflow_installs_the_pinned_test_extra():
     pins = sorted(installed[0].split())
     assert pins == sorted(re.findall(r'"([^"]+)"', extra[1]))
     assert all(re.fullmatch(r"[a-z]+==[0-9.]+", pin) for pin in pins)
+
+
+def test_workflow_token_grants_read_only():
+    """The only permission lines are the top-level ``permissions`` block
+    and its ``contents: read``: no job grants another scope."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    grants = re.findall(
+        r"^([ \t]*)(permissions:.*|[a-z-]+: (?:read|write|none))[ \t]*$",
+        workflow, re.MULTILINE,
+    )
+    assert grants == [("", "permissions:"), ("  ", "contents: read")]
 
 
 def test_lowest_workflow_python_is_the_requires_python_floor():

@@ -1,14 +1,13 @@
 """Jet algebras: colengths, normal forms, membership witnesses."""
 
 from fractions import Fraction
-from itertools import product
 from math import comb
 from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gauss_jordan, staircase_colength
+from conftest import dense_algebra, staircase_colength
 from curveinv import jets
 from curveinv.errors import NotInIdeal, TruncationCapExceeded
 from curveinv.jets import JetAlgebra, build_jet_algebra, default_truncation
@@ -189,30 +188,6 @@ def test_multiple_keys_match_the_monomial_index(case):
         ]
 
 
-def dense_algebra(generators, T):
-    """The standard monomials of the dense Gauss-Jordan oracle: the
-    non-pivot columns, in graded-lex order, of the matrix of every
-    multiple mult * g truncated at degree T.  The monomials are listed
-    here, independently of ``jets``."""
-    nvars = len(generators[0].vars)
-    monos = sorted(
-        (m for m in product(range(T + 1), repeat=nvars) if sum(m) <= T), key=grlex_key
-    )
-    column = {m: k for k, m in enumerate(monos)}
-    rows = []
-    for g in generators:
-        for mult in monos:
-            terms = {tuple(map(add, m, mult)): c for m, c in g.terms.items()}
-            row = [0] * len(monos)
-            for m, c in terms.items():
-                if sum(m) <= T:
-                    row[column[m]] = c
-            if any(row):
-                rows.append(row)
-    _, pivots = gauss_jordan(rows)
-    return [m for k, m in enumerate(monos) if k not in set(pivots)]
-
-
 @pytest.mark.parametrize("a,b,c", [(1, 1, 1), (2, 3, 2), (1, 4, 2)])
 def test_three_variable_monomial_ideal_matches_gauss_jordan(a, b, c):
     gens = [parse_poly(src, XYZ) for src in (f"x^{a}", f"y^{b}", f"z^{c}")]
@@ -368,9 +343,12 @@ def test_requested_order_below_one_rejected(order):
         # carried keys are numbered for the base's generators
         (jacobian("u^2+v^3") + [P("u^2+v^3")], 8, False, True,
          "tagged base cannot be extended"),
+        # the caller hands in the extension rows (plane: the .f columns)
+        (jacobian("u^2+v^3") + [P("u^2+v^3")], 8, False, False,
+         "inserts the rows it is handed"),
     ],
     ids=["reordered", "shorter", "order-above-base", "tags-from-untagged",
-         "extend-tagged"],
+         "extend-tagged", "no-rows-handed"],
 )
 def test_base_misuse_fails_loudly(generators, order, tagged, base_tagged, message):
     base = JetAlgebra(jacobian("u^2+v^3"), 8, tagged=base_tagged)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from curveinv.errors import ParseError, UndeclaredVariable
 from curveinv.poly import (
@@ -176,11 +176,39 @@ def test_weight_feasibility_nonpositive_rejected():
     assert weight_feasibility(P("u+u^2")) is None
 
 
+def euler_identity(p, w1, w2):
+    """The Euler relation p = w1*u*p_u + w2*v*p_v in Poly arithmetic: the
+    oracle for the term-by-term test of ``euler_relation_holds``."""
+    u, v = (Poly.variable(UV, x) for x in UV)
+    return (u * p.diff("u")).scale(Fraction(w1)) + (v * p.diff("v")).scale(
+        Fraction(w2)
+    ) == p
+
+
 @given(polys.filter(lambda p: not p.is_zero()))
 def test_returned_weights_satisfy_euler(p):
     result = weight_feasibility(p)
     if result is not None:
-        assert euler_relation_holds(p, *result)
+        assert euler_identity(p, *result)
+
+
+# reciprocals put whole supports on the line a*w1 + b*w2 = 1 often
+weights = st.one_of(
+    st.integers(1, 8).map(lambda k: Fraction(1, k)),
+    st.fractions(min_value=-2, max_value=2, max_denominator=8),
+)
+
+
+@given(polys, weights, weights, st.booleans())
+@example(P("u^2+v^3"), Fraction(1, 2), Fraction(1, 3), False)
+@example(P("u^2+v^3+u*v^2"), Fraction(1, 2), Fraction(1, 3), False)
+@example(P("u*v+u^2*v^3"), Fraction(1, 2), Fraction(1, 2), False)
+def test_euler_relation_holds_is_the_poly_identity(p, w1, w2, on_line):
+    """For any weights, the term-by-term test equals the Euler identity;
+    with ``on_line``, p keeps only its terms with a*w1 + b*w2 = 1."""
+    if on_line:
+        p = Poly(UV, {m: c for m, c in p.terms.items() if m[0] * w1 + m[1] * w2 == 1})
+    assert euler_relation_holds(p, w1, w2) == euler_identity(p, w1, w2)
 
 
 def test_branch_param_validation():
