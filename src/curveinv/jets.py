@@ -22,7 +22,9 @@ also serves branch semigroups and the sparse ranks of :func:`linalg.rank`
 its smallest monomial, so normal forms are unique and runs are
 reproducible.  The kernel takes integer vectors:
 :func:`linalg.integer_row` clears each generator and each reduced
-polynomial of denominators once, and normal forms come back as Fractions.
+polynomial of denominators once.  So an algebra answers its two queries,
+``normal_form`` and ``membership_with_witness``, on an integer term map P
+over a denominator d; only normal forms come back as Fractions.
 
 The m-primality certificate: if every standard (non-pivot) monomial has
 total degree < T, then all monomials of some degree N <= T are reducible,
@@ -88,19 +90,19 @@ L * (s / d) * P - sum((L / d_j) * C_j * G_j), an integer polynomial since
 d divides s and each d_j divides L, and a nonzero factor changes no
 order.  Its terms of degree <= T must all cancel; ``integer_witness``
 returns the rest of it, up to a requested order that may exceed T, from
-the same multiply.  ``normal_form`` and ``membership_with_witness`` clear
-p once, call the integer cores, and divide by s only on the way out.
+the same multiply.
 
 A witness is good to any order without a larger algebra.  With N the
 primality bound, m^N lies in the ideal, so every x^b with |b| = N has a
-witness whose defect has order > T.  ``lifted_witness`` trades each
-defect term c * x^a for c * x^(a-b) times that defect, for a b <= a with
-|b| = N, by adding c * x^(a-b) times the witness of x^b; each pass
-raises the defect order by at least T + 1 - N >= 1.  The one lifting
-cache holds the witness of each x^b per order it was read at, built on
-first use and kept with the algebra; each pass shifts the cached terms
-as it reads them, and the lifted cofactors pass the same exact defect
-check at the requested order.
+witness whose defect has order > T.  ``membership_with_witness`` starts
+from the witness of ``integer_witness`` and trades each defect term
+c * x^a for c * x^(a-b) times that defect, for a b <= a with |b| = N, by
+adding c * x^(a-b) times the witness of x^b; each pass raises the defect
+order by at least T + 1 - N >= 1.  The one lifting cache holds the
+witness of each x^b per order it was read at, built on first use and
+kept with the algebra; each pass shifts the cached terms as it reads
+them, and the lifted cofactors pass the same exact defect check at the
+requested order.
 
 A :class:`JetAlgebra` is tagged by default, but
 :func:`build_jet_algebra` always builds untagged: the Milnor algebra, its
@@ -140,9 +142,6 @@ TRUNCATION_CAP = 64
 # Most monomials an algebra's jet space may hold, checked before any is
 # listed: above it the build raises TruncationCapExceeded (exit 3).
 JET_SPACE_CAP = 100_000
-
-_ZERO = Fraction(0)
-
 
 _JET_MONOMIALS: Dict[int, Tuple[List[Monomial], Dict[Monomial, int]]] = {}
 
@@ -369,18 +368,13 @@ class JetAlgebra:
     def colength(self) -> int:
         return len(self.basis)
 
-    def _cleared(self, p: Poly) -> Tuple[Dict[Monomial, int], int]:
-        if p.vars != self.ambient:
-            raise ValueError("ambient mismatch")
-        return integer_row(p.terms)
-
     def _reduce(self, P: Dict[Monomial, int], d: int):
         """``Echelon.reduce`` of the degree-<=T jet of P / d."""
         T, index = self.truncation_order, self._index
         jet = {index[m]: c for m, c in P.items() if sum(m) <= T}
         return self._rows.reduce(jet, d)
 
-    def sparse_normal_form(self, P: Dict[Monomial, int], d: int) -> Dict[int, Fraction]:
+    def normal_form(self, P: Dict[Monomial, int], d: int) -> Dict[int, Fraction]:
         """The nonzero coordinates of the class of P / d over the
         standard-monomial basis, keyed by position in it, for P an integer
         term map in the ambient variables."""
@@ -439,13 +433,14 @@ class JetAlgebra:
         _check_defect(defect, min(order, self.truncation_order))
         return cofactors, s, defect
 
-    def lifted_witness(
+    def membership_with_witness(
         self, P: Dict[Monomial, int], d: int, order: int
     ) -> Tuple[List[Dict[Monomial, int]], int]:
         """Integer cofactors C_j and a scale s with P / d - sum(C_j / s * g_j)
-        of order > ``order``, for any ``order``: the witness at T, lifted
-        through the witnesses of the monomials of degree N, the primality
-        bound.
+        of order > ``order``, for any ``order``, P an integer term map in
+        the ambient variables: the witness of :meth:`integer_witness`,
+        lifted through the witnesses of the monomials of degree N, the
+        primality bound, when its defect reaches degree ``order`` > T.
 
         The loop keeps the defect D = L * (s / d) * P - sum((L / d_j) * C_j
         * G_j) up to degree ``order``.  Each pass splits every defect term
@@ -507,25 +502,6 @@ class JetAlgebra:
         cofactors = [{m: c // content for m, c in C.items() if c} for C in cofactors]
         _check_defect(self._defect(P, d, cofactors, s, order), order)
         return cofactors, s
-
-    def normal_form(self, p: Poly) -> List[Fraction]:
-        """Coordinates of p's class over the standard-monomial basis."""
-        normal = self.sparse_normal_form(*self._cleared(p))
-        return [normal.get(i, _ZERO) for i in range(len(self.basis))]
-
-    def membership_with_witness(self, p: Poly, order: int) -> Tuple[Poly, ...]:
-        """Cofactors c_i, one per generator g_i, with p - sum(c_i * g_i) of
-        order > ``order`` <= T: :meth:`integer_witness` on p cleared, as
-        Fractions."""
-        if order > self.truncation_order:
-            raise ValueError(
-                f"order {order} exceeds certified range {self.truncation_order}"
-            )
-        cofactors, s, _ = self.integer_witness(*self._cleared(p), order)
-        return tuple(
-            Poly._unchecked(self.ambient, {m: Fraction(c, s) for m, c in C.items()})
-            for C in cofactors
-        )
 
 
 def _check_defect(defect: Dict[Monomial, int], order: int) -> None:

@@ -109,7 +109,7 @@ class PlaneAnalysis:
         # its rows are the Milnor rows and the nonzero columns, keyed by jet
         # monomial, which span what every multiple of f would (see jets).
         self._f_columns = [
-            self.milnor.sparse_normal_form(multiply_terms(F, {mono: 1}), d_f)
+            self.milnor.normal_form(multiply_terms(F, {mono: 1}), d_f)
             for mono in self.milnor.basis
         ]
         keys = self.milnor.basis_keys
@@ -135,9 +135,6 @@ class PlaneAnalysis:
             wh_in_coords=self.effective_weights is not None,
         )
         self._mult_cache = None
-
-    def milnor_tjurina(self) -> Tuple[int, int]:
-        return self.invariants.mu, self.invariants.tau
 
     # -- multiplication by f on the Milnor algebra -------------------------
 
@@ -169,20 +166,22 @@ class PlaneAnalysis:
     ) -> Dict[int, Fraction]:
         """Class in T_f of the divergence of a cofactor witness for f*lift,
         given as the integer product F * Lambda over its denominator, with
-        the witness lifted to ``order`` (``JetAlgebra.lifted_witness``).
+        the witness exact to ``order``
+        (``JetAlgebra.membership_with_witness``).
 
         With cofactors C_u / s, C_v / s, the divergence is
-        (d_u(C_u) + d_v(C_v)) / s, so its class is the sparse normal form
-        of the numerator over s.
+        (d_u(C_u) + d_v(C_v)) / s, so its class is the normal form of the
+        numerator over s (``JetAlgebra.normal_form``), sparse over the T_f
+        basis positions.
         """
-        (C_u, C_v), s = witness_algebra.lifted_witness(*product, order)
+        (C_u, C_v), s = witness_algebra.membership_with_witness(*product, order)
         divergence: dict = {}
         for i, C in enumerate((C_u, C_v)):
             for m, c in C.items():
                 if m[i]:
                     dm = m[:i] + (m[i] - 1,) + m[i + 1 :]
                     divergence[dm] = divergence.get(dm, 0) + c * m[i]
-        return self.tjurina.sparse_normal_form(
+        return self.tjurina.normal_form(
             {m: c for m, c in divergence.items() if c}, s
         )
 
@@ -196,8 +195,8 @@ class PlaneAnalysis:
         denominator: f = F / d_f and m~ = Lambda / d_m are cleared once,
         f*m~ is the integer product F * Lambda over d_f * d_m, and the
         witness comes back as integer cofactors over one scale s (see
-        ``JetAlgebra.lifted_witness``); only the T_f coordinates are
-        Fractions.
+        ``JetAlgebra.membership_with_witness``); only the T_f coordinates
+        are Fractions.
 
         The witness order is T_w = N_M + N_T, the primality bounds of the
         Milnor and Tjurina algebras (m^N_M lies in J = (f_u, f_v) and m^N_T
@@ -215,15 +214,15 @@ class PlaneAnalysis:
           h.  Its divergence h_u*f_v - h_v*f_u lies in J, so the class does
           not depend on the witness.
 
-        No algebra is built at T_w.  The witnesses come from a tagged
-        algebra A at N_M + 2, taken at its own order T and lifted through
-        the witnesses of the monomials x^b of degree N_M, cached lazily in
-        A (see ``jets``): a defect term c*x^a gains
-        c*x^(a-b)*(alpha_b, beta_b) for some b <= a with |b| = N_M, which
-        trades it for c*x^(a-b) times the defect of x^b, of order
-        > |a| + T - N_M.  So each pass raises the defect order by at least
-        T + 1 - N_M >= 1, and the loop ends once the defect has order
-        > T_w.  Which b a term takes changes the witness, never the class:
+        No algebra is built at T_w.  The witnesses come from one call of
+        ``membership_with_witness`` on a tagged algebra A at N_M + 2: taken
+        at its own order T and lifted through the witnesses of the
+        monomials x^b of degree N_M, cached lazily in A (see ``jets``).  A
+        defect term c*x^a gains c*x^(a-b)*(alpha_b, beta_b) for some
+        b <= a with |b| = N_M, which trades it for c*x^(a-b) times the
+        defect of x^b, of order > |a| + T - N_M.  So each pass raises the
+        defect order by at least T + 1 - N_M >= 1, and the loop ends once
+        the defect has order > T_w.  Which b a term takes changes the witness, never the class:
         any lifted witness has a defect in m^(T_w+1), and the argument
         above gives every such witness the same class.
 

@@ -1,6 +1,7 @@
 """Shared builders and oracles: analyzed curve models assembled from the
 builtin corpus, a Hypothesis strategy for plane germs, an independent
-colength count for monomial ideals, and dense Gauss-Jordan elimination."""
+colength count for monomial ideals, dense Gauss-Jordan elimination, and
+Poly views of jet-algebra normal forms and witnesses."""
 
 from fractions import Fraction
 from itertools import product
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from curveinv import corpus
+from curveinv.linalg import integer_row
 from curveinv.poly import Monomial, Poly, grlex_key
 from curveinv.report import AnalysisOptions, analyze
 from curveinv.schema import build_curve
@@ -67,6 +69,24 @@ def germs(draw, max_k=9, families=("bp", "above", "tangent")):
         for mono in draw(extra):
             terms[mono] = draw(coefficients)
     return Poly(_UV, terms)
+
+
+def dense_normal_form(algebra, p: Poly) -> List[Fraction]:
+    """The coordinates of p's class over the algebra's standard basis, as
+    a dense list of Fractions."""
+    normal = algebra.normal_form(*integer_row(p.terms))
+    return [normal.get(i, Fraction(0)) for i in range(algebra.colength())]
+
+
+def poly_witness(algebra, p: Poly, order: int) -> tuple:
+    """Cofactors c_j of p as Polys, one per generator g_j, with
+    p - sum(c_j * g_j) of order > ``order``, for ``order`` <= T: the
+    algebra's own witness, with no lifting."""
+    assert order <= algebra.truncation_order
+    cofactors, s = algebra.membership_with_witness(*integer_row(p.terms), order)
+    return tuple(
+        Poly(p.vars, {m: Fraction(c, s) for m, c in C.items()}) for C in cofactors
+    )
 
 
 def staircase_colength(generators: Sequence[Poly]) -> int:

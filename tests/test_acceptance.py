@@ -57,7 +57,7 @@ def test_criterion_01_ade_zoo_mu_tau_and_staircase():
     for label, analysis in _zoo_analyses():
         if label == "nonQH-quintic":
             continue
-        mu, tau = analysis.milnor_tjurina()
+        mu, tau = analysis.invariants.mu, analysis.invariants.tau
         assert mu == tau, label
         assert analysis.invariants.qh_by_saito, label
         if label in monomial_jacobian:
@@ -78,7 +78,7 @@ def test_criterion_02_milnor_formula():
         for sing in curve.singularities:
             if not isinstance(sing, PlaneSingularity) or not sing.branches:
                 continue
-            mu, _ = PlaneAnalysis(sing).milnor_tjurina()
+            mu = PlaneAnalysis(sing).invariants.mu
             rep = delta_report(sing, mu)  # raises MilnorMismatch on failure
             assert mu == 2 * rep.delta - rep.r + 1
             checked += 1
@@ -87,7 +87,7 @@ def test_criterion_02_milnor_formula():
 
 def test_criterion_03_tail_dimensions():
     for label, analysis in _zoo_analyses():
-        _, tau = analysis.milnor_tjurina()
+        tau = analysis.invariants.tau
         assert len(analysis.mult_by_f()) == tau, label
         tail = analysis.tail_map_general()
         assert len(tail.source_basis) == len(tail.target_basis) == tau, label
@@ -114,7 +114,7 @@ def test_criterion_04_scalar_general_agreement(monkeypatch):
 def test_criterion_05_qh_full_rank():
     for label, analysis in _zoo_analyses():
         if analysis.invariants.qh_by_saito:
-            _, tau = analysis.milnor_tjurina()
+            tau = analysis.invariants.tau
             assert analysis.tail_map_general().rank == tau, label
     _report("5 (QH full rank)", True, "tail rank equals tau on every QH entry")
 
@@ -188,7 +188,7 @@ def test_criterion_09_stabilization(monkeypatch):
         )
         raised = PlaneAnalysis(analysis.sing)
         assert raised.milnor.truncation_order == order, label
-        assert raised.milnor_tjurina() == analysis.milnor_tjurina(), label
+        assert raised.invariants == analysis.invariants, label
         assert raised.tail_map_general().matrix == analysis.tail_map_general().matrix, label
     _report(
         "9 (stabilization)",

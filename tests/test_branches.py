@@ -256,7 +256,7 @@ def test_intersection_error_when_branch_lies_on_curve():
 
 def _report(src, branch_specs):
     s = sing(src, branch_specs)
-    mu, _ = PlaneAnalysis(s).milnor_tjurina()
+    mu = PlaneAnalysis(s).invariants.mu
     return delta_report(s, mu)
 
 
@@ -296,7 +296,7 @@ def test_milnor_formula_on_all_reports():
     ]
     for src, specs in cases:
         s = sing(src, specs)
-        mu, _ = PlaneAnalysis(s).milnor_tjurina()
+        mu = PlaneAnalysis(s).invariants.mu
         rep = delta_report(s, mu)
         assert mu == 2 * rep.delta - rep.r + 1
 
@@ -331,7 +331,7 @@ def test_milnor_formula_on_generated_smooth_branches(curves):
         for i, (_, ki) in enumerate(curves)
         for _, kj in curves[i + 1 :]
     )
-    mu, _ = PlaneAnalysis(s).milnor_tjurina()
+    mu = PlaneAnalysis(s).invariants.mu
     assert delta_report(s, mu) == DeltaR(delta, len(curves), "computed")
 
 

@@ -91,3 +91,54 @@ def test_src_imports_are_used():
                 continue
             unused += [f"{path.name}: {name}" for name in bound if name not in read]
     assert unused == []
+
+
+# The one tracer target no engine code calls: the dense Gauss-Jordan
+# function, kept for the harness's rref layer (see its docstring).
+TRACER_ONLY = {("linalg", "rref")}
+
+
+def _tracer_targets():
+    """(module, qualified name) of each ``TARGETS`` entry of the benchmark
+    tracer, read from its source with ``ast``."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [(entry.elts[1].value, entry.elts[2].value) for entry in node.value.elts]
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+def test_every_tracer_target_is_engine_code():
+    """Each name the tracer wraps is a def in the package, and each one
+    but ``TRACER_ONLY`` is called or referenced from package code outside
+    its own def: no engine function exists only to be traced.  Dunder
+    methods count as used."""
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in (ROOT / "src" / "curveinv").glob("*.py")
+    }
+    missing, unused = [], []
+    for module, qualname in _tracer_targets():
+        *owner, name = qualname.split(".")
+        scope = trees[module].body
+        if owner:
+            scope = next((n.body for n in scope
+                          if isinstance(n, ast.ClassDef) and n.name == owner[0]), [])
+        defined = next((n for n in scope
+                        if isinstance(n, ast.FunctionDef) and n.name == name), None)
+        if defined is None:
+            missing.append(f"{module}.{qualname}")
+            continue
+        if (module, qualname) in TRACER_ONLY or name.startswith("__"):
+            continue
+        own = set(map(id, ast.walk(defined)))
+        used = any(
+            id(node) not in own and name in (
+                getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "name", None) if isinstance(node, ast.alias) else None,
+            )
+            for tree in trees.values() for node in ast.walk(tree)
+        )
+        if not used:
+            unused.append(f"{module}.{qualname}")
+    assert (missing, unused) == ([], [])

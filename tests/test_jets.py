@@ -7,7 +7,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_algebra, staircase_colength
+from conftest import dense_algebra, dense_normal_form, poly_witness, staircase_colength
 from curveinv import jets
 from curveinv.errors import NotInIdeal, TruncationCapExceeded
 from curveinv.jets import JetAlgebra, build_jet_algebra, default_truncation
@@ -110,11 +110,17 @@ def test_colength_stable_under_truncation_raise(src):
 def test_normal_form_examples():
     J = JetAlgebra(jacobian("u^2+v^3"), 8, tagged=False)
     # u^2*v^5 is divisible by u, hence in (2u, 3v^2); only v survives
-    coords = J.normal_form(P("v + u^2*v^5"))
+    coords = dense_normal_form(J, P("v + u^2*v^5"))
     assert coords == [Fraction(0), Fraction(1)]
-    assert J.normal_form(Poly.zero(UV)) == [0, 0]
+    assert dense_normal_form(J, Poly.zero(UV)) == [0, 0]
     for g in J.generators:
-        assert J.normal_form(g) == [0, 0]
+        assert dense_normal_form(J, g) == [0, 0]
+    # the i-th standard monomial reduces to e_i, keyed by its position in
+    # the basis, where it is not its jet key
+    J = JetAlgebra(jacobian("u^3+v^5"), 10, tagged=False)
+    assert list(J.basis_keys) != list(range(J.colength()))
+    for i, mono in enumerate(J.basis):
+        assert J.normal_form({mono: 1}, 1) == {i: 1}
 
 
 small_polys = st.dictionaries(
@@ -130,9 +136,9 @@ small_polys = st.dictionaries(
        st.fractions(min_value=-3, max_value=3, max_denominator=4))
 def test_normal_form_linear(p, q, a, b):
     J = JetAlgebra(jacobian("u^3+v^5"), 10, tagged=False)
-    nf_p = J.normal_form(p)
-    nf_q = J.normal_form(q)
-    combo = J.normal_form(p.scale(a) + q.scale(b))
+    nf_p = dense_normal_form(J, p)
+    nf_q = dense_normal_form(J, q)
+    combo = dense_normal_form(J, p.scale(a) + q.scale(b))
     assert combo == [a * x + b * y for x, y in zip(nf_p, nf_q)]
 
 
@@ -209,7 +215,7 @@ def test_three_variable_jacobian_matches_gauss_jordan(bump):
     assert J.colength() == 8
     assert list(J.basis) == dense_algebra(gens, T)
     target = parse_poly("x*y", XYZ) * gens[0] - parse_poly("z^2", XYZ) * gens[2]
-    cofactors = J.membership_with_witness(target, T)
+    cofactors = poly_witness(J, target, T)
     defect = target - sum((c * g for c, g in zip(cofactors, gens)), Poly.zero(XYZ))
     assert defect.is_zero() or defect.order() > T
 
@@ -218,13 +224,13 @@ def test_three_variable_jacobian_matches_gauss_jordan(bump):
 
 def test_witness_node():
     J = JetAlgebra([P("v"), P("u")], 8)
-    alpha, beta = J.membership_with_witness(P("u*v"), 4)
+    alpha, beta = poly_witness(J, P("u*v"), 4)
     assert alpha * P("v") + beta * P("u") == P("u*v")
 
 
 def test_witness_cusp_euler():
     J = JetAlgebra([P("2*u"), P("3*v^2")], 10)
-    cofactors = J.membership_with_witness(P("u^2+v^3"), 6)
+    cofactors = poly_witness(J, P("u^2+v^3"), 6)
     assert cofactors == (P("1/2*u"), P("1/3*v"))
 
 
@@ -232,15 +238,15 @@ def test_witness_e8_high_order():
     f = P("u^3+v^5")
     J = JetAlgebra(jacobian("u^3+v^5"), 18)
     target = f * P("v^3")
-    alpha, beta = J.membership_with_witness(target, 12)
+    alpha, beta = poly_witness(J, target, 12)
     defect = target - alpha * f.diff("u") - beta * f.diff("v")
     assert defect.is_zero() or defect.order() > 12
 
 
 def test_integer_witness_returns_its_defect_beyond_T():
     """Past T the defect need not cancel: integer_witness returns it, times
-    L * s, up to the requested order, and lifted_witness raises its order
-    past that order."""
+    L * s, up to the requested order, and membership_with_witness raises
+    its order past that order."""
     f = P("u^3+v^5+1/2*u^2*v^2")
     J = JetAlgebra(jacobian("u^3+v^5+1/2*u^2*v^2"), 9)
     target = f * P("v^3")
@@ -254,7 +260,7 @@ def test_integer_witness_returns_its_defect_beyond_T():
     cofactors, s, beyond = J.integer_witness(ints, d, 16)
     assert beyond and min(sum(m) for m in beyond) > 9
     assert Poly(UV, beyond) == defect(cofactors, s).scale(J._generator_lcm * s)
-    assert defect(*J.lifted_witness(ints, d, 16)).is_zero()
+    assert defect(*J.membership_with_witness(ints, d, 16)).is_zero()
 
 
 def test_one_algebra_lifts_to_several_orders_in_turn():
@@ -267,7 +273,7 @@ def test_one_algebra_lifts_to_several_orders_in_turn():
     target = f * P("v^3")
     ints, d = integer_row(target.terms)
     for order in (16, 12, 19):
-        cofactors, s = J.lifted_witness(ints, d, order)
+        cofactors, s = J.membership_with_witness(ints, d, order)
         alpha, beta = (Poly(UV, {m: Fraction(c, s) for m, c in C.items()})
                        for C in cofactors)
         defect = target - alpha * f.diff("u") - beta * f.diff("v")
@@ -277,13 +283,26 @@ def test_one_algebra_lifts_to_several_orders_in_turn():
 def test_witness_rejects_non_member():
     J = JetAlgebra(jacobian("u^2+v^3"), 8)
     with pytest.raises(NotInIdeal):
-        J.membership_with_witness(P("v"), 4)
+        poly_witness(J, P("v"), 4)
 
 
-def test_witness_order_out_of_certified_range():
-    J = JetAlgebra(jacobian("u^2+v^3"), 8)
-    with pytest.raises(ValueError):
-        J.membership_with_witness(P("u"), 100)
+def test_witness_at_an_order_far_above_T():
+    """An order above T is lifted, not refused: at T = 8 the witness of a
+    member with terms of degree 43 and 97 leaves a defect there, and the
+    one at order 100, recomputed here in Poly arithmetic, has order > 100;
+    v is still no member at that order."""
+    f_u, f_v = gens = jacobian("u^2+v^3")
+    J = JetAlgebra(gens, 8)
+    target = P("u + u^40*v^3 + v^97")
+    ints, d = integer_row(target.terms)
+    assert J.integer_witness(ints, d, 100)[2]
+    cofactors, s = J.membership_with_witness(ints, d, 100)
+    alpha, beta = (Poly(UV, {m: Fraction(c, s) for m, c in C.items()})
+                   for C in cofactors)
+    defect = target - alpha * f_u - beta * f_v
+    assert defect.is_zero() or defect.order() > 100
+    with pytest.raises(NotInIdeal):
+        J.membership_with_witness(*integer_row(P("v").terms), 100)
 
 
 def test_corrupted_witness_fails_the_defect_check(monkeypatch):
@@ -301,10 +320,10 @@ def test_corrupted_witness_fails_the_defect_check(monkeypatch):
     f = P("u^3+v^5")
     J = JetAlgebra(jacobian("u^3+v^5"), 18)
     target = f * P("v^3")
-    J.membership_with_witness(target, 12)
+    poly_witness(J, target, 12)
     monkeypatch.setattr(Echelon, "reduce", corrupted)
     with pytest.raises(NotInIdeal, match="witness defect has order"):
-        J.membership_with_witness(target, 12)
+        poly_witness(J, target, 12)
 
 
 def test_row_seed_changes_nothing_semantically():
@@ -314,7 +333,7 @@ def test_row_seed_changes_nothing_semantically():
     assert J0.basis == J1.basis
     assert J0.colength() == J1.colength()
     for src in ("1", "u*v", "v^3 - 2*u*v^2 + 1/3*u^4", "u^3*v^5 + v^7 + u"):
-        assert J0.normal_form(P(src)) == J1.normal_form(P(src))
+        assert dense_normal_form(J0, P(src)) == dense_normal_form(J1, P(src))
 
 
 # -- misuse is an internal failure, not bad input ----------------------------
@@ -322,7 +341,7 @@ def test_row_seed_changes_nothing_semantically():
 def test_untagged_algebra_gives_no_witness():
     J = JetAlgebra(jacobian("u^2+v^3"), 8, tagged=False)
     with pytest.raises(AssertionError, match="untagged"):
-        J.membership_with_witness(P("u"), 4)
+        poly_witness(J, P("u"), 4)
 
 
 @pytest.mark.parametrize("order", [0, -7])

@@ -283,20 +283,22 @@ def test_carried_keys_never_become_pivots_or_normal_form_keys(case, data):
 
 @pytest.mark.parametrize("src", ["u^2+v^3", "1/3*u^3+2/5*v^4", "(u+v)^2+v^9"])
 def test_jet_results_are_fractions(src):
-    """Integer rows stay inside the kernel: normal forms and cofactors are
-    Fractions, also for a germ with rational coefficients."""
+    """Integer rows stay inside the kernel: normal forms are Fractions and
+    witnesses are int cofactors over one positive int scale, also for a
+    germ with rational coefficients."""
     f = parse_poly(src, ("u", "v"))
     gens = [f.diff("u"), f.diff("v")]
     milnor = build_jet_algebra(gens)
     T = milnor.truncation_order
     monomials = [(a, d - a) for d in range(T + 1) for a in range(d + 1)]
     for mono in monomials:
-        normal = milnor.normal_form(f * Poly(f.vars, {mono: 1}))
-        assert all(isinstance(c, Fraction) for c in normal)
+        normal = milnor.normal_form(*integer_row((f * Poly(f.vars, {mono: 1})).terms))
+        assert all(isinstance(c, Fraction) for c in normal.values())
     tagged = JetAlgebra(gens, T + 2)
     u, v = Poly.variable(f.vars, "u"), Poly.variable(f.vars, "v")
     p = u * gens[0] + (v * gens[1]).scale(Fraction(1, 7))
-    cofactors = tagged.membership_with_witness(p, T)
-    assert cofactors
+    cofactors, s = tagged.membership_with_witness(*integer_row(p.terms), T)
+    assert type(s) is int and s > 0
+    assert any(cofactors)
     for cof in cofactors:
-        assert all(isinstance(c, Fraction) for c in cof.terms.values())
+        assert all(type(c) is int for c in cof.values())

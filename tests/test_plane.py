@@ -8,7 +8,9 @@ from operator import add
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import coefficients, gauss_jordan, germs, oracle_nullspace
+from conftest import (
+    coefficients, dense_normal_form, gauss_jordan, germs, oracle_nullspace, poly_witness,
+)
 from curveinv import corpus, linalg, plane
 from curveinv.errors import (
     MissingWeights, NotMPrimary, TruncationCapExceeded, WitnessOrderInsufficient,
@@ -41,7 +43,7 @@ ADE = (
 @pytest.mark.parametrize("src,expected_mu", ADE)
 def test_ade_mu_equals_tau(src, expected_mu):
     a = analysis(src)
-    mu, tau = a.milnor_tjurina()
+    mu, tau = a.invariants.mu, a.invariants.tau
     assert (mu, tau) == (expected_mu, expected_mu)
     assert a.invariants.qh_by_saito
     assert a.invariants.wh_in_coords
@@ -49,7 +51,7 @@ def test_ade_mu_equals_tau(src, expected_mu):
 
 def test_non_qh_quintic_strict_inequality():
     a = analysis("u^5+v^5+u^3*v^3")
-    mu, tau = a.milnor_tjurina()
+    mu, tau = a.invariants.mu, a.invariants.tau
     assert (mu, tau) == (16, 15)
     assert tau < mu
     assert not a.invariants.qh_by_saito
@@ -85,7 +87,7 @@ def test_mult_by_f_zero_under_weights():
 def test_kernel_cokernel_both_tau(src):
     # the cokernel of .f on M_f has the kernel's dimension (rank-nullity)
     a = analysis(src)
-    _, tau = a.milnor_tjurina()
+    tau = a.invariants.tau
     assert len(a.mult_by_f()) == tau
 
 
@@ -191,8 +193,8 @@ def degree_order_tail_matrix(a):
     )
     columns = []
     for lift in lifts:
-        alpha, beta = witness_algebra.membership_with_witness(f * lift, order)
-        columns.append(a.tjurina.normal_form(alpha.diff(u) + beta.diff(v)))
+        alpha, beta = poly_witness(witness_algebra, f * lift, order)
+        columns.append(dense_normal_form(a.tjurina, alpha.diff(u) + beta.diff(v)))
     return tuple(
         tuple(col[i] for col in columns) for i in range(len(a.tjurina.basis))
     )
@@ -207,7 +209,7 @@ def test_mult_by_f_matches_gauss_jordan_nullspace(f):
     .f, whose columns are Poly normal forms of f times each basis monomial."""
     a = PlaneAnalysis(PlaneSingularity(f))
     basis = a.milnor.basis
-    columns = [a.milnor.normal_form(f * Poly(UV, {mono: 1})) for mono in basis]
+    columns = [dense_normal_form(a.milnor, f * Poly(UV, {mono: 1})) for mono in basis]
     rows = [[col[i] for col in columns] for i in range(len(basis))]
     assert dense_vectors(a.mult_by_f(), len(basis)) == tuple(
         map(tuple, oracle_nullspace(rows, len(basis)))
@@ -223,7 +225,7 @@ def test_tail_rank_is_tau_iff_quasihomogeneous(f):
     tail differential from ker(.f on M_f) to T_f has rank tau exactly when
     mu = tau, that is, when f is quasihomogeneous (Saito)."""
     a = PlaneAnalysis(PlaneSingularity(f))
-    mu, tau = a.milnor_tjurina()
+    mu, tau = a.invariants.mu, a.invariants.tau
     assert (a.tail_map_general().rank == tau) == (mu == tau)
 
 
@@ -251,7 +253,7 @@ def seeded_family(count, seed=3):
 def assert_tail_rank_is_2tau_minus_mu(f):
     """Asserts the identity on f and returns (mu, tau, tail matrix)."""
     a = PlaneAnalysis(PlaneSingularity(f))
-    mu, tau = a.milnor_tjurina()
+    mu, tau = a.invariants.mu, a.invariants.tau
     tail = a.tail_map_general()
     assert tail.rank == 2 * tau - mu, f
     return mu, tau, tail.matrix
@@ -330,9 +332,10 @@ def test_mu_tau_invariant_under_u_plus_c_v_k(a, b, k, c):
     u, v = Poly.variable(UV, "u"), Poly.variable(UV, "v")
     f = u ** a + v ** b
     moved = f.substitute({"u": u + (v ** k).scale(c), "v": v})
-    mu, tau = PlaneAnalysis(PlaneSingularity(f)).milnor_tjurina()
-    assert tau <= mu == (a - 1) * (b - 1)
-    assert PlaneAnalysis(PlaneSingularity(moved)).milnor_tjurina() == (mu, tau)
+    invariants = PlaneAnalysis(PlaneSingularity(f)).invariants
+    assert invariants.tau <= invariants.mu == (a - 1) * (b - 1)
+    moved_invariants = PlaneAnalysis(PlaneSingularity(moved)).invariants
+    assert (moved_invariants.mu, moved_invariants.tau) == (invariants.mu, invariants.tau)
 
 
 # -- jet algebras derived by extension ---------------------------------------
@@ -358,7 +361,7 @@ def assert_same_algebra(derived, fresh, polys):
     assert sorted(derived._rows.rows) == sorted(fresh._rows.rows)  # the pivots
     assert derived.primality_bound == fresh.primality_bound
     for p in polys:
-        assert derived.normal_form(p) == fresh.normal_form(p)
+        assert dense_normal_form(derived, p) == dense_normal_form(fresh, p)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -380,7 +383,7 @@ def test_derived_algebras_equal_fresh_builds(f, shift, polys):
         return
     F, d = linalg.integer_row(f.terms)
     columns = [
-        base.sparse_normal_form({tuple(map(add, m, b)): c for m, c in F.items()}, d)
+        base.normal_form({tuple(map(add, m, b)): c for m, c in F.items()}, d)
         for b in base.basis
     ]
     rows = [
@@ -412,7 +415,9 @@ def test_lifted_witnesses_pass_the_exact_defect_check(f):
         for algebra, lifted_order in (
             (witness_algebra, order), (recheck_algebra, order + 2)
         ):
-            cofactors, s = algebra.lifted_witness(integer_target, d, lifted_order)
+            cofactors, s = algebra.membership_with_witness(
+                integer_target, d, lifted_order
+            )
             alpha, beta = (Poly(UV, {m: Fraction(c, s) for m, c in C.items()})
                            for C in cofactors)
             defect = target - alpha * a.f_u - beta * a.f_v
@@ -466,7 +471,7 @@ def test_tjurina_build_inserts_at_most_one_row_per_milnor_basis_monomial(
         assert inserted == []
     else:
         assert 0 < len(inserted) <= len(a.milnor.basis)
-    assert a.milnor_tjurina() == (mu, tau)
+    assert (a.invariants.mu, a.invariants.tau) == (mu, tau)
 
 
 def test_tail_map_eliminations_insert_one_row_list_in_two_orders(monkeypatch):
