@@ -166,6 +166,11 @@ def _cmd_sing(args) -> int:
     tail = analysis.tail_map_general()
     weights = analysis.effective_weights
     if args.format == "json-like":
+        # str(Fraction(0)) is "0": absent entries need no Fraction
+        grid = [["0"] * len(tail.columns) for _ in tail.target_basis]
+        for j, column in enumerate(tail.columns):
+            for i, c in column.items():
+                grid[i][j] = str(c)
         _emit(
             dump_json(
                 {
@@ -176,7 +181,7 @@ def _cmd_sing(args) -> int:
                     "wh_in_coords": inv.wh_in_coords,
                     "weights": None if weights is None else [str(w) for w in weights],
                     "tail_rank": tail.rank,
-                    "tail_matrix": [[str(x) for x in row] for row in tail.matrix],
+                    "tail_matrix": grid,
                 }
             )
         )

@@ -102,7 +102,10 @@ order by at least T + 1 - N >= 1.  The one lifting cache holds the
 witness of each x^b per order it was read at, built on first use and
 kept with the algebra; each pass shifts the cached terms as it reads
 them, and the lifted cofactors pass the same exact defect check at the
-requested order.
+requested order.  The tail map in ``plane`` lifts one witness per
+algebra, of f - R for R the normal form of f, and multiplies it by each
+kernel lift; only where R is not zero, that is tau < mu, does each lift
+take one more, of R times the lift.
 
 A :class:`JetAlgebra` is tagged by default, but
 :func:`build_jet_algebra` always builds untagged: the Milnor algebra, its

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import MissingWeights, WitnessOrderInsufficient
@@ -20,6 +20,7 @@ from .jets import JetAlgebra, build_jet_algebra
 from .poly import (
     BranchParam,
     DeltaR,
+    Monomial,
     Poly,
     euler_relation_holds,
     multiply_terms,
@@ -161,40 +162,60 @@ class PlaneAnalysis:
 
     # -- tail differential -------------------------------------------------
 
-    def _tail_image(
-        self, product: Tuple[dict, int], witness_algebra: JetAlgebra, order: int
-    ) -> Dict[int, Fraction]:
-        """Class in T_f of the divergence of a cofactor witness for f*lift,
-        given as the integer product F * Lambda over its denominator, with
-        the witness exact to ``order``
-        (``JetAlgebra.membership_with_witness``).
+    def _tail_columns(
+        self,
+        lifts: Sequence[Tuple[Dict[Monomial, int], int]],
+        algebra: JetAlgebra,
+        order: int,
+    ) -> Tuple[Dict[int, Fraction], ...]:
+        """The T_f class of each kernel lift Lambda / d_m, read off
+        ``algebra`` with its witnesses lifted to ``order``.
 
-        With cofactors C_u / s, C_v / s, the divergence is
-        (d_u(C_u) + d_v(C_v)) / s, so its class is the normal form of the
-        numerator over s (``JetAlgebra.normal_form``), sparse over the T_f
-        basis positions.
+        One witness (C_u, C_v) / s of f - R, R the normal form of f in
+        ``algebra``, serves every lift; when R is not zero, each R * Lambda
+        takes a witness of its own.  A column is the class of the
+        divergence of the composed witness, over s * d_m and the scale of
+        the R * Lambda witness; the Tjurina normal form drops degrees above
+        its order, so the products Lambda * C stop there (see
+        :meth:`tail_map_general`).
         """
-        (C_u, C_v), s = witness_algebra.membership_with_witness(*product, order)
-        divergence: dict = {}
-        for i, C in enumerate((C_u, C_v)):
-            for m, c in C.items():
-                if m[i]:
-                    dm = m[:i] + (m[i] - 1,) + m[i + 1 :]
-                    divergence[dm] = divergence.get(dm, 0) + c * m[i]
-        return self.tjurina.normal_form(
-            {m: c for m, c in divergence.items() if c}, s
-        )
+        F, d_f = self._integer_f
+        basis = algebra.basis
+        remainder = {basis[k]: c for k, c in algebra.normal_form(F, d_f).items()}
+        difference = {m: Fraction(c, d_f) for m, c in F.items()}
+        for m, c in remainder.items():
+            difference[m] = difference.get(m, 0) - c
+        P, d = linalg.integer_row({m: c for m, c in difference.items() if c})
+        cofactors, s = algebra.membership_with_witness(P, d, order)
+        R, d_R = linalg.integer_row(remainder)
+        top = self.tjurina.truncation_order + 1
+        unit = {(0, 0): 1}
+        columns = []
+        for lift, d_m in lifts:
+            column = self.tjurina.normal_form(_divergence(lift, cofactors, top), s * d_m)
+            if R:
+                R_cofactors, s_R = algebra.membership_with_witness(
+                    multiply_terms(R, lift), d_R * d_m, order
+                )
+                extra = self.tjurina.normal_form(_divergence(unit, R_cofactors, top), s_R)
+                for k, c in extra.items():
+                    c += column.get(k, 0)
+                    if c:
+                        column[k] = c
+                    else:
+                        del column[k]
+            columns.append(column)
+        return tuple(columns)
 
     def tail_map_general(self) -> TailMap:
         """Tail differential via cofactor witnesses, any isolated f.
 
         Each kernel class m of .f on M_f is lifted to a polynomial m~, a
-        witness f*m~ = alpha*f_u + beta*f_v is extracted from the jet
+        witness f*m~ = alpha*f_u + beta*f_v is composed from the jet
         reduction, and the image is the class of d_u(alpha) + d_v(beta)
         in T_f.  All of it runs on integer term maps, each over one
         denominator: f = F / d_f and m~ = Lambda / d_m are cleared once,
-        f*m~ is the integer product F * Lambda over d_f * d_m, and the
-        witness comes back as integer cofactors over one scale s (see
+        and witnesses come back as integer cofactors over one scale s (see
         ``JetAlgebra.membership_with_witness``); only the T_f coordinates
         are Fractions.
 
@@ -214,7 +235,17 @@ class PlaneAnalysis:
           h.  Its divergence h_u*f_v - h_v*f_u lies in J, so the class does
           not depend on the witness.
 
-        No algebra is built at T_w.  The witnesses come from one call of
+        One witness serves every column.  With R the normal form of f, a
+        combination of standard monomials, f*m~ = m~*(f - R) + R*m~, and
+        both f - R and f*m~ lie in J (m~ is in the kernel of .f), so R*m~
+        does too.  A witness W of f - R with defect D of order > T_w gives
+        m~*W, with defect m~*D of order > T_w as well; a witness of R*m~ to
+        T_w added to it gives a witness of f*m~ whose defect lies in
+        m^(T_w+1), which the argument above makes exact.  By Saito's
+        criterion R = 0 exactly when tau = mu, and then the one witness of
+        f is all the tail map lifts.
+
+        No algebra is built at T_w.  The witnesses come from
         ``membership_with_witness`` on a tagged algebra A at N_M + 2: taken
         at its own order T and lifted through the witnesses of the
         monomials x^b of degree N_M, cached lazily in A (see ``jets``).  A
@@ -222,30 +253,29 @@ class PlaneAnalysis:
         b <= a with |b| = N_M, which trades it for c*x^(a-b) times the
         defect of x^b, of order > |a| + T - N_M.  So each pass raises the
         defect order by at least T + 1 - N_M >= 1, and the loop ends once
-        the defect has order > T_w.  Which b a term takes changes the witness, never the class:
-        any lifted witness has a defect in m^(T_w+1), and the argument
-        above gives every such witness the same class.
+        the defect has order > T_w.  Which b a term takes changes the
+        witness, never the class: any lifted witness has a defect in
+        m^(T_w+1), and the argument above gives every such witness the same
+        class.
 
         Every class is read from A lifted to T_w, and A is dropped.  Then A
         is eliminated again from A's own list of multiples, inserted in the
         order ``RECHECK_SEED`` shuffles a copy of it to, and every class,
-        lifted to T_w + 2 through that algebra's own cache, must match:
-        one comparison re-checks the witness order and the independence
-        from the reduction order, and a mismatch raises
-        :class:`WitnessOrderInsufficient`.
+        from that algebra's own R and witnesses lifted to T_w + 2 through
+        its own cache, must match: one comparison re-checks the witness
+        order and the independence from the reduction order, and a
+        mismatch raises :class:`WitnessOrderInsufficient`.
         """
         kernel = self.mult_by_f()
         basis = self.milnor.basis
-        F, d_f = self._integer_f
-        products = []
-        for vec in kernel:
-            lift, d_m = linalg.integer_row({basis[k]: c for k, c in vec.items()})
-            products.append((multiply_terms(F, lift), d_f * d_m))
+        lifts = [
+            linalg.integer_row({basis[k]: c for k, c in vec.items()}) for vec in kernel
+        ]
         order = max(1, self.milnor.primality_bound + self.tjurina.primality_bound)
         jacobian = [self.f_u, self.f_v]
         n_m = max(1, self.milnor.primality_bound)
         witness_algebra = JetAlgebra(jacobian, n_m + 2)
-        columns = tuple(self._tail_image(p, witness_algebra, order) for p in products)
+        columns = self._tail_columns(lifts, witness_algebra, order)
         # the witness algebra is freed before the re-check algebra is built,
         # and its list of multiples once the re-check has inserted it
         multiples = witness_algebra.multiples
@@ -254,12 +284,11 @@ class PlaneAnalysis:
             jacobian, n_m + 2, row_seed=RECHECK_SEED, multiples=multiples
         )
         del multiples
-        for product, image in zip(products, columns):
-            if self._tail_image(product, recheck_algebra, order + 2) != image:
-                raise WitnessOrderInsufficient(
-                    f"tail class at order {order} moved under the reshuffled "
-                    f"re-check at order {order + 2}"
-                )
+        if self._tail_columns(lifts, recheck_algebra, order + 2) != columns:
+            raise WitnessOrderInsufficient(
+                f"tail class at order {order} moved under the reshuffled "
+                f"re-check at order {order + 2}"
+            )
         return TailMap(
             source_basis=kernel,
             target_basis=self.tjurina.basis,
@@ -297,3 +326,27 @@ class PlaneAnalysis:
             columns=columns,
             rank=linalg.rank(columns),
         )
+
+
+def _divergence(
+    lift: Dict[Monomial, int], cofactors: Sequence[Dict[Monomial, int]], top: int
+) -> Dict[Monomial, int]:
+    """d_u(Lambda * C_u) + d_v(Lambda * C_v) for integer term maps Lambda
+    and (C_u, C_v) in two variables, from the terms of the products of
+    degree <= ``top`` alone, without the terms that cancel."""
+    C_u, C_v = cofactors
+    divergence: dict = {}
+    get = divergence.get
+    for (a1, b1), c1 in lift.items():
+        room = top - a1 - b1
+        for (a2, b2), c2 in C_u.items():
+            a = a1 + a2
+            if a and a2 + b2 <= room:
+                m = (a - 1, b1 + b2)
+                divergence[m] = get(m, 0) + a * c1 * c2
+        for (a2, b2), c2 in C_v.items():
+            b = b1 + b2
+            if b and a2 + b2 <= room:
+                m = (a1 + a2, b - 1)
+                divergence[m] = get(m, 0) + b * c1 * c2
+    return {m: c for m, c in divergence.items() if c}

@@ -424,6 +424,81 @@ def test_lifted_witnesses_pass_the_exact_defect_check(f):
             assert defect.is_zero() or defect.order() > lifted_order
 
 
+def poly_cofactors(witness):
+    """Integer cofactors over one scale, as Polys."""
+    cofactors, s = witness
+    return [Poly(UV, {m: Fraction(c, s) for m, c in C.items()}) for C in cofactors]
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(germs(max_k=12))
+@example(parse_poly("u^5+v^6+2*u^3*v^3", UV))
+@example(parse_poly("(u^2-v^3)^2+u*v^5", UV))
+def test_composed_witnesses_pass_the_exact_defect_check(f):
+    """With R the normal form of f in an algebra, the witness
+    lift*W_(f-R) + W_(R*lift) of f*lift, from that algebra's witnesses,
+    satisfies f*lift = alpha*f_u + beta*f_v up to terms of degree > T_w
+    for the order-(N_M + 2) algebra, and > T_w + 2 for the same algebra
+    with reshuffled rows, checked here in Poly arithmetic; R is zero
+    exactly when tau = mu."""
+    a = PlaneAnalysis(PlaneSingularity(f))
+    n_m = max(1, a.milnor.primality_bound)
+    order = max(1, a.milnor.primality_bound + a.tjurina.primality_bound)
+    jac = [a.f_u, a.f_v]
+    lifts = [
+        Poly(UV, {a.milnor.basis[k]: c for k, c in vec.items()}) for vec in a.mult_by_f()
+    ]
+    for algebra, lifted_order in (
+        (JetAlgebra(jac, n_m + 2), order),
+        (JetAlgebra(jac, n_m + 2, row_seed=plane.RECHECK_SEED), order + 2),
+    ):
+        normal = algebra.normal_form(*linalg.integer_row(f.terms))
+        R = Poly(UV, {algebra.basis[k]: c for k, c in normal.items()})
+        assert R.is_zero() == a.invariants.qh_by_saito
+        W = poly_cofactors(algebra.membership_with_witness(
+            *linalg.integer_row((f - R).terms), lifted_order
+        ))
+        for lift in lifts:
+            alpha, beta = lift * W[0], lift * W[1]
+            if not (R * lift).is_zero():
+                A = poly_cofactors(algebra.membership_with_witness(
+                    *linalg.integer_row((R * lift).terms), lifted_order
+                ))
+                alpha, beta = alpha + A[0], beta + A[1]
+            defect = f * lift - alpha * a.f_u - beta * a.f_v
+            assert defect.is_zero() or defect.order() > lifted_order
+
+
+@pytest.mark.parametrize(
+    "src", ["u^2+v^41", "u^4+v^6+u^3*v^3", "u^5+v^6+2*u^3*v^3"]
+)
+def test_tail_map_lifts_one_witness_of_f_minus_its_normal_form_per_algebra(
+    monkeypatch, src
+):
+    """Each of the two algebras lifts one witness, of f - R, and one more
+    per kernel lift m~ with R*m~ != 0, R the normal form of f: 2 in all
+    when tau = mu, where R = 0."""
+    a = analysis(src)
+    f = a.sing.f
+    calls = []
+    membership_with_witness = JetAlgebra.membership_with_witness
+
+    def counting(self, *args):
+        calls.append(args)
+        return membership_with_witness(self, *args)
+
+    monkeypatch.setattr(JetAlgebra, "membership_with_witness", counting)
+    a.tail_map_general()
+    normal = a.milnor.normal_form(*linalg.integer_row(f.terms))
+    R = Poly(UV, {a.milnor.basis[k]: c for k, c in normal.items()})
+    moved = sum(
+        not (R * Poly(UV, {a.milnor.basis[k]: c for k, c in vec.items()})).is_zero()
+        for vec in a.mult_by_f()
+    )
+    assert len(calls) == 2 + 2 * moved
+    assert (moved == 0) == a.invariants.qh_by_saito
+
+
 def test_tail_map_builds_no_algebra_above_the_table_order(monkeypatch):
     built = []
 
@@ -566,12 +641,14 @@ def test_recheck_mismatch_raises(monkeypatch):
     the tail map."""
     a = analysis("u^3+v^5")
     t_w = a.milnor.primality_bound + a.tjurina.primality_bound
-    tail_image = plane.PlaneAnalysis._tail_image
+    tail_columns = plane.PlaneAnalysis._tail_columns
 
-    def moved_on_recheck(self, product, algebra, order):
-        image = tail_image(self, product, algebra, order)
-        return image if order == t_w else [x + 1 for x in image]
+    def moved_on_recheck(self, lifts, algebra, order):
+        columns = tail_columns(self, lifts, algebra, order)
+        if order == t_w:
+            return columns
+        return ({**columns[0], 0: columns[0].get(0, 0) + 1},) + columns[1:]
 
-    monkeypatch.setattr(plane.PlaneAnalysis, "_tail_image", moved_on_recheck)
+    monkeypatch.setattr(plane.PlaneAnalysis, "_tail_columns", moved_on_recheck)
     with pytest.raises(WitnessOrderInsufficient, match="reshuffled re-check"):
         a.tail_map_general()
