@@ -199,11 +199,8 @@ class PlaneAnalysis:
                 )
                 extra = self.tjurina.normal_form(_divergence(unit, R_cofactors, top), s_R)
                 for k, c in extra.items():
-                    c += column.get(k, 0)
-                    if c:
-                        column[k] = c
-                    else:
-                        del column[k]
+                    column[k] = column.get(k, 0) + c
+                column = {k: c for k, c in column.items() if c}
             columns.append(column)
         return tuple(columns)
 
