@@ -167,7 +167,7 @@ def _cmd_sing(args) -> int:
     weights = analysis.effective_weights
     if args.format == "json-like":
         # str(Fraction(0)) is "0": absent entries need no Fraction
-        grid = [["0"] * len(tail.columns) for _ in tail.target_basis]
+        grid = [["0"] * len(tail.columns) for _ in analysis.tjurina.basis]
         for j, column in enumerate(tail.columns):
             for i, c in column.items():
                 grid[i][j] = str(c)

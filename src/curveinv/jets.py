@@ -113,22 +113,10 @@ doubling attempts and the Tjurina algebra derived from it carry no
 cofactors, and in ``plane`` only the algebras the tail map reads
 witnesses from are tagged.  A derived algebra and its base are untagged:
 carried keys are numbered for one algebra's own generators.
-
-The tail map's witness and re-check algebras have the same generators,
-order and tags, so they insert the same multiples: a tagged algebra keeps
-the list of multiples it built as ``multiples``, and the re-check takes
-it as its ``multiples`` argument and inserts a copy of it in the order
-its ``row_seed`` shuffles the copy to.  That is the order a rebuilt list
-would take, since a shuffle depends only on the seed and the length, and
-the re-check still runs its own full elimination; the list is built once
-per tail map.  An insert copies its row, so the list is never changed.
-No untagged algebra keeps its list, and neither does one given a list:
-the Milnor algebra drops its list after its build.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, count, repeat
@@ -237,22 +225,20 @@ class JetAlgebra:
     """Quotient of the power-series ring by an m-primary ideal at order T.
 
     ``tagged`` says whether rows carry their cofactors.  ``multiples`` is
-    inserted in place of a list built anew: the ``multiples`` of a tagged
-    algebra with the same generators and order, or, with ``base``, the
-    rows its one caller hands it.  ``base`` is an untagged algebra at
-    order T whose generators are a prefix of ``generators``; its rows are
-    shared, and the result is untagged too.  The Tjurina algebra hands in
-    the .f columns NF_B(f * b), b a standard monomial of base: each
-    differs from trunc_T(f * b) by an element of base's span, so they span
-    the same slice (see the module docstring).  With ``row_seed``, the
-    rows go in the order it shuffles a copy of the list to.
+    inserted, in the order it is handed, in place of a list built anew:
+    the ``multiples`` of a tagged algebra with the same generators and
+    order, or, with ``base``, the rows its one caller hands it.  ``base``
+    is an untagged algebra at order T whose generators are a prefix of
+    ``generators``; its rows are shared, and the result is untagged too.
+    The Tjurina algebra hands in the .f columns NF_B(f * b), b a standard
+    monomial of base: each differs from trunc_T(f * b) by an element of
+    base's span, so they span the same slice (see the module docstring).
     """
 
     def __init__(
         self,
         generators: Sequence[Poly],
         truncation_order: int,
-        row_seed: Optional[int] = None,
         tagged: bool = True,
         base: Optional["JetAlgebra"] = None,
         multiples: Optional[List[Dict[int, int]]] = None,
@@ -310,7 +296,8 @@ class JetAlgebra:
             multiples = self._multiples()
             if tagged:
                 self.multiples = multiples
-        self._insert(multiples, row_seed)
+        for terms in multiples:
+            self._rows.insert(terms)
         self._certify()
 
     # -- construction ------------------------------------------------------
@@ -345,15 +332,6 @@ class JetAlgebra:
                     terms[tag] = d
             multiples += rows
         return multiples
-
-    def _insert(self, multiples: List[Dict[int, int]], row_seed: Optional[int]) -> None:
-        """Insert ``multiples``, in the order ``row_seed`` shuffles a copy of
-        them to if it is given."""
-        if row_seed is not None:
-            multiples = list(multiples)
-            random.Random(row_seed).shuffle(multiples)
-        for terms in multiples:
-            self._rows.insert(terms)
 
     def _certify(self) -> None:
         T = self.truncation_order

@@ -10,6 +10,7 @@ the main internal cross-check.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -26,8 +27,6 @@ from .poly import (
     multiply_terms,
     weight_feasibility,
 )
-
-_ZERO = Fraction(0)
 
 # The order the tail map's re-check algebra shuffles its rows to.
 RECHECK_SEED = 1
@@ -75,21 +74,12 @@ class LocalInvariants:
 @dataclass(frozen=True)
 class TailMap:
     """The tail differential from ker(.f on M_f) to T_f: column j is the
-    image of kernel vector j, sparse over the T_f basis positions and
-    storing no zero, as the kernel vectors do; the rank is the columns'."""
+    image of kernel vector j of ``PlaneAnalysis.mult_by_f``, sparse over
+    the positions of the Tjurina basis and storing no zero, as the kernel
+    vectors do; the rank is the columns'."""
 
-    source_basis: Tuple[Dict[int, Fraction], ...]  # kernel vectors over the M_f basis
-    target_basis: Tuple[tuple, ...]  # standard monomials of T_f
     columns: Tuple[Dict[int, Fraction], ...]
     rank: int
-
-    @property
-    def matrix(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """Dense rows indexed by the target basis, built on each call."""
-        return tuple(
-            tuple(column.get(i, _ZERO) for column in self.columns)
-            for i in range(len(self.target_basis))
-        )
 
 
 class PlaneAnalysis:
@@ -256,12 +246,21 @@ class PlaneAnalysis:
         class.
 
         Every class is read from A lifted to T_w, and A is dropped.  Then A
-        is eliminated again from A's own list of multiples, inserted in the
-        order ``RECHECK_SEED`` shuffles a copy of it to, and every class,
-        from that algebra's own R and witnesses lifted to T_w + 2 through
-        its own cache, must match: one comparison re-checks the witness
-        order and the independence from the reduction order, and a
+        is eliminated again from A's own list of multiples, and every
+        class, from that algebra's own R and witnesses lifted to T_w + 2
+        through its own cache, must match: one comparison re-checks the
+        witness order and the independence from the reduction order, and a
         mismatch raises :class:`WitnessOrderInsufficient`.
+
+        The two algebras have the same generators, order and tags, so they
+        insert the same multiples: A keeps the list it built as
+        ``multiples``, which is shuffled in place with
+        ``random.Random(RECHECK_SEED)`` and handed to the re-check algebra,
+        which inserts it in that order.  That is the order a rebuilt list
+        would take, since a shuffle depends only on the seed and the
+        length, and the re-check still runs its own full elimination; the
+        list is built once per tail map.  An insert copies its row, so the
+        shuffle is the only change to the list.
         """
         kernel = self.mult_by_f()
         basis = self.milnor.basis
@@ -277,24 +276,19 @@ class PlaneAnalysis:
         # and its list of multiples once the re-check has inserted it
         multiples = witness_algebra.multiples
         del witness_algebra
-        recheck_algebra = JetAlgebra(
-            jacobian, n_m + 2, row_seed=RECHECK_SEED, multiples=multiples
-        )
+        random.Random(RECHECK_SEED).shuffle(multiples)
+        recheck_algebra = JetAlgebra(jacobian, n_m + 2, multiples=multiples)
         del multiples
         if self._tail_columns(lifts, recheck_algebra, order + 2) != columns:
             raise WitnessOrderInsufficient(
                 f"tail class at order {order} moved under the reshuffled "
                 f"re-check at order {order + 2}"
             )
-        return TailMap(
-            source_basis=kernel,
-            target_basis=self.tjurina.basis,
-            columns=columns,
-            rank=linalg.rank(columns),
-        )
+        return TailMap(columns=columns, rank=linalg.rank(columns))
 
-    def tail_map_wh_scalar(self) -> TailMap:
-        """Tail differential under a weight system: diagonal scalars.
+    def tail_map_wh_scalar(self) -> Tuple[Dict[int, Fraction], ...]:
+        """Columns of the tail differential under a weight system: diagonal
+        scalars, to compare with those of :meth:`tail_map_general`.
 
         The Jacobian ideal is graded for the weights, so M_f splits into
         weighted-degree eigenspaces and the tail differential multiplies
@@ -314,15 +308,7 @@ class PlaneAnalysis:
                 "weighted case must share the M_f and T_f standard bases"
             )
         scalars = [mono[0] * w1 + mono[1] * w2 + w1 + w2 for mono in basis]
-        columns = tuple(
-            {i: c * scalars[i] for i, c in vec.items()} for vec in kernel
-        )
-        return TailMap(
-            source_basis=kernel,
-            target_basis=basis,
-            columns=columns,
-            rank=linalg.rank(columns),
-        )
+        return tuple({i: c * scalars[i] for i, c in vec.items()} for vec in kernel)
 
 
 def _divergence(

@@ -2,8 +2,9 @@
 
 A polynomial carries an ordered tuple of variable names and a map from
 exponent tuples to nonzero Fraction coefficients.  The same object doubles
-as a truncated power series: ``truncate`` chops every term above a total
-degree, and ``order`` reports the minimal total degree of a term.
+as a truncated power series: ``order`` reports the minimal total degree
+of a term, and a truncation keeps the entries of ``terms`` up to a total
+degree.
 
 The module also houses the expression parser (recursive descent over the
 fixed input grammar), canonical printing in descending graded-lex order,
@@ -77,10 +78,6 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: Sequence[str]) -> "Poly":
-        return cls(variables, {})
-
-    @classmethod
     def const(cls, variables: Sequence[str], value: Scalar) -> "Poly":
         return cls(variables, {(0,) * len(tuple(variables)): Fraction(value)})
 
@@ -144,12 +141,6 @@ class Poly:
         self._check(other)
         return Poly._unchecked(self.vars, multiply_terms(self.terms, other.terms))
 
-    def scale(self, value: Scalar) -> "Poly":
-        value = Fraction(value)
-        if not value:
-            return Poly._unchecked(self.vars, {})
-        return Poly._unchecked(self.vars, {m: c * value for m, c in self.terms.items()})
-
     def __pow__(self, n: int) -> "Poly":
         """self**n exactly: c^n * x^(n*m) in one step for a one-term
         c * x^m, square-and-multiply for a sum."""
@@ -167,11 +158,6 @@ class Poly:
             if n:
                 base = base * base
         return result
-
-    def truncate(self, max_degree: int) -> "Poly":
-        return Poly._unchecked(
-            self.vars, {m: c for m, c in self.terms.items() if sum(m) <= max_degree}
-        )
 
     def diff(self, var: str) -> "Poly":
         if var not in self.vars:

@@ -118,8 +118,7 @@ def _analyze_plane(sing: PlaneSingularity, checks: List[Check]) -> PlaneRecord:
               "tail matrix invariant under reshuffled witness extraction")
     )
     if analysis.effective_weights is not None:
-        scalar = analysis.tail_map_wh_scalar()
-        agree = scalar.columns == tail.columns
+        agree = analysis.tail_map_wh_scalar() == tail.columns
         checks.append(
             Check(
                 "wh-scalar-agreement",

@@ -1,8 +1,10 @@
 """Shared builders and oracles: analyzed curve models assembled from the
 builtin corpus, a Hypothesis strategy for plane germs, an independent
-colength count for monomial ideals, dense Gauss-Jordan elimination, and
-Poly views of jet-algebra normal forms and witnesses."""
+colength count for monomial ideals, dense Gauss-Jordan elimination,
+dense or Poly views of tail maps, jet-algebra normal forms and
+witnesses, and the re-check's reshuffled elimination."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from operator import add
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from curveinv import corpus
+from curveinv.jets import JetAlgebra
 from curveinv.linalg import integer_row
 from curveinv.poly import Monomial, Poly, grlex_key
 from curveinv.report import AnalysisOptions, analyze
@@ -76,6 +79,26 @@ def dense_normal_form(algebra, p: Poly) -> List[Fraction]:
     a dense list of Fractions."""
     normal = algebra.normal_form(*integer_row(p.terms))
     return [normal.get(i, Fraction(0)) for i in range(algebra.colength())]
+
+
+def reshuffled(algebra, seed):
+    """A tagged ``algebra`` eliminated again from a copy of its list of
+    multiples, inserted in the order ``seed`` shuffles the copy to, as the
+    tail map's re-check does."""
+    multiples = list(algebra.multiples)
+    random.Random(seed).shuffle(multiples)
+    return JetAlgebra(
+        list(algebra.generators), algebra.truncation_order, multiples=multiples
+    )
+
+
+def tail_matrix(analysis, columns) -> tuple:
+    """Sparse tail columns over the Tjurina basis of ``analysis`` as dense
+    rows, one per basis monomial: a tuple of Fraction tuples."""
+    return tuple(
+        tuple(column.get(i, Fraction(0)) for column in columns)
+        for i in range(analysis.tjurina.colength())
+    )
 
 
 def poly_witness(algebra, p: Poly, order: int) -> tuple:

@@ -132,7 +132,8 @@ def enumerated_orders(images, order):
         while budget >= 0:
             walk(i + 1, prod, budget)
             budget -= live[i].order()
-            prod = (prod * live[i]).truncate(order)
+            prod = prod * live[i]
+            prod = Poly(("t",), {m: c for m, c in prod.terms.items() if m[0] <= order})
 
     walk(0, Poly.const(("t",), 1), order)
     return set(rows)
@@ -314,7 +315,7 @@ smooth_branches = st.lists(
 def test_milnor_formula_on_generated_smooth_branches(curves):
     """f = prod(u - c_i*v^k_i), one smooth branch (c_i*t^k_i, t) per factor."""
     u, v = Poly.variable(UV, "u"), Poly.variable(UV, "v")
-    equations = [u - (v ** k).scale(c) for c, k in curves]
+    equations = [u - v ** k * Poly.const(UV, c) for c, k in curves]
     f = equations[0]
     for eq in equations[1:]:
         f = f * eq

@@ -1,6 +1,7 @@
 """The CI workflow covers every benchmark workload, installs the test
 tools at the versions ``pyproject.toml`` pins and grants its token read
-access only, and every name the package imports is read.
+access only, every name the package imports is read, and so is every
+function and method it defines.
 
 Read with regular expressions and ``ast``: CI installs only pytest and
 Hypothesis, so no YAML parser is at hand, and Python 3.10 has no
@@ -142,3 +143,56 @@ def test_every_tracer_target_is_engine_code():
         if not used:
             unused.append(f"{module}.{qualname}")
     assert (missing, unused) == ([], [])
+
+
+# The one method only the tests read: the accessor of one cyclic page by
+# m, through which they check the pages.
+READ_OUTSIDE_THE_PACKAGE = {"HCPages.page"}
+
+
+def test_every_src_def_has_a_reader():
+    """Every module-level function of the package is named, and every
+    method read as an attribute, in package code outside its own def:
+    no def exists only for the tests.  Exempt are the names of
+    ``curveinv.__all__``, the tracer's ``TRACER_ONLY`` targets,
+    ``READ_OUTSIDE_THE_PACKAGE`` and dunder methods, which the language
+    calls."""
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in (ROOT / "src" / "curveinv").glob("*.py")
+    }
+    exported = next(
+        ast.literal_eval(node.value) for node in trees["__init__"].body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+    )
+    # the nodes that read each name: as a plain name, and as an attribute
+    named, attributes = {}, {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                attributes.setdefault(node.attr, []).append(node)
+    defs = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((module, node.name, node, named, attributes))
+            elif isinstance(node, ast.ClassDef):
+                defs += [
+                    (module, f"{node.name}.{method.name}", method, attributes)
+                    for method in node.body if isinstance(method, ast.FunctionDef)
+                ]
+    unread = []
+    for module, qualname, defined, *readers in defs:
+        name = defined.name
+        if (
+            qualname in exported or (module, qualname) in TRACER_ONLY
+            or qualname in READ_OUTSIDE_THE_PACKAGE or name.startswith("__")
+        ):
+            continue
+        own = set(map(id, ast.walk(defined)))
+        if all(id(node) in own for nodes in readers for node in nodes.get(name, ())):
+            unread.append(qualname)
+    assert unread == []

@@ -87,6 +87,19 @@ def test_sing_custom_variables(capsys):
     assert "mu = 1, tau = 1" in capsys.readouterr().out
 
 
+def test_sing_reads_a_leading_minus_only_after_a_double_dash(capsys):
+    """argparse takes '-u^2-v^3' for an option, so the expression goes
+    after '--'."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sing", "-u^2-v^3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the following arguments are required: expr" in captured.err
+    assert main(["sing", "--", "-u^2-v^3"]) == 0
+    assert "mu = 2, tau = 2" in capsys.readouterr().out
+
+
 def test_corpus_runs_clean(capsys):
     assert main(["corpus"]) == 0
     out = capsys.readouterr().out

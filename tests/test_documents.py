@@ -1,25 +1,39 @@
 """The degeneration theorem as a property test over generated curve
-documents: every germ is planar, so the verdict must be Degenerates
-exactly when tau = mu at every singularity.
+documents: the verdict must be Degenerates exactly when every germ is
+planar and tau = mu at each.
 
-Each document has a genus from 0 to 3 and one to four Brieskorn-Pham
-germs c1*u^a + c2*v^b, some with terms above the Newton boundary.  The
-boundary is one segment whose face polynomial has distinct roots, so
-the germ is Newton nondegenerate and the terms above it change none of
-mu = (a-1)(b-1), r = gcd(a, b) and delta = (mu + r - 1)/2 (Kouchnirenko;
-Milnor's formula).  The documents assert these delta and r, which the
-engine checks against its own mu.  tau comes from the dense Gauss-Jordan
-oracle of ``conftest``, not from ``jets``.
+Each document has a genus from 0 to 3 and one to four singularities of
+three kinds:
+
+* Brieskorn-Pham germs c1*u^a + c2*v^b, some with terms above the Newton
+  boundary.  The boundary is one segment whose face polynomial has
+  distinct roots, so the germ is Newton nondegenerate and the terms above
+  it change none of mu = (a-1)(b-1), r = gcd(a, b) and
+  delta = (mu + r - 1)/2 (Kouchnirenko; Milnor's formula).  tau comes
+  from the dense Gauss-Jordan oracle of ``conftest``, not from ``jets``.
+* The quasihomogeneous D_k = u^2*v + v^(k-1), k = 4..8, with mu = tau = k
+  and r = 3 for even k, 2 for odd k, and E7 = u^3 + u*v^3, with
+  mu = tau = 7 and r = 2; delta = (mu + r - 1)/2 again.
+* e = 3 lci chains (y^a - x^b, z^c - y^d), with a, b, c, d >= 2,
+  gcd(a, b) = 1 and gcd(ac, bc, bd) = 1, the one branch
+  (t^(ac), t^(bc), t^(bd)): non-planar, with delta the gap count of the
+  semigroup <ac, bc, bd> from the integer oracles of ``test_branches``.
+
+The documents assert the plane germs' delta and r, which the engine checks
+against its own mu.
 """
 
+import json
 from math import gcd
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import dense_algebra, germs
-from curveinv.report import analyze
+from curveinv.report import analyze, to_json
 from curveinv.schema import build_curve
 from curveinv.spectral import Dim, Verdict
+from test_branches import gaps_below_conductor, numerical_semigroup
+from test_report import page_oracle
 
 
 def exponents(f):
@@ -39,24 +53,67 @@ def dense_tau(f, a, b):
     return len(basis)
 
 
+def plane(f, mu, tau, r):
+    """A plane germ's document entry, with its mu, tau and delta."""
+    delta = (mu + r - 1) // 2
+    entry = {
+        "kind": "plane",
+        "f": str(f),
+        "variables": ["u", "v"],
+        "asserted": {"delta": delta, "r": r},
+    }
+    return entry, mu, tau, delta
+
+
+def brieskorn_pham(f):
+    a, b = exponents(f)
+    return plane(f, (a - 1) * (b - 1), dense_tau(f, a, b), gcd(a, b))
+
+
+def chain(a, b, c, d):
+    """An lci chain's document entry, with no mu or tau, and its delta."""
+    gens = (a * c, b * c, b * d)
+    # the Frobenius number of <gens> lies below min(gens) * max(gens)
+    order = 2 * min(gens) * max(gens)
+    delta = gaps_below_conductor(numerical_semigroup(gens, order), order)
+    assert delta is not None
+    entry = {
+        "kind": "lci",
+        "variables": ["x", "y", "z"],
+        "equations": [f"y^{a}-x^{b}", f"z^{c}-y^{d}"],
+        "parametrization": [f"t^{g}" for g in gens],
+    }
+    return entry, None, None, delta
+
+
+# D_4..D_8 and E7
+QUASIHOMOGENEOUS = [
+    plane(f"u^2*v+v^{k - 1}", k, k, 3 if k % 2 == 0 else 2) for k in range(4, 9)
+] + [plane("u^3+u*v^3", 7, 7, 2)]
+
+CHAINS = [
+    chain(a, b, c, d)
+    for a in range(2, 6) for b in range(2, 6) for c in range(2, 5) for d in range(2, 6)
+    if gcd(a, b) == 1 and gcd(a * c, b * c, b * d) == 1
+]
+
+singularities = st.one_of(
+    germs(families=("bp", "above")).map(brieskorn_pham),
+    st.sampled_from(QUASIHOMOGENEOUS),
+    st.sampled_from(CHAINS),
+)
+
+
 @st.composite
 def documents(draw):
-    sings = draw(st.lists(germs(families=("bp", "above")), min_size=1, max_size=4))
+    sings = draw(st.lists(singularities, min_size=1, max_size=4))
     doc = {
         "genus": draw(st.integers(0, 3)),
         "label": "generated",
-        "singularities": [],
+        "singularities": [
+            {**entry, "label": f"s{i}"} for i, (entry, *_) in enumerate(sings)
+        ],
     }
-    for i, f in enumerate(sings):
-        a, b = exponents(f)
-        mu, r = (a - 1) * (b - 1), gcd(a, b)
-        doc["singularities"].append({
-            "kind": "plane",
-            "label": f"p{i}",
-            "f": str(f),
-            "variables": ["u", "v"],
-            "asserted": {"delta": (mu + r - 1) // 2, "r": r},
-        })
     return doc, sings
 
 
@@ -66,16 +123,24 @@ def test_verdict_pages_and_checks_follow_the_theorem(case):
     doc, sings = case
     report = analyze(build_curve(doc))
     gi = report.invariants
-    mus = [(a - 1) * (b - 1) for a, b in map(exponents, sings)]
-    taus = [dense_tau(f, *exponents(f)) for f in sings]
+    mus = [mu for _, mu, _, _ in sings if mu is not None]
+    taus = [tau for _, _, tau, _ in sings if tau is not None]
     records = report.model.plane_records()
     assert [r.invariants.mu for r in records] == mus
     assert [r.invariants.tau for r in records] == taus
     mu_total, tau_total = sum(mus), sum(taus)
     assert (gi.mu_total, gi.tau_total) == (mu_total, tau_total)
-    degenerates = taus == mus
+    assert gi.delta_total == sum(delta for *_, delta in sings)
+    nonplanar = len(mus) < len(sings)
+    degenerates = not nonplanar and taus == mus
     verdict = report.verdict.verdict
-    assert verdict is (Verdict.DEGENERATES if degenerates else Verdict.FAILS_VIA_TAU)
+    if nonplanar:
+        assert verdict is Verdict.FAILS_VIA_NONPLANAR
+        # each non-planar germ leaves its ">=1" obstruction entry at (4, -1)
+        for page in (report.e1, report.e2):
+            assert page.entry_map()[(4, -1)] == Dim(positive=True)
+    else:
+        assert verdict is (Verdict.DEGENERATES if degenerates else Verdict.FAILS_VIA_TAU)
     status = {check.name: check.status for check in report.checks}
     if degenerates:
         for name in ("ledger-equivalence", "betti-degree-1", "betti-degree-2"):
@@ -92,3 +157,8 @@ def test_verdict_pages_and_checks_follow_the_theorem(case):
     for m in range(lo, 1):
         reindexed = tuple(((p - m, q), entry) for (p, q), entry in report.e2.entries)
         assert report.hc.page(m).entries == reindexed, m
+    assert json.loads(to_json(report))["pages"] == {
+        "e1": page_oracle(report.e1),
+        "e2": page_oracle(report.e2),
+        "hc": {str(m): page_oracle(page) for m, page in report.hc.per_m},
+    }

@@ -7,7 +7,9 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_algebra, dense_normal_form, poly_witness, staircase_colength
+from conftest import (
+    dense_algebra, dense_normal_form, poly_witness, reshuffled, staircase_colength,
+)
 from curveinv import jets
 from curveinv.errors import NotInIdeal, TruncationCapExceeded
 from curveinv.jets import JetAlgebra, build_jet_algebra, default_truncation
@@ -112,7 +114,7 @@ def test_normal_form_examples():
     # u^2*v^5 is divisible by u, hence in (2u, 3v^2); only v survives
     coords = dense_normal_form(J, P("v + u^2*v^5"))
     assert coords == [Fraction(0), Fraction(1)]
-    assert dense_normal_form(J, Poly.zero(UV)) == [0, 0]
+    assert dense_normal_form(J, Poly(UV, {})) == [0, 0]
     for g in J.generators:
         assert dense_normal_form(J, g) == [0, 0]
     # the i-th standard monomial reduces to e_i, keyed by its position in
@@ -138,7 +140,7 @@ def test_normal_form_linear(p, q, a, b):
     J = JetAlgebra(jacobian("u^3+v^5"), 10, tagged=False)
     nf_p = dense_normal_form(J, p)
     nf_q = dense_normal_form(J, q)
-    combo = dense_normal_form(J, p.scale(a) + q.scale(b))
+    combo = dense_normal_form(J, p * Poly.const(UV, a) + q * Poly.const(UV, b))
     assert combo == [a * x + b * y for x, y in zip(nf_p, nf_q)]
 
 
@@ -216,7 +218,7 @@ def test_three_variable_jacobian_matches_gauss_jordan(bump):
     assert list(J.basis) == dense_algebra(gens, T)
     target = parse_poly("x*y", XYZ) * gens[0] - parse_poly("z^2", XYZ) * gens[2]
     cofactors = poly_witness(J, target, T)
-    defect = target - sum((c * g for c, g in zip(cofactors, gens)), Poly.zero(XYZ))
+    defect = target - sum((c * g for c, g in zip(cofactors, gens)), Poly(XYZ, {}))
     assert defect.is_zero() or defect.order() > T
 
 
@@ -255,11 +257,12 @@ def test_integer_witness_returns_its_defect_beyond_T():
     def defect(cofactors, s):
         alpha, beta = (Poly(UV, {m: Fraction(c, s) for m, c in C.items()})
                        for C in cofactors)
-        return (target - alpha * f.diff("u") - beta * f.diff("v")).truncate(16)
+        defect = target - alpha * f.diff("u") - beta * f.diff("v")
+        return Poly(UV, {m: c for m, c in defect.terms.items() if sum(m) <= 16})
 
     cofactors, s, beyond = J.integer_witness(ints, d, 16)
     assert beyond and min(sum(m) for m in beyond) > 9
-    assert Poly(UV, beyond) == defect(cofactors, s).scale(J._generator_lcm * s)
+    assert Poly(UV, beyond) == defect(cofactors, s) * Poly.const(UV, J._generator_lcm * s)
     assert defect(*J.membership_with_witness(ints, d, 16)).is_zero()
 
 
@@ -277,7 +280,7 @@ def test_one_algebra_lifts_to_several_orders_in_turn():
         alpha, beta = (Poly(UV, {m: Fraction(c, s) for m, c in C.items()})
                        for C in cofactors)
         defect = target - alpha * f.diff("u") - beta * f.diff("v")
-        assert defect.truncate(order).is_zero(), order
+        assert all(sum(m) > order for m in defect.terms), order
 
 
 def test_witness_rejects_non_member():
@@ -329,7 +332,7 @@ def test_corrupted_witness_fails_the_defect_check(monkeypatch):
 def test_row_seed_changes_nothing_semantically():
     gens = jacobian("u^3+v^5")
     J0 = JetAlgebra(gens, 14)
-    J1 = JetAlgebra(gens, 14, row_seed=7)
+    J1 = reshuffled(J0, 7)
     assert J0.basis == J1.basis
     assert J0.colength() == J1.colength()
     for src in ("1", "u*v", "v^3 - 2*u*v^2 + 1/3*u^4", "u^3*v^5 + v^7 + u"):

@@ -296,7 +296,7 @@ def test_jet_results_are_fractions(src):
         assert all(isinstance(c, Fraction) for c in normal.values())
     tagged = JetAlgebra(gens, T + 2)
     u, v = Poly.variable(f.vars, "u"), Poly.variable(f.vars, "v")
-    p = u * gens[0] + (v * gens[1]).scale(Fraction(1, 7))
+    p = u * gens[0] + v * gens[1] * Poly.const(f.vars, Fraction(1, 7))
     cofactors, s = tagged.membership_with_witness(*integer_row(p.terms), T)
     assert type(s) is int and s > 0
     assert any(cofactors)

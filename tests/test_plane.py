@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import (
     coefficients, dense_normal_form, gauss_jordan, germs, oracle_nullspace, poly_witness,
+    reshuffled, tail_matrix,
 )
-from curveinv import corpus, linalg, plane
+from curveinv import corpus, linalg, plane, report
 from curveinv.errors import (
     MissingWeights, NotMPrimary, TruncationCapExceeded, WitnessOrderInsufficient,
 )
@@ -94,14 +95,16 @@ def test_kernel_cokernel_both_tau(src):
 # -- tail maps --------------------------------------------------------------
 
 def test_tail_node():
-    tail = analysis("u*v").tail_map_general()
-    assert tail.matrix == ((Fraction(1),),)
+    a = analysis("u*v")
+    tail = a.tail_map_general()
+    assert tail_matrix(a, tail.columns) == ((Fraction(1),),)
     assert tail.rank == 1
 
 
 def test_tail_cusp_diagonal():
-    tail = analysis("u^2+v^3").tail_map_general()
-    assert tail.matrix == (
+    a = analysis("u^2+v^3")
+    tail = a.tail_map_general()
+    assert tail_matrix(a, tail.columns) == (
         (Fraction(5, 6), Fraction(0)),
         (Fraction(0), Fraction(7, 6)),
     )
@@ -110,15 +113,16 @@ def test_tail_cusp_diagonal():
 
 def test_tail_e8_scalars():
     a = analysis("u^3+v^5")
-    tail = a.tail_map_wh_scalar()
+    columns = a.tail_map_wh_scalar()
     expected = {
         mono: Fraction(mono[0], 3) + Fraction(mono[1], 5) + Fraction(8, 15)
         for mono in a.milnor.basis
     }
-    for i, mono in enumerate(tail.target_basis):
-        assert tail.matrix[i][i] == expected[mono]
+    matrix = tail_matrix(a, columns)
+    for i, mono in enumerate(a.tjurina.basis):
+        assert matrix[i][i] == expected[mono]
         assert expected[mono] != 0
-    assert tail.rank == 8
+    assert linalg.rank(columns) == 8
 
 
 @pytest.mark.parametrize(
@@ -126,7 +130,7 @@ def test_tail_e8_scalars():
 )
 def test_wh_scalar_matches_general(src):
     a = analysis(src)
-    assert a.tail_map_wh_scalar().matrix == a.tail_map_general().matrix
+    assert a.tail_map_wh_scalar() == a.tail_map_general().columns
 
 
 @pytest.mark.parametrize("src", ["u^2+v^3", "u^3+v^5", "u^5+v^5+u^3*v^3"])
@@ -134,7 +138,7 @@ def test_witness_independence(monkeypatch, src):
     base = analysis(src).tail_map_general()
     for seed in (1, 2, 42):
         monkeypatch.setattr(plane, "RECHECK_SEED", seed)
-        assert analysis(src).tail_map_general().matrix == base.matrix
+        assert analysis(src).tail_map_general().columns == base.columns
 
 
 @pytest.mark.parametrize("src,expected_mu", ADE)
@@ -164,7 +168,7 @@ def test_tail_matrix_stable_under_truncation_raise(monkeypatch):
     )
     raised = analysis("u^3+v^5")
     assert raised.milnor.truncation_order == order
-    assert raised.tail_map_general().matrix == a.tail_map_general().matrix
+    assert raised.tail_map_general().columns == a.tail_map_general().columns
 
 
 # -- witness order oracle ---------------------------------------------------
@@ -256,7 +260,7 @@ def assert_tail_rank_is_2tau_minus_mu(f):
     mu, tau = a.invariants.mu, a.invariants.tau
     tail = a.tail_map_general()
     assert tail.rank == 2 * tau - mu, f
-    return mu, tau, tail.matrix
+    return mu, tau, tail_matrix(a, tail.columns)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -300,7 +304,7 @@ def test_tail_cokernel_on_a_seeded_family():
 @example(parse_poly("(u^2-v^3)^2+u*v^5", UV))
 def test_tail_map_matches_degree_order_oracle(f):
     a = PlaneAnalysis(PlaneSingularity(f))
-    assert a.tail_map_general().matrix == degree_order_tail_matrix(a)
+    assert tail_matrix(a, a.tail_map_general().columns) == degree_order_tail_matrix(a)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -316,8 +320,8 @@ def test_tail_map_invariant_under_scaling_f(f, c):
     witnesses (c*f*m = alpha*c*f_u + beta*c*f_v), so the same tail matrix,
     while f, each lift and each witness carry other denominators."""
     tail = PlaneAnalysis(PlaneSingularity(f)).tail_map_general()
-    scaled = PlaneAnalysis(PlaneSingularity(f.scale(c))).tail_map_general()
-    assert scaled.matrix == tail.matrix
+    scaled = PlaneAnalysis(PlaneSingularity(f * Poly.const(UV, c))).tail_map_general()
+    assert scaled.columns == tail.columns
 
 
 @settings(max_examples=30, deadline=None)
@@ -331,7 +335,7 @@ def test_mu_tau_invariant_under_u_plus_c_v_k(a, b, k, c):
     """tau <= mu on u^a + v^b, and u -> u + c*v^k changes neither."""
     u, v = Poly.variable(UV, "u"), Poly.variable(UV, "v")
     f = u ** a + v ** b
-    moved = f.substitute({"u": u + (v ** k).scale(c), "v": v})
+    moved = f.substitute({"u": u + v ** k * Poly.const(UV, c), "v": v})
     invariants = PlaneAnalysis(PlaneSingularity(f)).invariants
     assert invariants.tau <= invariants.mu == (a - 1) * (b - 1)
     moved_invariants = PlaneAnalysis(PlaneSingularity(moved)).invariants
@@ -408,7 +412,7 @@ def test_lifted_witnesses_pass_the_exact_defect_check(f):
     order = max(1, a.milnor.primality_bound + a.tjurina.primality_bound)
     jac = [a.f_u, a.f_v]
     witness_algebra = JetAlgebra(jac, n_m + 2)
-    recheck_algebra = JetAlgebra(jac, n_m + 2, row_seed=1)
+    recheck_algebra = reshuffled(witness_algebra, 1)
     for vec in a.mult_by_f():
         target = f * Poly(UV, {a.milnor.basis[k]: c for k, c in vec.items()})
         integer_target, d = linalg.integer_row(target.terms)
@@ -448,9 +452,10 @@ def test_composed_witnesses_pass_the_exact_defect_check(f):
     lifts = [
         Poly(UV, {a.milnor.basis[k]: c for k, c in vec.items()}) for vec in a.mult_by_f()
     ]
+    witness_algebra = JetAlgebra(jac, n_m + 2)
     for algebra, lifted_order in (
-        (JetAlgebra(jac, n_m + 2), order),
-        (JetAlgebra(jac, n_m + 2, row_seed=plane.RECHECK_SEED), order + 2),
+        (witness_algebra, order),
+        (reshuffled(witness_algebra, plane.RECHECK_SEED), order + 2),
     ):
         normal = algebra.normal_form(*linalg.integer_row(f.terms))
         R = Poly(UV, {algebra.basis[k]: c for k, c in normal.items()})
@@ -589,15 +594,17 @@ def test_tail_map_eliminations_insert_one_row_list_in_two_orders(monkeypatch):
 
 def assert_sparse_tail_data(a):
     """No kernel vector, tail column or scalar column stores a zero, and
-    each tail rank is the Gauss-Jordan rank of its dense matrix."""
-    tails = [a.tail_map_general()]
+    the rank of each set of columns is the Gauss-Jordan rank of its dense
+    matrix."""
+    tail = a.tail_map_general()
+    ranked = [(tail.columns, tail.rank)]
     if a.effective_weights is not None:
-        tails.append(a.tail_map_wh_scalar())
+        scalar = a.tail_map_wh_scalar()
+        ranked.append((scalar, linalg.rank(scalar)))
     assert all(all(vec.values()) for vec in a.mult_by_f())
-    for tail in tails:
-        assert tail.source_basis == a.mult_by_f()
-        assert all(all(column.values()) for column in tail.columns)
-        assert tail.rank == len(gauss_jordan(tail.matrix)[1])
+    for columns, rank in ranked:
+        assert all(all(column.values()) for column in columns)
+        assert rank == len(gauss_jordan(tail_matrix(a, columns))[1])
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -634,6 +641,38 @@ def test_analyze_computes_one_tail_map_per_plane_singularity(monkeypatch):
     assert [c.status for c in report.checks if c.name == "witness-independence"] == [
         "pass", "pass"
     ]
+
+
+def test_analyze_ranks_each_plane_germ_once(monkeypatch):
+    """The tail map's rank is the one ``linalg.rank`` call per plane germ:
+    the weighted cross-check compares columns and ranks nothing."""
+    rank, analyze_plane = linalg.rank, report._analyze_plane
+    per_germ, weighted, inside = [], [], []
+
+    def counting_rank(columns):
+        if inside:
+            per_germ[-1] += 1
+        return rank(columns)
+
+    def counting_plane(sing, checks):
+        per_germ.append(0)
+        start = len(checks)
+        inside.append(True)
+        try:
+            return analyze_plane(sing, checks)
+        finally:
+            inside.pop()
+            weighted.append(any(c.name == "wh-scalar-agreement" for c in checks[start:]))
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    monkeypatch.setattr(report, "_analyze_plane", counting_plane)
+    germs_seen = 0
+    for doc in corpus.curve_models():
+        model = build_curve(doc)
+        germs_seen += sum(isinstance(s, PlaneSingularity) for s in model.singularities)
+        analyze(model, AnalysisOptions())
+    assert per_germ == [1] * germs_seen
+    assert any(weighted)
 
 
 def test_recheck_mismatch_raises(monkeypatch):
