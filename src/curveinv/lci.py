@@ -53,9 +53,7 @@ class LciPresentation:
 @dataclass(frozen=True)
 class ObstructionReport:
     e: int
-    term_ranks: Tuple[Tuple[int, int], ...]  # (degree, rank) of K_{e+1}
     coker_mod_m_dim: int
-    nonzero_H_minus1: bool
     obstruction_position: Tuple[int, int]
     total_degree: int
 
@@ -126,9 +124,7 @@ def obstruction(p: LciPresentation) -> ObstructionReport:
         )
     return ObstructionReport(
         e=e,
-        term_ranks=tuple(ranks),
         coker_mod_m_dim=coker_dim,
-        nonzero_H_minus1=True,
         obstruction_position=(e + 1, -1),
         total_degree=e,
     )

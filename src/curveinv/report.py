@@ -127,15 +127,16 @@ def _analyze_plane(sing: PlaneSingularity, checks: List[Check]) -> PlaneRecord:
                 "diagonal scalar formula matches the witness algorithm",
             )
         )
-        if inv.qh_by_saito:
-            checks.append(
-                Check(
-                    "qh-full-rank",
-                    label,
-                    "pass" if tail.rank == tau else "fail",
-                    f"tail rank {tail.rank} vs tau {tau}",
-                )
+        # weights exist only when f = w1*u*f_u + w2*v*f_v, which puts f in
+        # its Jacobian ideal: tau = mu
+        checks.append(
+            Check(
+                "qh-full-rank",
+                label,
+                "pass" if tail.rank == tau else "fail",
+                f"tail rank {tail.rank} vs tau {tau}",
             )
+        )
     delta_r = sing.asserted
     if sing.branches:
         delta_r = delta_report(sing, mu)
@@ -282,11 +283,11 @@ def _betti_checks(e2: SSPage, gi: GlobalInvariants, scope: str) -> List[Check]:
         if pos in entries:
             total1 = total1 + entries[pos]
     b1 = gi.betti[1]
-    if not total1.coeffs:
+    if not total1.symbolic:
         ok = total1.const == b1
         detail = f"degree-1 total {total1.const}, b1={b1}"
     else:
-        ok = total1.as_dict() == {"kappa": 1, "k_v": 1} and total1.const == 0
+        ok = total1 == Dim(0, kappa=1, k_v=1)
         detail = f"degree-1 total {total1.text}, constrained to b1={b1}"
     out.append(Check("betti-degree-1", scope, "pass" if ok else "fail", detail))
     total2 = Dim(0)
@@ -458,9 +459,8 @@ def run_corpus():
     )
     for doc in corpus.curve_models():
         report = analyze(build_curve(doc))
-        plane = report.model.plane_records()
         mu, tau = report.invariants.mu_total, report.invariants.tau_total
-        qh = all(r.invariants.qh_by_saito for r in plane) and not report.model.lci_records()
+        qh = report.verdict.verdict is Verdict.DEGENERATES
         statuses = [c.status for c in report.checks]
         summary = f"{statuses.count('pass')} pass"
         if "fail" in statuses:

@@ -16,11 +16,12 @@ first page keys each rank by its arrow's source, so the rank keys are the
 arrow list.  A second-page entry is its first-page entry minus the rank
 leaving it and the rank entering it, symbolically where necessary.
 
-Every entry and rank is one type, ``Dim``: an integer constant plus
-integer coefficients over the unknowns, or the marker "provably nonzero,
-size undetermined" that a non-planar obstruction leaves on the first
-page.  Dims add and subtract; an exact dimension is never negative, and
-the marker takes part in no arithmetic.
+Every entry and rank is one type, ``Dim``: an integer constant and one
+named integer field per unknown, its coefficient (0 when the unknown is
+absent), or the marker "provably nonzero, size undetermined" that a
+non-planar obstruction leaves on the first page.  Dims add and subtract
+field by field; an exact dimension is never negative, and the marker
+takes part in no arithmetic.
 
 The degeneration verdict is decided by local data alone: the sequence
 degenerates at the second page exactly when every singularity is a
@@ -75,32 +76,29 @@ UNKNOWN_ORDER = ("kappa", "c", "k_v")
 
 @dataclass(frozen=True)
 class Dim:
-    """An entry dimension: const + sum of coeff * unknown over UNKNOWN_ORDER.
+    """An entry dimension: ``const`` plus each unknown of UNKNOWN_ORDER
+    times the field of its name.
 
-    ``coeffs`` holds the nonzero coefficients in UNKNOWN_ORDER; ``Dim.of``
-    builds it from keywords.  ``positive`` marks a provably nonzero entry
-    of undetermined size: it renders as ">=1" and refuses arithmetic.
-    ``text`` is rendered once per object: the cyclic pages share the
-    second page's entries.
+    Each unknown's field is its integer coefficient, 0 when it is absent;
+    ``symbolic`` says whether any is nonzero.  ``positive`` marks a
+    provably nonzero entry of undetermined size: it renders as ">=1" and
+    refuses arithmetic.  ``text`` is rendered once per object: the cyclic
+    pages share the second page's entries.
     """
 
     const: int = 0
-    coeffs: Tuple[Tuple[str, int], ...] = ()
+    kappa: int = 0
+    c: int = 0
+    k_v: int = 0
     positive: bool = False
 
     def __post_init__(self):
-        if self.const < 0 and not self.coeffs and not self.positive:
+        if self.const < 0 and not self.symbolic and not self.positive:
             raise ValueError(f"negative dimension {self.const}")
 
-    @classmethod
-    def of(cls, const: int, **coeffs: int) -> "Dim":
-        return cls(
-            const,
-            tuple((name, coeffs[name]) for name in UNKNOWN_ORDER if coeffs.get(name, 0)),
-        )
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.coeffs)
+    @property
+    def symbolic(self) -> bool:
+        return bool(self.kappa or self.c or self.k_v)
 
     def __add__(self, other: "Dim") -> "Dim":
         return self._combine(other, 1)
@@ -111,32 +109,37 @@ class Dim:
     def _combine(self, other: "Dim", sign: int) -> "Dim":
         if self.positive or other.positive:
             raise ValueError("cannot combine an undetermined-positive entry")
-        coeffs = dict(self.coeffs)
-        for name, coeff in other.coeffs:
-            coeffs[name] = coeffs.get(name, 0) + sign * coeff
-        return Dim.of(self.const + sign * other.const, **coeffs)
+        return Dim(
+            self.const + sign * other.const,
+            self.kappa + sign * other.kappa,
+            self.c + sign * other.c,
+            self.k_v + sign * other.k_v,
+        )
 
     @cached_property
     def text(self) -> str:
         if self.positive:
             return ">=1"
-        if not self.coeffs:
-            return str(self.const)
         parts: List[str] = []
-        for name, coeff in self.coeffs:
+        for name in UNKNOWN_ORDER:
+            coeff = getattr(self, name)
+            if not coeff:
+                continue
             if not parts:
                 lead = "-" if coeff < 0 else ""
             else:
                 lead = " - " if coeff < 0 else " + "
             mag = abs(coeff)
             parts.append(f"{lead}{'' if mag == 1 else str(mag) + '*'}{name}")
+        if not parts:
+            return str(self.const)
         if self.const != 0:
             parts.append(f" - {-self.const}" if self.const < 0 else f" + {self.const}")
         return "".join(parts)
 
     @property
     def provenance(self) -> str:
-        return "symbolic" if self.coeffs else "computed"
+        return "symbolic" if self.symbolic else "computed"
 
 
 class Verdict(enum.Enum):
@@ -345,46 +348,39 @@ def e1_page(
     entries: Dict[Tuple[int, int], Dim] = {}
     ranks: Dict[Tuple[int, int], Dim] = {}
     notes: List[str] = []
+    g = gi.genus
+    entries[(0, 0)] = Dim(1)
     if not c.records:
-        g = c.genus
-        entries[(0, 0)] = Dim(1)
         entries[(1, 0)] = Dim(g)
         entries[(0, 1)] = Dim(g)
         entries[(1, 1)] = Dim(1)
         notes.append("smooth model: classical Hodge square, all maps zero")
-        return SSPage(
-            label=f"E1({c.label})",
-            entries=_freeze(entries),
-            d1_ranks=_freeze(ranks),
-            verdict=verdict,
-            notes=tuple(notes),
-        )
-    g, delta, tau = gi.genus, gi.delta_total, gi.tau_total
-    # one Dim per value, shared by every entry and rank that has it, so its
-    # text is rendered once
-    tau_dim, tail_rank = Dim(tau), Dim(_tail_rank_total(c))
-    entries[(0, 0)] = Dim(1)
-    entries[(0, 1)] = Dim(g + delta)
-    entries[(2, 0)] = tau_dim
-    entries[(1, 0)] = Dim.of(tau, kappa=1, c=-1)
-    entries[(1, 1)] = Dim.of(tau + 1 - g - delta, kappa=1, c=-1)
-    for p in range(1, tail_window + 1):
-        entries[(p + 1, -p)] = entries[(p + 2, -p)] = tau_dim
-        ranks[(p + 1, -p)] = tail_rank
-    degenerates = verdict is Verdict.DEGENERATES
-    # rank of u out of (1,0): tau - c; proved full (c = 0) under degeneration
-    ranks[(1, 0)] = tau_dim if degenerates else Dim.of(tau, c=-1)
-    ranks[(0, 1)] = Dim.of(g + delta, k_v=-1)
-    for record in c.lci_records():
-        pos = record.report.obstruction_position
-        entries[pos] = Dim(positive=True)
+    else:
+        delta, tau = gi.delta_total, gi.tau_total
+        # one Dim per value, shared by every entry and rank that has it, so
+        # its text is rendered once
+        tau_dim, tail_rank = Dim(tau), Dim(_tail_rank_total(c))
+        entries[(0, 1)] = Dim(g + delta)
+        entries[(2, 0)] = tau_dim
+        entries[(1, 0)] = Dim(tau, kappa=1, c=-1)
+        entries[(1, 1)] = Dim(tau + 1 - g - delta, kappa=1, c=-1)
+        for p in range(1, tail_window + 1):
+            entries[(p + 1, -p)] = entries[(p + 2, -p)] = tau_dim
+            ranks[(p + 1, -p)] = tail_rank
+        # rank of u out of (1,0): tau - c; proved full (c = 0) under
+        # degeneration
+        ranks[(1, 0)] = tau_dim if verdict is Verdict.DEGENERATES else Dim(tau, c=-1)
+        ranks[(0, 1)] = Dim(g + delta, k_v=-1)
+        for record in c.lci_records():
+            pos = record.report.obstruction_position
+            entries[pos] = Dim(positive=True)
+            notes.append(
+                f"nonzero entry at {pos} from non-planar germ "
+                f"{record.pres.label or '(unlabeled)'}"
+            )
         notes.append(
-            f"nonzero entry at {pos} from non-planar germ "
-            f"{record.pres.label or '(unlabeled)'}"
+            f"tail pairs repeat identically for every p >= 1; shown for p <= {tail_window}"
         )
-    notes.append(
-        f"tail pairs repeat identically for every p >= 1; shown for p <= {tail_window}"
-    )
     return SSPage(
         label=f"E1({c.label})",
         entries=_freeze(entries),
@@ -410,8 +406,10 @@ def _survivor(
     for rank in ranks:
         if rank is not None:
             entry = entry - rank
-    if two_g_plus_R is not None and entry.coeffs:
-        entry = _apply_degenerate_constraints(entry, two_g_plus_R)
+    if two_g_plus_R is not None and entry.symbolic:
+        fold = entry.kappa if entry.kappa == entry.k_v else 0
+        entry = Dim(entry.const + fold * two_g_plus_R,
+                    kappa=entry.kappa - fold, k_v=entry.k_v - fold)
     return entry
 
 
@@ -432,51 +430,35 @@ def _survivors(
     return tuple(out)
 
 
-def _apply_degenerate_constraints(entry: Dim, two_g_plus_R: int) -> Dim:
-    coeffs = entry.as_dict()
-    coeffs.pop("c", None)
-    ka, kv = coeffs.get("kappa", 0), coeffs.get("k_v", 0)
-    const = entry.const
-    if ka != 0 and ka == kv:
-        const += ka * two_g_plus_R
-        coeffs.pop("kappa")
-        coeffs.pop("k_v")
-    return Dim.of(const, **coeffs)
-
-
 def e2_page(c: CurveModel, e1: SSPage, gi: GlobalInvariants) -> SSPage:
     """Second page of ``e1``, the first page of ``c``."""
-    if not c.records:
-        return SSPage(
-            label=f"E2({c.label})",
-            entries=e1.entries,
-            d1_ranks=(),
-            verdict=e1.verdict,
-            notes=("smooth model: second page equals the first",),
-        )
-    degenerates = e1.verdict is Verdict.DEGENERATES
-    two_g_plus_R = 2 * gi.genus + gi.R if degenerates else None
-    ranks = e1.rank_map()
-    entries = _survivors(
-        (((p, q), entry, (ranks.get((p, q)), ranks.get((p - 1, q))))
-         for (p, q), entry in e1.entries),
-        two_g_plus_R,
-    )
     constraints: Tuple[str, ...] = ()
-    if degenerates:
-        constraints = (
-            f"kappa + k_v = 2*g + R = {two_g_plus_R}",
-            "c = 0 (the column-two map is surjective)",
-            "dim coker(v) + c = 1",
-        )
-        note = "support confined to total degrees 0..2; all tails cancel"
-    elif e1.verdict is Verdict.FAILS_VIA_TAU:
-        note = (
-            f"surviving tail entries of dimension "
-            f"{gi.tau_total - _tail_rank_total(c)} witness non-degeneration"
-        )
+    if not c.records:
+        entries = e1.entries
+        note = "smooth model: second page equals the first"
     else:
-        note = "non-planar obstruction entry survives unconditionally"
+        degenerates = e1.verdict is Verdict.DEGENERATES
+        two_g_plus_R = 2 * gi.genus + gi.R if degenerates else None
+        ranks = e1.rank_map()
+        entries = _survivors(
+            (((p, q), entry, (ranks.get((p, q)), ranks.get((p - 1, q))))
+             for (p, q), entry in e1.entries),
+            two_g_plus_R,
+        )
+        if degenerates:
+            constraints = (
+                f"kappa + k_v = 2*g + R = {two_g_plus_R}",
+                "c = 0 (the column-two map is surjective)",
+                "dim coker(v) + c = 1",
+            )
+            note = "support confined to total degrees 0..2; all tails cancel"
+        elif e1.verdict is Verdict.FAILS_VIA_TAU:
+            note = (
+                f"surviving tail entries of dimension "
+                f"{gi.tau_total - _tail_rank_total(c)} witness non-degeneration"
+            )
+        else:
+            note = "non-planar obstruction entry survives unconditionally"
     return SSPage(
         label=f"E2({c.label})",
         entries=entries,

@@ -1,7 +1,7 @@
 """The CI workflow covers every benchmark workload, installs the test
 tools at the versions ``pyproject.toml`` pins and grants its token read
 access only, every name the package imports is read, and so is every
-function and method it defines.
+function and method it defines and every dataclass field.
 
 Read with regular expressions and ``ast``: CI installs only pytest and
 Hypothesis, so no YAML parser is at hand, and Python 3.10 has no
@@ -195,4 +195,29 @@ def test_every_src_def_has_a_reader():
         own = set(map(id, ast.walk(defined)))
         if all(id(node) in own for nodes in readers for node in nodes.get(name, ())):
             unread.append(qualname)
+    assert unread == []
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a package dataclass is read as an attribute in
+    package code: no field exists only for the tests.  Matched by name,
+    of any object, as in ``test_every_src_def_has_a_reader``."""
+    trees = [
+        ast.parse(path.read_text())
+        for path in sorted((ROOT / "src" / "curveinv").glob("*.py"))
+    ]
+    read = {
+        node.attr for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{node.name}.{field.target.id}"
+        for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(getattr(d, "func", d), "id", None) == "dataclass"
+            for d in node.decorator_list
+        )
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and field.target.id not in read
+    ]
     assert unread == []

@@ -124,7 +124,6 @@ def test_obstruction_t469():
     rep = obstruction(T469)
     assert rep.e == 3
     assert rep.coker_mod_m_dim == 2
-    assert rep.nonzero_H_minus1
     assert rep.obstruction_position == (4, -1)
     assert rep.total_degree == 3
 

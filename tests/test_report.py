@@ -111,7 +111,7 @@ def page_oracle(page):
     def rows(items, key):
         return [
             {"p": p, "q": q, key: dim.text,
-             "provenance": "symbolic" if dim.coeffs else "computed"}
+             "provenance": "symbolic" if dim.kappa or dim.c or dim.k_v else "computed"}
             for (p, q), dim in items
         ]
 
@@ -126,7 +126,7 @@ def page_oracle(page):
 
 
 def _symbolic(const, coeffs):
-    return Dim.of(const, **coeffs)
+    return Dim(const, **coeffs)
 
 
 # exact, symbolic (negative constants included) and ">=1" entries

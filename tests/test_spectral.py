@@ -19,18 +19,18 @@ def entries(page):
 
 def exact(page, pos):
     entry = entries(page)[pos]
-    assert not (entry.coeffs or entry.positive), f"{pos} is {entry}"
+    assert not (entry.symbolic or entry.positive), f"{pos} is {entry}"
     return entry.const
 
 
 # -- dimensions -------------------------------------------------------------
 
 def test_dim_arithmetic_and_rendering():
-    e = Dim.of(2, kappa=1, c=-1)
+    e = Dim(2, kappa=1, c=-1)
     assert (e.text, e.provenance) == ("kappa - c + 2", "symbolic")
-    assert Dim.of(-3, c=-2, k_v=1).text == "-2*c + k_v - 3"
-    assert e - Dim.of(2, kappa=1) == Dim.of(0, c=-1)
-    cancelled = e - Dim.of(2, kappa=1, c=-1)
+    assert Dim(-3, c=-2, k_v=1).text == "-2*c + k_v - 3"
+    assert e - Dim(2, kappa=1) == Dim(0, c=-1)
+    cancelled = e - Dim(2, kappa=1, c=-1)
     assert cancelled == Dim(0)
     assert (cancelled.text, cancelled.provenance) == ("0", "computed")
     assert Dim(3) + Dim(4) == Dim(7)
@@ -45,6 +45,18 @@ def test_dim_rules():
         marker - Dim(0)
     with pytest.raises(ValueError, match="undetermined-positive"):
         Dim(1) + marker
+
+
+def test_survivor_constraints():
+    """Under degeneration a survivor drops c, and folds kappa + k_v into
+    2g + R when both carry the same coefficient; otherwise it keeps them."""
+    entry = Dim(3, kappa=2, c=-1, k_v=2)
+    assert _survivor(entry, (None, Dim(1)), 5) == Dim(12)
+    assert _survivor(Dim(3, kappa=1, c=-1, k_v=2), (), 5) == Dim(3, kappa=1, k_v=2)
+    assert _survivor(Dim(3, kappa=1, c=-1), (), 5) == Dim(3, kappa=1)
+    assert _survivor(entry, (Dim(1),), None) == Dim(2, kappa=2, c=-1, k_v=2)
+    marker = Dim(positive=True)
+    assert _survivor(marker, (Dim(1),), 5) is marker
 
 
 # -- global invariants ------------------------------------------------------
@@ -132,8 +144,8 @@ def test_e1_nodal():
         assert exact(page, (p + 1, -p)) == 1
         assert exact(page, (p + 2, -p)) == 1
     e10 = entries(page)[(1, 0)]
-    assert e10.coeffs and not e10.positive
-    assert e10.as_dict() == {"kappa": 1, "c": -1} and e10.const == 1
+    assert e10.symbolic and not e10.positive
+    assert e10 == Dim(1, kappa=1, c=-1)
 
 
 def test_e1_smooth_genus_one():
@@ -183,8 +195,8 @@ def test_e2_degenerate_support():
         assert exact(page, (p + 1, -p)) == 0
         assert exact(page, (p + 2, -p)) == 0
     assert exact(page, (1, 1)) == 1
-    assert entries(page)[(0, 1)].as_dict() == {"k_v": 1}
-    assert entries(page)[(1, 0)].as_dict() == {"kappa": 1}
+    assert entries(page)[(0, 1)] == Dim(0, k_v=1)
+    assert entries(page)[(1, 0)] == Dim(0, kappa=1)
     assert any("kappa + k_v = 2*g + R = 1" in c for c in page.constraints)
 
 
@@ -442,7 +454,7 @@ def test_row_labels_below_minus_99_keep_the_header_width():
 # or may not sit on a cell, and a window that may pass the last column.
 cells = st.sampled_from([
     Dim(0), Dim(7), Dim(123456), Dim(positive=True),
-    Dim.of(2, kappa=1, c=-1), Dim.of(-3, c=-2, k_v=1),
+    Dim(2, kappa=1, c=-1), Dim(-3, c=-2, k_v=1),
 ])
 positions = st.tuples(st.integers(0, 10), st.integers(-8, 3))
 
