@@ -27,6 +27,14 @@ Monomial = tuple  # tuple[int, ...]; one exponent per ambient variable
 Scalar = Union[int, Fraction]
 
 
+def _distinct(variables: Sequence[str]) -> tuple:
+    """The variable names as a tuple; ValueError if a name repeats."""
+    names = tuple(variables)
+    if len(set(names)) != len(names):
+        raise ValueError(f"repeated variable names in {names}")
+    return names
+
+
 def grlex_key(mono: Monomial):
     """Sort key realizing graded lexicographic order (ascending)."""
     return (sum(mono), mono)
@@ -49,7 +57,7 @@ class Poly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, Scalar]):
-        object.__setattr__(self, "vars", tuple(variables))
+        object.__setattr__(self, "vars", _distinct(variables))
         clean = {}
         n = len(self.vars)
         for mono, coeff in terms.items():
@@ -79,15 +87,16 @@ class Poly:
 
     @classmethod
     def const(cls, variables: Sequence[str], value: Scalar) -> "Poly":
-        return cls(variables, {(0,) * len(tuple(variables)): Fraction(value)})
+        variables, value = _distinct(variables), Fraction(value)
+        return cls._unchecked(variables, {(0,) * len(variables): value} if value else {})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "Poly":
-        variables = tuple(variables)
+        variables = _distinct(variables)
         if name not in variables:
             raise ValueError(f"unknown variable {name!r}")
         mono = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {mono: 1})
+        return cls._unchecked(variables, {mono: Fraction(1)})
 
     # -- queries -----------------------------------------------------------
 

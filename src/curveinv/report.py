@@ -65,7 +65,6 @@ class Check:
 
 @dataclass(frozen=True)
 class Report:
-    label: str
     options: AnalysisOptions
     model: CurveModel
     invariants: GlobalInvariants
@@ -79,6 +78,15 @@ class Report:
         return all(check.status != "fail" for check in self.checks)
 
 
+def _check(
+    checks: List[Check], name: str, scope: str, outcome: Optional[bool], detail: str
+) -> None:
+    """Record one check: it passes when ``outcome`` is true, fails when it
+    is false and is skipped when it is None."""
+    status = {True: "pass", False: "fail", None: "skipped"}[outcome]
+    checks.append(Check(name, scope, status, detail))
+
+
 # ---------------------------------------------------------------------------
 # Per-singularity analysis
 # ---------------------------------------------------------------------------
@@ -88,14 +96,11 @@ def _check_asserted(
     asserted: Optional[DeltaR], computed: DeltaR, label: str, checks: List[Check]
 ) -> None:
     """Compare asserted delta/r, when given, with the computed record."""
-    if asserted is None:
-        return
-    agree = (asserted.delta, asserted.r) == (computed.delta, computed.r)
-    checks.append(
-        Check("asserted-delta-r", label, "pass" if agree else "fail",
-              f"asserted delta={asserted.delta}, r={asserted.r}; "
-              f"computed delta={computed.delta}, r={computed.r}")
-    )
+    if asserted is not None:
+        _check(checks, "asserted-delta-r", label,
+               (asserted.delta, asserted.r) == (computed.delta, computed.r),
+               f"asserted delta={asserted.delta}, r={asserted.r}; "
+               f"computed delta={computed.delta}, r={computed.r}")
 
 
 def _analyze_plane(sing: PlaneSingularity, checks: List[Check]) -> PlaneRecord:
@@ -107,59 +112,31 @@ def _analyze_plane(sing: PlaneSingularity, checks: List[Check]) -> PlaneRecord:
     # under reshuffled witness extraction, so a report that exists passed all
     inv = analysis.invariants
     mu, tau = inv.mu, inv.tau
-    checks.append(Check("tau-le-mu", label, "pass", f"tau={tau}, mu={mu}"))
-    checks.append(
-        Check("kernel-cokernel-tau", label, "pass",
-              f"both dimensions equal tau={tau}")
-    )
+    _check(checks, "tau-le-mu", label, True, f"tau={tau}, mu={mu}")
+    _check(checks, "kernel-cokernel-tau", label, True, f"both dimensions equal tau={tau}")
     tail = analysis.tail_map_general()
-    checks.append(
-        Check("witness-independence", label, "pass",
-              "tail matrix invariant under reshuffled witness extraction")
-    )
+    _check(checks, "witness-independence", label, True,
+           "tail matrix invariant under reshuffled witness extraction")
     if analysis.effective_weights is not None:
-        agree = analysis.tail_map_wh_scalar() == tail.columns
-        checks.append(
-            Check(
-                "wh-scalar-agreement",
-                label,
-                "pass" if agree else "fail",
-                "diagonal scalar formula matches the witness algorithm",
-            )
-        )
+        _check(checks, "wh-scalar-agreement", label,
+               analysis.tail_map_wh_scalar() == tail.columns,
+               "diagonal scalar formula matches the witness algorithm")
         # weights exist only when f = w1*u*f_u + w2*v*f_v, which puts f in
         # its Jacobian ideal: tau = mu
-        checks.append(
-            Check(
-                "qh-full-rank",
-                label,
-                "pass" if tail.rank == tau else "fail",
-                f"tail rank {tail.rank} vs tau {tau}",
-            )
-        )
+        _check(checks, "qh-full-rank", label, tail.rank == tau,
+               f"tail rank {tail.rank} vs tau {tau}")
     delta_r = sing.asserted
     if sing.branches:
+        # delta_report raises unless mu = 2*delta - r + 1
         delta_r = delta_report(sing, mu)
-        checks.append(
-            Check(
-                "milnor-formula",
-                label,
-                "pass",
-                f"mu={mu} = 2*{delta_r.delta} - {delta_r.r} + 1",
-            )
-        )
+        _check(checks, "milnor-formula", label, True,
+               f"mu={mu} = 2*{delta_r.delta} - {delta_r.r} + 1")
         _check_asserted(sing.asserted, delta_r, label, checks)
     elif delta_r is not None:
         check_milnor_formula(mu, delta_r.delta, delta_r.r)
-        checks.append(
-            Check(
-                "milnor-formula",
-                label,
-                "skipped",
-                "delta/r asserted, not computed; asserted values satisfy "
-                "mu = 2*delta - r + 1",
-            )
-        )
+        _check(checks, "milnor-formula", label, None,
+               "delta/r asserted, not computed; asserted values satisfy "
+               "mu = 2*delta - r + 1")
     return PlaneRecord(
         sing=sing,
         invariants=inv,
@@ -172,29 +149,14 @@ def _analyze_lci(pres: LciPresentation, checks: List[Check]) -> LciRecord:
     label = pres.label or ",".join(str(f) for f in pres.equations)
     report = obstruction(pres)
     e = report.e
-    checks.append(
-        Check("minimal-presentation", label, "pass",
-              f"all {e - 1} equations have zero linear part")
-    )
+    _check(checks, "minimal-presentation", label, True,
+           f"all {e - 1} equations have zero linear part")
     if pres.parametrization is not None:
-        ok = verify_parametrization(pres)
-        checks.append(
-            Check(
-                "parametrization-vanishes",
-                label,
-                "pass" if ok else "fail",
-                "all equations vanish on the parametrized curve",
-            )
-        )
+        _check(checks, "parametrization-vanishes", label, verify_parametrization(pres),
+               "all equations vanish on the parametrized curve")
     cross = coker_mod_m_cross_check(pres)
-    checks.append(
-        Check(
-            "obstruction-mod-m",
-            label,
-            "pass" if cross == e - 1 else "fail",
-            f"mod-m cokernel dimension {cross}, expected {e - 1}",
-        )
-    )
+    _check(checks, "obstruction-mod-m", label, cross == e - 1,
+           f"mod-m cokernel dimension {cross}, expected {e - 1}")
     delta_r = pres.asserted
     if pres.parametrization is not None:
         check_primitive(pres.parametrization, "parametrization")
@@ -226,39 +188,24 @@ def analyze(doc: CurveDocument, options: AnalysisOptions = AnalysisOptions()) ->
     hc = hc_pages(model, e1, e2, invariants, window=options.hc_window)
     scope = doc.label or "curve"
     if model.lci_records():
-        checks.append(
-            Check("ledger-equivalence", scope, "skipped",
-                  "needs all-planar singularities with delta/r data")
-        )
+        _check(checks, "ledger-equivalence", scope, None,
+               "needs all-planar singularities with delta/r data")
     else:
         # Every planar germ satisfies mu = 2*delta - r + 1 (computed from its
         # branches or checked on asserted values), so 2*delta - R = mu_total,
         # and the verdict is Degenerates exactly when tau_total = mu_total:
         # this check cannot fail
         rhs = 2 * invariants.delta_total - invariants.R
-        consistent = (invariants.tau_total == rhs) == (verdict.verdict is Verdict.DEGENERATES)
-        checks.append(
-            Check(
-                "ledger-equivalence",
-                scope,
-                "pass" if consistent else "fail",
-                f"tau_total={invariants.tau_total}, 2*delta - R = {rhs}, "
-                f"verdict {verdict.verdict.value}",
-            )
-        )
+        _check(checks, "ledger-equivalence", scope,
+               (invariants.tau_total == rhs) == (verdict.verdict is Verdict.DEGENERATES),
+               f"tau_total={invariants.tau_total}, 2*delta - R = {rhs}, "
+               f"verdict {verdict.verdict.value}")
     # hc_pages copies the verdict, so this compares it with itself
-    checks.append(
-        Check(
-            "hc-verdict-agreement",
-            scope,
-            "pass" if hc.verdict == verdict.verdict else "fail",
-            "cyclic-homology pages carry the same verdict",
-        )
-    )
+    _check(checks, "hc-verdict-agreement", scope, hc.verdict == verdict.verdict,
+           "cyclic-homology pages carry the same verdict")
     if verdict.verdict is Verdict.DEGENERATES:
-        checks.extend(_betti_checks(e2, invariants, scope))
+        _betti_checks(e2, invariants, scope, checks)
     return Report(
-        label=doc.label,
         options=options,
         model=model,
         invariants=invariants,
@@ -270,45 +217,35 @@ def analyze(doc: CurveDocument, options: AnalysisOptions = AnalysisOptions()) ->
     )
 
 
-def _betti_checks(e2: SSPage, gi: GlobalInvariants, scope: str) -> List[Check]:
+def _betti_checks(e2: SSPage, gi: GlobalInvariants, scope: str, checks: List[Check]) -> None:
     """Second-page totals against Betti numbers, under degeneration.
 
     Degree-one entries must sum to kappa + k_v (constrained to 2g + R) or
     to the exact value; the degree-two total must be exactly 1.
     """
     entries = e2.entry_map()
-    out: List[Check] = []
-    total1 = Dim(0)
-    for pos in ((0, 1), (1, 0)):
-        if pos in entries:
-            total1 = total1 + entries[pos]
+    zero = Dim(0)
+    total1 = entries.get((0, 1), zero) + entries.get((1, 0), zero)
     b1 = gi.betti[1]
     if not total1.symbolic:
-        ok = total1.const == b1
-        detail = f"degree-1 total {total1.const}, b1={b1}"
+        _check(checks, "betti-degree-1", scope, total1.const == b1,
+               f"degree-1 total {total1.const}, b1={b1}")
     else:
-        ok = total1 == Dim(0, kappa=1, k_v=1)
-        detail = f"degree-1 total {total1.text}, constrained to b1={b1}"
-    out.append(Check("betti-degree-1", scope, "pass" if ok else "fail", detail))
-    total2 = Dim(0)
-    for pos in ((1, 1), (2, 0)):
-        if pos in entries:
-            total2 = total2 + entries[pos]
-    ok2 = total2 == Dim(1)
-    out.append(
-        Check(
-            "betti-degree-2",
-            scope,
-            "pass" if ok2 else "fail",
-            f"degree-2 total {total2.text}, b2=1",
-        )
-    )
-    return out
+        _check(checks, "betti-degree-1", scope, total1 == Dim(0, kappa=1, k_v=1),
+               f"degree-1 total {total1.text}, constrained to b1={b1}")
+    total2 = entries.get((1, 1), zero) + entries.get((2, 0), zero)
+    _check(checks, "betti-degree-2", scope, total2 == Dim(1),
+           f"degree-2 total {total2.text}, b2=1")
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+
+
+def _tagged(value: int, provenance: str = "computed") -> Dict:
+    """A reported number with the provenance it came from."""
+    return {"value": value, "provenance": provenance}
 
 
 def _sing_summary(record: Union[PlaneRecord, LciRecord]) -> Dict:
@@ -318,11 +255,11 @@ def _sing_summary(record: Union[PlaneRecord, LciRecord]) -> Dict:
             "kind": "plane",
             "label": record.sing.label,
             "equation": str(record.sing.f),
-            "mu": {"value": inv.mu, "provenance": "computed"},
-            "tau": {"value": inv.tau, "provenance": "computed"},
+            "mu": _tagged(inv.mu),
+            "tau": _tagged(inv.tau),
             "qh_by_saito": inv.qh_by_saito,
             "wh_in_coords": inv.wh_in_coords,
-            "tail_rank": {"value": record.tail.rank, "provenance": "computed"},
+            "tail_rank": _tagged(record.tail.rank),
         }
     else:
         rep = record.report
@@ -337,10 +274,7 @@ def _sing_summary(record: Union[PlaneRecord, LciRecord]) -> Dict:
         }
     dr = record.delta_r
     for key in ("delta", "r"):
-        summary[key] = None if dr is None else {
-            "value": getattr(dr, key),
-            "provenance": dr.provenance,
-        }
+        summary[key] = None if dr is None else _tagged(getattr(dr, key), dr.provenance)
     return summary
 
 
@@ -348,7 +282,7 @@ def _document(report: Report) -> Dict:
     """The report as ``to_json`` writes it: plain JSON values and pages."""
     gi = report.invariants
     return {
-        "label": report.label,
+        "label": report.model.label,
         "options": {
             # Constant: tests/golden/ and perfbench/references.json pin this key.
             "truncation": None,
@@ -361,27 +295,19 @@ def _document(report: Report) -> Dict:
             "detail": report.verdict.detail,
         },
         "singularities": [_sing_summary(r) for r in report.model.records],
-        "checks": [
-            {
-                "name": c.name,
-                "scope": c.scope,
-                "status": c.status,
-                "detail": c.detail,
-            }
-            for c in report.checks
-        ],
+        "checks": [vars(check) for check in report.checks],
         "pages": {
             "e1": report.e1,
             "e2": report.e2,
             "hc": report.hc,
         },
         "global_invariants": {
-            "genus": {"value": gi.genus, "provenance": "asserted-input"},
-            "delta_total": {"value": gi.delta_total, "provenance": "computed"},
-            "tau_total": {"value": gi.tau_total, "provenance": "computed"},
-            "mu_total": {"value": gi.mu_total, "provenance": "computed"},
-            "R": {"value": gi.R, "provenance": "computed"},
-            "p_a": {"value": gi.p_a, "provenance": "computed"},
+            "genus": _tagged(gi.genus, "asserted-input"),
+            "delta_total": _tagged(gi.delta_total),
+            "tau_total": _tagged(gi.tau_total),
+            "mu_total": _tagged(gi.mu_total),
+            "R": _tagged(gi.R),
+            "p_a": _tagged(gi.p_a),
             "betti": list(gi.betti),
         },
     }
@@ -394,7 +320,7 @@ def to_json(report: Report) -> str:
 def to_text(report: Report) -> str:
     gi = report.invariants
     lines = [
-        f"curve model: {report.label}",
+        f"curve model: {report.model.label}",
         f"  genus {gi.genus}, delta_total {gi.delta_total}, "
         f"tau_total {gi.tau_total}, R {gi.R}, p_a {gi.p_a}, "
         f"betti {gi.betti}",
@@ -461,15 +387,15 @@ def run_corpus():
         report = analyze(build_curve(doc))
         mu, tau = report.invariants.mu_total, report.invariants.tau_total
         qh = report.verdict.verdict is Verdict.DEGENERATES
+        ok = report.ok() and ok
         statuses = [c.status for c in report.checks]
         summary = f"{statuses.count('pass')} pass"
         if "fail" in statuses:
             summary += f", {statuses.count('fail')} FAIL"
-            ok = False
         if "skipped" in statuses:
             summary += f", {statuses.count('skipped')} skipped"
         lines.append(
-            f"  {report.label:<22} {mu:>4} {tau:>4} {str(qh):>5} "
+            f"  {report.model.label:<22} {mu:>4} {tau:>4} {str(qh):>5} "
             f"{report.verdict.verdict.value:<20} {summary}"
         )
     npl = corpus.NON_LCI_EXAMPLE

@@ -36,7 +36,6 @@ class CurveDocument:
 
     genus: int
     label: str
-    notes: str
     singularities: Tuple[Sing, ...]
     source: Dict[str, Any] = field(hash=False)
 
@@ -221,7 +220,7 @@ def build_curve(doc: Any) -> CurveDocument:
     _require(isinstance(doc, dict), "curve document must be an object", "$")
     genus = _natural(doc, "genus", "$", required=True)
     label = _get(doc, "label", str, "$", default="")
-    notes = _get(doc, "notes", str, "$", default="")
+    _get(doc, "notes", str, "$")  # free text, type-checked and kept in source only
     raw_sings = _get(doc, "singularities", list, "$", default=[])
     extra = set(doc) - {"genus", "label", "notes", "singularities"}
     _require(not extra, f"unknown fields {sorted(extra)}", "$")
@@ -239,7 +238,6 @@ def build_curve(doc: Any) -> CurveDocument:
     return CurveDocument(
         genus=genus,
         label=label,
-        notes=notes,
         singularities=tuple(sings),
         source=doc,
     )

@@ -1,7 +1,9 @@
 """The CI workflow covers every benchmark workload, installs the test
 tools at the versions ``pyproject.toml`` pins and grants its token read
-access only, every name the package imports is read, and so is every
-function and method it defines and every dataclass field.
+access only, and the console script names a callable the package
+defines.  Every name the package imports is read, and so is every
+function and method it defines and every dataclass field, and report
+checks are built in one function.
 
 Read with regular expressions and ``ast``: CI installs only pytest and
 Hypothesis, so no YAML parser is at hand, and Python 3.10 has no
@@ -9,6 +11,7 @@ Hypothesis, so no YAML parser is at hand, and Python 3.10 has no
 """
 
 import ast
+import importlib
 import json
 import re
 from pathlib import Path
@@ -58,6 +61,21 @@ def test_lowest_workflow_python_is_the_requires_python_floor():
     versions = re.findall(r'"([0-9.]+)"', matrix[0])
     lowest = min(versions, key=lambda v: tuple(map(int, v.split("."))))
     assert lowest == floor[0]
+
+
+def test_console_script_names_an_importable_callable():
+    """The workflow runs the CLI as ``python -m curveinv.cli`` and never
+    installs the package, so only this reads the ``[project.scripts]``
+    entry."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)", pyproject, re.MULTILINE)
+    entries = re.findall(r'^([\w-]+) = "([\w.]+):([\w.]+)"$', section[1], re.MULTILINE)
+    assert [name for name, *_ in entries] == ["curveinv"]
+    for _, module, qualname in entries:
+        target = importlib.import_module(module)
+        for attr in qualname.split("."):
+            target = getattr(target, attr)
+        assert callable(target)
 
 
 def _names_read(tree):
@@ -221,3 +239,23 @@ def test_every_dataclass_field_is_read():
         if isinstance(field, ast.AnnAssign) and field.target.id not in read
     ]
     assert unread == []
+
+
+def test_report_checks_are_built_in_one_function():
+    """``Check(...)`` is called in one function of the package, the helper
+    that turns an outcome into a status, so no check sets its own."""
+    callers = []
+    for path in sorted((ROOT / "src" / "curveinv").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # ast.walk is breadth first, so an inner def overwrites
+                owner.update((id(sub), node.name) for sub in ast.walk(node))
+        callers += [
+            (path.stem, owner.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "Check" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert len(set(callers)) == 1 and callers[0][1] is not None, callers

@@ -107,8 +107,37 @@ def test_corpus_runs_clean(capsys):
     assert "FAIL" not in out
 
 
+def test_corpus_exits_1_on_a_failing_check(monkeypatch, capsys):
+    """A copy of cuspidal-cubic asserting delta=5 against its branch's
+    delta=1 fails its asserted-delta-r check: the corpus run exits 1, the
+    copy's row reads FAIL, and every other line is the golden's."""
+    models = corpus.curve_models()
+    cusp = next(doc for doc in models if doc["label"] == "cuspidal-cubic")
+    sing = dict(cusp["singularities"][0], asserted={"delta": 5, "r": 1})
+    models.append(dict(cusp, singularities=[sing]))
+    monkeypatch.setattr(corpus, "curve_models", lambda: models)
+    assert main(["corpus"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    golden = (Path(__file__).parent / "golden" / "corpus.txt").read_text().splitlines()
+    # the appended model's row sits after the last model row, before the
+    # blank line above the classification note
+    at = len(golden) - 2
+    assert lines[:at] + lines[at + 1:] == golden
+    (cusp_row,) = (line for line in golden if line.startswith("  cuspidal-cubic "))
+    assert lines[at] == cusp_row + ", 1 FAIL"
+
+
 def test_parse_error_exit_2(capsys):
     assert main(["sing", "u^2 +"]) == 2
+
+
+def test_non_string_notes_exit_2(tmp_path, capsys):
+    path = tmp_path / "notes.json"
+    path.write_text(json.dumps({"genus": 0, "notes": 3, "singularities": []}))
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "$.notes" in captured.err
 
 
 def test_schema_error_exit_2(tmp_path, capsys):

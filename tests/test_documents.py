@@ -29,11 +29,12 @@ from math import gcd
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import dense_algebra, germs
-from curveinv.report import analyze, to_json
+from curveinv.report import analyze, to_json, to_text
 from curveinv.schema import build_curve
 from curveinv.spectral import Dim, Verdict
 from test_branches import gaps_below_conductor, numerical_semigroup
 from test_report import page_oracle
+from test_spectral import dense_render_text
 
 
 def exponents(f):
@@ -162,3 +163,5 @@ def test_verdict_pages_and_checks_follow_the_theorem(case):
         "e2": page_oracle(report.e2),
         "hc": {str(m): page_oracle(page) for m, page in report.hc.per_m},
     }
+    pages = [report.e1, report.e2] + [page for _, page in report.hc.per_m]
+    assert to_text(report).endswith("\n\n" + "\n\n".join(map(dense_render_text, pages)))

@@ -3,12 +3,13 @@
 import hashlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from operator import add
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from conftest import (
     coefficients, dense_normal_form, gauss_jordan, germs, oracle_nullspace, poly_witness,
@@ -133,6 +134,64 @@ def test_tail_e8_scalars():
 def test_wh_scalar_matches_general(src):
     a = analysis(src)
     assert a.tail_map_wh_scalar() == a.tail_map_general().columns
+
+
+BP_EXPONENTS = [(a, b) for a in range(2, 32) for b in range(2, 32) if (a - 1) * (b - 1) <= 30]
+
+
+@st.composite
+def brieskorn_pham_in_new_coordinates(draw):
+    """(a, b, f): c1*u^a + c2*v^b with mu = (a-1)*(b-1) <= 30, after
+    u -> u + c*v^j, v -> v + c'*u^i, invertible since c*c' != 1 when
+    i = j = 1."""
+    a, b = draw(st.sampled_from(BP_EXPONENTS))
+    i, j = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # integer shifts keep the coefficients of u^30 and the like short
+    c, c2 = draw(st.sampled_from((-2, -1, 1, 2))), draw(st.sampled_from((-2, -1, 1, 2)))
+    assume(not (i == j == 1 and c * c2 == 1))
+    f = Poly(UV, {(a, 0): draw(coefficients), (0, b): draw(coefficients)})
+    images = {"u": Poly(UV, {(1, 0): 1, (0, j): c}), "v": Poly(UV, {(0, 1): 1, (i, 0): c2})}
+    return a, b, f.substitute(images)
+
+
+def example_germ(a, b, src):
+    return example((a, b, parse_poly(src, UV)))
+
+
+# the oracle eliminates once per spectral number: up to 30 dense 30x30
+# eliminations per germ
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(brieskorn_pham_in_new_coordinates())
+@example_germ(3, 4, "u^3+v^4")
+@example_germ(3, 4, "(u+v)^3+v^4")
+@example_germ(2, 7, "u^2+v^7")
+@example_germ(2, 7, "(u+v)^2+v^7")
+@example_germ(2, 7, "(u+v^2)^2+v^7")
+@example_germ(3, 5, "(u+2*v^2)^3+(v+u)^5")
+@example_germ(4, 5, "(u+v^2)^4+(v-u^3)^5")
+@example_germ(5, 6, "(u+v)^5+v^6")
+def test_tail_map_spectrum_of_a_brieskorn_pham_germ_in_new_coordinates(case):
+    """With tau = mu, .f is zero on M_f, the kernel basis is the unit
+    vectors and T_f = M_f, so the tail map is an endomorphism A of M_f.
+    A is diagonalizable with the spectrum of u^a + v^b in any coordinates:
+    the numbers (k+1)/a + (l+1)/b, k < a-1, l < b-1, with multiplicity,
+    each alpha the nullity of A - alpha*I under the dense oracle."""
+    a, b, f = case
+    mu = (a - 1) * (b - 1)
+    germ = PlaneAnalysis(PlaneSingularity(f))
+    assert (germ.invariants.mu, germ.invariants.tau) == (mu, mu)
+    assert list(germ.mult_by_f()) == [{k: 1} for k in range(mu)]
+    assert germ.milnor.basis == germ.tjurina.basis
+    A = tail_matrix(germ, germ.tail_map_general().columns)
+    spectrum = Counter(
+        Fraction(k + 1, a) + Fraction(l + 1, b) for k in range(a - 1) for l in range(b - 1)
+    )
+    nullities = {}
+    for alpha in spectrum:
+        shifted = [[x - alpha * (r == s) for s, x in enumerate(row)] for r, row in enumerate(A)]
+        nullities[alpha] = mu - len(gauss_jordan(shifted)[1])
+    assert nullities == spectrum
+    assert sum(nullities.values()) == mu
 
 
 @pytest.mark.parametrize("src", ["u^2+v^3", "u^3+v^5", "u^5+v^5+u^3*v^3"])

@@ -153,6 +153,17 @@ def test_substitute_is_ring_homomorphism(p, q):
     assert lhs == p.substitute(images) * q.substitute(images)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: parse_poly("u^2+u^3", ("u", "u")),
+    lambda: parse_poly("v", ("u", "v", "u")),
+    lambda: Poly(("u", "u"), {(1, 0): 1}),
+    lambda: Poly.const(("u", "u"), 1),
+], ids=["parse", "parse-unused-repeat", "init", "const"])
+def test_repeated_variable_names_rejected(build):
+    with pytest.raises(ValueError, match="repeated variable names"):
+        build()
+
+
 def test_substitute_without_images_rejected():
     with pytest.raises(ValueError):
         Poly((), {(): 3}).substitute({})
