@@ -17,7 +17,6 @@ from .lci import (
     verify_parametrization,
 )
 from .plane import (
-    Branch,
     LocalInvariants,
     PlaneAnalysis,
     PlaneSingularity,
@@ -49,7 +48,6 @@ from .spectral import (
 
 __all__ = [
     "AnalysisOptions",
-    "Branch",
     "BranchParam",
     "CurveDocument",
     "CurveInvError",

@@ -189,7 +189,7 @@ def check_primitive(b: BranchParam, path: str) -> None:
 
 def intersection_multiplicity(f_other: Poly, b: BranchParam) -> int:
     """t-order of the other equation pulled back exactly along the branch."""
-    o = f_other.substitute(b.as_map(f_other.vars)).order()
+    o = b.pullback(f_other).order()
     if o is None:
         raise NotTransverseAtOrder(
             "the branch lies on the other equation: its pullback is zero"
@@ -211,15 +211,15 @@ def delta_report(s: PlaneSingularity, mu: int) -> DeltaR:
     if not s.branches:
         raise SchemaError("no branch data supplied", "branches")
     for i, br in enumerate(s.branches):
-        composed = s.f.substitute(br.param.as_map(s.f.vars))
+        composed = br.pullback(s.f)
         if not composed.is_zero():
             raise SchemaError(
                 f"branch does not annihilate the equation (order "
                 f"{composed.order()} term survives)",
                 f"branches[{i}]",
             )
-        check_primitive(br.param, f"branches[{i}]")
-    delta = sum(delta_one_branch(br.param, WORKING_ORDER_CAP) for br in s.branches)
+        check_primitive(br, f"branches[{i}]")
+    delta = sum(delta_one_branch(br, WORKING_ORDER_CAP) for br in s.branches)
     for i, br in enumerate(s.branches):
         for j in range(i + 1, len(s.branches)):
             if br.equation is None:
@@ -228,7 +228,7 @@ def delta_report(s: PlaneSingularity, mu: int) -> DeltaR:
                     "intersection numbers"
                 )
             try:
-                delta += intersection_multiplicity(br.equation, s.branches[j].param)
+                delta += intersection_multiplicity(br.equation, s.branches[j])
             except NotTransverseAtOrder as exc:
                 raise SchemaError(
                     f"repeats branches[{i}]: its equation pulls back to zero",

@@ -27,11 +27,12 @@ class UndeclaredVariable(ParseError):
 
 
 class SchemaError(CurveInvError):
-    """Curve document violates the input schema; carries the field path."""
+    """Curve document violates the input schema; carries the field path
+    and the message without it."""
 
     def __init__(self, message: str, path: str):
         super().__init__(f"{path}: {message}")
-        self.path = path
+        self.message, self.path = message, path
 
 
 class NotMPrimary(CurveInvError):

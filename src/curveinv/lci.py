@@ -77,8 +77,7 @@ def verify_parametrization(p: LciPresentation) -> bool:
     """
     if p.parametrization is None:
         raise ValueError("no parametrization supplied")
-    images = p.parametrization.as_map(p.variables)
-    return all(f.substitute(images).is_zero() for f in p.equations)
+    return all(p.parametrization.pullback(f).is_zero() for f in p.equations)
 
 
 def complex_term_ranks(e: int, p: int) -> List[Tuple[int, int]]:

@@ -33,21 +33,13 @@ RECHECK_SEED = 1
 
 
 @dataclass(frozen=True)
-class Branch:
-    """One branch parametrization, optionally with its own equation."""
-
-    param: BranchParam
-    equation: Optional[Poly] = None
-
-
-@dataclass(frozen=True)
 class PlaneSingularity:
     """Defining equation plus optional weight, branch and asserted delta/r data."""
 
     f: Poly
     label: str = ""
     weights: Optional[Tuple[Fraction, Fraction]] = None
-    branches: Tuple[Branch, ...] = ()
+    branches: Tuple[BranchParam, ...] = ()
     asserted: Optional[DeltaR] = None
 
     def __post_init__(self):

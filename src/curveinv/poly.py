@@ -483,9 +483,12 @@ BRANCH_PARAM_VAR = "t"
 
 @dataclass(frozen=True)
 class BranchParam:
-    """One univariate image polynomial (in t) per ambient variable."""
+    """One univariate image polynomial (in t) per ambient variable, and
+    optionally the branch's own equation in those variables, which only
+    the pairwise intersection numbers of a plane germ read."""
 
     images: tuple
+    equation: Optional[Poly] = None
 
     def __post_init__(self):
         if not self.images:
@@ -498,13 +501,11 @@ class BranchParam:
         if all(img.is_zero() for img in self.images):
             raise ValueError("all branch images are zero")
 
-    def as_map(self, variables: Sequence[str]) -> dict:
-        variables = tuple(variables)
-        if len(variables) != len(self.images):
-            raise ValueError(
-                f"{len(self.images)} images for {len(variables)} variables"
-            )
-        return dict(zip(variables, self.images))
+    def pullback(self, f: Poly) -> Poly:
+        """f composed exactly with the images, one per variable of f in order."""
+        if len(f.vars) != len(self.images):
+            raise ValueError(f"{len(self.images)} images for {len(f.vars)} variables")
+        return f.substitute(dict(zip(f.vars, self.images)))
 
 
 def parse_branch(images: Iterable[str]) -> BranchParam:

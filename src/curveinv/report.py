@@ -19,6 +19,7 @@ from .branches import (
     delta_one_branch,
     delta_report,
 )
+from .errors import SchemaError
 from .lci import (
     LciPresentation,
     coker_mod_m_cross_check,
@@ -175,11 +176,12 @@ def _analyze_lci(pres: LciPresentation, checks: List[Check]) -> LciRecord:
 def analyze(doc: CurveDocument, options: AnalysisOptions = AnalysisOptions()) -> Report:
     checks: List[Check] = []
     records = []
-    for sing in doc.singularities:
-        if isinstance(sing, PlaneSingularity):
-            records.append(_analyze_plane(sing, checks))
-        else:
-            records.append(_analyze_lci(sing, checks))
+    for i, sing in enumerate(doc.singularities):
+        analyze_one = _analyze_plane if isinstance(sing, PlaneSingularity) else _analyze_lci
+        try:
+            records.append(analyze_one(sing, checks))
+        except SchemaError as exc:  # its path is relative to the germ
+            raise SchemaError(exc.message, f"$.singularities[{i}].{exc.path}") from exc
     model = CurveModel(genus=doc.genus, records=tuple(records), label=doc.label)
     invariants = global_invariants(model)
     verdict = degeneration_verdict(model)

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .errors import ParseError, SchemaError
 from .lci import LciPresentation
-from .plane import Branch, PlaneSingularity
+from .plane import PlaneSingularity
 from .poly import BRANCH_PARAM_VAR, BranchParam, DeltaR, parse_poly
 from .spectral import dump_json
 
@@ -146,7 +146,7 @@ def _build_plane(doc: Dict[str, Any], path: str) -> PlaneSingularity:
         weights = tuple(
             _parse_fraction(w, f"{path}.weights[{i}]") for i, w in enumerate(raw_weights)
         )
-    branches: List[Branch] = []
+    branches: List[BranchParam] = []
     raw_branches = _get(doc, "branches", list, path, default=[])
     for i, bdoc in enumerate(raw_branches):
         bpath = f"{path}.branches[{i}]"
@@ -159,7 +159,7 @@ def _build_plane(doc: Dict[str, Any], path: str) -> PlaneSingularity:
             equation = _parse_expr(bdoc["equation"], variables, f"{bpath}.equation")
         extra = set(bdoc) - {"images", "equation"}
         _require(not extra, f"unknown fields {sorted(extra)}", bpath)
-        branches.append(Branch(param=param, equation=equation))
+        branches.append(BranchParam(param.images, equation))
     asserted = _asserted(doc, path)
     extra = set(doc) - {"kind", "f", "variables", "weights", "branches", "asserted", "label"}
     _require(not extra, f"unknown fields {sorted(extra)}", path)

@@ -2,11 +2,13 @@
 builtin corpus, a Hypothesis strategy for plane germs, an independent
 colength count for monomial ideals, dense Gauss-Jordan elimination,
 dense or Poly views of tail maps, jet-algebra normal forms and
-witnesses, and the re-check's reshuffled elimination."""
+witnesses, the re-check's reshuffled elimination, and the monomial lci
+chains with their branch generators."""
 
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd, prod
 from operator import add
 from typing import List, Sequence
 
@@ -148,6 +150,33 @@ def staircase_colength(generators: Sequence[Poly]) -> int:
 
     scan([], 0)
     return count
+
+
+def monomial_chain(pairs):
+    """Variables, equations and branch generators of the lci chain
+    x_1^a_1 - x_0^b_1, ..., x_n^a_n - x_(n-1)^b_n, n <= 3, for pairs
+    ((a_1, b_1), ...): the one branch is x_i = t^(b_1...b_i * a_(i+1)...a_n),
+    as (t^(ac), t^(bc), t^(bd)) for (y^a - x^b, z^c - y^d)."""
+    variables = "xyzw"[: len(pairs) + 1]
+    equations = [
+        f"{y}^{a}-{x}^{b}" for (a, b), x, y in zip(pairs, variables, variables[1:])
+    ]
+    gens = tuple(
+        prod(b for _, b in pairs[:i]) * prod(a for a, _ in pairs[i:])
+        for i in range(len(pairs) + 1)
+    )
+    return variables, equations, gens
+
+
+def monomial_chains(*ranges):
+    """The pairs of every chain with (a_i, b_i) drawn from ranges[i - 1],
+    a pair of ranges, each a_i prime to b_i and the generators coprime:
+    then the chain is an irreducible quasihomogeneous curve germ."""
+    return [
+        pairs
+        for pairs in product(*(product(*r) for r in ranges))
+        if all(gcd(a, b) == 1 for a, b in pairs) and gcd(*monomial_chain(pairs)[2]) == 1
+    ]
 
 
 def dense_algebra(generators, T):

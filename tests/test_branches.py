@@ -20,7 +20,7 @@ from curveinv.errors import (
     NotTransverseAtOrder,
     SchemaError,
 )
-from curveinv.plane import Branch, PlaneAnalysis, PlaneSingularity
+from curveinv.plane import PlaneAnalysis, PlaneSingularity
 from curveinv.poly import BranchParam, DeltaR, Poly, parse_branch, parse_poly
 
 UV = ("u", "v")
@@ -32,7 +32,7 @@ def P(src):
 
 def sing(src, branch_specs):
     branches = tuple(
-        Branch(parse_branch(images), P(eq) if eq else None)
+        BranchParam(parse_branch(images).images, P(eq) if eq else None)
         for images, eq in branch_specs
     )
     return PlaneSingularity(P(src), branches=branches)
@@ -180,6 +180,15 @@ def gaps_below_conductor(values, order):
     return None
 
 
+def semigroup_delta(gens):
+    """The gap count of <gens>, gcd 1, from the integer oracles: its
+    Frobenius number lies below min(gens) * max(gens)."""
+    order = 2 * min(gens) * max(gens)
+    delta = gaps_below_conductor(numerical_semigroup(gens, order), order)
+    assert delta is not None
+    return delta
+
+
 def delta_or_none(b, order):
     try:
         return delta_one_branch(b, order)
@@ -320,7 +329,7 @@ def test_milnor_formula_on_generated_smooth_branches(curves):
     for eq in equations[1:]:
         f = f * eq
     branches = tuple(
-        Branch(parse_branch([f"{c}*t^{k}", "t"]), eq)
+        BranchParam(parse_branch([f"{c}*t^{k}", "t"]).images, eq)
         for (c, k), eq in zip(curves, equations)
     )
     s = PlaneSingularity(f, branches=branches)

@@ -216,29 +216,92 @@ def test_every_src_def_has_a_reader():
     assert unread == []
 
 
+# Each dataclass field whose name another package class also has, as a
+# field, a method or a ``self.`` attribute, with one package expression,
+# as ``ast.unparse`` prints it, that reads that field of that class.
+SHARED_FIELD_READS = {
+    "CurveDocument.genus": "doc.genus",
+    "CurveDocument.label": "doc.label",
+    "CurveDocument.source": "doc.source",
+    "CurveModel.genus": "c.genus",
+    "CurveModel.label": "report.model.label",
+    "GlobalInvariants.genus": "gi.genus",
+    "LciPresentation.label": "pres.label",
+    "LciPresentation.asserted": "pres.asserted",
+    "PlaneSingularity.label": "sing.label",
+    "PlaneSingularity.asserted": "sing.asserted",
+    "TailMap.columns": "tail.columns",
+    "DeltaR.provenance": "dr.provenance",
+    "Dim.const": "total1.const",
+    "Check.detail": "check.detail",
+    "VerdictReport.detail": "report.verdict.detail",
+    "VerdictReport.verdict": "verdict.verdict",
+    "Report.invariants": "report.invariants",
+    "Report.verdict": "report.verdict",
+    "Report.e2": "report.e2",
+    "PlaneRecord.sing": "record.sing",
+    "PlaneRecord.invariants": "record.invariants",
+    "PlaneRecord.delta_r": "record.delta_r",
+    "LciRecord.delta_r": "record.delta_r",
+    "SSPage.label": "page.label",
+    "SSPage.verdict": "e1.verdict",
+    "HCPages.e2": "hc.e2",
+    "HCPages.label": "self.label",
+    "HCPages.verdict": "hc.verdict",
+}
+
+
 def test_every_dataclass_field_is_read():
     """Every field of a package dataclass is read as an attribute in
-    package code: no field exists only for the tests.  Matched by name,
-    of any object, as in ``test_every_src_def_has_a_reader``."""
+    package code: no field exists only for the tests.  A read is matched
+    by name, of any object, as in ``test_every_src_def_has_a_reader``, so
+    a field whose name another package class has names its read in
+    ``SHARED_FIELD_READS``."""
     trees = [
         ast.parse(path.read_text())
         for path in sorted((ROOT / "src" / "curveinv").glob("*.py"))
     ]
-    read = {
-        node.attr for tree in trees for node in ast.walk(tree)
+    reads = [
+        node for tree in trees for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
-    unread = [
-        f"{node.name}.{field.target.id}"
-        for tree in trees for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and any(
-            getattr(getattr(d, "func", d), "id", None) == "dataclass"
-            for d in node.decorator_list
-        )
-        for field in node.body
-        if isinstance(field, ast.AnnAssign) and field.target.id not in read
     ]
-    assert unread == []
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    members = {}
+    for cls in classes:
+        names = members[cls.name] = set()
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign):
+                names.add(stmt.target.id)
+            elif isinstance(stmt, ast.FunctionDef):
+                names.add(stmt.name)
+                names.update(
+                    node.attr for node in ast.walk(stmt)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", None) == "self"
+                )
+    fields = [
+        (cls.name, stmt.target.id)
+        for cls in classes
+        if any(
+            getattr(getattr(d, "func", d), "id", None) == "dataclass"
+            for d in cls.decorator_list
+        )
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+    ]
+    read = {node.attr for node in reads}
+    assert [f"{c}.{f}" for c, f in fields if f not in read] == []
+    shared = {
+        f"{c}.{f}" for c, f in fields
+        if any(f in names for other, names in members.items() if other != c)
+    }
+    assert set(SHARED_FIELD_READS) == shared
+    expressions = {ast.unparse(node) for node in reads}
+    misread = {
+        key: expression for key, expression in SHARED_FIELD_READS.items()
+        if expression not in expressions or not expression.endswith("." + key.split(".")[1])
+    }
+    assert misread == {}
 
 
 def test_report_checks_are_built_in_one_function():

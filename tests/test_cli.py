@@ -562,7 +562,8 @@ def test_lci_parametrization_through_t_power_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: parametrization: parametrization factors through t^2\n"
+        "error: $.singularities[0].parametrization: parametrization factors "
+        "through t^2\n"
     )
 
 
@@ -715,6 +716,74 @@ def test_asserted_delta_r_checked_against_computed(
     )
     assert line.startswith(f"  [{status:>7}] asserted-delta-r")
     assert line.endswith(f"asserted delta={delta}, r={r}; computed {computed}")
+
+
+# -- input errors -------------------------------------------------------------
+
+PLANE_UV = {"kind": "plane", "variables": ["u", "v"]}
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        (dict(LCI_WITH_PARAMETRIZATION, parametrization=["t^8", "t^12", "t^18"]),
+         "$.singularities[1].parametrization: parametrization factors through t^2"),
+        (dict(PLANE_UV, f="u*v", branches=[{"images": ["t", "0"], "equation": "v"}] * 2),
+         "$.singularities[1].branches[1]: repeats branches[0]: its equation "
+         "pulls back to zero"),
+    ],
+    ids=["lci-through-t-power", "repeated-branch"],
+)
+def test_analysis_errors_name_their_singularity(second, message, tmp_path, capsys):
+    # The branch checks run during analysis, on a germ that does not know
+    # its place in the document; analyze adds it.
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"genus": 0, "singularities": [CUSP_WITH_BRANCH, second]}))
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        # the product bound: 21 terms times 21 terms may reach 441
+        (["sing", "(u+v+1)^10*(u+v+1)^10"],
+         "expansion may reach 441 terms, over the cap of 256 (at position 10)"),
+        (["sing", "u$v"], "unexpected character '$' (at position 1)"),
+        (["sing", "(u+v"], "expected ')' (at position 4)"),
+        (dict(PLANE_UV, f="1+u^2+v^3"),
+         "$.singularities[0]: equation must be nonzero with zero constant term"),
+        (dict(PLANE_UV, f="u^2-v^3", weights=["1/3", "1/3"]),
+         "$.singularities[0]: declared weights fail the Euler relation"),
+        (dict(PLANE_UV, f="u^2-v^3", weights=["0", "1/3"]),
+         "$.singularities[0]: weights must be positive"),
+        (dict(LCI_WITH_PARAMETRIZATION, equations=["1+y^2-x^3", "z^2-y^3"]),
+         "$.singularities[0]: equation 0 must be nonzero with zero constant term"),
+        (dict(CUSP_WITH_BRANCH, kind="cusp"),
+         "$.singularities[0].kind: unknown kind 'cusp'"),
+        ({"kind": "lci", "variables": ["x"], "equations": []},
+         "$.singularities[0].variables: lci singularity needs at least two "
+         "variable names"),
+        (dict(LCI_WITH_PARAMETRIZATION, parametrization=["t^4", "t^6"]),
+         "$.singularities[0].parametrization: one image per variable required"),
+        (dict(CUSP_WITH_BRANCH, branches=[{"images": ["t^3"]}]),
+         "$.singularities[0].branches[0].images: branch needs two images"),
+    ],
+    ids=[
+        "product-over-the-term-cap", "unexpected-character", "unclosed-parenthesis",
+        "plane-constant-term", "weights-fail-euler", "weight-not-positive",
+        "lci-constant-term", "unknown-kind", "one-lci-variable",
+        "parametrization-too-short", "branch-with-one-image",
+    ],
+)
+def test_input_error_messages(case, message, tmp_path, capsys):
+    argv = case if isinstance(case, list) else ["analyze", _write_doc(tmp_path, case)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # -- round trips and determinism -------------------------------------------

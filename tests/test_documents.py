@@ -16,8 +16,11 @@ three kinds:
   mu = tau = 7 and r = 2; delta = (mu + r - 1)/2 again.
 * e = 3 lci chains (y^a - x^b, z^c - y^d), with a, b, c, d >= 2,
   gcd(a, b) = 1 and gcd(ac, bc, bd) = 1, the one branch
-  (t^(ac), t^(bc), t^(bd)): non-planar, with delta the gap count of the
-  semigroup <ac, bc, bd> from the integer oracles of ``test_branches``.
+  (t^(ac), t^(bc), t^(bd)), and e = 4 chains (y^a - x^b, z^c - y^d,
+  w^e - z^f), exponents 2..4, each pair and the generators coprime, the one
+  branch (t^(ace), t^(bce), t^(bde), t^(bdf)): non-planar, with delta the
+  gap count of the branch's semigroup from the integer oracles of
+  ``test_branches``.
 
 The documents assert the plane germs' delta and r, which the engine checks
 against its own mu.
@@ -28,11 +31,11 @@ from math import gcd
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import dense_algebra, germs
+from conftest import dense_algebra, germs, monomial_chain, monomial_chains
 from curveinv.report import analyze, to_json, to_text
 from curveinv.schema import build_curve
 from curveinv.spectral import Dim, Verdict
-from test_branches import gaps_below_conductor, numerical_semigroup
+from test_branches import semigroup_delta
 from test_report import page_oracle
 from test_spectral import dense_render_text
 
@@ -71,20 +74,16 @@ def brieskorn_pham(f):
     return plane(f, (a - 1) * (b - 1), dense_tau(f, a, b), gcd(a, b))
 
 
-def chain(a, b, c, d):
+def chain(pairs):
     """An lci chain's document entry, with no mu or tau, and its delta."""
-    gens = (a * c, b * c, b * d)
-    # the Frobenius number of <gens> lies below min(gens) * max(gens)
-    order = 2 * min(gens) * max(gens)
-    delta = gaps_below_conductor(numerical_semigroup(gens, order), order)
-    assert delta is not None
+    variables, equations, gens = monomial_chain(pairs)
     entry = {
         "kind": "lci",
-        "variables": ["x", "y", "z"],
-        "equations": [f"y^{a}-x^{b}", f"z^{c}-y^{d}"],
+        "variables": list(variables),
+        "equations": equations,
         "parametrization": [f"t^{g}" for g in gens],
     }
-    return entry, None, None, delta
+    return entry, None, None, semigroup_delta(gens)
 
 
 # D_4..D_8 and E7
@@ -92,11 +91,9 @@ QUASIHOMOGENEOUS = [
     plane(f"u^2*v+v^{k - 1}", k, k, 3 if k % 2 == 0 else 2) for k in range(4, 9)
 ] + [plane("u^3+u*v^3", 7, 7, 2)]
 
-CHAINS = [
-    chain(a, b, c, d)
-    for a in range(2, 6) for b in range(2, 6) for c in range(2, 5) for d in range(2, 6)
-    if gcd(a, b) == 1 and gcd(a * c, b * c, b * d) == 1
-]
+E3_CHAINS = monomial_chains((range(2, 6), range(2, 6)), (range(2, 5), range(2, 6)))
+E4_CHAINS = monomial_chains(*[(range(2, 5), range(2, 5))] * 3)
+CHAINS = [chain(pairs) for pairs in E3_CHAINS + E4_CHAINS]
 
 singularities = st.one_of(
     germs(families=("bp", "above")).map(brieskorn_pham),
@@ -137,9 +134,13 @@ def test_verdict_pages_and_checks_follow_the_theorem(case):
     verdict = report.verdict.verdict
     if nonplanar:
         assert verdict is Verdict.FAILS_VIA_NONPLANAR
-        # each non-planar germ leaves its ">=1" obstruction entry at (4, -1)
-        for page in (report.e1, report.e2):
-            assert page.entry_map()[(4, -1)] == Dim(positive=True)
+        # each non-planar germ, in e variables, leaves its ">=1" obstruction
+        # entry at (e + 1, -1)
+        for entry, mu, *_ in sings:
+            if mu is None:
+                e = len(entry["variables"])
+                for page in (report.e1, report.e2):
+                    assert page.entry_map()[(e + 1, -1)] == Dim(positive=True)
     else:
         assert verdict is (Verdict.DEGENERATES if degenerates else Verdict.FAILS_VIA_TAU)
     status = {check.name: check.status for check in report.checks}

@@ -4,22 +4,27 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import pytest
 
 import curveinv
+from conftest import monomial_chain, monomial_chains
 from curveinv.errors import NonMinimalPresentation, PlanarNoObstruction
+from curveinv.jets import build_jet_algebra
 from curveinv.lci import (
     LciPresentation,
     coker_mod_m_cross_check,
     complex_term_ranks,
     embedding_dimension,
+    jacobian_matrix,
     obstruction,
     verify_parametrization,
 )
 from curveinv.poly import parse_branch, parse_poly
+from test_branches import semigroup_delta
 
 XYZ = ("x", "y", "z")
 
@@ -85,6 +90,59 @@ def test_wrong_parametrization_detected():
         (["y^2-x^3", "z^2-x^9-x^37"], ["t^2", "t^3", "t^9"]),
     ]:
         assert not verify_parametrization(pres(equations, param=param))
+
+
+# -- the Tjurina number of an ICIS, as a test oracle ------------------------
+
+def determinant(rows):
+    """Laplace expansion along the first row, over Poly entries."""
+    if len(rows) == 1:
+        return rows[0][0]
+    terms = [
+        entry * determinant([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, entry in enumerate(rows[0])
+    ]
+    out = terms[0]
+    for j, term in enumerate(terms[1:], 1):
+        out = out - term if j % 2 else out + term
+    return out
+
+
+def tjurina_number(p):
+    """The colength of the equations and the maximal minors of their
+    Jacobian: tau of an isolated complete-intersection curve germ."""
+    e = len(p.variables)
+    minors = [
+        determinant([[row[j] for j in cols] for row in jacobian_matrix(p)])
+        for cols in combinations(range(e), e - 1)
+    ]
+    return build_jet_algebra(list(p.equations) + minors).colength()
+
+
+def chain(pairs):
+    """A monomial chain with its one branch."""
+    variables, equations, gens = monomial_chain(pairs)
+    return pres(equations, variables=tuple(variables), param=[f"t^{g}" for g in gens])
+
+
+# The e = 3 family holds t469, the chain ((2, 3), (2, 3)); two e = 4 chains
+# join fourspace, since each other one takes up to 0.5 s.
+ICIS_CASES = [FOURSPACE] + [
+    chain(pairs)
+    for pairs in monomial_chains((range(2, 6), range(2, 6)), (range(2, 5), range(2, 6)))
+    + [((4, 3), (2, 3), (2, 3)), ((2, 3), (4, 3), (2, 3))]
+]
+
+
+@pytest.mark.parametrize(
+    "p", ICIS_CASES, ids=lambda p: ",".join(map(str, p.equations))
+)
+def test_icis_tjurina_number_is_twice_delta(p):
+    """These germs are quasihomogeneous and irreducible, so tau = mu
+    (Greuel 1975) and mu = 2*delta - r + 1 = 2*delta (Buchweitz-Greuel
+    1980; both cited from memory), with delta from the branch's semigroup."""
+    gens = tuple(img.order() for img in p.parametrization.images)
+    assert tjurina_number(p) == 2 * semigroup_delta(gens)
 
 
 # -- complex term ranks -----------------------------------------------------

@@ -132,23 +132,31 @@ def test_diff_examples():
 # -- substitution -----------------------------------------------------------
 
 def test_substitute_annihilates_cusp():
-    images = parse_branch(["t^3", "t^2"]).as_map(UV)
+    images = dict(zip(UV, parse_branch(["t^3", "t^2"]).images))
     assert P("u^2-v^3").substitute(images).is_zero()
 
 
 def test_substitute_node_axis():
-    images = parse_branch(["t", "0"]).as_map(UV)
+    images = dict(zip(UV, parse_branch(["t", "0"]).images))
     assert P("u*v").substitute(images).is_zero()
 
 
 def test_substitute_projection():
-    images = parse_branch(["t^2", "t^3"]).as_map(UV)
+    images = dict(zip(UV, parse_branch(["t^2", "t^3"]).images))
     assert P("v").substitute(images) == parse_poly("t^3", ("t",))
+
+
+def test_pullback_composes_with_one_image_per_variable_in_order():
+    b = parse_branch(["t^3", "t^2"])
+    assert b.pullback(P("u^2-v^3")).is_zero()
+    assert b.pullback(P("v")) == parse_poly("t^2", ("t",))
+    with pytest.raises(ValueError, match="^2 images for 3 variables$"):
+        b.pullback(parse_poly("x", ("x", "y", "z")))
 
 
 @given(polys, polys)
 def test_substitute_is_ring_homomorphism(p, q):
-    images = parse_branch(["t^2+t^3", "t"]).as_map(UV)
+    images = dict(zip(UV, parse_branch(["t^2+t^3", "t"]).images))
     lhs = (p * q).substitute(images)
     assert lhs == p.substitute(images) * q.substitute(images)
 
